@@ -30,7 +30,7 @@ def test_key_recovery_from_attack_windows(once):
     def experiment():
         # Blocks are independent victim runs: extract each once, in
         # parallel, then intersect prefixes to chart recovery vs
-        # block count (run_sweep is order-deterministic, so worker
+        # block count (the sweep is order-deterministic, so worker
         # count never changes the table).
         attack = AESKeyRecoveryAttack(KEY)
         workers = min(default_workers(), len(ciphertexts))

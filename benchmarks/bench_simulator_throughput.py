@@ -13,14 +13,11 @@ machine-readably; CI diffs fresh measurements against the committed
 copy and fails on a >2x regression.
 """
 
-from repro.batch import MachineFleet, make_ops, run_lane_scalar
 from repro.core.attacks.port_contention import PortContentionAttack
 from repro.snapshot import clear_cache
 
 from conftest import emit, emit_json, full_scale
 from throughput_workloads import (
-    FLEET_PLAN,
-    fleet_lanes,
     make_aes_window_replayer,
     make_fig10_window_replayer,
     run_aes_window_cold,
@@ -99,85 +96,6 @@ def test_replay_attack_throughput(once):
 
     assert speedup >= 3.0, (
         f"fast-forward speedup {speedup:.2f}x below the 3x floor")
-
-
-def test_batch_fleet_throughput(once):
-    """Batched lockstep sweep throughput (repro.batch).
-
-    The unit of work is a *lane*: one seed's full trial of the fleet
-    checksum workload.  The scalar baseline runs the lanes one
-    machine at a time in this process — exactly what
-    ``backend="batch"`` replaces — and every fleet lane must be
-    bit-identical to its scalar run.  Reported as lanes/host-second
-    alongside the aggregate simulated-cycles/host-second the other
-    workloads use.
-    """
-    lanes = 64 if full_scale() else 32
-    lane_specs = fleet_lanes(lanes)
-
-    def experiment():
-        scalar_results, scalar_host = timed(lambda: [
-            run_lane_scalar(FLEET_PLAN, seed, params)
-            for seed, params in lane_specs])
-        engines = {}
-        for engine in ("pure", "numpy"):
-            try:
-                ops = make_ops(engine)
-            except ImportError:
-                continue
-            fleet = MachineFleet(FLEET_PLAN, lane_specs, ops=ops)
-            outcomes, host = timed(fleet.run)
-            assert all(
-                outcome.error is None and outcome.result == reference
-                for outcome, reference
-                in zip(outcomes, scalar_results)), \
-                f"{engine} fleet diverged from the scalar sweep"
-            assert fleet.stats["peeled"] == 0, \
-                "checksum workload unexpectedly peeled lanes"
-            engines[engine] = host
-        return scalar_results, scalar_host, engines
-
-    scalar_results, scalar_host, engines = once(experiment)
-
-    cycles_per_lane = scalar_results[0][1]
-    payload = {
-        "scale": "full" if full_scale() else "quick",
-        "lanes": lanes,
-        "simulated_cycles_per_lane": cycles_per_lane,
-        "lanes_per_host_second": {
-            "scalar_single_process": round(lanes / scalar_host, 2),
-            **{f"fleet_{engine}": round(lanes / host, 2)
-               for engine, host in engines.items()},
-        },
-        "cycles_per_host_second": {
-            "scalar_single_process":
-                round(lanes * cycles_per_lane / scalar_host),
-            **{f"fleet_{engine}":
-                round(lanes * cycles_per_lane / host)
-               for engine, host in engines.items()},
-        },
-        "fleet_speedup": {engine: round(scalar_host / host, 2)
-                          for engine, host in engines.items()},
-        "bit_identical": True,
-    }
-    emit_json("batch_fleet_throughput", payload)
-    lines = [f"fleet checksum workload: {lanes} lanes x "
-             f"{cycles_per_lane} simulated cycles",
-             f"scalar sweep:    {lanes / scalar_host:,.1f} "
-             f"lanes/host-second"]
-    for engine, host in engines.items():
-        lines.append(
-            f"fleet ({engine}):"
-            f"{'':{max(1, 7 - len(engine))}}"
-            f"{lanes / host:,.1f} lanes/host-second "
-            f"({scalar_host / host:.1f}x, bit-identical)")
-    emit("batch_fleet_throughput", "\n".join(lines))
-
-    for engine, host in engines.items():
-        speedup = scalar_host / host
-        assert speedup >= 5.0, (
-            f"{engine} fleet speedup {speedup:.2f}x below the 5x "
-            f"floor")
 
 
 def test_warm_start_window_throughput(once):

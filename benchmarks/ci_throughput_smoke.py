@@ -31,15 +31,6 @@ cold runs *and* beat the minimum speedups (2x / 5x); the measured
 numbers are written to
 ``benchmarks/results/memoization_throughput.json``.
 
-A batch-engine check runs the fleet checksum sweep (32 lanes of the
-same program over lane-variant data) three ways — scalar machines one
-by one, a :class:`~repro.batch.MachineFleet` on the pure-Python lane
-engine, and (when NumPy is importable) on the NumPy lane engine.
-Every fleet lane must be bit-identical to its scalar run, the two
-engines must agree with each other, and each engine must beat the
-minimum single-process sweep speedup (5x).  Measurements land in
-``benchmarks/results/batch_throughput.json``.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/ci_throughput_smoke.py \
@@ -297,91 +288,6 @@ def memoization_check(min_window_speedup: float = 2.0,
     return ok
 
 
-def batch_throughput_check(min_speedup: float = 5.0,
-                           lanes: int = 32) -> bool:
-    """Prove the batch engine is bit-exact and actually fast.
-
-    Runs the fleet checksum sweep scalar (one machine per lane, one
-    process — the baseline ``backend="batch"`` replaces) and as one
-    :class:`~repro.batch.MachineFleet` per available lane engine.
-    Each engine must produce lane outcomes bit-identical to the
-    scalar runs and be at least *min_speedup* times faster than the
-    scalar loop.  Measurements land in
-    ``benchmarks/results/batch_throughput.json``.  Returns True on
-    success.
-    """
-    import os
-
-    from repro.batch import MachineFleet, make_ops, run_lane_scalar
-    from throughput_workloads import (
-        FLEET_PASSES, FLEET_PLAN, FLEET_WORDS, fleet_lanes)
-
-    lane_specs = fleet_lanes(lanes)
-
-    def run_scalar_sweep():
-        return [run_lane_scalar(FLEET_PLAN, seed, params)
-                for seed, params in lane_specs]
-
-    scalar_results, scalar_s = timed(run_scalar_sweep)
-    cycles_per_lane = scalar_results[0][1]
-
-    engines = ["pure"]
-    if not os.environ.get("REPRO_NO_NUMPY"):
-        try:
-            import numpy  # noqa: F401
-            engines.append("numpy")
-        except ImportError:
-            pass
-
-    ok = True
-    measured = {}
-    for engine in engines:
-        fleet = MachineFleet(FLEET_PLAN, lane_specs,
-                             ops=make_ops(engine))
-        outcomes, fleet_s = timed(fleet.run)
-        identical = all(
-            outcome.error is None and outcome.result == reference
-            for outcome, reference in zip(outcomes, scalar_results))
-        speedup = scalar_s / fleet_s
-        measured[engine] = {
-            "seconds": fleet_s,
-            "lanes_per_host_second": lanes / fleet_s,
-            "speedup": speedup,
-            "bit_identical": identical,
-            "peeled_lanes": fleet.stats["peeled"],
-        }
-        if not identical:
-            print(f"batch throughput: FAIL ({engine} engine diverged "
-                  f"from the scalar sweep)")
-            ok = False
-        elif speedup < min_speedup:
-            print(f"batch throughput: FAIL ({engine} engine only "
-                  f"{speedup:.1f}x faster than the scalar sweep; "
-                  f"need >={min_speedup:.1f}x)")
-            ok = False
-
-    payload = {
-        "workload": (f"fnv checksum fleet, {FLEET_WORDS} words x "
-                     f"{FLEET_PASSES} passes"),
-        "lanes": lanes,
-        "simulated_cycles_per_lane": cycles_per_lane,
-        "scalar_seconds": scalar_s,
-        "scalar_lanes_per_host_second": lanes / scalar_s,
-        "engines": measured,
-        "min_speedup": min_speedup,
-    }
-    out = Path(__file__).parent / "results" / "batch_throughput.json"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if ok:
-        summary = ", ".join(
-            f"{engine} {stats['speedup']:.1f}x"
-            for engine, stats in measured.items())
-        print(f"batch throughput: OK ({lanes} lanes, {summary}; all "
-              f"lanes bit-identical to scalar)")
-    return ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -394,7 +300,6 @@ def main(argv=None) -> int:
     failed = not snapshot_roundtrip_smoke()
     failed = not tracing_overhead_check() or failed
     failed = not memoization_check() or failed
-    failed = not batch_throughput_check() or failed
 
     baseline_path = Path(args.baseline)
     if not baseline_path.exists():

@@ -14,10 +14,8 @@ Three workloads, in increasing relevance to the paper:
   watches.
 """
 
-import random
 import time
 
-from repro.batch import FleetPlan, FleetTrial, LaneInit
 from repro.core.attacks.aes_cache import AESCacheAttack
 from repro.core.attacks.port_contention import PortContentionAttack
 from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
@@ -173,74 +171,6 @@ def run_fig10_cold(attack: PortContentionAttack, secret: int,
     """One cold Fig. 10 panel: fresh platform, full measurement run."""
     clear_cache()
     return _fig10_result_data(attack.run(secret, threshold))
-
-
-# ---------------------------------------------------------------------------
-# Batched lockstep fleet workload (repro.batch)
-#
-# The sweep shape the fleet engine targets: one program, many lanes
-# that differ only in data.  Each lane FNV-hashes a 64-word buffer of
-# seed-derived random values over 40 passes — thousands of simulated
-# cycles of genuinely lane-variant loads, multiplies and xors, so the
-# fleet's taint overlay is exercised on every instruction rather than
-# idling on invariant state.  All components are module-level so the
-# FleetTrial pickles (process-pool scalar path) and fingerprints
-# (content-addressed trial store).
-# ---------------------------------------------------------------------------
-
-FLEET_DATA_BASE = 0x0010_0000
-FLEET_WORDS = 64
-FLEET_PASSES = 40
-FLEET_MAX_CYCLES = 10_000_000
-
-
-def fleet_checksum_program(n_words: int = FLEET_WORDS,
-                           passes: int = FLEET_PASSES):
-    """FNV-1a style checksum over ``n_words`` 64-bit words, repeated
-    ``passes`` times (r0 is never written: the always-zero operand)."""
-    builder = ProgramBuilder("fleet-checksum")
-    builder.li("r8", passes)
-    builder.li("r3", 0xcbf29ce484222325)
-    builder.li("r4", 0x100000001b3)
-    builder.label("outer")
-    builder.li("r1", FLEET_DATA_BASE)
-    builder.li("r2", n_words)
-    builder.label("loop")
-    builder.load("r5", "r1", 0)
-    builder.xor("r3", "r3", "r5")
-    builder.mul("r3", "r3", "r4")
-    builder.addi("r1", "r1", 8)
-    builder.subi("r2", "r2", 1)
-    builder.bne("r2", "r0", "loop")
-    builder.subi("r8", "r8", 1)
-    builder.bne("r8", "r0", "outer")
-    builder.halt()
-    return builder.build()
-
-
-def fleet_lane_init(seed, params):
-    rng = random.Random(seed)
-    return LaneInit(mem=tuple((FLEET_DATA_BASE + 8 * i, 8,
-                               rng.getrandbits(64))
-                              for i in range(FLEET_WORDS)))
-
-
-def fleet_extract(machine):
-    context = machine.contexts[0]
-    return (context.int_regs["r3"], machine.cycle,
-            context.stats.retired)
-
-
-FLEET_PLAN = FleetPlan(programs=((0, fleet_checksum_program()),),
-                       lane_init=fleet_lane_init,
-                       max_cycles=FLEET_MAX_CYCLES,
-                       extract=fleet_extract)
-FLEET_TRIAL = FleetTrial(FLEET_PLAN)
-
-
-def fleet_lanes(n: int):
-    """``(seed, params)`` pairs for an *n*-lane fleet."""
-    return [(7000 + i, None) for i in range(n)]
 
 
 def make_fig10_window_replayer(attack: PortContentionAttack,

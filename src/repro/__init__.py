@@ -19,9 +19,6 @@ cycle-level simulator written from scratch:
   ``docs/RESULTS.md``;
 * :mod:`repro.memo` -- the two-level deterministic compute cache
   (replay-window memoization + content-addressed trial store);
-* :mod:`repro.batch` -- the lockstep machine fleet: N same-program
-  lanes stepped for roughly the cost of one, bit-identical to scalar
-  runs (``run_sweep(..., backend="batch")``);
 * :mod:`repro.oracle` -- the taint-tracking leakage oracle: "does
   this defense work" as a checkable information-flow property
   (``Experiment(oracle=True)``, ``MatrixRunner(oracle=True)``,
@@ -38,8 +35,8 @@ The public surface is promoted to this top level (and snapshotted by
     ).run().result
     print(result.above_threshold, result.verdict)
 
-Configuration lives in :mod:`repro.config`, sweep execution (plain
-and fault-tolerant) in :mod:`repro.harness`, and the facade itself in
+Configuration lives in :mod:`repro.config`, sweep execution in
+:mod:`repro.harness`, and the facade itself in
 :mod:`repro.experiment`; the deeper module paths all remain public
 for code that wants one abstraction level down.  Long-running
 evaluation work can also be submitted to the job service
@@ -47,14 +44,6 @@ evaluation work can also be submitted to the job service
 executing in-process — see ``docs/SERVICE.md``.
 """
 
-from repro.batch import (
-    FleetPlan,
-    FleetTrial,
-    LaneInit,
-    LaneOutcome,
-    MachineFleet,
-    run_fleet,
-)
 from repro.config import (
     CacheConfig,
     CoreConfig,
@@ -96,7 +85,6 @@ from repro.harness import (
     derive_seed,
     merge_ordered,
     run_resilient_sweep,
-    run_sweep,
 )
 from repro.kernel.kernel import KernelConfig
 from repro.memo import (
@@ -119,7 +107,7 @@ from repro.service import JobSpec, ServiceClient, ServiceError
 from repro.sgx.enclave import EnclaveConfig
 from repro.snapshot import MachineSnapshot, state_digest, warm_start
 
-__version__ = "1.7.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AESCacheAttack",
@@ -138,18 +126,13 @@ __all__ = [
     "Experiment",
     "ExperimentReport",
     "FaultPolicy",
-    "FleetPlan",
-    "FleetTrial",
     "HierarchyConfig",
     "JobSpec",
     "KernelConfig",
-    "LaneInit",
-    "LaneOutcome",
     "LeakageEvent",
     "LeakageSummary",
     "Machine",
     "MachineConfig",
-    "MachineFleet",
     "MachineSnapshot",
     "MatrixCell",
     "MatrixRunner",
@@ -179,9 +162,7 @@ __all__ = [
     "oracle_consistency_verify",
     "resolve_store",
     "run_figure10",
-    "run_fleet",
     "run_resilient_sweep",
-    "run_sweep",
     "state_digest",
     "to_dict",
     "trial_key",

@@ -9,10 +9,9 @@ reaching into five subsystem modules to assemble a machine::
     cfg = MachineConfig(core=CoreConfig(num_contexts=2))
 
 :class:`MachineConfig` is *defined* here (it composes the subsystem
-configs, so it belongs to the top level, not to ``repro.cpu``); the
-old ``repro.cpu.machine.MachineConfig`` path keeps working through a
-:class:`DeprecationWarning` shim.  The subsystem configs stay defined
-next to the code they configure and are re-exported:
+configs, so it belongs to the top level, not to ``repro.cpu``).  The
+subsystem configs stay defined next to the code they configure and
+are re-exported:
 
 ======================  ============================================
 class                   defined in

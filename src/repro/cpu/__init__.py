@@ -9,21 +9,6 @@ from repro.cpu.ports import Port, PortSet
 from repro.cpu.rob import EntryState, ReorderBuffer, ROBEntry
 from repro.cpu.traps import PanicTrapHandler, TrapAction, TrapHandler
 
-
-def __getattr__(name: str):
-    # MachineConfig moved to repro.config (PEP 562 shim, see
-    # repro.cpu.machine for the matching warning).
-    if name == "MachineConfig":
-        import warnings
-
-        warnings.warn(
-            "importing MachineConfig from repro.cpu is deprecated; "
-            "import it from repro.config (or repro)",
-            DeprecationWarning, stacklevel=2)
-        from repro.config import MachineConfig
-        return MachineConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "BranchPredictor",
     "CoreConfig",
@@ -36,7 +21,6 @@ __all__ = [
     "HardwareContext",
     "Core",
     "Machine",
-    "MachineConfig",
     "Port",
     "PortSet",
     "EntryState",

@@ -9,7 +9,6 @@ attaches itself as the machine's trap handler.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -26,19 +25,6 @@ from repro.vm.walker import PageWalker
 
 if TYPE_CHECKING:
     from repro.config import MachineConfig
-
-
-def __getattr__(name: str):
-    # MachineConfig moved to repro.config; keep the old import path
-    # alive (PEP 562) with a deprecation signal.
-    if name == "MachineConfig":
-        warnings.warn(
-            "importing MachineConfig from repro.cpu.machine is "
-            "deprecated; import it from repro.config (or repro)",
-            DeprecationWarning, stacklevel=2)
-        from repro.config import MachineConfig
-        return MachineConfig
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Machine:

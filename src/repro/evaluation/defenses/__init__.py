@@ -21,10 +21,6 @@ DefenseMechanism` models installed through ``MachineConfig.defense``
 Importing this package imports every mechanism module, which is what
 populates the :data:`~repro.evaluation.defenses.mechanisms.MECHANISMS`
 registry ``Machine.__init__`` resolves schemes against.
-
-The legacy ``repro.defenses`` package re-exports everything from here
-with a :class:`DeprecationWarning` (mirroring the ``repro.config``
-migration); new code should import from this package.
 """
 
 from repro.evaluation.defenses.dejavu import (

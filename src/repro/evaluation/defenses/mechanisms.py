@@ -11,8 +11,8 @@ pipeline through the core's hook layer (``squash_hooks``,
   at machine construction);
 * ``capture()`` / ``restore()`` clone its mutable state, which the
   machine appends to its own snapshot payload — so Replayer
-  checkpoints, window memoization and the batch engine stay bit-exact
-  with a mechanism installed.
+  checkpoints and window memoization stay bit-exact with a mechanism
+  installed.
 
 A mechanism is selected by :class:`~repro.config.DefenseHookConfig`:
 ``Machine.__init__`` resolves ``config.defense.scheme`` against the

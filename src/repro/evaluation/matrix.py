@@ -265,7 +265,7 @@ class MatrixRunner:
     #: load instead of recomputing.
     store: Any = None
     #: Sweep backend, forwarded to :class:`repro.Experiment`
-    #: (``"scalar"`` or ``"batch"``).
+    #: (``"scalar"``, ``"inline"`` or ``"pool"``).
     backend: str = "scalar"
     metrics: Any = None
     tracer: Any = None

@@ -176,9 +176,8 @@ class Experiment:
     #: Path or :class:`~repro.memo.store.TrialStore`: the persistent
     #: content-addressed trial cache (see :mod:`repro.memo`).
     store: Any = None
-    #: ``"scalar"`` runs one machine per trial; ``"batch"`` adds a
-    #: lockstep-fleet pre-pass (requires ``trial=`` to carry a
-    #: ``fleet_plan``; see :class:`repro.batch.FleetTrial`).
+    #: Trial dispatch: ``"scalar"`` (auto), ``"inline"`` or
+    #: ``"pool"``; see :mod:`repro.harness.backends`.
     backend: str = "scalar"
     #: Accepted for signature symmetry with
     #: :class:`repro.evaluation.matrix.MatrixRunner`; experiments are

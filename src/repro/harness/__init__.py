@@ -6,17 +6,15 @@ trials* whose results merge order-independently.  This package fans
 such trials across worker processes — and keeps the sweep alive when
 workers misbehave:
 
-* :mod:`repro.harness.pool` — order-preserving process-pool plumbing;
-* :mod:`repro.harness.backends` — the pluggable
-  :class:`ExecutionBackend` layer (inline / supervised pool /
-  lockstep batch fleet, plus auto-selecting ``scalar``) every trial
-  dispatch path runs through;
-* :mod:`repro.harness.sweep` — deterministic seed derivation, the
-  :func:`run_sweep` driver, and merge helpers;
-* :mod:`repro.harness.resilience` — the fault-tolerant layer:
-  watchdog timeouts, bounded retries with fresh seed lineage,
-  graceful degradation, journalled resume, and the
-  :class:`SweepReport` accounting (:func:`run_resilient_sweep`);
+* :mod:`repro.harness.sweep` — deterministic seed derivation and
+  trial-order merge helpers;
+* :mod:`repro.harness.resilience` — the sweep driver,
+  :func:`run_resilient_sweep`: watchdog timeouts, bounded retries
+  with fresh seed lineage, graceful degradation, journalled resume,
+  and the :class:`SweepReport` accounting;
+* :mod:`repro.harness.backends` — the :class:`ExecutionBackend`
+  layer (inline / supervised process pool, plus auto-selecting
+  ``scalar``) every trial dispatch runs through;
 * :mod:`repro.harness.journal` — on-disk checkpointing of completed
   trials so interrupted sweeps resume without rerunning anything;
 * :mod:`repro.harness.chaos` — deterministic fault injection
@@ -34,14 +32,12 @@ is a pure function of their parameters and seed.
 """
 
 from repro.harness.backends import (
-    BatchBackend,
     ExecutionBackend,
     ExecutionRequest,
     InlineBackend,
     PoolBackend,
     ScalarBackend,
     backend_names,
-    register_backend,
     resolve_backend,
 )
 from repro.harness.chaos import FAULT_KINDS, ChaosError, ChaosPlan
@@ -50,7 +46,6 @@ from repro.harness.journal import (
     JournalMismatch,
     SweepJournal,
 )
-from repro.harness.pool import default_workers, run_indexed
 from repro.harness.resilience import (
     SKIPPED,
     FaultPolicy,
@@ -60,6 +55,7 @@ from repro.harness.resilience import (
     TrialAttempt,
     TrialReport,
     collect_sweep_reports,
+    default_workers,
     run_resilient_sweep,
 )
 from repro.harness.sweep import (
@@ -67,14 +63,11 @@ from repro.harness.sweep import (
     Trial,
     derive_seed,
     merge_ordered,
-    run_batched,
-    run_sweep,
 )
 
 __all__ = [
     "FAULT_KINDS",
     "SKIPPED",
-    "BatchBackend",
     "ChaosError",
     "ChaosPlan",
     "ExecutionBackend",
@@ -96,12 +89,8 @@ __all__ = [
     "backend_names",
     "collect_sweep_reports",
     "default_workers",
-    "register_backend",
     "resolve_backend",
     "derive_seed",
     "merge_ordered",
-    "run_batched",
-    "run_indexed",
     "run_resilient_sweep",
-    "run_sweep",
 ]

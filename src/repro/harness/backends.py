@@ -1,23 +1,21 @@
-"""Pluggable trial execution backends.
+"""Trial execution backends.
 
-Historically :func:`repro.harness.run_resilient_sweep` hard-coded
-three dispatch paths — an in-process inline loop, a supervised
-multiprocess pool with a watchdog, and a lockstep batch-fleet
-pre-pass.  This module puts all three behind one small interface so
-new execution substrates (a job service shard, a remote worker, a
-fleet-per-worker hybrid) plug in without touching the sweep driver:
+Every trial dispatch — :func:`repro.harness.run_resilient_sweep` and
+the job service's cell executors alike — runs through one small
+interface, so a new execution substrate (a remote worker, say) is one
+:class:`ExecutionBackend` subclass passed by instance, with no change
+to the sweep driver:
 
 * :class:`ExecutionRequest` — everything a backend needs to resolve a
   set of trials: the trial function, the *todo* list (absolute trial
   indices, so seed lineage survives arbitrary sharding), the
   :class:`~repro.harness.resilience.FaultPolicy`, the journal, and
   the shared ``outcomes``/``reports`` dictionaries to fill in;
-* :class:`ExecutionBackend` — ``validate(trial_fn)`` +
-  ``execute(request)``;
-* the registry — :func:`register_backend`, :func:`resolve_backend`,
-  :func:`backend_names`.
+* :class:`ExecutionBackend` — ``execute(request)``;
+* :func:`resolve_backend` / :func:`backend_names` — the fixed
+  name → backend map below.
 
-Built-in backends:
+Named backends:
 
 ========  ==========================================================
 name      behaviour
@@ -28,9 +26,6 @@ pool      every attempt runs in its own supervised worker process
           (watchdog timeouts, crash containment, chaos injection)
 scalar    auto: ``pool`` when chaos, a watchdog timeout or >1 worker
           asks for process isolation, else ``inline``
-batch     lockstep :class:`~repro.batch.fleet.MachineFleet` pre-pass
-          over the todo list, then ``scalar`` for the lanes the
-          fleet could not complete
 ========  ==========================================================
 
 Every backend honours the same contract: a resolved trial lands in
@@ -45,22 +40,24 @@ from __future__ import annotations
 import abc
 import hashlib
 import heapq
+import multiprocessing
 import pickle
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
+from types import MappingProxyType
 from typing import (
     Any,
     ClassVar,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
 
 from repro.harness.journal import SweepJournal
-from repro.harness.pool import _mp_context
 from repro.harness.resilience import (
     SKIPPED,
     FaultPolicy,
@@ -111,11 +108,8 @@ class ExecutionRequest:
 class ExecutionBackend(abc.ABC):
     """One way of turning a todo list into outcomes."""
 
-    #: Registry name (``run_resilient_sweep(backend=<name>)``).
+    #: Key in :data:`BACKENDS` (``run_resilient_sweep(backend=...)``).
     name: ClassVar[str] = ""
-
-    def validate(self, trial_fn: TrialFn) -> None:
-        """Raise ``ValueError`` if *trial_fn* cannot run here."""
 
     @abc.abstractmethod
     def execute(self, request: ExecutionRequest) -> None:
@@ -126,6 +120,15 @@ class ExecutionBackend(abc.ABC):
 
 
 # --- worker side ----------------------------------------------------------
+
+
+def _mp_context():
+    """Prefer fork (cheap, inherits the imported simulator); fall back
+    to the platform default where fork is unavailable."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
 
 
 def _attempt_worker(fn, params, seed, chaos, index, attempt, conn):
@@ -485,52 +488,6 @@ def _run_inline(trial_fn: TrialFn, todo: Sequence[Trial], *,
             resolution=resolution)
 
 
-# --- batch-fleet pre-pass -------------------------------------------------
-
-
-def _fleet_prepass(trial_fn: TrialFn, todo: Sequence[Trial], *,
-                   journal: Optional[SweepJournal],
-                   outcomes: Dict[int, Any],
-                   reports: Dict[int, TrialReport],
-                   t0: float) -> List[Trial]:
-    """Resolve what the batch fleet can; return the trials that still
-    need the scalar retry ladder.
-
-    Every lane that completes becomes an attempt-0 "ok" resolution
-    (journalled like any first-attempt success); a lane that errors is
-    handed to the ladder *without* recording an attempt, so its retry
-    budget and seed lineage are untouched — the ladder reruns it
-    scalar from attempt 0 exactly as if the fleet had never existed.
-    Any failure of the fleet machinery itself degrades silently to the
-    full scalar path: resilience never trades fault tolerance for
-    throughput.
-    """
-    started = time.perf_counter() - t0
-    try:
-        from repro.batch.fleet import MachineFleet
-        plan = trial_fn.fleet_plan  # type: ignore[attr-defined]
-        lane_outcomes = MachineFleet(
-            plan, [(t.seed, t.params) for t in todo]).run()
-    except Exception:
-        return list(todo)
-    duration = max(time.perf_counter() - t0 - started, 0.0)
-    remaining: List[Trial] = []
-    for trial, lane in zip(todo, lane_outcomes):
-        if lane.error is not None:
-            remaining.append(trial)
-            continue
-        outcomes[trial.index] = lane.result
-        reports[trial.index] = TrialReport(
-            index=trial.index,
-            attempts=[TrialAttempt(attempt=0, outcome="ok",
-                                   seed=trial.seed, started=started,
-                                   duration=duration)],
-            resolution="ok")
-        if journal is not None:
-            journal.record(trial.index, 0, trial.seed, lane.result)
-    return remaining
-
-
 # --- the backends ---------------------------------------------------------
 
 
@@ -588,70 +545,25 @@ class ScalarBackend(ExecutionBackend):
         engine.execute(request)
 
 
-class BatchBackend(ExecutionBackend):
-    """Lockstep fleet pre-pass, scalar ladder for what remains.
-
-    Requires a trial function carrying a ``fleet_plan`` (see
-    :class:`repro.batch.FleetTrial`).  The pre-pass is skipped under
-    chaos injection — chaos faults target per-attempt workers, which
-    the fleet would bypass.  ``request.workers`` is clamped to the
-    post-pre-pass remainder so accounting matches what actually ran.
-    """
-
-    name = "batch"
-
-    def validate(self, trial_fn: TrialFn) -> None:
-        if getattr(trial_fn, "fleet_plan", None) is None:
-            raise ValueError(
-                "backend='batch' needs a trial function that carries "
-                "a fleet_plan attribute (see repro.batch.FleetTrial); "
-                f"{trial_fn!r} does not")
-
-    def execute(self, request: ExecutionRequest) -> None:
-        todo = list(request.todo)
-        t0 = request.clock_origin()
-        if todo and request.chaos is None:
-            todo = _fleet_prepass(request.trial_fn, todo,
-                                  journal=request.journal,
-                                  outcomes=request.outcomes,
-                                  reports=request.reports, t0=t0)
-            request.workers = min(request.workers,
-                                  max(len(todo), 1))
-        if todo:
-            _SCALAR.execute(replace(request, todo=todo))
-
-
 _INLINE = InlineBackend()
 _POOL = PoolBackend()
-_SCALAR = ScalarBackend()
-_BATCH = BatchBackend()
 
-#: Name → backend instance.  Backends are stateless; one shared
-#: instance per name is safe across sweeps and threads.
-BACKENDS: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
-    """Add *backend* to the registry (last registration wins)."""
-    if not backend.name:
-        raise ValueError("backend needs a non-empty .name")
-    BACKENDS[backend.name] = backend
-    return backend
-
-
-for _backend in (_INLINE, _POOL, _SCALAR, _BATCH):
-    register_backend(_backend)
+#: Name → backend instance (read-only).  Backends are stateless; one
+#: shared instance per name is safe across sweeps and threads.
+BACKENDS: Mapping[str, ExecutionBackend] = MappingProxyType(
+    {backend.name: backend
+     for backend in (_INLINE, _POOL, ScalarBackend())})
 
 
 def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """The named backends, sorted."""
     return tuple(sorted(BACKENDS))
 
 
 def resolve_backend(backend: Any) -> ExecutionBackend:
     """Map a name (or an :class:`ExecutionBackend` instance) to the
     backend that will run the sweep; unknown names raise
-    ``ValueError`` listing what is registered."""
+    ``ValueError`` listing the named backends."""
     if isinstance(backend, ExecutionBackend):
         return backend
     try:
@@ -665,13 +577,11 @@ def resolve_backend(backend: Any) -> ExecutionBackend:
 
 __all__ = [
     "BACKENDS",
-    "BatchBackend",
     "ExecutionBackend",
     "ExecutionRequest",
     "InlineBackend",
     "PoolBackend",
     "ScalarBackend",
     "backend_names",
-    "register_backend",
     "resolve_backend",
 ]

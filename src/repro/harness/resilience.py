@@ -1,10 +1,10 @@
 """Fault-tolerant sweep execution: watchdog, retries, degradation.
 
-:func:`repro.harness.run_sweep` assumes every trial succeeds: one
-crashed or hung worker process loses the whole sweep.  At experiment
-volume that assumption fails routinely — OOM kills, wedged simulations,
-flaky serialisation — so this layer wraps the sweep contract in a
-supervisor that *expects* trials to misbehave:
+A plain process pool assumes every trial succeeds: one crashed or
+hung worker process loses the whole sweep.  At experiment volume that
+assumption fails routinely — OOM kills, wedged simulations, flaky
+serialisation — so :func:`run_resilient_sweep`, the one sweep driver,
+runs trials under a supervisor that *expects* them to misbehave:
 
 * **watchdog timeouts** — each attempt runs in its own worker process
   with a deadline; the supervisor kills and reaps workers that blow
@@ -42,6 +42,7 @@ fault-free run.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,7 +57,6 @@ from typing import (
 )
 
 from repro.harness.journal import SweepJournal
-from repro.harness.pool import default_workers
 from repro.harness.sweep import SweepResult, Trial, TrialFn, derive_seed
 
 #: Attempt outcomes, in severity order.  "ok" terminates the ladder;
@@ -69,6 +69,31 @@ ATTEMPT_OUTCOMES = ("ok", "exception", "timeout", "crash", "corrupt",
 #: content-addressed :class:`~repro.memo.store.TrialStore`.
 RESOLUTIONS = ("ok", "journal", "cached", "skipped", "defaulted",
                "failed")
+
+
+def default_workers() -> int:
+    """Worker-count default: ``REPRO_WORKERS`` if set, else the CPUs
+    this process may actually run on.  Returns at least 1.
+
+    ``os.sched_getaffinity`` is preferred over ``os.cpu_count``
+    because cgroup cpusets (CI runners, containers) often pin the
+    process to far fewer CPUs than the host owns; sizing the pool to
+    the host count there just makes workers fight over the allowed
+    cores.
+    """
+    env = os.environ.get("REPRO_WORKERS", "")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        try:
+            return max(1, len(affinity(0)))
+        except OSError:
+            pass
+    return max(1, os.cpu_count() or 1)
 
 
 class _Skipped:
@@ -348,10 +373,14 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
                         metrics: Any = None,
                         tracer: Any = None,
                         backend: str = "scalar") -> ResilientSweepResult:
-    """Run a sweep that survives crashing, hanging and lying workers.
+    """Run ``trial_fn(params[i], seed_i)`` for every parameter set,
+    surviving crashing, hanging and lying workers.
 
-    Drop-in superset of :func:`repro.harness.run_sweep`: same trial
-    contract, same seed derivation, same trial-order merge — plus the
+    *trial_fn* must be a top-level (picklable) callable whenever a
+    process backend runs it.  Trial *i* gets
+    ``derive_seed(master_seed, i, label)`` and results land in trial
+    order regardless of worker scheduling; ``workers=None`` uses
+    :func:`default_workers`.  On top of that contract come the
     :class:`FaultPolicy` retry ladder, optional
     :class:`~repro.harness.chaos.ChaosPlan` injection, optional
     on-disk *journal* (path or :class:`SweepJournal`) for resume,
@@ -374,27 +403,15 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
 
     * ``"scalar"`` (default) auto-selects — with no chaos, no
       watchdog timeout and one worker, trials run inline in this
-      process (bit-compatible with ``run_sweep(workers=1)`` plus
-      retries); otherwise every attempt gets its own supervised
+      process; otherwise every attempt gets its own supervised
       worker process;
-    * ``"inline"`` / ``"pool"`` force those two paths explicitly;
-    * ``"batch"`` (requires a *trial_fn* carrying a ``fleet_plan``;
-      see :class:`repro.batch.FleetTrial`) runs a fleet pre-pass
-      over the unresolved trials first: lanes the fleet completes
-      resolve as ordinary attempt-0 successes (journalled and
-      store-persisted like any other), lanes that error fall through
-      to the scalar retry ladder with their full attempt budget, and
-      any failure of the fleet itself silently degrades to the
-      all-scalar path.  The pre-pass is skipped under chaos
-      injection — chaos faults target per-attempt workers, which the
-      fleet would bypass.
+    * ``"inline"`` / ``"pool"`` force those two paths explicitly.
 
     All backends produce bit-identical results for the same inputs
     (``tests/harness/test_backends.py``).
     """
     from repro.harness.backends import ExecutionRequest, resolve_backend
     backend_obj = resolve_backend(backend)
-    backend_obj.validate(trial_fn)
     policy = policy or FaultPolicy()
     params = list(params)
     trials = [Trial(index=i,
@@ -441,23 +458,17 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
     effective_workers = min(effective_workers, max(len(todo), 1))
 
     t0 = time.perf_counter()
-    request: Optional[ExecutionRequest] = None
     try:
         if todo:
-            request = ExecutionRequest(
+            backend_obj.execute(ExecutionRequest(
                 trial_fn=trial_fn, todo=todo, policy=policy,
                 master_seed=master_seed, label=label,
                 workers=effective_workers, chaos=chaos,
                 journal=journal_obj, outcomes=outcomes,
-                reports=reports, t0=t0)
-            backend_obj.execute(request)
+                reports=reports, t0=t0))
     finally:
         if journal_obj is not None:
             journal_obj.close()
-    if request is not None:
-        # Backends may clamp the worker count (e.g. the batch
-        # pre-pass shrinking the remainder); report what actually ran.
-        effective_workers = request.workers
 
     if store_obj is not None:
         # Persist first-attempt successes only: a retry ran with an
@@ -507,6 +518,7 @@ __all__ = [
     "TrialAttempt",
     "TrialReport",
     "collect_sweep_reports",
+    "default_workers",
     "note_sweep_report",
     "run_resilient_sweep",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic parallel sweeps over seeded simulation trials.
+"""Seed derivation and trial-order merging for sweeps.
 
 A *sweep* is a list of trial parameter sets, each run in its own
 simulated machine with a seed derived deterministically from
@@ -13,18 +13,19 @@ Typical use::
         ...
         return measurements
 
-    sweep = run_sweep(trial, param_grid, master_seed=7, workers=8)
+    sweep = run_resilient_sweep(trial, param_grid, master_seed=7,
+                                workers=8)
     merged = merge_ordered(sweep.results(), combine)
+
+:func:`~repro.harness.resilience.run_resilient_sweep` is the driver;
+this module holds the seed and merge pieces it and its backends share.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
-
-from repro.harness.pool import run_indexed
+from typing import Any, Callable, List, Sequence
 
 #: A trial callable: ``fn(params, seed) -> result``.
 TrialFn = Callable[[Any, int], Any]
@@ -81,70 +82,6 @@ class SweepResult:
 
     def __len__(self) -> int:
         return len(self.trials)
-
-
-def _run_trial(fn: TrialFn, trial: Trial):
-    return fn(trial.params, trial.seed)
-
-
-def run_batched(trial_fn: TrialFn,
-                trials: Sequence[Trial]) -> List[Any]:
-    """Run *trials* as lanes of one batch fleet, in trial order.
-
-    *trial_fn* must carry a ``fleet_plan`` attribute (see
-    :class:`repro.batch.FleetTrial`).  A lane that errors raises here,
-    first trial in order — the same exception an inline scalar sweep
-    would have raised.
-    """
-    plan = getattr(trial_fn, "fleet_plan", None)
-    if plan is None:
-        raise ValueError(
-            "backend='batch' needs a trial function that carries a "
-            "fleet_plan attribute (see repro.batch.FleetTrial); "
-            f"{trial_fn!r} does not")
-    if not trials:
-        return []
-    from repro.batch.fleet import MachineFleet
-    fleet = MachineFleet(plan, [(t.seed, t.params) for t in trials])
-    results = []
-    for outcome in fleet.run():
-        if outcome.error is not None:
-            raise outcome.error
-        results.append(outcome.result)
-    return results
-
-
-def run_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
-              master_seed: int = 0, workers: Optional[int] = None,
-              label: str = "", backend: str = "scalar") -> SweepResult:
-    """Run ``trial_fn(params[i], seed_i)`` for every parameter set.
-
-    *trial_fn* must be a top-level (picklable) callable.  ``workers=1``
-    runs inline; ``workers=None`` uses every allowed core (or
-    ``REPRO_WORKERS``).  Results land in trial order regardless of
-    worker scheduling.
-
-    ``backend`` selects the execution engine: ``"scalar"`` (default)
-    runs one machine per trial, in-process or across a process pool;
-    ``"batch"`` runs all trials as lanes of one
-    :class:`~repro.batch.fleet.MachineFleet` in this process, which
-    requires *trial_fn* to carry a ``fleet_plan`` (see
-    :class:`repro.batch.FleetTrial`) and produces bit-identical
-    results lane by lane.
-    """
-    if backend not in ("scalar", "batch"):
-        raise ValueError(f"unknown sweep backend {backend!r}; "
-                         f"expected 'scalar' or 'batch'")
-    trials = [Trial(index=i, seed=derive_seed(master_seed, i, label),
-                    params=p)
-              for i, p in enumerate(params)]
-    if backend == "batch":
-        outcomes = run_batched(trial_fn, trials)
-    else:
-        outcomes = run_indexed(functools.partial(_run_trial, trial_fn),
-                               trials, workers=workers)
-    return SweepResult(label=label, master_seed=master_seed,
-                       trials=trials, outcomes=outcomes)
 
 
 def merge_ordered(results: Sequence[Any],

@@ -184,7 +184,6 @@ class CellExecutor:
               keys: Dict[int, str], outcomes: Dict[int, Any],
               reports: Dict[int, TrialReport], t0: float) -> None:
         backend_obj = resolve_backend(self.backend)
-        backend_obj.validate(self.trial_fn)
         while True:
             if self.should_stop is not None and self.should_stop():
                 return

@@ -59,14 +59,16 @@ class JobSpec:
 
     def resolved(self) -> "JobSpec":
         """The spec with defaults and registry wildcards filled in
-        (and names validated) — the canonical form jobs are hashed
-        and executed under."""
+        (and attack, defense and backend names validated) — the
+        canonical form jobs are hashed and executed under."""
         from repro.evaluation.attacks import attack_names, get_attack
         from repro.evaluation.defenses import defense_names, get_defense
         from repro.evaluation.matrix import (
             DEFAULT_LABEL,
             DEFAULT_MASTER_SEED,
         )
+        from repro.harness.backends import resolve_backend
+        resolve_backend(self.backend)
         attacks = self.attacks or attack_names()
         defenses = self.defenses or defense_names()
         for name in attacks:

@@ -2,9 +2,9 @@
 
 The surface is everything promoted into ``repro.__all__`` (plus
 ``repro.config.__all__``, ``repro.harness.__all__``,
-``repro.evaluation.__all__``, ``repro.memo.__all__`` and
-``repro.batch.__all__``, the secondary entry points the docs commit
-to), with enough shape
+``repro.evaluation.__all__``, ``repro.memo.__all__``,
+``repro.service.__all__`` and ``repro.oracle.__all__``, the secondary
+entry points the docs commit to), with enough shape
 information to catch accidental breaks: the kind of each export and,
 for callables, the full signature string.
 
@@ -34,8 +34,8 @@ SNAPSHOT_PATH = (Path(__file__).resolve().parents[3]
 
 #: Modules whose ``__all__`` constitutes the public surface.
 PUBLIC_MODULES = ("repro", "repro.config", "repro.harness",
-                  "repro.evaluation", "repro.memo", "repro.batch",
-                  "repro.service", "repro.oracle")
+                  "repro.evaluation", "repro.memo", "repro.service",
+                  "repro.oracle")
 
 
 def _describe(obj: Any) -> Dict[str, str]:

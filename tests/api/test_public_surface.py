@@ -1,18 +1,15 @@
-"""The public API surface: promoted names, snapshot, shims.
+"""The public API surface: promoted names, snapshot, signatures.
 
 ``api_surface.json`` is the reviewed record of what this repo exports;
 CI regenerates the live surface and fails on drift (see
 ``repro.tools.api_surface``).  These tests assert the same property
-inside the tier-1 suite, plus facade signatures and the deprecation
-shims for moved classes.
+inside the tier-1 suite, plus facade signatures.
 """
 
 import inspect
 import json
 import warnings
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.tools.api_surface import (
@@ -39,9 +36,8 @@ def test_promoted_entry_points():
     # The ISSUE's promotion list: users stop deep-importing modules.
     for name in ("Experiment", "Machine", "MachineConfig",
                  "CoreConfig", "PortContentionAttack",
-                 "AESKeyRecoveryAttack", "run_sweep",
-                 "run_resilient_sweep", "FaultPolicy", "ChaosPlan",
-                 "SweepJournal", "SweepReport", "MetricsRegistry",
+                 "AESKeyRecoveryAttack", "run_resilient_sweep",
+                 "FaultPolicy", "ChaosPlan", "SweepJournal", "SweepReport", "MetricsRegistry",
                  "EventTracer", "MachineSnapshot", "warm_start",
                  "to_dict", "from_dict"):
         assert name in repro.__all__, name
@@ -95,28 +91,7 @@ def test_derive_seed_signature_is_attempt_aware():
     assert params["attempt"].default == 0
 
 
-# --- deprecation shims -----------------------------------------------------
-
-
-@pytest.mark.parametrize("importer", [
-    lambda: __import__("repro.cpu.machine",
-                       fromlist=["MachineConfig"]).MachineConfig,
-    lambda: __import__("repro.cpu",
-                       fromlist=["MachineConfig"]).MachineConfig,
-])
-def test_machine_config_shims_warn_and_alias(importer):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cls = importer()
-    assert cls is repro.MachineConfig
-    assert any(issubclass(w.category, DeprecationWarning)
-               and "repro.config" in str(w.message) for w in caught)
-
-
-def test_shimmed_module_still_raises_for_unknown_attrs():
-    import repro.cpu.machine as machine_mod
-    with pytest.raises(AttributeError):
-        machine_mod.DoesNotExist
-    import repro.cpu as cpu_mod
-    with pytest.raises(AttributeError):
-        cpu_mod.DoesNotExist
+def test_cpu_star_import_is_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec("from repro.cpu import *", {})

@@ -3,14 +3,13 @@
 Every backend must honour the same contract: handed the same trials,
 it fills the same outcomes, the same seeds, the same journal records
 and the same ``SweepReport`` resolutions — so ``inline``, ``pool``
-and ``batch`` are interchangeable execution substrates, not three
+and ``scalar`` are interchangeable execution substrates, not three
 behaviours."""
 
 import json
 
 import pytest
 
-from repro.batch import FleetPlan, FleetTrial, LaneInit
 from repro.harness import (
     ExecutionBackend,
     ExecutionRequest,
@@ -18,17 +17,13 @@ from repro.harness import (
     InlineBackend,
     backend_names,
     derive_seed,
-    register_backend,
     resolve_backend,
     run_resilient_sweep,
 )
 from repro.harness.backends import BACKENDS
-from repro.isa.program import ProgramBuilder
-from repro.snapshot import MachineSnapshot
 
 FAST = FaultPolicy(backoff_base=0.0)
 
-#: Backends that can run an arbitrary picklable trial function.
 GENERIC_BACKENDS = ("inline", "pool", "scalar")
 
 
@@ -41,41 +36,6 @@ def flaky_even_first(params, seed):
     if params % 2 == 0 and seed == derive_seed(7, params, "par"):
         raise RuntimeError("flaky attempt 0")
     return (params, seed)
-
-
-# --- fleet fixtures (for the batch backend) --------------------------------
-
-DATA_BASE = 0x0010_0000
-
-
-def _extract(machine):
-    context = machine.contexts[0]
-    return (MachineSnapshot.take(machine).digest(),
-            context.int_regs["r2"], machine.cycle)
-
-
-def _program():
-    return (ProgramBuilder("backends-trial")
-            .load("r2", "r1", 0)
-            .li("r0", 6)
-            .label("loop")
-            .mul("r2", "r2", "r2")
-            .addi("r2", "r2", 5)
-            .subi("r0", "r0", 1)
-            .bne("r0", "r15", "loop")
-            .halt().build())
-
-
-def _lane_init(seed, params):
-    return LaneInit(regs=((0, "r1", DATA_BASE),),
-                    mem=((DATA_BASE, 8, seed + params["k"]),))
-
-
-FLEET_TRIAL = FleetTrial(FleetPlan(
-    programs=((0, _program()),), lane_init=_lane_init,
-    max_cycles=1_000_000, extract=_extract))
-
-FLEET_PARAMS = [{"k": k} for k in range(4)]
 
 
 # --- cross-backend parity --------------------------------------------------
@@ -132,43 +92,16 @@ def test_backend_parity_journal_records(backend, tmp_path):
             == [(i, expect[i]) for i in range(4)])
 
 
-def test_batch_backend_matches_scalar_on_fleet_trial():
-    scalar = run_resilient_sweep(
-        FLEET_TRIAL, FLEET_PARAMS, master_seed=11, label="bb",
-        policy=FAST, workers=1, backend="scalar")
-    batch = run_resilient_sweep(
-        FLEET_TRIAL, FLEET_PARAMS, master_seed=11, label="bb",
-        policy=FAST, workers=1, backend="batch")
-    assert batch.results() == scalar.results()
-    assert (batch.report.resolution_counts()
-            == scalar.report.resolution_counts())
-
-
-def test_batch_backend_journal_matches_scalar(tmp_path):
-    paths = {}
-    for backend in ("scalar", "batch"):
-        paths[backend] = tmp_path / f"{backend}.jsonl"
-        run_resilient_sweep(
-            FLEET_TRIAL, FLEET_PARAMS, master_seed=11, label="bb",
-            policy=FAST, workers=1, journal=paths[backend],
-            backend=backend)
-
-    def digests(path):
-        return {r["index"]: (r["seed"], r["sha256"])
-                for r in map(json.loads,
-                             path.read_text().splitlines())
-                if r["kind"] == "trial"}
-
-    assert digests(paths["batch"]) == digests(paths["scalar"])
-
-
-# --- the registry ----------------------------------------------------------
+# --- name resolution -------------------------------------------------------
 
 
 def test_backend_names_sorted():
-    names = backend_names()
-    assert names == tuple(sorted(names))
-    assert {"inline", "pool", "scalar", "batch"} <= set(names)
+    assert backend_names() == ("inline", "pool", "scalar")
+
+
+def test_backend_map_is_fixed():
+    with pytest.raises(TypeError):
+        BACKENDS["custom"] = InlineBackend()  # type: ignore[index]
 
 
 def test_resolve_backend_accepts_instance():
@@ -182,21 +115,10 @@ def test_resolve_backend_unknown():
         resolve_backend("warp-drive")
 
 
-def test_register_backend_requires_name():
-    class Nameless(ExecutionBackend):
-        def execute(self, request):
-            raise NotImplementedError
-
-    with pytest.raises(ValueError, match="name"):
-        register_backend(Nameless())
-
-
-def test_register_custom_backend_runs_sweeps():
+def test_custom_backend_instance_runs_sweeps():
     class Doubling(ExecutionBackend):
         """Delegates to inline, then doubles every outcome —
         observable proof the custom backend actually executed."""
-
-        name = "test-doubling"
 
         def execute(self, request):
             BACKENDS["inline"].execute(request)
@@ -204,14 +126,10 @@ def test_register_custom_backend_runs_sweeps():
                 a, b = request.outcomes[index]
                 request.outcomes[index] = (a * 2, b)
 
-    register_backend(Doubling())
-    try:
-        result = run_resilient_sweep(
-            seed_echo, [1, 2], master_seed=0, label="cb",
-            policy=FAST, workers=1, backend="test-doubling")
-        assert [a for a, _ in result.results()] == [2, 4]
-    finally:
-        del BACKENDS["test-doubling"]
+    result = run_resilient_sweep(
+        seed_echo, [1, 2], master_seed=0, label="cb",
+        policy=FAST, workers=1, backend=Doubling())
+    assert [a for a, _ in result.results()] == [2, 4]
 
 
 def test_inline_backend_rejects_chaos():

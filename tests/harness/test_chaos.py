@@ -26,7 +26,6 @@ from repro.harness import (
     FaultPolicy,
     derive_seed,
     run_resilient_sweep,
-    run_sweep,
 )
 from repro.observability import MetricsRegistry
 
@@ -97,8 +96,8 @@ def test_chaos_run_is_bit_identical_to_fault_free():
         (5, 0): "exception", (5, 1): "hang",
     }, hang_seconds=30.0)
 
-    clean = run_sweep(pure_trial, params, master_seed=11,
-                      label="acceptance")
+    clean = run_resilient_sweep(pure_trial, params, master_seed=11,
+                                label="acceptance", backend="inline")
     chaotic = run_resilient_sweep(pure_trial, params, master_seed=11,
                                   label="acceptance", policy=PATIENT,
                                   chaos=plan, workers=4)
@@ -169,8 +168,9 @@ def test_resumed_sweep_reruns_zero_completed_trials(tmp_path):
     assert calls == [3]
     assert bit_identical(
         resumed.results(),
-        run_sweep(pure_trial, params, master_seed=9,
-                  label="resume").results())
+        run_resilient_sweep(pure_trial, params, master_seed=9,
+                            label="resume",
+                            backend="inline").results())
     resolutions = resumed.report.resolution_counts()
     assert resolutions["journal"] == 4
     assert resolutions["ok"] == 1

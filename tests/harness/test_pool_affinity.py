@@ -3,7 +3,7 @@ actually use (cgroup cpusets, CI runners), not the host's total."""
 
 import os
 
-from repro.harness.pool import default_workers
+from repro.harness import default_workers
 
 
 def test_env_override_wins(monkeypatch):

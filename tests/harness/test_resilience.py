@@ -11,7 +11,6 @@ from repro.harness import (
     SweepFailure,
     derive_seed,
     run_resilient_sweep,
-    run_sweep,
 )
 from repro.harness.resilience import collect_sweep_reports
 from repro.observability import HARNESS_TID, EventTracer, MetricsRegistry
@@ -48,13 +47,14 @@ def always_fail(params, seed):
 # --- inline reference path -------------------------------------------------
 
 
-def test_inline_matches_run_sweep():
+def test_inline_matches_derived_seed_reference():
     params = list(range(8))
-    plain = run_sweep(seed_echo, params, master_seed=3, label="x")
+    plain = [seed_echo(p, derive_seed(3, i, "x"))
+             for i, p in enumerate(params)]
     resilient = run_resilient_sweep(seed_echo, params, master_seed=3,
                                     label="x", policy=FAST,
                                     workers=1)
-    assert resilient.results() == plain.results()
+    assert resilient.results() == plain
     assert resilient.report is not None
     assert resilient.report.retries_total == 0
     assert all(t.resolution == "ok" for t in resilient.report.trials)

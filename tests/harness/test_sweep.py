@@ -12,29 +12,36 @@ import os
 import pytest
 
 from repro.harness import (
+    FaultPolicy,
     default_workers,
     derive_seed,
     merge_ordered,
-    run_indexed,
-    run_sweep,
+    run_resilient_sweep,
 )
 
-
-def _square(item):
-    return item * item
+FAST = FaultPolicy(backoff_base=0.0)
 
 
-def _slow_for_even(item):
+def _square_trial(params, seed):
+    return params * params
+
+
+def _slow_for_even_trial(params, seed):
     # Uneven completion times: even items take longer, so a pool's
     # unordered completion really is out of submission order.
     total = 0
-    for i in range((item % 2 == 0) * 20_000 + 10):
+    for i in range((params % 2 == 0) * 20_000 + 10):
         total += i
-    return item, total
+    return params, total
 
 
 def _seed_echo_trial(params, seed):
     return params, seed
+
+
+def _sweep(trial_fn, params, **kwargs):
+    kwargs.setdefault("policy", FAST)
+    return run_resilient_sweep(trial_fn, params, **kwargs)
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -46,22 +53,28 @@ def test_derive_seed_is_stable_and_distinct():
     assert all(0 <= s < 2 ** 64 for s in seeds)
 
 
-def test_run_indexed_preserves_submission_order():
+def test_pool_preserves_submission_order():
     items = list(range(40))
-    inline = run_indexed(_slow_for_even, items, workers=1)
-    pooled = run_indexed(_slow_for_even, items, workers=4)
+    inline = _sweep(_slow_for_even_trial, items, workers=1,
+                    backend="inline").results()
+    pooled = _sweep(_slow_for_even_trial, items, workers=4,
+                    backend="pool").results()
     assert pooled == inline
     assert [item for item, _ in pooled] == items
 
 
-def test_run_indexed_empty_and_single():
-    assert run_indexed(_square, [], workers=8) == []
-    assert run_indexed(_square, [3], workers=8) == [9]
+def test_sweep_empty_and_single():
+    for backend in ("inline", "pool"):
+        assert _sweep(_square_trial, [], workers=8,
+                      backend=backend).results() == []
+        assert _sweep(_square_trial, [3], workers=8,
+                      backend=backend).results() == [9]
 
 
-def test_run_sweep_hands_each_trial_its_derived_seed():
-    sweep = run_sweep(_seed_echo_trial, ["a", "b", "c"],
-                      master_seed=42, workers=1, label="echo")
+def test_sweep_hands_each_trial_its_derived_seed():
+    sweep = _sweep(_seed_echo_trial, ["a", "b", "c"],
+                   master_seed=42, workers=1, label="echo",
+                   backend="inline")
     assert len(sweep) == 3
     for trial, (params, seed) in sweep:
         assert params == trial.params
@@ -69,12 +82,12 @@ def test_run_sweep_hands_each_trial_its_derived_seed():
                                                  "echo")
 
 
-def test_run_sweep_worker_invariant_on_synthetic_trials():
+def test_sweep_worker_invariant_on_synthetic_trials():
     params = list(range(16))
-    serial = run_sweep(_seed_echo_trial, params, master_seed=5,
-                       workers=1, label="inv")
-    parallel = run_sweep(_seed_echo_trial, params, master_seed=5,
-                         workers=4, label="inv")
+    serial = _sweep(_seed_echo_trial, params, master_seed=5,
+                    workers=1, label="inv", backend="inline")
+    parallel = _sweep(_seed_echo_trial, params, master_seed=5,
+                      workers=4, label="inv", backend="pool")
     assert serial.results() == parallel.results()
     assert serial.trials == parallel.trials
 

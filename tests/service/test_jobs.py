@@ -3,7 +3,7 @@
 import pytest
 
 from repro.evaluation import attack_names, defense_names
-from repro.service import JobSpec, job_id
+from repro.service import JobSpec, ServiceError, job_id
 
 
 def test_job_id_is_content_addressed():
@@ -45,6 +45,22 @@ def test_resolved_fills_defaults():
 def test_resolved_validates_names():
     with pytest.raises(KeyError, match="unknown attack"):
         JobSpec(attacks=("warp-attack",)).resolved()
+
+
+def test_resolved_rejects_unknown_backend():
+    with pytest.raises(ValueError, match="unknown sweep backend"):
+        JobSpec(attacks=("cf-cache",), defenses=("none",),
+                backend="simd").resolved()
+
+
+def test_submit_with_unknown_backend_creates_no_job(service):
+    client, state = service
+    with pytest.raises(ServiceError, match="unknown sweep backend"):
+        client.submit(JobSpec(attacks=("cf-cache",),
+                              defenses=("none",), backend="batch"))
+    assert client.jobs() == []
+    jobs_root = state / "jobs"
+    assert not jobs_root.exists() or not any(jobs_root.iterdir())
 
 
 def test_cells_are_attacks_outer_defenses_inner():
