@@ -9,8 +9,11 @@ Per cycle the core performs, in order:
    order from the ROB head; a faulted head triggers the precise
    page-fault trap (or a transaction abort when inside TSX).
 4. **Dispatch** — issue ready instructions to execution ports, SMT
-   round-robin, oldest first.  Loads translate through TLB → page walk
-   here, which is where the MicroScope speculation window opens.
+   round-robin, oldest first.  The program-order scan stops at the
+   oldest in-flight fence; latency is computed only for an op that was
+   granted a port; only ports that issued are reset next cycle.  Loads
+   translate through TLB → page walk here, which is where the
+   MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
    flow into the ROB.
 
@@ -73,6 +76,11 @@ class Core:
             HardwareContext(i, config.rob_size)
             for i in range(config.num_contexts)]
         self.ports = PortSet(config.ports, config.non_pipelined)
+        #: SMT round-robin orders: dispatch at cycle c starts from
+        #: context ``c % n`` (``_rotations[c % n]``), fetch one later.
+        order = list(range(len(self.contexts)))
+        self._rotations: List[List[int]] = [
+            order[r:] + order[:r] for r in range(max(len(order), 1))]
         self.predictor = BranchPredictor(config.predictor_entries)
         self.trap_handler: TrapHandler = PanicTrapHandler()
         self._events: List[Tuple[int, int, ROBEntry]] = []
@@ -526,39 +534,46 @@ class Core:
     def _dispatch(self):
         budget = self.config.issue_width
         contexts = self.contexts
-        order = list(range(len(contexts)))
-        rotate = self.cycle % max(len(order), 1)
-        order = order[rotate:] + order[:rotate]
-        for context_id in order:
+        rotations = self._rotations
+        for context_id in rotations[self.cycle % len(rotations)]:
             if budget <= 0:
                 break
             context = contexts[context_id]
             if not context.ready:
                 continue
+            # Nothing younger than the oldest in-flight fence may issue,
+            # so the seq-ordered scan stops there.  A memory-order squash
+            # mid-scan only removes fences younger than every entry it
+            # leaves, so the value read here stays exact for the scan.
+            fence_seq = context.oldest_fence_seq()
+            if fence_seq is None:
+                fence_seq = math.inf
+            ready = context.sorted_ready()
             still_ready = []
-            for entry in context.sorted_ready():
+            for position, entry in enumerate(ready):
                 if entry.squashed:
                     continue
-                if budget <= 0 or not self._try_execute(context, entry):
-                    still_ready.append(entry)
-                else:
+                if budget <= 0 or entry.seq > fence_seq:
+                    still_ready.extend([e for e in ready[position:]
+                                        if not e.squashed])
+                    break
+                if self._try_execute(context, entry, fence_seq):
                     budget -= 1
+                else:
+                    still_ready.append(entry)
             context.ready = still_ready
 
-    def _try_execute(self, context: HardwareContext,
-                     entry: ROBEntry) -> bool:
-        """Attempt to begin execution; return True when issued."""
-        fence_seq = context.oldest_fence_seq()
-        if fence_seq is not None:
-            if entry.seq > fence_seq:
-                return False  # serialised behind a fence
-            if entry.seq == fence_seq and not \
-                    context.rob.all_older_completed(entry.seq):
-                return False
+    def _try_execute(self, context: HardwareContext, entry: ROBEntry,
+                     fence_seq: float) -> bool:
+        """Attempt to begin execution; return True when issued.  The
+        caller has already held back everything younger than
+        *fence_seq*, the context's oldest in-flight fence."""
+        if entry.seq == fence_seq and not \
+                context.rob.all_older_completed(entry.seq):
+            return False
         if self.issue_gates and not all(
                 gate(context, entry) for gate in self.issue_gates):
             return False  # held back by a defense mechanism
-        op_cls = entry.op_cls
         if entry.instr.is_load:
             issued = self._execute_load(context, entry)
             if issued:
@@ -567,10 +582,13 @@ class Core:
                 for hook in self.issue_hooks:
                     hook(context, entry)
             return issued
-        latency = self._latency_for(entry)
-        port = self.ports.try_issue(self.cycle, op_cls, latency)
+        ports = self.ports
+        op_cls = entry.op_cls
+        port = ports.find(self.cycle, op_cls)
         if port is None:
             return False
+        latency = self._latency_for(entry)
+        ports.issue(port, self.cycle, op_cls, latency)
         entry.port_name = port.name
         if entry.instr.is_store:
             self._execute_store(context, entry, latency)
@@ -852,10 +870,8 @@ class Core:
         budget = self.config.fetch_width
         contexts = self.contexts
         cycle = self.cycle
-        order = list(range(len(contexts)))
-        rotate = (cycle + 1) % max(len(order), 1)
-        order = order[rotate:] + order[:rotate]
-        for context_id in order:
+        rotations = self._rotations
+        for context_id in rotations[(cycle + 1) % len(rotations)]:
             if budget <= 0:
                 break
             context = contexts[context_id]

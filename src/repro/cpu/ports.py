@@ -34,29 +34,12 @@ class Port:
         self._issued_this_cycle = False
         self.stats = PortStats()
 
-    def accepts(self, op_cls: str) -> bool:
-        return op_cls in self.classes
-
-    def available(self, now: int, op_cls: str) -> bool:
-        """Can *op_cls* issue here at cycle *now*?"""
-        if not self.accepts(op_cls):
-            return False
-        if self._issued_this_cycle:
-            return False
-        if now < self.busy_until:
-            self.stats.contended += 1
-            return False
-        return True
-
     def issue(self, now: int, op_cls: str, latency: int):
         """Commit an issue; non-pipelined classes hold the port."""
         self._issued_this_cycle = True
         self.stats.issued += 1
         if op_cls in self._non_pipelined:
             self.busy_until = now + latency
-
-    def new_cycle(self):
-        self._issued_this_cycle = False
 
     def capture(self) -> tuple:
         return (self.busy_until, self._issued_this_cycle,
@@ -80,20 +63,44 @@ class PortSet:
         for port in self.ports:
             for cls in port.classes:
                 self._by_class.setdefault(cls, []).append(port)
+        #: The ports that issued this cycle, so :meth:`new_cycle` resets
+        #: only those (an idle cycle costs nothing per port).
+        self._issued: List[Port] = []
 
     def new_cycle(self):
-        for port in self.ports:
-            port.new_cycle()
+        if self._issued:
+            for port in self._issued:
+                port._issued_this_cycle = False
+            self._issued = []
+
+    def find(self, now: int, op_cls: str) -> Optional[Port]:
+        """The first port that can take *op_cls* at cycle *now*, or
+        ``None``.  Every candidate skipped because a non-pipelined op
+        still holds it counts one ``contended`` cycle, whether or not a
+        later port is free."""
+        for port in self._by_class.get(op_cls, ()):
+            if port._issued_this_cycle:
+                continue
+            if now < port.busy_until:
+                port.stats.contended += 1
+                continue
+            return port
+        return None
+
+    def issue(self, port: Port, now: int, op_cls: str, latency: int):
+        """Commit an issue on *port*, found free by :meth:`find` this
+        cycle."""
+        port.issue(now, op_cls, latency)
+        self._issued.append(port)
 
     def try_issue(self, now: int, op_cls: str, latency: int
                   ) -> Optional[Port]:
         """Issue an op of *op_cls* on the first available port, or
         return ``None`` when every candidate port is busy."""
-        for port in self._by_class.get(op_cls, ()):
-            if port.available(now, op_cls):
-                port.issue(now, op_cls, latency)
-                return port
-        return None
+        port = self.find(now, op_cls)
+        if port is not None:
+            self.issue(port, now, op_cls, latency)
+        return port
 
     def is_non_pipelined(self, op_cls: str) -> bool:
         """True when *op_cls* holds its port for the full latency (a
@@ -121,3 +128,5 @@ class PortSet:
             raise ValueError("snapshot port count mismatch")
         for port, port_state in zip(self.ports, state):
             port.restore(port_state)
+        self._issued = [port for port in self.ports
+                        if port._issued_this_cycle]

@@ -36,13 +36,38 @@ class Unmemoizable(TypeError):
     """The value cannot be soundly reduced to a cache key."""
 
 
+class _NestedCode:
+    """Stands in for a nested code object inside ``co_consts``.  A code
+    object's own repr carries its memory address, which changes with
+    every interpreter start; this one reprs as the hash of the nested
+    code's material instead."""
+
+    __slots__ = ("digest",)
+
+    def __init__(self, code: types.CodeType):
+        self.digest = hashlib.sha256(_code_material(code)).hexdigest()
+
+    def __repr__(self) -> str:
+        return f"<code {self.digest}>"
+
+
+def _code_material(code: types.CodeType) -> bytes:
+    """The bytes a code object's hash covers.  Nested code (lambdas,
+    nested defs, comprehensions before Python 3.12) is hashed through
+    the same material, recursively; code without any keeps exactly the
+    plain ``repr`` of its constants."""
+    consts = tuple(_NestedCode(const)
+                   if isinstance(const, types.CodeType) else const
+                   for const in code.co_consts)
+    return repr((code.co_code, consts, code.co_names,
+                 code.co_varnames)).encode()
+
+
 def _code_hash(fn: Any) -> str:
     code = getattr(fn, "__code__", None)
     if code is None:
         return ""
-    material = repr((code.co_code, code.co_consts, code.co_names,
-                     code.co_varnames)).encode()
-    return hashlib.sha256(material).hexdigest()[:16]
+    return hashlib.sha256(_code_material(code)).hexdigest()[:16]
 
 
 def fingerprint_callable(fn: Any) -> Any:

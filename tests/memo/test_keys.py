@@ -1,6 +1,11 @@
 """Canonical cache keys: determinism, sensitivity, refusal."""
 
 import functools
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +124,82 @@ def test_matrix_cell_params_are_keyable():
                     ("port-contention", "none", {"measurements": 400}),
                     2019)
     assert len(key) == 64
+
+
+#: ``trial_key(_cell_trial, ("cf-cache", "none", {}), 1)`` as keyed
+#: before nested code objects were hashed by content.  Bytecode differs
+#: between Python versions, so the value is pinned per version.
+_PINNED_CELL_KEYS = {
+    (3, 11): "0fae581c1d97001ea71a230b5e6b8fd8"
+             "c4f99e9ca93a4df8eb829715ea6455be",
+}
+
+_NESTED_CODE_SOURCE = """
+from repro.memo.keys import _code_hash
+
+def trial(params, seed):
+    scale = lambda value: value * seed
+    def shifted(value):
+        return value + 1
+    return [shifted(scale(p)) for p in params]
+
+print(_code_hash(trial))
+"""
+
+
+def test_nested_code_hashes_the_same_in_every_interpreter():
+    """Lambdas, nested defs and comprehensions compile to nested code
+    objects whose repr carries a memory address; the key must not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    hashes = set()
+    for hash_seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _NESTED_CODE_SOURCE],
+            capture_output=True, text=True, env=env, timeout=60,
+            check=True)
+        hashes.add(proc.stdout.strip())
+    assert len(hashes) == 1
+    assert len(hashes.pop()) == 16
+
+
+def test_nested_code_content_is_part_of_the_hash():
+    def doubled(params, seed):
+        return [p * 2 for p in params] + [(lambda: seed)()]
+
+    def tripled(params, seed):
+        return [p * 3 for p in params] + [(lambda: seed)()]
+
+    assert fingerprint_callable(doubled)["code"] != \
+        fingerprint_callable(tripled)["code"]
+
+
+@pytest.mark.parametrize("name", [
+    "repro.evaluation.matrix:_cell_trial",
+    "repro.evaluation.matrix:_cell_trial_oracle",
+    "repro.core.attacks.aes_key_recovery:_extract_block_trial",
+    "repro.core.attacks.port_contention:_panel_trial",
+])
+def test_trial_functions_without_nested_code_keep_their_hash(name):
+    """Stored trial keys stay valid: a function with no nested code
+    hashes exactly the plain repr of its code, as it always has."""
+    import importlib
+    module, qualname = name.split(":")
+    fn = getattr(importlib.import_module(module), qualname)
+    code = fn.__code__
+    legacy = repr((code.co_code, code.co_consts, code.co_names,
+                   code.co_varnames)).encode()
+    assert fingerprint_callable(fn)["code"] == \
+        hashlib.sha256(legacy).hexdigest()[:16]
+
+
+def test_cell_trial_key_is_pinned():
+    from repro.evaluation.matrix import _cell_trial
+    expected = _PINNED_CELL_KEYS.get(sys.version_info[:2])
+    if expected is None:
+        pytest.skip("no pinned key for this Python version")
+    assert trial_key(_cell_trial, ("cf-cache", "none", {}), 1) == expected
 
 
 # --- MemoConfig registration ---------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.machine import Machine
+from repro.isa.program import ProgramBuilder
 from repro.reporting import machine_report
 from repro.snapshot import (
     MachineSnapshot,
@@ -88,6 +89,60 @@ def test_warm_start_builds_once_then_restores():
     assert env2.phys.read(0x10_0000) == 0   # rewound on the hit
     clear_cache()
     assert cache_size() == 0
+
+
+def _smt_pair():
+    """A divide loop beside an ALU/load loop: several ports issue in
+    the same cycle, and the sibling contends for the divider."""
+    divides = (ProgramBuilder()
+               .li("r1", 0).li("r2", 60).li("r3", 91).li("r4", 7)
+               .label("loop")
+               .div("r5", "r3", "r4")
+               .addi("r1", "r1", 1)
+               .bne("r1", "r2", "loop")
+               .halt().build())
+    mixed = (ProgramBuilder()
+             .li("r1", 0).li("r2", 60).li("r6", 0x10_0000)
+             .label("loop")
+             .addi("r3", "r1", 1).addi("r4", "r1", 2)
+             .xori("r5", "r1", 3).load("r7", "r6", 0)
+             .load("r8", "r6", 64).div("r9", "r2", "r2")
+             .addi("r1", "r1", 1)
+             .bne("r1", "r2", "loop")
+             .halt().build())
+    machine = Machine()
+    machine.contexts[0].load_program(divides)
+    machine.contexts[1].load_program(mixed)
+    return machine
+
+
+def test_snapshot_between_steps_after_a_multi_port_issue():
+    """A snapshot taken right after a step() that issued on several
+    ports (each still marked as issued this cycle) resumes, in a fresh
+    machine, exactly like the uninterrupted run."""
+    straight = _smt_pair()
+    straight.run(200_000)
+
+    machine = _smt_pair()
+    ports = machine.core.ports.ports
+    while True:
+        before = [port.stats.issued for port in ports]
+        machine.core.step()
+        issued = sum(port.stats.issued > count
+                     for port, count in zip(ports, before))
+        if machine.cycle >= 50 and issued >= 3:
+            break
+    snapshot = MachineSnapshot.take(machine)
+
+    resumed = Machine()
+    snapshot.restore(resumed)
+    resumed.run(200_000)
+    assert all(ctx.finished() for ctx in resumed.contexts)
+    assert resumed.cycle == straight.cycle
+    assert (resumed.core.ports.contention_report()
+            == straight.core.ports.contention_report())
+    assert (dataclasses.asdict(machine_report(resumed))
+            == dataclasses.asdict(machine_report(straight)))
 
 
 def test_version_mismatch_raises():
