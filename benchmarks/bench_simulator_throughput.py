@@ -5,9 +5,10 @@ cycle loop are visible in CI, and so experiment budgets in the other
 benches stay predictable.
 
 Beyond the spin loops, this bench runs the replay-attack workload
-twice — naive stepping vs the quiescence fast-forward scheduler — and
-asserts both that fast-forward is bit-exact (same cycles, same machine
-report) and that it actually pays (>= 3x simulated-cycles/host-second).
+twice — an explicit one-step-per-cycle loop vs ``Machine.run``, which
+skips provably-empty cycles — and asserts both that the skipping is
+bit-exact (same cycles, same machine report) and that it actually pays
+(>= 3x simulated-cycles/host-second).
 ``benchmarks/results/simulator_throughput.json`` records the numbers
 machine-readably; CI diffs fresh measurements against the committed
 copy and fails on a >2x regression.
@@ -45,8 +46,9 @@ def test_smt_throughput(benchmark):
 
 
 def test_replay_attack_throughput(once):
-    """The headline number: replay-attack simulation speed, naive vs
-    fast-forward, proven bit-exact on the full machine report."""
+    """The headline number: replay-attack simulation speed, naive
+    per-cycle stepping vs ``Machine.run``'s fast-forward, proven
+    bit-exact on the full machine report."""
     replays = 2000 if full_scale() else 200
 
     def experiment():

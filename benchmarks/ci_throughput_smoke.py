@@ -1,7 +1,7 @@
 """CI throughput smoke check.
 
 Measures simulated-cycles/host-second on the replay-attack workload
-(fast-forward on, the configuration experiments actually use) and on
+(run by ``Machine.run``, which skips provably-empty cycles) and on
 the single-context spin loop, then compares against the committed
 baseline in ``benchmarks/results/simulator_throughput.json``.  Exits
 non-zero when either rate regresses by more than the allowed factor

@@ -9,9 +9,9 @@ Three workloads, in increasing relevance to the paper:
 * ``replay attack`` — the MicroScope shape itself: a control-flow
   victim whose replay handle is kept non-present, so the pipeline
   spends nearly all its time stalled behind tuned page walks and
-  kernel fault handling.  This is where the quiescence fast-forward
-  scheduler earns its keep, and the workload the CI regression gate
-  watches.
+  kernel fault handling.  This is where ``Machine.run``'s skipping of
+  provably-empty cycles earns its keep, and the workload the CI
+  regression gate watches.
 """
 
 import time
@@ -20,8 +20,6 @@ from repro.core.attacks.aes_cache import AESCacheAttack
 from repro.core.attacks.port_contention import PortContentionAttack
 from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
-from repro.cpu.config import CoreConfig
-from repro.config import MachineConfig
 from repro.cpu.machine import Machine
 from repro.isa.program import ProgramBuilder
 from repro.reporting import machine_report
@@ -54,16 +52,16 @@ def run_replay_attack(fast_forward: bool, replays: int = 200,
                       tracer=None):
     """Run the replay-attack workload; return ``(cycles, report)``.
 
-    The report snapshot (per-context stats, cache/TLB/walker counters)
-    lets callers assert that the fast-forward scheduler is bit-exact
-    against naive stepping, not merely cycle-equal.  Passing a
-    *tracer* (an ``EventTracer``) attaches it for the whole run — the
-    CI overhead check uses this to price tracing and to prove it does
-    not perturb simulation results.
+    *fast_forward* runs the victim with ``Machine.run``, which skips
+    provably-empty cycles; without it the victim is stepped once per
+    cycle by an explicit loop.  The report snapshot (per-context
+    stats, cache/TLB/walker counters) lets callers assert that the
+    skipping is bit-exact against naive stepping, not merely
+    cycle-equal.  Passing a *tracer* (an ``EventTracer``) attaches it
+    for the whole run — the CI overhead check uses this to price
+    tracing and to prove it does not perturb simulation results.
     """
-    rep = Replayer(AttackEnvironment.build(
-        machine_config=MachineConfig(
-            core=CoreConfig(fast_forward=fast_forward))))
+    rep = Replayer(AttackEnvironment.build())
     if tracer is not None:
         rep.machine.attach_tracer(tracer)
     victim_proc = rep.create_victim_process("victim")
@@ -77,7 +75,15 @@ def run_replay_attack(fast_forward: bool, replays: int = 200,
         max_replays=10 ** 9)
     rep.launch_victim(victim_proc, victim.program)
     rep.arm(recipe)
-    rep.run_until_victim_done(context_id=0, max_cycles=100_000_000)
+    if fast_forward:
+        rep.run_until_victim_done(context_id=0, max_cycles=100_000_000)
+    else:
+        victim_ctx = rep.machine.contexts[0]
+        core = rep.machine.core
+        limit = core.cycle + 100_000_000
+        while (core.cycle < limit and not victim_ctx.finished()
+               and core.busy()):
+            core.step()
     return rep.machine.cycle, machine_report(rep.machine, rep.kernel,
                                              rep.module)
 

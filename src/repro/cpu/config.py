@@ -138,13 +138,6 @@ class CoreConfig:
     rdtsc_jitter_seed: int = 7
     #: Branch predictor table size (entries of 2-bit counters).
     predictor_entries: int = 512
-    #: Quiescence fast-forward: when no context can fetch, dispatch,
-    #: retire or complete anything this cycle (everything in flight is
-    #: waiting on a known future cycle), jump the clock straight to the
-    #: next deadline instead of stepping empty cycles.  Bit-exact with
-    #: naive stepping (tests/cpu/test_fast_forward.py proves it); off
-    #: by default so cycle-by-cycle experiments keep their granularity.
-    fast_forward: bool = False
 
     def latency_of(self, key: str) -> int:
         try:

@@ -159,52 +159,70 @@ class Core:
     # ------------------------------------------------------------------
 
     def next_work_cycle(self) -> Optional[int]:
-        """The next cycle at which any pipeline stage can act, assuming
-        the core is quiescent right now.
+        """The next cycle at which any pipeline stage can act, from one
+        pass over the contexts.
 
-        Returns ``None`` when some stage may act *this* cycle (or when
-        nothing is ever going to happen again) — callers must then step
-        normally.  Otherwise every cycle strictly before the returned
-        one is provably an empty ``step()``: the only pending work sits
-        in the event heap or behind a known stall/block cycle.
+        Returns ``None`` when no context is busy (:meth:`busy` is
+        False), whatever the event heap still holds.  Returns the
+        current cycle when some stage may act now, or when nothing is
+        known to wake the core (naive stepping is then the only safe
+        answer).  Otherwise returns a later cycle T: every cycle
+        strictly before T is provably an empty ``step()``, because the
+        only pending work sits in the event heap or behind a known
+        stall/block cycle.  A busy cycle returns at the first context
+        that can act.
         """
         cycle = self.cycle
-        deadlines = []
-        if self._events:
-            due = self._events[0][0]
-            if due <= cycle:
-                return None
-            deadlines.append(due)
+        busy = False
+        target = math.inf
         for context in self.contexts:
             state = context.state
-            if state is ContextState.BLOCKED:
-                if context.blocked_until <= cycle:
-                    return None
-                deadlines.append(context.blocked_until)
-                continue
-            if state is not ContextState.RUNNING:
-                continue  # IDLE/HALTED contexts never act again
-            if (context.pending_interrupt is not None
-                    or context.txn_abort_pending):
-                return None
-            head = context.rob.head
-            if head is not None and head.completed:
-                return None  # retire (or fault/trap) can act now
-            for entry in context.ready:
-                if not entry.squashed:
-                    return None  # dispatch may issue this cycle
-            # Fetch: possible at all, and if so, when?
-            if (context.program is not None and not context.rob.full
-                    and context.fetch_index < len(context.program)):
-                stall = context.fetch_stall_until
-                if stall <= cycle:
-                    return None
-                if stall != math.inf:
-                    deadlines.append(stall)
-        if not deadlines:
+            if state is ContextState.RUNNING:
+                program = context.program
+                entries = context.rob.entries
+                if (not entries and program is not None
+                        and context.fetch_index >= len(program)):
+                    # Finished, so not busy; a leftover interrupt,
+                    # abort or ready entry still acts if another
+                    # context keeps the core busy.
+                    if (context.pending_interrupt is not None
+                            or context.txn_abort_pending
+                            or any(not entry.squashed
+                                   for entry in context.ready)):
+                        target = cycle
+                    continue
+                busy = True
+                for entry in context.ready:
+                    if not entry.squashed:
+                        return cycle  # dispatch may issue this cycle
+                if (context.pending_interrupt is not None
+                        or context.txn_abort_pending):
+                    return cycle
+                if entries and entries[0].completed:
+                    return cycle  # retire (or fault/trap) can act now
+                if (program is not None
+                        and context.fetch_index < len(program)
+                        and len(entries) < context.rob.capacity):
+                    stall = context.fetch_stall_until
+                    if stall <= cycle:
+                        return cycle  # fetch can act now
+                    if stall < target:
+                        target = stall
+            elif state is ContextState.BLOCKED:
+                busy = True
+                blocked_until = context.blocked_until
+                if blocked_until <= cycle:
+                    return cycle
+                if blocked_until < target:
+                    target = blocked_until
+            # IDLE/HALTED contexts are finished and never act again.
+        if not busy:
             return None
-        target = min(deadlines)
-        return target if target > cycle else None
+        if self._events and self._events[0][0] < target:
+            target = self._events[0][0]
+        if target <= cycle or target == math.inf:
+            return cycle
+        return target
 
     def fast_forward(self, limit: Optional[int] = None) -> int:
         """Jump the clock to the next cycle where work exists (clamped

@@ -158,46 +158,36 @@ class Machine:
         """Run until *until* returns True, all contexts finish, or the
         cycle budget is exhausted.  Returns cycles executed.
 
-        With ``core.config.fast_forward`` set, provably-empty cycles
-        are skipped in one jump; *until* predicates must therefore
-        depend on simulation state (which cannot change during skipped
-        cycles), not on raw cycle numbers — use :meth:`run_until_cycle`
-        to stop at an exact cycle.
+        Provably-empty cycles are skipped in one jump
+        (:meth:`Core.fast_forward`), bit-exactly with stepping them one
+        by one.  *until* is evaluated once per loop iteration, so it
+        must depend on simulation state (which cannot change during
+        skipped cycles), not on raw cycle numbers: use :meth:`step` or
+        :meth:`run_until_cycle` to stop at an exact cycle.
         """
-        start = self.cycle
         core = self.core
+        start = core.cycle
         limit = start + max_cycles
-        fast = core.config.fast_forward
-        if until is None:
-            # Common case: no per-cycle predicate call in the loop.
-            while self.cycle < limit:
-                if not core.busy():
+        while core.cycle < limit:
+            if until is not None and until(self):
+                break
+            target = core.next_work_cycle()
+            if target is None:
+                break
+            if target > core.cycle:
+                core.fast_forward(limit)
+                if core.cycle >= limit:
                     break
-                if fast:
-                    core.fast_forward(limit)
-                    if self.cycle >= limit:
-                        break
-                core.step()
-        else:
-            while self.cycle < limit:
-                if until(self):
-                    break
-                if not core.busy():
-                    break
-                if fast:
-                    core.fast_forward(limit)
-                    if self.cycle >= limit:
-                        break
-                core.step()
-        return self.cycle - start
+            core.step()
+        return core.cycle - start
 
     def run_until_cycle(self, cycle: int,
                         until: Optional[Callable[["Machine"], bool]]
                         = None) -> int:
         """Run until the global clock reaches *cycle* (or *until* /
         completion stops the run earlier).  Fast-forward jumps are
-        clamped to *cycle*, so this is exact under either scheduler.
-        Returns cycles executed."""
+        clamped to *cycle*, so the clock stops on it exactly.  Returns
+        cycles executed."""
         if cycle <= self.cycle:
             return 0
         return self.run(max_cycles=cycle - self.cycle, until=until)

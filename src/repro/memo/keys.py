@@ -51,14 +51,37 @@ class _NestedCode:
         return f"<code {self.digest}>"
 
 
+class _SortedFrozenset:
+    """Stands in for a ``frozenset`` constant (``x in {"a", "b"}``)
+    inside ``co_consts``.  A frozenset of strings reprs in
+    ``PYTHONHASHSEED`` order; this one reprs the same way with its
+    members sorted by their repr."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, members: frozenset):
+        self.text = "frozenset({%s})" % ", ".join(
+            sorted(repr(member) for member in members))
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def _stable_const(const: Any) -> Any:
+    if isinstance(const, types.CodeType):
+        return _NestedCode(const)
+    if isinstance(const, frozenset):
+        return _SortedFrozenset(const)
+    return const
+
+
 def _code_material(code: types.CodeType) -> bytes:
     """The bytes a code object's hash covers.  Nested code (lambdas,
     nested defs, comprehensions before Python 3.12) is hashed through
-    the same material, recursively; code without any keeps exactly the
-    plain ``repr`` of its constants."""
-    consts = tuple(_NestedCode(const)
-                   if isinstance(const, types.CodeType) else const
-                   for const in code.co_consts)
+    the same material, recursively, and frozenset constants render
+    sorted; code without either keeps exactly the plain ``repr`` of its
+    constants."""
+    consts = tuple(_stable_const(const) for const in code.co_consts)
     return repr((code.co_code, consts, code.co_names,
                  code.co_varnames)).encode()
 

@@ -72,6 +72,16 @@ def test_from_dict_rejects_unknown_tag():
         config.from_dict({"__config__": "WarpDriveConfig"})
 
 
+def test_from_dict_rejects_a_removed_field():
+    """A stored CoreConfig from before quiescence skipping became
+    unconditional still carries ``fast_forward``; it must not load as
+    if the field had never been there."""
+    payload = config.to_dict(config.MachineConfig())
+    payload["core"]["fast_forward"] = True
+    with pytest.raises(TypeError, match="fast_forward"):
+        config.from_dict(payload)
+
+
 def test_machine_builds_from_roundtripped_config():
     from repro.cpu.machine import Machine
     cfg = roundtrip(config.MachineConfig(num_frames=1 << 10))

@@ -321,8 +321,7 @@ def test_issue_gate_consultations_match():
 
 
 def test_fast_forward_and_fence_on_flush():
-    config = MachineConfig(core=CoreConfig(fast_forward=True,
-                                           fence_on_flush=True))
+    config = MachineConfig(core=CoreConfig(fence_on_flush=True))
     assert_equivalent([generate_program(3), fence_program(3)],
                       config=config)
 

@@ -1,35 +1,44 @@
-"""Differential testing for the quiescence fast-forward scheduler.
+"""Differential testing for the quiescence fast-forward in ``Machine.run``.
 
-``CoreConfig.fast_forward`` lets the core jump the clock over cycles
-in which no context can fetch, dispatch, complete, or retire — exactly
-the cycles a MicroScope victim spends stalled behind a tuned page walk
-or kernel fault handling.  The optimisation claims *bit-exactness*:
-the same final cycle count, architectural state, and every statistics
-counter as naive per-cycle stepping.  These tests hold it to that
-claim on three workload shapes:
+``Machine.run`` jumps the clock over cycles in which no context can
+fetch, dispatch, complete, or retire — exactly the cycles a MicroScope
+victim spends stalled behind a tuned page walk or kernel fault
+handling.  The jump claims *bit-exactness*: the same final cycle
+count, architectural state, and every statistics counter as stepping
+the core once per cycle.  These tests hold it to that claim against
+``_naive_run``, a test-local driver that calls ``core.step()`` while
+``core.busy()`` with the same *until*/limit semantics, on these
+workload shapes:
 
 * Hypothesis-generated random programs (single context and 2-context
   SMT), the same generator family as tests/cpu/test_differential.py;
 * the replay-attack workload itself — a control-flow victim replayed
   behind a non-present page, where fast-forward does nearly all the
   work;
-* unit cases for the quiescence predicate (`next_work_cycle`) and the
+* one ciphertext of the §4.4 AES key recovery and a small Fig. 10
+  port-contention panel, run through the attacks' own code;
+* unit cases for the quiescence probe (``next_work_cycle``) and the
   jump clamp.
 """
 
+import heapq
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.attacks.aes_key_recovery import AESKeyRecoveryAttack
+from repro.core.attacks.port_contention import PortContentionAttack
 from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
-from repro.cpu.config import CoreConfig
-from repro.config import MachineConfig
+from repro.cpu.context import ContextState
 from repro.cpu.machine import Machine
+from repro.crypto.aes import encrypt_block
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
 from repro.reporting import machine_report
+from repro.snapshot import clear_cache
 from repro.victims.control_flow import setup_control_flow_victim
 
 _DATA_REGS = [f"r{i}" for i in range(2, 10)]
@@ -37,9 +46,63 @@ _OFFSETS = [0, 8, 16, 64]
 DATA_BASE = 0x0010_0000
 
 
-def _machine(fast_forward: bool) -> Machine:
-    return Machine(MachineConfig(
-        core=CoreConfig(fast_forward=fast_forward)))
+def _naive_run(machine, max_cycles=1_000_000, until=None):
+    """The reference scheduler: one ``core.step()`` per cycle while any
+    context is busy, stopping on *until* or the cycle budget exactly
+    as :meth:`Machine.run` does."""
+    core = machine.core
+    start = core.cycle
+    limit = start + max_cycles
+    while core.cycle < limit:
+        if until is not None and until(machine):
+            break
+        if not core.busy():
+            break
+        core.step()
+    return core.cycle - start
+
+
+def _snapshot(machine: Machine):
+    """Cycle count, architectural state, and the full stats report."""
+    report = asdict(machine_report(machine))
+    regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
+            for ctx in machine.contexts]
+    return machine.cycle, regs, report
+
+
+@contextmanager
+def _driver(run):
+    """Route every ``Machine.run`` (and so ``run_until_cycle`` and the
+    Replayer's run helpers) through *run*; yields the list of machines
+    it ran, in first-run order."""
+    machines = []
+    original = Machine.run
+
+    def recording(machine, *args, **kwargs):
+        if machine not in machines:
+            machines.append(machine)
+        return run(machine, *args, **kwargs)
+
+    Machine.run = recording
+    try:
+        yield machines
+    finally:
+        Machine.run = original
+
+
+def _under_both_drivers(workload):
+    """``workload()``'s result and the final state of every machine it
+    ran, first under ``Machine.run``, then under ``_naive_run``.  The
+    warm-start cache is emptied before each leg so neither reuses a
+    platform the other built."""
+    legs = []
+    for run in (Machine.run, _naive_run):
+        clear_cache()
+        with _driver(run) as machines:
+            result = workload()
+        legs.append((result, [_snapshot(m) for m in machines]))
+    clear_cache()
+    return legs
 
 
 @st.composite
@@ -89,50 +152,35 @@ def _random_program(draw):
     return builder.build()
 
 
-def _snapshot(machine: Machine):
-    """Cycle count, architectural state, and the full stats report."""
-    report = asdict(machine_report(machine))
-    regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
-            for ctx in machine.contexts]
-    return machine.cycle, regs, report
-
-
-def _run_programs(programs, fast_forward: bool):
-    machine = _machine(fast_forward)
+def _run_programs(programs):
+    machine = Machine()
     for context_id, program in enumerate(programs):
         machine.contexts[context_id].load_program(program)
     ran = machine.run(3_000_000)
     assert all(machine.contexts[i].finished()
                for i in range(len(programs)))
-    return ran, _snapshot(machine)
+    return ran
 
 
 @given(_random_program())
 @settings(max_examples=40, deadline=None)
 def test_fast_forward_matches_naive_single_context(program):
-    naive_ran, naive = _run_programs([program], fast_forward=False)
-    fast_ran, fast = _run_programs([program], fast_forward=True)
-    assert fast_ran == naive_ran
+    fast, naive = _under_both_drivers(lambda: _run_programs([program]))
     assert fast == naive
 
 
 @given(_random_program(), _random_program())
 @settings(max_examples=25, deadline=None)
 def test_fast_forward_matches_naive_smt(program_a, program_b):
-    naive_ran, naive = _run_programs([program_a, program_b],
-                                     fast_forward=False)
-    fast_ran, fast = _run_programs([program_a, program_b],
-                                   fast_forward=True)
-    assert fast_ran == naive_ran
+    fast, naive = _under_both_drivers(
+        lambda: _run_programs([program_a, program_b]))
     assert fast == naive
 
 
-def _run_replay_attack(fast_forward: bool, replays: int = 40):
+def _run_replay_attack(replays: int = 40):
     """The MicroScope shape: victim stalled behind tuned page walks
     and kernel fault handling while the module replays it."""
-    rep = Replayer(AttackEnvironment.build(
-        machine_config=MachineConfig(
-            core=CoreConfig(fast_forward=fast_forward))))
+    rep = Replayer(AttackEnvironment.build())
     victim_proc = rep.create_victim_process("victim")
     victim = setup_control_flow_victim(victim_proc, secret=1,
                                        divisions=2, multiplications=2)
@@ -147,62 +195,120 @@ def _run_replay_attack(fast_forward: bool, replays: int = 40):
     rep.run_until_victim_done(context_id=0, max_cycles=20_000_000)
     report = asdict(machine_report(rep.machine, rep.kernel,
                                    rep.module))
-    regs = dict(rep.machine.contexts[0].int_regs)
-    return rep.machine.cycle, recipe.replays, regs, report
+    return recipe.replays, report
 
 
 def test_fast_forward_matches_naive_on_replay_attack():
-    naive = _run_replay_attack(fast_forward=False)
-    fast = _run_replay_attack(fast_forward=True)
+    fast, naive = _under_both_drivers(_run_replay_attack)
     assert fast == naive
-    assert naive[1] >= 40  # the attack really replayed
+    assert naive[0][0] >= 40  # the attack really replayed
 
 
-def test_next_work_cycle_none_when_work_pending():
-    """With a runnable context the core must not skip anything."""
-    machine = _machine(True)
-    program = (ProgramBuilder("p").li("r2", 1).halt().build())
-    machine.contexts[0].load_program(program)
-    assert machine.core.next_work_cycle() is None
-    assert machine.core.fast_forward() == 0
+def test_fast_forward_matches_naive_on_aes_key_recovery_block():
+    key = bytes(range(16))
+    ciphertext = encrypt_block(key, bytes(range(16, 32)))
+    fast, naive = _under_both_drivers(
+        lambda: AESKeyRecoveryAttack(key).extract_block(ciphertext))
+    assert fast == naive
+    attribution, machines = naive
+    assert machines and attribution.candidates
 
 
-def test_fast_forward_idle_after_halt():
-    """After every context halts there is no future deadline either:
-    nothing to skip to, and run() exits on its own."""
-    machine = _machine(True)
+def test_fast_forward_matches_naive_on_port_contention_panel():
+    def panel():
+        attack = PortContentionAttack(measurements=40)
+        return attack.run(secret=1, threshold=attack.calibrate(200))
+
+    fast, naive = _under_both_drivers(panel)
+    assert fast == naive
+    result, machines = naive
+    assert len(machines) == 2  # calibration and attack platforms
+    assert len(result.samples) == 40 and result.replays > 0
+
+
+# --- the quiescence probe -------------------------------------------------
+
+def _halted_machine() -> Machine:
+    machine = Machine()
     program = (ProgramBuilder("p").li("r2", 1).halt().build())
     machine.contexts[0].load_program(program)
     machine.run(10_000)
     assert machine.contexts[0].finished()
-    assert machine.core.next_work_cycle() is None
+    return machine
+
+
+def _block_context(machine: Machine, cycles: int):
+    context = machine.contexts[0]
+    context.state = ContextState.BLOCKED
+    context.blocked_until = machine.cycle + cycles
+
+
+def test_fast_forward_idle_after_halt():
+    """After every context halts (or before any is loaded) no context
+    is busy: the probe says stop and ``run`` exits on its own."""
+    for machine in (Machine(), _halted_machine()):
+        assert not machine.core.busy()
+        assert machine.core.next_work_cycle() is None
+        assert machine.run(1_000) == 0
+
+
+def test_probe_stops_when_finished_contexts_leave_an_event_due():
+    """An event still in the heap keeps no context busy: the probe
+    says stop, as ``busy()`` does, and ``run`` never steps into it."""
+    machine = _halted_machine()
+    core = machine.core
+    due = object()  # never touched unless a step processes it
+    heapq.heappush(core._events, (core.cycle, -1, due))
+    assert not core.busy()
+    assert core.next_work_cycle() is None
+    assert machine.run(1_000) == 0
+    assert core._events[0][2] is due
+
+
+def test_probe_steps_when_work_can_act_now():
+    """With a runnable context the core must not skip anything."""
+    machine = Machine()
+    program = (ProgramBuilder("p").li("r2", 1).halt().build())
+    machine.contexts[0].load_program(program)
+    assert machine.core.next_work_cycle() == machine.cycle
+    assert machine.core.fast_forward() == 0
+
+
+def test_probe_steps_when_nothing_is_known_to_wake_the_core():
+    """A busy context with no deadline anywhere: the only exact answer
+    is stepping, as naive stepping would."""
+    machine = Machine()
+    machine.contexts[0].state = ContextState.RUNNING
+    assert machine.core.busy()
+    assert machine.core.next_work_cycle() == machine.cycle
+
+
+def test_probe_jumps_to_the_earliest_deadline():
+    machine = _halted_machine()
+    core = machine.core
+    _block_context(machine, 500)
+    assert core.next_work_cycle() == core.cycle + 500
+    heapq.heappush(core._events, (core.cycle + 200, -1, object()))
+    assert core.next_work_cycle() == core.cycle + 200
 
 
 def test_fast_forward_clamps_to_limit():
     """Jumps never overshoot an explicit cycle target."""
-    machine = _machine(True)
-    program = (ProgramBuilder("p").li("r2", 1).halt().build())
-    machine.contexts[0].load_program(program)
-    machine.run(10_000)
+    machine = _halted_machine()
     finish = machine.cycle
     # Block the only context far in the future; the next deadline is
     # beyond the clamp, so fast_forward stops exactly at the clamp.
-    machine.contexts[0].blocked_until = finish + 1_000_000
-    from repro.cpu.context import ContextState
-    machine.contexts[0].state = ContextState.BLOCKED
+    _block_context(machine, 1_000_000)
     skipped = machine.core.fast_forward(limit=finish + 100)
     assert skipped == 100
     assert machine.cycle == finish + 100
 
 
 def test_run_until_cycle_exact_under_fast_forward():
-    machine = _machine(True)
-    program = (ProgramBuilder("p").li("r2", 1).halt().build())
-    machine.contexts[0].load_program(program)
-    machine.run(10_000)
+    machine = _halted_machine()
     finish = machine.cycle
-    machine.contexts[0].blocked_until = finish + 10_000
-    from repro.cpu.context import ContextState
-    machine.contexts[0].state = ContextState.BLOCKED
-    machine.run_until_cycle(finish + 777)
+    _block_context(machine, 10_000)
+    assert machine.run(777) == 777
     assert machine.cycle == finish + 777
+    machine.run_until_cycle(finish + 1_000)
+    assert machine.cycle == finish + 1_000

@@ -147,19 +147,43 @@ print(_code_hash(trial))
 """
 
 
-def test_nested_code_hashes_the_same_in_every_interpreter():
-    """Lambdas, nested defs and comprehensions compile to nested code
-    objects whose repr carries a memory address; the key must not."""
+_STRING_SET_SOURCE = """
+from repro.memo.keys import _code_hash
+
+def trial(params, seed):
+    return params in {"cf-cache", "secret-id", "port", "aes", "rsa",
+                      "none", "fences", "jamais-vu"}
+
+print(_code_hash(trial))
+"""
+
+
+def _hashes_under_two_hash_seeds(source):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
     hashes = set()
     for hash_seed in ("1", "2"):
         env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
-            [sys.executable, "-c", _NESTED_CODE_SOURCE],
+            [sys.executable, "-c", source],
             capture_output=True, text=True, env=env, timeout=60,
             check=True)
         hashes.add(proc.stdout.strip())
+    return hashes
+
+
+def test_nested_code_hashes_the_same_in_every_interpreter():
+    """Lambdas, nested defs and comprehensions compile to nested code
+    objects whose repr carries a memory address; the key must not."""
+    hashes = _hashes_under_two_hash_seeds(_NESTED_CODE_SOURCE)
+    assert len(hashes) == 1
+    assert len(hashes.pop()) == 16
+
+
+def test_string_set_constants_hash_the_same_in_every_interpreter():
+    """``x in {"a", "b"}`` compiles to a frozenset constant whose repr
+    follows ``PYTHONHASHSEED``; the key must not."""
+    hashes = _hashes_under_two_hash_seeds(_STRING_SET_SOURCE)
     assert len(hashes) == 1
     assert len(hashes.pop()) == 16
 
