@@ -9,6 +9,8 @@ Swept here: every (upper, leaf) placement, reporting walk latency and
 the resulting speculation-window size in victim instructions.
 """
 
+from types import SimpleNamespace
+
 from repro.core.recipes import (
     ReplayAction,
     ReplayDecision,
@@ -42,12 +44,12 @@ def _measure(tuning):
     program = _window_victim(process, handle_va, work_va)
     issued = [0]
 
-    def hook(context, entry):
+    def hook(core, context, entry):
         if context.context_id == 0 and entry.instr.is_load \
                 and entry.addr is not None and entry.addr >= work_va:
             issued[0] += 1
 
-    rep.machine.core.issue_hooks.append(hook)
+    rep.machine.core.attach(SimpleNamespace(on_issue=hook))
     walk_latency = [0]
 
     def attack_fn(event):

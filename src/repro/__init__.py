@@ -66,6 +66,7 @@ from repro.core.attacks import (
 from repro.core.module import MicroScopeConfig
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.machine import Machine
+from repro.cpu.observer import Observer
 from repro.evaluation import (
     AttackSpec,
     CellMetrics,
@@ -140,6 +141,7 @@ __all__ = [
     "MetricsRegistry",
     "MicroScopeConfig",
     "ModExpExtractionAttack",
+    "Observer",
     "OracleConfig",
     "PWCConfig",
     "PortContentionAttack",

@@ -97,8 +97,8 @@ class ControlFlowCacheAttack:
     replays: int = 5
     walk_tuning: WalkTuning = field(default_factory=lambda: WalkTuning(
         upper=WalkLocation.PWC, leaf=WalkLocation.DRAM))
-    #: Machine-level defense knobs (e.g. ``fence_on_flush``) — the
-    #: platform the victim runs on, not an attack parameter.
+    #: The platform the victim runs on (e.g. with a defense mechanism
+    #: installed), not an attack parameter.
     machine: Optional[MachineConfig] = None
     #: Cap on replay windows the platform grants (T-SGX / Déjà-Vu
     #: style budgets); ``None`` means the attacker-chosen ``replays``.

@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.config import MachineConfig
 from repro.core.replayer import AttackEnvironment, Replayer
+from repro.cpu.observer import UnitIssueCounter
 from repro.isa.instructions import Opcode
 from repro.victims.control_flow import setup_control_flow_victim
 
@@ -74,17 +75,9 @@ class InterruptReplayAttack:
         core = rep.machine.core
         ctx = rep.machine.contexts[0]
 
-        counts = {"div": 0, "mul": 0}
-
-        def observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                counts["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                counts["mul"] += 1
-
-        core.issue_hooks.append(observer)
+        observer = UnitIssueCounter()
+        core.attach(observer)
+        counts = observer.counts
         rep.launch_victim(victim_proc, victim.program)
 
         delivered = 0

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.config import MachineConfig
 from repro.core.replayer import AttackEnvironment, Replayer
-from repro.isa.instructions import Opcode
+from repro.cpu.observer import UnitIssueCounter
 from repro.sgx.enclave import EnclaveConfig
 from repro.victims.control_flow import setup_control_flow_victim
 
@@ -60,17 +60,9 @@ class MispredictReplayAttack:
         victim = setup_control_flow_victim(victim_proc, secret)
         core = rep.machine.core
 
-        counts: Dict[str, int] = {"mul": 0, "div": 0}
-
-        def observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                counts["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                counts["mul"] += 1
-
-        core.issue_hooks.append(observer)
+        observer = UnitIssueCounter()
+        core.attach(observer)
+        counts = observer.counts
         # Prime the counter for the victim's secret branch.
         branch_index = next(
             i for i, ins in enumerate(victim.program.instructions)

@@ -19,6 +19,7 @@ there should be such a fence, for security reasons."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.core.module import MicroScopeConfig
@@ -31,7 +32,7 @@ from repro.core.recipes import (
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.config import CoreConfig
 from repro.config import MachineConfig
-from repro.isa.instructions import Opcode
+from repro.cpu.observer import UnitIssueCounter
 from repro.victims.integrity import setup_rdrand_victim
 
 
@@ -92,17 +93,9 @@ class RdrandBiasAttack:
         # The SMT observer: unit usage of the victim context since the
         # last window began.  (Stands in for the timed port-contention
         # monitor demonstrated in the §6.1 attack.)
-        window = {"mul": 0, "div": 0}
-
-        def issue_observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                window["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                window["mul"] += 1
-
-        core.issue_hooks.append(issue_observer)
+        observer = UnitIssueCounter()
+        core.attach(observer)
+        window = observer.counts
 
         def observed_parity() -> Optional[int]:
             if window["div"] >= 2:
@@ -113,7 +106,7 @@ class RdrandBiasAttack:
 
         state = {"blind": False}
 
-        def race(context, entry) -> bool:
+        def race(_core, context, entry) -> bool:
             # Called at walk end for the faulted handle: win the race
             # (set present before the walker reads the leaf) only when
             # the observed parity is the desired one.
@@ -125,10 +118,10 @@ class RdrandBiasAttack:
                 return True
             return False
 
-        core.pte_race_hooks.append(race)
+        core.attach(SimpleNamespace(on_pte_race=race))
 
         def attack_fn(event) -> ReplayDecision:
-            window["mul"] = window["div"] = 0
+            observer.reset()
             if event.replay_no >= self.max_replays_per_trial:
                 state["blind"] = True
                 return ReplayDecision(ReplayAction.RELEASE)

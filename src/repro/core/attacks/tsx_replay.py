@@ -22,7 +22,7 @@ from typing import List
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.config import CoreConfig
 from repro.config import MachineConfig
-from repro.isa.instructions import Opcode
+from repro.cpu.observer import UnitIssueCounter
 from repro.victims.integrity import setup_tsx_victim
 
 
@@ -85,17 +85,9 @@ class TSXReplayAttack:
         # Observer: parity leaks through unit usage *inside* the
         # transaction (these instructions execute and even retire into
         # the transactional buffer before any abort).
-        window = {"mul": 0, "div": 0}
-
-        def issue_observer(context, entry):
-            if context.context_id != 0:
-                return
-            if entry.instr.op is Opcode.FDIV:
-                window["div"] += 1
-            elif entry.instr.op is Opcode.MUL:
-                window["mul"] += 1
-
-        core.issue_hooks.append(issue_observer)
+        observer = UnitIssueCounter()
+        core.attach(observer)
+        window = observer.counts
 
         def undesired_parity_observed() -> bool:
             if self.desired_parity == 0:
@@ -113,9 +105,9 @@ class TSXReplayAttack:
             budget -= 10
             if victim_ctx.in_transaction and undesired_parity_observed():
                 rep.machine.hierarchy.flush_line(buffer_paddr)
-                window["mul"] = window["div"] = 0
+                observer.reset()
             elif not victim_ctx.in_transaction:
-                window["mul"] = window["div"] = 0
+                observer.reset()
         value = victim.read_output(victim_proc)
         return value, victim_ctx.stats.txn_aborts
 

@@ -5,6 +5,7 @@ from repro.cpu.config import CoreConfig, PortConfig, default_latencies, default_
 from repro.cpu.context import ContextState, ContextStats, HardwareContext
 from repro.cpu.core import Core
 from repro.cpu.machine import Machine
+from repro.cpu.observer import Observer, UnitIssueCounter
 from repro.cpu.ports import Port, PortSet
 from repro.cpu.rob import EntryState, ReorderBuffer, ROBEntry
 from repro.cpu.traps import PanicTrapHandler, TrapAction, TrapHandler
@@ -21,6 +22,8 @@ __all__ = [
     "HardwareContext",
     "Core",
     "Machine",
+    "Observer",
+    "UnitIssueCounter",
     "Port",
     "PortSet",
     "EntryState",

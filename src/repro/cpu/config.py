@@ -90,11 +90,11 @@ def default_latencies() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class DefenseHookConfig:
-    """A hardware defense mechanism installed through the core's hook
-    layer (``squash_hooks`` / ``issue_gates`` / ``retire_hooks``).
+    """A hardware defense mechanism, attached to the core as an
+    observer (:mod:`repro.cpu.observer`).
 
     ``scheme`` names a mechanism registered in
-    :mod:`repro.evaluation.defenses.mechanisms` (e.g.
+    :mod:`repro.evaluation.defenses.mechanisms` (e.g. ``"fences"``,
     ``"jamais-vu"``, ``"delay-on-squash"``, ``"simf"``, ``"leash"``);
     ``params`` carries its knobs verbatim to the mechanism factory.
     The config lives here (not in the evaluation package) because it
@@ -123,9 +123,6 @@ class CoreConfig:
     mispredict_penalty: int = 12
     #: Front-end refill penalty after a squash caused by a fault/abort.
     squash_penalty: int = 16
-    #: Defense of Section 8: insert an implicit fence after every
-    #: pipeline flush, so replayed code cannot run ahead speculatively.
-    fence_on_flush: bool = False
     #: Model Intel's RDRAND serialisation (§7.2): when True, RDRAND
     #: blocks younger instructions until it retires, defeating the
     #: integrity attack.

@@ -80,8 +80,8 @@ class HardwareContext:
         self.txn_abort_pending: Optional[str] = None
         self.last_txn_abort_reason: Optional[str] = None
         self.pending_interrupt: Optional[str] = None
-        #: Set by the fence-on-flush defense: the next decoded
-        #: instruction behaves as if preceded by a fence.
+        #: Set by a squash observer (the ``fences`` defense): the next
+        #: decoded instruction behaves as if preceded by a fence.
         self.serialize_next_fetch = False
         self.stats = ContextStats()
         self._next_seq = 0
@@ -102,6 +102,7 @@ class HardwareContext:
         self._ready_dirty = False
         self.inflight_loads.clear()
         self.fence_seqs.clear()
+        self.serialize_next_fetch = False
         self.replay_candidates.clear()
         self.txn = None
         self.txn_abort_pending = None

@@ -28,11 +28,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import CoreConfig, op_class
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
+from repro.cpu.observer import STAGES, Observer
 from repro.cpu.ports import PortSet
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
@@ -87,52 +88,11 @@ class Core:
         self._event_tiebreak = 0
         self._rdrand = random.Random(config.rdrand_seed)
         self._jitter = random.Random(config.rdtsc_jitter_seed)
-        self.retire_hooks: List[Callable[[HardwareContext, ROBEntry], None]] = []
-        #: Optional PipelineTracer (repro.cpu.trace) receiving
-        #: fetch/issue/complete/retire/squash notifications.
-        self.tracer = None
-        #: Called after every successful issue; lets experiments model
-        #: an SMT observer watching which units the sibling uses.
-        self.issue_hooks: List[Callable[[HardwareContext, ROBEntry], None]] = []
-        #: §7.2 PTE race: called when a faulted access finishes its
-        #: walk.  Returning True means the OS won the race and set the
-        #: present bit before the walker consumed the leaf entry — the
-        #: access then completes normally instead of faulting.
-        self.pte_race_hooks: List[Callable[[HardwareContext, ROBEntry], bool]] = []
-        #: Called after decode resolves an entry's source operands.
-        #: Receives ``(context, entry, sources)`` where ``sources`` has
-        #: one element per operand slot: ``None`` (no source register),
-        #: ``("arch", regname)`` (read from architectural state),
-        #: ``("value", producer)`` (copied from a completed producer)
-        #: or ``("pending", producer)`` (woken later by completion).
-        #: The rename map is updated *after* the hook runs, so the
-        #: producer identity is unrecoverable any later — same-register
-        #: read/write instructions overwrite it.
-        self.decode_hooks: List[Callable[
-            [HardwareContext, ROBEntry, tuple], None]] = []
-        #: Called when a non-squashed, non-faulted entry completes,
-        #: just before its value is distributed to dependents.
-        self.complete_hooks: List[Callable[[HardwareContext, ROBEntry], None]] = []
-        #: Called on every squash with ``(context, squashed_entries,
-        #: reason, trigger)``; ``reason`` is the same string the tracer
-        #: and oracle see ("page-fault", "mispredict", "memory-order",
-        #: "interrupt:<kind>", "txn-abort:<kind>") and ``trigger`` the
-        #: entry that caused it (None for interrupts/aborts).  This is
-        #: where squash-tracking defenses (Jamais Vu, Delay-on-Squash,
-        #: SIMF, LEASH) learn about pipeline flushes.
-        self.squash_hooks: List[Callable[
-            [HardwareContext, List[ROBEntry], str,
-             Optional[ROBEntry]], None]] = []
-        #: Issue gates: predicates consulted before an entry may begin
-        #: execution.  Any gate returning False keeps the entry in the
-        #: ready queue for a later cycle (no port is consumed).  Zero
-        #: cost when empty — the list is checked before iteration.
-        self.issue_gates: List[Callable[
-            [HardwareContext, ROBEntry], bool]] = []
-        #: Optional leakage-oracle hub (repro.oracle) receiving squash
-        #: notifications with the triggering entry; None when no oracle
-        #: has ever been attached (the zero-cost default).
-        self.oracle = None
+        #: Attached observers (repro.cpu.observer), in attach order;
+        #: ``_<stage>`` (``_on_decode`` ... ``_gate``) holds the bound
+        #: methods to call at each stage.
+        self._observers: Tuple[object, ...] = ()
+        self._rebuild_dispatch()
         # Transaction aborts triggered by cache evictions land here.
         hierarchy.l1.add_evict_observer(self._on_l1_evict)
 
@@ -153,6 +113,46 @@ class Core:
     def busy(self) -> bool:
         """True while any context can still make progress."""
         return any(not ctx.finished() for ctx in self.contexts)
+
+    # ------------------------------------------------------------------
+    # observers
+    # ------------------------------------------------------------------
+
+    @property
+    def observers(self) -> Tuple[object, ...]:
+        """The attached observers, in attach order."""
+        return self._observers
+
+    def attach(self, observer) -> None:
+        """Call *observer* at every stage it defines (the protocol of
+        :class:`repro.cpu.observer.Observer`), after every observer
+        attached before it.  Attaching the same object twice raises
+        ValueError."""
+        if any(attached is observer for attached in self._observers):
+            raise ValueError(f"{observer!r} is already attached")
+        self._observers += (observer,)
+        self._rebuild_dispatch()
+
+    def detach(self, observer) -> None:
+        """Undo :meth:`attach`; raises ValueError when *observer* is
+        not attached."""
+        remaining = tuple(attached for attached in self._observers
+                          if attached is not observer)
+        if len(remaining) == len(self._observers):
+            raise ValueError(f"{observer!r} is not attached")
+        self._observers = remaining
+        self._rebuild_dispatch()
+
+    def _rebuild_dispatch(self) -> None:
+        # An observer lacking a stage method, or inheriting Observer's
+        # do-nothing default, is left out of that stage's tuple.
+        for stage in STAGES:
+            default = getattr(Observer, stage)
+            methods = (getattr(observer, stage, None)
+                       for observer in self._observers)
+            setattr(self, "_" + stage, tuple(
+                method for method in methods if method is not None
+                and getattr(method, "__func__", None) is not default))
 
     # ------------------------------------------------------------------
     # quiescence fast-forward
@@ -252,8 +252,8 @@ class Core:
         in-flight entry referenced from several structures (ROB, rename
         map, ready queue, load index, heap — including squashed entries
         that live only in the heap) stays a single object in the
-        snapshot.  Hooks, the tracer and the trap handler are identity
-        wiring, not machine state, and are left untouched.
+        snapshot.  Observers and the trap handler are identity wiring,
+        not machine state, and are left untouched.
         """
         memo: dict = {}
         return (
@@ -293,19 +293,12 @@ class Core:
     def _note_squash(self, context: HardwareContext, squashed,
                      reason: str, trigger: Optional[ROBEntry] = None):
         context.note_squashed(squashed)
-        if self.tracer is not None and squashed:
-            self.tracer.on_squash(self.cycle, squashed, reason)
-        if self.oracle is not None:
-            self.oracle.on_squash(self.cycle, context, squashed, reason,
-                                  trigger)
-        for hook in self.squash_hooks:
-            hook(context, squashed, reason, trigger)
+        for observer in self._on_squash:
+            observer(self, context, squashed, reason, trigger)
 
     def _schedule(self, entry: ROBEntry, latency: int):
         entry.state = EntryState.EXECUTING
         entry.issue_cycle = self.cycle
-        if self.tracer is not None:
-            self.tracer.on_issue(self.cycle, entry)
         self._event_tiebreak += 1
         heapq.heappush(self._events,
                        (self.cycle + max(latency, 1), self._event_tiebreak,
@@ -318,17 +311,15 @@ class Core:
                 continue
             entry.state = EntryState.COMPLETED
             entry.complete_cycle = self.cycle
-            if self.tracer is not None:
-                self.tracer.on_complete(self.cycle, entry)
             if entry.mispredicted:
                 self._handle_mispredict(entry)
             if entry.faulted and entry.instr.is_load \
-                    and self.pte_race_hooks:
+                    and self._on_pte_race:
                 self._try_pte_race(entry)
+            for observer in self._on_complete:
+                observer(self, self.contexts[entry.context_id], entry)
             if entry.faulted:
                 continue  # no value; dependents stay asleep until squash
-            for hook in self.complete_hooks:
-                hook(self.contexts[entry.context_id], entry)
             for dependent, slot in entry.dependents:
                 if dependent.squashed:
                     continue
@@ -341,11 +332,12 @@ class Core:
             entry.dependents.clear()
 
     def _try_pte_race(self, entry: ROBEntry):
-        """Give a registered racer the chance to satisfy the walk the
+        """Give an attached racer the chance to satisfy the walk the
         instant it finishes (the OS set the present bit just before the
         walker read the leaf entry — §7.2)."""
         context = self.contexts[entry.context_id]
-        if not any(hook(context, entry) for hook in self.pte_race_hooks):
+        if not any(race(self, context, entry)
+                   for race in self._on_pte_race):
             return
         process = context.process
         try:
@@ -368,8 +360,6 @@ class Core:
         context.fetch_index = target
         context.fetch_stall_until = (
             self.cycle + self.config.mispredict_penalty)
-        if self.config.fence_on_flush:
-            context.serialize_next_fetch = True
 
     # ------------------------------------------------------------------
     # stage 2: transaction aborts
@@ -458,10 +448,8 @@ class Core:
             context.unindex_load(entry)
         context.replay_candidates.discard(entry.index)
         context.stats.retired += 1
-        if self.tracer is not None:
-            self.tracer.on_retire(self.cycle, entry)
-        for hook in self.retire_hooks:
-            hook(context, entry)
+        for observer in self._on_retire:
+            observer(self, context, entry)
 
     def _drain_store(self, context: HardwareContext, entry: ROBEntry):
         if context.in_transaction:
@@ -515,8 +503,6 @@ class Core:
         context.state = ContextState.BLOCKED
         context.blocked_until = (
             self.cycle + action.cost + self.config.squash_penalty)
-        if self.config.fence_on_flush:
-            context.serialize_next_fetch = True
 
     def _take_interrupt(self, context: HardwareContext):
         reason = context.pending_interrupt
@@ -589,32 +575,29 @@ class Core:
         if entry.seq == fence_seq and not \
                 context.rob.all_older_completed(entry.seq):
             return False
-        if self.issue_gates and not all(
-                gate(context, entry) for gate in self.issue_gates):
-            return False  # held back by a defense mechanism
+        gates = self._gate
+        if gates and not all(gate(self, context, entry) for gate in gates):
+            return False  # held back by an observer, e.g. a defense
         if entry.instr.is_load:
-            issued = self._execute_load(context, entry)
-            if issued:
-                context.stats.issued += 1
-                context.index_inflight_load(entry)
-                for hook in self.issue_hooks:
-                    hook(context, entry)
-            return issued
-        ports = self.ports
-        op_cls = entry.op_cls
-        port = ports.find(self.cycle, op_cls)
-        if port is None:
-            return False
-        latency = self._latency_for(entry)
-        ports.issue(port, self.cycle, op_cls, latency)
-        entry.port_name = port.name
-        if entry.instr.is_store:
-            self._execute_store(context, entry, latency)
+            if not self._execute_load(context, entry):
+                return False
+            context.index_inflight_load(entry)
         else:
-            self._execute_alu(context, entry, latency)
+            ports = self.ports
+            op_cls = entry.op_cls
+            port = ports.find(self.cycle, op_cls)
+            if port is None:
+                return False
+            latency = self._latency_for(entry)
+            ports.issue(port, self.cycle, op_cls, latency)
+            entry.port_name = port.name
+            if entry.instr.is_store:
+                self._execute_store(context, entry, latency)
+            else:
+                self._execute_alu(context, entry, latency)
         context.stats.issued += 1
-        for hook in self.issue_hooks:
-            hook(context, entry)
+        for observer in self._on_issue:
+            observer(self, context, entry)
         return True
 
     def _latency_for(self, entry: ROBEntry) -> int:
@@ -877,8 +860,6 @@ class Core:
         context.rebuild_rename()
         context.fetch_index = violating.index
         context.fetch_stall_until = self.cycle + self.config.squash_penalty
-        if self.config.fence_on_flush:
-            context.serialize_next_fetch = True
 
     # ------------------------------------------------------------------
     # stage 5: fetch / decode
@@ -917,32 +898,23 @@ class Core:
             entry.is_replay = True
             context.stats.replays += 1
         context.stats.fetched += 1
-        if self.tracer is not None:
-            self.tracer.on_fetch(self.cycle, entry)
         # Resolve source operands against the rename map / arch state.
-        sources = [None, None] if self.decode_hooks else None
         for slot, src in enumerate((instr.rs1, instr.rs2)):
             if src is None:
                 continue
             producer = context.rename.get(src)
             if producer is None:
                 entry.operands[slot] = context.read_reg(src)
-                if sources is not None:
-                    sources[slot] = ("arch", src)
             elif producer.completed and not producer.faulted:
                 entry.operands[slot] = producer.value
-                if sources is not None:
-                    sources[slot] = ("value", producer)
             else:
                 # In-flight (or faulted: never wakes) producer.
                 producer.dependents.append((entry, slot))
                 entry.pending += 1
-                if sources is not None:
-                    sources[slot] = ("pending", producer)
-        if sources is not None:
-            src_tuple = tuple(sources)
-            for hook in self.decode_hooks:
-                hook(context, entry, src_tuple)
+        # Decode observers still see the rename map the operands were
+        # resolved against: it names *entry* as a producer only below.
+        for observer in self._on_decode:
+            observer(self, context, entry)
         dest = instr.dest()
         if dest is not None:
             context.rename[dest] = entry
@@ -963,8 +935,9 @@ class Core:
             stop = True
         else:
             context.fetch_index = index + 1
-        # Serialisation: fences, fenced RDRAND, and the fence-on-flush
-        # defense all gate younger execution until this entry retires.
+        # Serialisation: fences, fenced RDRAND, and a squash observer's
+        # request (the fences defense) all gate younger execution until
+        # this entry retires.
         serialize = instr.op is Opcode.FENCE
         if instr.op is Opcode.RDRAND and self.config.rdrand_fenced:
             serialize = True

@@ -93,17 +93,19 @@ class Machine:
     # --- observability ----------------------------------------------------
 
     def attach_tracer(self, tracer):
-        """Attach an :class:`~repro.observability.tracer.EventTracer`.
-        The core starts emitting pipeline events; the kernel and the
-        MicroScope module pick the tracer up per fault through
-        ``machine.tracer``."""
+        """Attach an :class:`~repro.observability.tracer.EventTracer`,
+        replacing any attached before.  It observes the core's pipeline
+        events; the kernel and the MicroScope module pick it up per
+        fault through ``machine.tracer``."""
+        self.detach_tracer()
+        self.core.attach(tracer)
         self.tracer = tracer
-        self.core.tracer = tracer
 
     def detach_tracer(self):
         """Return to the zero-cost no-tracing configuration."""
-        self.tracer = None
-        self.core.tracer = None
+        if self.tracer is not None:
+            self.core.detach(self.tracer)
+            self.tracer = None
 
     @contextmanager
     def profile(self, label: str = "run") -> Iterator[RunProfile]:

@@ -1,9 +1,10 @@
 """Pipeline tracing: per-instruction lifecycle capture and rendering.
 
-Attach a :class:`PipelineTracer` to a core and every dynamic
-instruction's journey — fetch, issue, complete, retire or squash — is
-recorded with cycle timestamps.  :func:`render_pipeline` draws the
-classic pipeline-viewer text diagram::
+Attach a :class:`PipelineTracer` to a core (``core.attach(tracer)``)
+and every dynamic instruction's journey — fetch, issue, complete,
+retire or squash — is recorded with cycle timestamps.
+:func:`render_pipeline` draws the classic pipeline-viewer text
+diagram::
 
     seq ctx  instruction              F---I===C     R
     ...
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.cpu.observer import Observer
 from repro.cpu.rob import ROBEntry
 
 
@@ -49,8 +51,8 @@ class InstructionTrace:
         return self.fetch_cycle
 
 
-class PipelineTracer:
-    """Records instruction lifecycles from a core's notifications."""
+class PipelineTracer(Observer):
+    """Records instruction lifecycles as a core observer."""
 
     def __init__(self, capacity: int = 100_000):
         self.capacity = capacity
@@ -60,43 +62,43 @@ class PipelineTracer:
     def _key(self, entry: ROBEntry) -> int:
         return (entry.context_id << 48) | entry.seq
 
-    # --- notifications from the core -------------------------------------
+    # --- observer stages (repro.cpu.observer) -----------------------------
 
-    def on_fetch(self, cycle: int, entry: ROBEntry):
+    def on_decode(self, core, context, entry: ROBEntry):
         if len(self.records) >= self.capacity:
             return
         record = InstructionTrace(
             seq=entry.seq, context_id=entry.context_id,
             index=entry.index, text=str(entry.instr),
-            fetch_cycle=cycle)
+            fetch_cycle=core.cycle)
         self.records.append(record)
         self._live[self._key(entry)] = record
 
     def _get(self, entry: ROBEntry) -> Optional[InstructionTrace]:
         return self._live.get(self._key(entry))
 
-    def on_issue(self, cycle: int, entry: ROBEntry):
+    def on_issue(self, core, context, entry: ROBEntry):
         record = self._get(entry)
         if record is not None:
-            record.issue_cycle = cycle
+            record.issue_cycle = core.cycle
 
-    def on_complete(self, cycle: int, entry: ROBEntry):
+    def on_complete(self, core, context, entry: ROBEntry):
         record = self._get(entry)
         if record is not None:
-            record.complete_cycle = cycle
+            record.complete_cycle = core.cycle
             record.faulted = entry.faulted
 
-    def on_retire(self, cycle: int, entry: ROBEntry):
+    def on_retire(self, core, context, entry: ROBEntry):
         record = self._live.pop(self._key(entry), None)
         if record is not None:
-            record.retire_cycle = cycle
+            record.retire_cycle = core.cycle
 
-    def on_squash(self, cycle: int, entries: Sequence[ROBEntry],
-                  reason: str):
-        for entry in entries:
+    def on_squash(self, core, context, squashed: Sequence[ROBEntry],
+                  reason: str, trigger: Optional[ROBEntry]):
+        for entry in squashed:
             record = self._live.pop(self._key(entry), None)
             if record is not None:
-                record.squash_cycle = cycle
+                record.squash_cycle = core.cycle
                 record.squash_reason = reason
 
     # --- queries -----------------------------------------------------------

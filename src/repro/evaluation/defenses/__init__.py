@@ -13,7 +13,8 @@ Three layers live here:
   :mod:`~repro.evaluation.defenses.pf_oblivious`;
 * machine-level :class:`~repro.evaluation.defenses.mechanisms.\
 DefenseMechanism` models installed through ``MachineConfig.defense``
-  — :mod:`~repro.evaluation.defenses.jamais_vu`,
+  — the fences mechanism in :mod:`~repro.evaluation.defenses.fences`,
+  :mod:`~repro.evaluation.defenses.jamais_vu`,
   :mod:`~repro.evaluation.defenses.delay_on_squash`,
   :mod:`~repro.evaluation.defenses.simf` and
   :mod:`~repro.evaluation.defenses.leash`.
@@ -38,8 +39,10 @@ from repro.evaluation.defenses.delay_on_squash import (
 )
 from repro.evaluation.defenses.fences import (
     FenceDefenseReport,
+    FenceOnFlushMechanism,
     count_transmit_issues,
     evaluate_fence_on_flush,
+    fences_machine,
 )
 from repro.evaluation.defenses.jamais_vu import (
     JAMAIS_VU_VARIANTS,
@@ -101,6 +104,7 @@ __all__ = [
     "DelayOnSquashMechanism",
     "DelayOnSquashReport",
     "FenceDefenseReport",
+    "FenceOnFlushMechanism",
     "JAMAIS_VU_VARIANTS",
     "JamaisVuMechanism",
     "JamaisVuReport",
@@ -118,6 +122,7 @@ __all__ = [
     "build_mechanism",
     "build_timed_victim",
     "count_transmit_issues",
+    "fences_machine",
     "defense_names",
     "delay_on_squash_machine",
     "evaluate_dejavu",

@@ -50,26 +50,27 @@ class DelayOnSquashMechanism(DefenseMechanism):
         self._delayed = None
 
     def attach(self, machine) -> None:
-        core = machine.core
-        core.squash_hooks.append(self._on_squash)
-        core.retire_hooks.append(self._on_retire)
-        core.issue_gates.append(self._gate)
+        super().attach(machine)
         self._delayed = machine.metrics.counter(
             "defense.delay_on_squash.delayed_issues")
 
-    def _on_squash(self, context: HardwareContext, squashed,
-                   reason: str, trigger: Optional[ROBEntry]) -> None:
+    def on_squash(self, core, context: HardwareContext, squashed,
+                  reason: str, trigger: Optional[ROBEntry]) -> None:
+        """Arm (or re-arm) the context's shadow."""
         self._shadow[context.context_id] = self.shadow_retires
 
-    def _on_retire(self, context: HardwareContext,
-                   entry: ROBEntry) -> None:
+    def on_retire(self, core, context: HardwareContext,
+                  entry: ROBEntry) -> None:
+        """Count one retirement toward lifting the shadow."""
         cid = context.context_id
         left = self._shadow.get(cid, 0)
         if left > 0:
             self._shadow[cid] = left - 1
 
-    def _gate(self, context: HardwareContext,
-              entry: ROBEntry) -> bool:
+    def gate(self, core, context: HardwareContext,
+             entry: ROBEntry) -> bool:
+        """Inside the shadow, hold side-channel-capable entries until
+        they are nonspeculative."""
         if not self._shadow.get(context.context_id):
             return True
         if entry.op_cls not in self.classes:

@@ -1,10 +1,11 @@
 """Fence-on-pipeline-flush (§8, "Fences on Pipeline Flushes").
 
 "The obvious defense ... is for the hardware or the OS to insert a
-fence after each pipeline flush."  The core implements this as
-``CoreConfig.fence_on_flush``: after any squash (fault, misprediction,
-memory-order violation) the next fetched instruction is serialising,
-so replayed code cannot run ahead of the faulting handle.
+fence after each pipeline flush."  :class:`FenceOnFlushMechanism`
+(scheme ``"fences"``) implements this as a squash observer: after a
+page fault, a misprediction or a memory-order violation the next
+fetched instruction is serialising, so replayed code cannot run ahead
+of the faulting handle.
 
 The paper's corner case is also measurable here: the *first* execution
 of the window (before any flush has happened) still leaks — the
@@ -14,15 +15,45 @@ defense bounds the adversary to one noisy sample instead of zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Optional
 
 from repro.core.module import MicroScopeConfig
 from repro.core.recipes import ReplayAction, ReplayDecision, WalkLocation, WalkTuning
 from repro.core.replayer import AttackEnvironment, Replayer
-from repro.cpu.config import CoreConfig
-from repro.config import MachineConfig
-from repro.isa.instructions import Opcode
+from repro.config import DefenseHookConfig, MachineConfig
+from repro.cpu.context import HardwareContext
+from repro.cpu.observer import UnitIssueCounter
+from repro.cpu.rob import ROBEntry
+from repro.evaluation.defenses.mechanisms import (
+    DefenseMechanism,
+    register_mechanism,
+)
 from repro.victims.control_flow import setup_control_flow_victim
+
+#: The squashes after which the next fetch is serialised; interrupt
+#: and transaction-abort squashes are not fenced.
+FENCED_SQUASHES = frozenset({"page-fault", "mispredict", "memory-order"})
+
+
+@register_mechanism("fences")
+class FenceOnFlushMechanism(DefenseMechanism):
+    """Serialise the first instruction fetched after a flush."""
+
+    scheme = "fences"
+
+    def on_squash(self, core, context: HardwareContext, squashed,
+                  reason: str, trigger: Optional[ROBEntry]) -> None:
+        """Serialise the next fetch after a fenced squash."""
+        if reason in FENCED_SQUASHES:
+            context.serialize_next_fetch = True
+
+    # Stateless: the flag lives in the context and travels with its
+    # snapshot, so the base capture()/restore() suffice.
+
+
+def fences_machine() -> MachineConfig:
+    """A platform config with the fence-on-flush mechanism installed."""
+    return MachineConfig(defense=DefenseHookConfig(scheme="fences"))
 
 
 @dataclass
@@ -45,22 +76,11 @@ def evaluate_fence_on_flush(replays: int = 10,
     """Replay the Fig. 6 victim *replays* times with and without the
     fence-on-flush defense; count the victim's speculatively executed
     transmit (divide) instructions each way."""
-    counts: Dict[bool, int] = {}
-    for defended in (False, True):
-        counts[defended] = _count_transmit_issues(replays, secret,
-                                                  defended)
     return FenceDefenseReport(
         replays=replays,
-        transmit_issues_undefended=counts[False],
-        transmit_issues_defended=counts[True])
-
-
-def _count_transmit_issues(replays: int, secret: int,
-                           defended: bool) -> int:
-    return count_transmit_issues(
-        replays, secret,
-        machine_config=MachineConfig(core=CoreConfig(
-            fence_on_flush=defended)))
+        transmit_issues_undefended=count_transmit_issues(replays, secret),
+        transmit_issues_defended=count_transmit_issues(
+            replays, secret, machine_config=fences_machine()))
 
 
 def count_transmit_issues(replays: int, secret: int,
@@ -74,13 +94,8 @@ def count_transmit_issues(replays: int, secret: int,
         module_config=MicroScopeConfig(fault_handler_cost=2000)))
     victim_proc = rep.create_victim_process("victim")
     victim = setup_control_flow_victim(victim_proc, secret)
-    issues = {"div": 0}
-
-    def observer(context, entry):
-        if context.context_id == 0 and entry.instr.op is Opcode.FDIV:
-            issues["div"] += 1
-
-    rep.machine.core.issue_hooks.append(observer)
+    issues = UnitIssueCounter()
+    rep.machine.core.attach(issues)
 
     def attack_fn(event) -> ReplayDecision:
         if event.replay_no >= replays:
@@ -98,4 +113,4 @@ def count_transmit_issues(replays: int, secret: int,
     rep.run_until_victim_done(context_id=0, max_cycles=5_000_000)
     # Subtract the architectural (retired) executions after release.
     architectural = 2 if secret == 1 else 0
-    return max(0, issues["div"] - architectural)
+    return max(0, issues.counts["div"] - architectural)

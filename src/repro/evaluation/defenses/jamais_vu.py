@@ -22,9 +22,9 @@ The paper's three variants differ in how tracking state decays:
     a flag is dropped the moment its instruction retires (precise,
     per-entry clearing).
 
-All three install through the core hook layer: ``squash_hooks`` set
-flags, ``retire_hooks`` decay them, and an ``issue_gate`` holds
-flagged entries in the ready queue until
+Every variant is the same core observer: ``on_squash`` sets flags,
+``on_retire`` decays them, and the ``gate`` holds flagged entries in
+the ready queue until
 :func:`~repro.evaluation.defenses.mechanisms.nonspeculative` admits
 them.
 """
@@ -74,19 +74,17 @@ class JamaisVuMechanism(DefenseMechanism):
     # --- wiring -----------------------------------------------------------
 
     def attach(self, machine) -> None:
-        core = machine.core
-        core.squash_hooks.append(self._on_squash)
-        core.retire_hooks.append(self._on_retire)
-        core.issue_gates.append(self._gate)
+        super().attach(machine)
         self._tracked = machine.metrics.counter(
             "defense.jamais_vu.tracked")
         self._blocked = machine.metrics.counter(
             "defense.jamais_vu.blocked_issues")
 
-    # --- hook bodies ------------------------------------------------------
+    # --- observer stages --------------------------------------------------
 
-    def _on_squash(self, context: HardwareContext, squashed,
-                   reason: str, trigger: Optional[ROBEntry]) -> None:
+    def on_squash(self, core, context: HardwareContext, squashed,
+                  reason: str, trigger: Optional[ROBEntry]) -> None:
+        """Flag every squashed program index."""
         if not squashed:
             return
         table = self._tables.setdefault(context.context_id, {})
@@ -101,8 +99,9 @@ class JamaisVuMechanism(DefenseMechanism):
         if self._tracked is not None:
             self._tracked.inc(len(squashed))
 
-    def _on_retire(self, context: HardwareContext,
-                   entry: ROBEntry) -> None:
+    def on_retire(self, core, context: HardwareContext,
+                  entry: ROBEntry) -> None:
+        """Decay the tracking state by this variant's rule."""
         cid = context.context_id
         if self.variant == "epoch":
             left = self._epoch_left.get(cid, self.epoch_retires) - 1
@@ -125,8 +124,9 @@ class JamaisVuMechanism(DefenseMechanism):
         else:  # clear-on-retire
             del table[entry.index]
 
-    def _gate(self, context: HardwareContext,
-              entry: ROBEntry) -> bool:
+    def gate(self, core, context: HardwareContext,
+             entry: ROBEntry) -> bool:
+        """Hold a flagged entry until it is nonspeculative."""
         table = self._tables.get(context.context_id)
         if not table or entry.index not in table:
             return True

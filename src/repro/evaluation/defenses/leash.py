@@ -75,10 +75,8 @@ class LeashMechanism(DefenseMechanism):
     # --- wiring -----------------------------------------------------------
 
     def attach(self, machine) -> None:
-        core = machine.core
-        self._core = core
-        core.issue_gates.append(self._gate)
-        core.issue_hooks.append(self._on_issue)
+        super().attach(machine)
+        self._core = machine.core
         self._throttled_counter = machine.metrics.counter(
             "defense.leash.throttled_issues")
 
@@ -110,8 +108,9 @@ class LeashMechanism(DefenseMechanism):
         return max(1, self._core.config.issue_width
                    // self.throttle_factor)
 
-    def _gate(self, context: HardwareContext,
-              entry: ROBEntry) -> bool:
+    def gate(self, core, context: HardwareContext,
+             entry: ROBEntry) -> bool:
+        """Hold issues past a throttled context's per-cycle budget."""
         if not self.throttled(context):
             return True
         cycle, count = self._issued.get(context.context_id, (-1, 0))
@@ -123,8 +122,9 @@ class LeashMechanism(DefenseMechanism):
             self._throttled_counter.inc()
         return False
 
-    def _on_issue(self, context: HardwareContext,
-                  entry: ROBEntry) -> None:
+    def on_issue(self, core, context: HardwareContext,
+                 entry: ROBEntry) -> None:
+        """Count the issue against this cycle's budget."""
         cid = context.context_id
         cycle, count = self._issued.get(cid, (-1, 0))
         if cycle != self._core.cycle:

@@ -1,14 +1,15 @@
 """Machine-level defense mechanisms behind ``MachineConfig.defense``.
 
-The follow-on literature's defenses (Jamais Vu, Delay-on-Squash,
-SIMF, LEASH) are not knobs on existing subsystems the way
-``fence_on_flush`` is — they are small state machines that watch the
-pipeline through the core's hook layer (``squash_hooks``,
-``retire_hooks``, ``issue_hooks``) and push back through
-``issue_gates``.  Each one is a :class:`DefenseMechanism`:
+Every defense that changes the hardware — the §8 fences and the
+follow-on literature's Jamais Vu, Delay-on-Squash, SIMF and LEASH —
+is a small state machine that watches the pipeline as a core observer
+(:mod:`repro.cpu.observer`: ``on_squash``, ``on_retire``,
+``on_issue``) and pushes back through its ``gate`` or by setting
+context state.  Each one is a :class:`DefenseMechanism`:
 
-* ``attach(machine)`` registers its hooks (identity wiring, done once
-  at machine construction);
+* ``attach(machine)`` attaches it to ``machine.core`` and creates its
+  metric counters (identity wiring, done once at machine
+  construction);
 * ``capture()`` / ``restore()`` clone its mutable state, which the
   machine appends to its own snapshot payload — so Replayer
   checkpoints and window memoization stay bit-exact with a mechanism
@@ -27,21 +28,23 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping
 
 from repro.cpu.context import HardwareContext
+from repro.cpu.observer import Observer
 from repro.cpu.rob import EntryState, ROBEntry
 
 if TYPE_CHECKING:
     from repro.cpu.config import DefenseHookConfig
 
 
-class DefenseMechanism:
-    """Base class: a defense installed through the core hook layer."""
+class DefenseMechanism(Observer):
+    """Base class: a defense attached to the core as an observer."""
 
     #: Registry key; subclasses override.
     scheme: str = ""
 
     def attach(self, machine) -> None:
-        """Register hooks on *machine* (called once, at construction)."""
-        raise NotImplementedError
+        """Attach to *machine*'s core (called once, at construction);
+        subclasses extend it to create their metric counters."""
+        machine.core.attach(self)
 
     def capture(self) -> tuple:
         """Clone the mechanism's mutable state (snapshot support)."""

@@ -10,7 +10,7 @@ attacker's handler gets to measure it.  Speculation itself is
 unrestricted; MicroScope's windows still execute, but the
 Prime+Probe readout that §4.2 relies on comes back empty.
 
-The model hooks the squash notification (kernel entries are exactly
+The model observes the squash stage (kernel entries are exactly
 the ``page-fault`` / ``interrupt:*`` squash reasons) and flushes the
 whole private cache hierarchy plus, optionally, the TLBs.  Flushing
 erases residue rather than restricting speculation; a side effect in
@@ -53,12 +53,13 @@ class SIMFFlushMechanism(DefenseMechanism):
         self._flushes = None
 
     def attach(self, machine) -> None:
+        super().attach(machine)
         self._machine = machine
-        machine.core.squash_hooks.append(self._on_squash)
         self._flushes = machine.metrics.counter("defense.simf.flushes")
 
-    def _on_squash(self, context: HardwareContext, squashed,
-                   reason: str, trigger: Optional[ROBEntry]) -> None:
+    def on_squash(self, core, context: HardwareContext, squashed,
+                  reason: str, trigger: Optional[ROBEntry]) -> None:
+        """Flush on every kernel entry."""
         if not is_kernel_entry(reason):
             return
         self._machine.hierarchy.flush_all()

@@ -4,7 +4,9 @@ Each §8 countermeasure acts on the attacks through one (or more) of
 three *mechanism-level* levers, so the attack code never has to know
 which defense it is facing:
 
-* a **machine configuration** (fences: ``CoreConfig.fence_on_flush``);
+* a **machine configuration**: a hardware mechanism installed through
+  ``MachineConfig.defense`` (fences, Jamais Vu, Delay-on-Squash, SIMF,
+  LEASH);
 * a **replay budget** — how many squash-and-refetch windows the
   platform grants before the victim makes forward progress (T-SGX's
   ``N - 1``; Déjà Vu's masking bound ``budget_ticks // fault_cost``,
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.config import DefenseHookConfig, MachineConfig
-from repro.cpu.config import CoreConfig
 from repro.evaluation.defenses.tsgx import TSGX_THRESHOLD
 
 #: Déjà Vu's reference-clock budget and the cost one replay (≈ one
@@ -42,7 +43,8 @@ class DefenseSpec:
     summary: str
     #: Where the paper discusses it.
     paper_ref: str
-    #: Machine-level knobs the defense flips (None = stock platform).
+    #: The platform with the defense's hardware mechanism installed
+    #: via ``MachineConfig.defense`` (None = stock platform).
     machine: Optional[MachineConfig] = None
     #: Replay windows the platform grants (None = unbounded).
     replay_budget: Optional[int] = None
@@ -85,8 +87,8 @@ def _jamais_vu_spec(name: str, variant: str, decay: str,
                "before replay 1, so in this model no window leaks",),
         mechanism=(
             "A per-context table remembers which program indices were "
-            "squashed (``squash_hooks``); a gate on the issue stage "
-            "(``issue_gates``) holds a flagged instruction in the "
+            "squashed (its ``on_squash`` observer stage); its issue "
+            "``gate`` holds a flagged instruction in the "
             "ready queue until every older ROB entry has completed "
             "without faulting, i.e. until it is no longer "
             f"speculative.  Tracking state decays by {decay}."),
@@ -101,7 +103,6 @@ def _jamais_vu_spec(name: str, variant: str, decay: str,
 
 
 def _specs() -> Dict[str, DefenseSpec]:
-    fences = MachineConfig(core=CoreConfig(fence_on_flush=True))
     return {spec.name: spec for spec in (
         DefenseSpec(
             name="none",
@@ -118,20 +119,21 @@ def _specs() -> Dict[str, DefenseSpec]:
                     "replayed code cannot run ahead of the faulting "
                     "handle.",
             paper_ref="§8 'Fences on Pipeline Flushes'",
-            machine=fences,
+            machine=MachineConfig(defense=DefenseHookConfig(
+                scheme="fences")),
             notes=("first (pre-flush) speculative window still "
                    "executes",),
             mechanism=(
-                "``CoreConfig.fence_on_flush`` makes the first "
-                "instruction fetched after any squash serialising, so "
-                "a replayed window cannot issue anything younger than "
-                "the faulting instruction.  The pre-flush first "
+                "The ``fences`` mechanism observes every squash and "
+                "makes the first instruction fetched after a page "
+                "fault, misprediction or memory-order violation "
+                "serialising, so a replayed window cannot issue "
+                "anything younger than the faulting instruction.  "
+                "The pre-flush first "
                 "window is the paper's documented leak — though in "
                 "this model the victim's launch-time demand paging "
                 "already squashes once before the attack window, so "
                 "even that window arrives fenced."),
-            knobs=(("CoreConfig.fence_on_flush",
-                    "serialise the first fetch after any squash"),),
         ),
         DefenseSpec(
             name="dejavu",

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.replayer import AttackEnvironment, Replayer
+from repro.cpu.observer import UnitIssueCounter
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program, ProgramBuilder
 from repro.kernel.process import Process
@@ -85,13 +86,8 @@ def evaluate_tsgx(secret: int = 1,
     victim_proc = rep.create_victim_process("tsgx-victim")
     victim = setup_control_flow_victim(victim_proc, secret)
     wrapped = wrap_with_tsgx(victim.program, victim_proc, threshold)
-    windows = {"div_issues": 0}
-
-    def observer(context, entry):
-        if context.context_id == 0 and entry.instr.op is Opcode.FDIV:
-            windows["div_issues"] += 1
-
-    rep.machine.core.issue_hooks.append(observer)
+    issues = UnitIssueCounter()
+    rep.machine.core.attach(issues)
     # The attacker clears the present bit once; inside a transaction
     # every fault becomes an abort, so the MicroScope module is never
     # invoked again — and neither is the kernel.  To keep the replay
@@ -113,7 +109,7 @@ def evaluate_tsgx(secret: int = 1,
     return TSGXReport(
         threshold=threshold,
         aborts=ctx.stats.txn_aborts,
-        replay_windows_observed=windows["div_issues"] // 2
-        if secret == 1 else windows["div_issues"],
+        replay_windows_observed=issues.counts["div"] // 2
+        if secret == 1 else issues.counts["div"],
         victim_terminated=terminated,
         os_faults_seen=rep.kernel.stats.page_faults)

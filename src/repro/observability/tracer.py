@@ -1,12 +1,11 @@
 """Structured event tracing with ring-buffer backing.
 
 :class:`EventTracer` is the opt-in, zero-cost-when-off observability
-channel.  "Off" means *not attached*: every emission site in the
-simulator is guarded by an ``if tracer is not None`` check (the core
-has carried exactly this guard since the pipeline viewer landed), so
-an untraced run executes no tracing code at all and its results are
-bit-identical to a traced run — tracing only ever *reads* simulation
-state.
+channel.  "Off" means *not attached*: the core calls only attached observers,
+and the kernel and MicroScope emission sites are guarded by an
+``if tracer is not None`` check, so an untraced run executes no
+tracing code at all and its results are bit-identical to a traced
+run — tracing only ever *reads* simulation state.
 
 Events live in a fixed-capacity ring buffer (:class:`TraceEvent` is a
 slotted record), so arbitrarily long runs trace in bounded memory:
@@ -24,12 +23,12 @@ provided:
 Timestamps are simulated cycles, exported through the trace format's
 microsecond field — i.e. 1 "us" in the viewer is 1 cycle.
 
-The tracer also implements the core's pipeline-tracer protocol
-(``on_fetch``/``on_issue``/``on_complete``/``on_retire``/
-``on_squash``), recording every dynamic instruction as a completed
-slice on its context's track.  Attach it with
-:meth:`repro.cpu.machine.Machine.attach_tracer`, which wires both the
-core notifications and the kernel/module emission sites at once.
+The tracer is also a core observer (:mod:`repro.cpu.observer`: the
+``on_decode``/``on_retire``/``on_squash`` stages), recording every
+dynamic instruction as a completed slice on its context's track.
+Attach it with :meth:`repro.cpu.machine.Machine.attach_tracer`, which
+wires both the core stages and the kernel/module emission sites at
+once.
 """
 
 from __future__ import annotations
@@ -163,26 +162,21 @@ class EventTracer:
         self._append(TraceEvent(name, "counter", PH_COUNTER, ts,
                                 args=dict(values)))
 
-    # --- core pipeline-tracer protocol ------------------------------------
+    # --- core observer stages ---------------------------------------------
     #
     # Instruction lifecycles are recorded as one complete slice each,
     # emitted at the terminal transition (retire or squash) when the
-    # whole fetch->issue->complete timeline is known from the entry.
+    # whole fetch->issue->complete timeline is known from the entry,
+    # so the issue and complete stages need no method here.
 
-    def _key(self, entry) -> int:
+    def _key(self, entry: Any) -> int:
         return (entry.context_id << 48) | entry.seq
 
-    def on_fetch(self, cycle: int, entry) -> None:
+    def on_decode(self, core: Any, context: Any, entry: Any) -> None:
         if self.trace_instructions:
-            self._fetch_cycles[self._key(entry)] = cycle
+            self._fetch_cycles[self._key(entry)] = core.cycle
 
-    def on_issue(self, cycle: int, entry) -> None:
-        pass  # issue_cycle is read off the entry at retire/squash
-
-    def on_complete(self, cycle: int, entry) -> None:
-        pass  # complete_cycle is read off the entry at retire/squash
-
-    def _instruction_slice(self, cycle: int, entry, cat: str,
+    def _instruction_slice(self, cycle: int, entry: Any, cat: str,
                            **extra: Any) -> None:
         fetched = self._fetch_cycles.pop(self._key(entry), None)
         if fetched is None:
@@ -199,16 +193,16 @@ class EventTracer:
                                 fetched, dur=max(cycle - fetched, 1),
                                 tid=entry.context_id, args=args))
 
-    def on_retire(self, cycle: int, entry) -> None:
+    def on_retire(self, core: Any, context: Any, entry: Any) -> None:
         if self.trace_instructions:
-            self._instruction_slice(cycle, entry, "pipeline")
+            self._instruction_slice(core.cycle, entry, "pipeline")
 
-    def on_squash(self, cycle: int, entries: Sequence, reason: str
-                  ) -> None:
+    def on_squash(self, core: Any, context: Any, squashed: Sequence,
+                  reason: str, trigger: Any) -> None:
         if not self.trace_instructions:
             return
-        for entry in entries:
-            self._instruction_slice(cycle, entry, "squash",
+        for entry in squashed:
+            self._instruction_slice(core.cycle, entry, "squash",
                                     reason=reason)
 
     # --- exporters --------------------------------------------------------

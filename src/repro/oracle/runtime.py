@@ -8,7 +8,7 @@ the codebase calls unconditionally:
 
 * :func:`note_machine` — called from ``Machine.__init__`` (mirroring
   the profiler's ``note_machine`` idiom) so machines built while an
-  oracle is active get its hooks attached.
+  oracle is active get its observer attached.
 * :func:`note_secret_write` — called from ``write_secret`` /
   ``write_ciphertext`` style victim helpers to seed taint.
 
@@ -48,12 +48,12 @@ def activate(oracle: Any) -> Iterator[Any]:
 
 
 def note_machine(machine: Any) -> None:
-    """Attach the active oracle's hooks to a freshly built machine.
+    """Attach the active oracle's observer to a freshly built machine.
 
     No-op when no oracle is active on this thread.  The attach is
     idempotent per machine (warm-start caches reuse machines across
-    trials) and installs a *forwarding hub*: hooks stay wired after
-    the oracle deactivates but forward to :func:`current`, costing a
+    trials) and installs a *forwarding hub*: it stays attached after
+    the oracle deactivates but forwards to :func:`current`, costing a
     ``None``-check when idle.
     """
     oracle = current()

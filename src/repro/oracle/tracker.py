@@ -153,20 +153,23 @@ class TaintOracle:
             kind=kind, cycle=cycle, context_id=context_id, index=index,
             op=op, reasons=reasons, detail=detail))
 
-    # --- core hooks ---------------------------------------------------
+    # --- core stages (forwarded by the _CoreHub observer) -------------
 
-    def on_decode(self, context: Any, entry: Any, sources: tuple) -> None:
-        """Seed an entry's taint from its resolved source operands."""
-        for src in sources:
-            if src is None:
+    def on_decode(self, context: Any, entry: Any) -> None:
+        """Seed an entry's taint from its source operands: the
+        in-flight producer each was read from (the rename map does not
+        name *entry* yet), else architectural state."""
+        instr = entry.instr
+        for reg in (instr.rs1, instr.rs2):
+            if reg is None:
                 continue
-            kind, ref = src
-            if kind == "arch":
-                if (entry.context_id, ref) not in self.arch:
+            producer = context.rename.get(reg)
+            if producer is None:
+                if (entry.context_id, reg) not in self.arch:
                     continue
-            elif (ref.context_id, ref.seq) not in self.tainted:
-                # "value" producers are final; "pending" producers that
-                # turn out tainted upgrade us at their completion.
+            elif (producer.context_id, producer.seq) not in self.tainted:
+                # Completed producers are final; in-flight producers
+                # that turn out tainted upgrade us at their completion.
                 continue
             self.tainted.add((entry.context_id, entry.seq))
             return
@@ -284,7 +287,7 @@ class TaintOracle:
                 trigger_taint = self._addr_tainted(
                     self._context_pcid(context), trigger.addr)
             # A mispredicted tainted branch squashes *before* its
-            # completion hook runs — set control taint here so the
+            # complete stage runs — set control taint here so the
             # squash itself, and everything after, is flagged.
             if trigger_taint and trigger.instr.is_cond_branch:
                 self.control.add(ctx)
@@ -333,40 +336,40 @@ class TaintOracle:
 
 
 class _CoreHub:
-    """Permanently-wired hook adapter forwarding to the thread's
+    """Permanently-attached core observer forwarding to the thread's
     active oracle (a ``None``-check when idle, so warm machines keep
     the hub across oracle-free runs at negligible cost)."""
 
-    __slots__ = ("core",)
+    __slots__ = ()
 
-    def __init__(self, core: Any):
-        self.core = core
-
-    def on_decode(self, context: Any, entry: Any, sources: tuple) -> None:
+    def on_decode(self, core: Any, context: Any, entry: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_decode(context, entry, sources)
+            oracle.on_decode(context, entry)
 
-    def on_complete(self, context: Any, entry: Any) -> None:
+    def on_complete(self, core: Any, context: Any, entry: Any) -> None:
+        if entry.faulted:
+            return  # no value to propagate; the squash clears its taint
         oracle = runtime.current()
         if oracle is not None:
             oracle.on_complete(context, entry)
 
-    def on_issue(self, context: Any, entry: Any) -> None:
+    def on_issue(self, core: Any, context: Any, entry: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_issue(self.core, context, entry)
+            oracle.on_issue(core, context, entry)
 
-    def on_retire(self, context: Any, entry: Any) -> None:
+    def on_retire(self, core: Any, context: Any, entry: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_retire(self.core, context, entry)
+            oracle.on_retire(core, context, entry)
 
-    def on_squash(self, cycle: int, context: Any, squashed: list,
+    def on_squash(self, core: Any, context: Any, squashed: list,
                   reason: str, trigger: Any) -> None:
         oracle = runtime.current()
         if oracle is not None:
-            oracle.on_squash(cycle, context, squashed, reason, trigger)
+            oracle.on_squash(core.cycle, context, squashed, reason,
+                             trigger)
 
     def on_mem_access(self, paddr: int, is_write: bool, hit_level: int,
                       latency: int) -> None:
@@ -376,18 +379,13 @@ class _CoreHub:
 
 
 def attach_machine(machine: Any) -> None:
-    """Idempotently wire the oracle hub into *machine*'s core and
+    """Idempotently attach the oracle hub to *machine*'s core and
     memory hierarchy (see :func:`repro.oracle.runtime.note_machine`)."""
     core = machine.core
-    if getattr(core, "_oracle_hub", None) is not None:
+    if any(isinstance(observer, _CoreHub) for observer in core.observers):
         return
-    hub = _CoreHub(core)
-    core._oracle_hub = hub
-    core.oracle = hub
-    core.decode_hooks.append(hub.on_decode)
-    core.complete_hooks.append(hub.on_complete)
-    core.issue_hooks.append(hub.on_issue)
-    core.retire_hooks.append(hub.on_retire)
+    hub = _CoreHub()
+    core.attach(hub)
     machine.hierarchy.access_observers.append(hub.on_mem_access)
 
 

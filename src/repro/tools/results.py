@@ -263,8 +263,6 @@ def _defense_section(matrix: EvaluationMatrix, name: str) -> str:
             "machine mechanism "
             f"`{spec.machine.defense.scheme}` "
             "(installed via `MachineConfig.defense`)")
-    elif spec.machine is not None:
-        levers.append("machine knobs (see below)")
     if spec.replay_budget is not None:
         levers.append(f"replay budget {spec.replay_budget}")
     if spec.victim_transform:
@@ -310,11 +308,12 @@ Every matrix column in [`RESULTS.md`](RESULTS.md) is one
 follow-on defense from the replay-attack literature) reduced to
 mechanism-level levers — a machine configuration, a replay budget, a
 victim transform, a detector, or a machine-level
-`DefenseMechanism` installed through `MachineConfig.defense` and the
-core's hook layer (`squash_hooks`, `retire_hooks`, `issue_gates`; see
-[`ARCHITECTURE.md`](ARCHITECTURE.md)).  Because every attack runner
-passes `machine=defense.machine` through unchanged, a new mechanism
-reaches all seven attack rows with zero attack-side code.
+`DefenseMechanism` installed through `MachineConfig.defense` and
+attached to the core as an observer (`on_squash`, `on_retire`,
+`on_issue`, `gate`; see [`ARCHITECTURE.md`](ARCHITECTURE.md)).
+Because every attack runner passes `machine=defense.machine` through
+unchanged, a new mechanism reaches all seven attack rows with zero
+attack-side code.
 
 The python examples below are executed by
 `python -m repro.tools.doccheck` on every CI run.

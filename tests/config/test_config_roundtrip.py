@@ -82,6 +82,16 @@ def test_from_dict_rejects_a_removed_field():
         config.from_dict(payload)
 
 
+def test_from_dict_rejects_the_removed_fence_knob():
+    """A stored CoreConfig from before the fences defense became a
+    ``DefenseHookConfig(scheme="fences")`` mechanism still carries
+    ``fence_on_flush``; it must not load as an undefended platform."""
+    payload = config.to_dict(config.MachineConfig())
+    payload["core"]["fence_on_flush"] = True
+    with pytest.raises(TypeError, match="fence_on_flush"):
+        config.from_dict(payload)
+
+
 def test_machine_builds_from_roundtripped_config():
     from repro.cpu.machine import Machine
     cfg = roundtrip(config.MachineConfig(num_frames=1 << 10))

@@ -11,13 +11,15 @@ run the same programs; the event streams, counters and cycle counts
 must agree exactly.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.config import CoreConfig, MachineConfig
 from repro.cpu.context import ContextState
 from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.cpu.ports import PortSet
+from repro.evaluation.defenses import fences_machine
 from repro.isa.program import ProgramBuilder
 from repro.tools.diffsweep import DATA_BASE, generate_program
 
@@ -78,29 +80,25 @@ class ReferenceCore(Core):
             if entry.seq == fence_seq and not \
                     context.rob.all_older_completed(entry.seq):
                 return False
-        if self.issue_gates and not all(
-                gate(context, entry) for gate in self.issue_gates):
+        if not all(gate(self, context, entry) for gate in self._gate):
             return False
         if entry.instr.is_load:
-            issued = self._execute_load(context, entry)
-            if issued:
-                context.stats.issued += 1
-                context.index_inflight_load(entry)
-                for hook in self.issue_hooks:
-                    hook(context, entry)
-            return issued
-        latency = self._latency_for(entry)
-        port = self.ports.try_issue(self.cycle, entry.op_cls, latency)
-        if port is None:
-            return False
-        entry.port_name = port.name
-        if entry.instr.is_store:
-            self._execute_store(context, entry, latency)
+            if not self._execute_load(context, entry):
+                return False
+            context.index_inflight_load(entry)
         else:
-            self._execute_alu(context, entry, latency)
+            latency = self._latency_for(entry)
+            port = self.ports.try_issue(self.cycle, entry.op_cls, latency)
+            if port is None:
+                return False
+            entry.port_name = port.name
+            if entry.instr.is_store:
+                self._execute_store(context, entry, latency)
+            else:
+                self._execute_alu(context, entry, latency)
         context.stats.issued += 1
-        for hook in self.issue_hooks:
-            hook(context, entry)
+        for observer in self._on_issue:
+            observer(self, context, entry)
         return True
 
     def _fetch(self):
@@ -125,29 +123,29 @@ class ReferenceCore(Core):
 
 
 class EventRecorder:
-    """Every tracer notification, in order, as plain tuples."""
+    """Every observer stage call, in order, as plain tuples."""
 
     def __init__(self):
         self.events = []
 
-    def _note(self, kind, cycle, entry, *extra):
-        self.events.append((kind, cycle, entry.context_id, entry.seq,
+    def _note(self, kind, core, entry, *extra):
+        self.events.append((kind, core.cycle, entry.context_id, entry.seq,
                             entry.index) + extra)
 
-    def on_fetch(self, cycle, entry):
-        self._note("fetch", cycle, entry)
+    def on_decode(self, core, context, entry):
+        self._note("fetch", core, entry)
 
-    def on_issue(self, cycle, entry):
-        self._note("issue", cycle, entry, entry.port_name)
+    def on_issue(self, core, context, entry):
+        self._note("issue", core, entry, entry.port_name)
 
-    def on_complete(self, cycle, entry):
-        self._note("complete", cycle, entry, entry.faulted)
+    def on_complete(self, core, context, entry):
+        self._note("complete", core, entry, entry.faulted)
 
-    def on_retire(self, cycle, entry):
-        self._note("retire", cycle, entry)
+    def on_retire(self, core, context, entry):
+        self._note("retire", core, entry)
 
-    def on_squash(self, cycle, squashed, reason):
-        self.events.append(("squash", cycle, reason,
+    def on_squash(self, core, context, squashed, reason, trigger):
+        self.events.append(("squash", core.cycle, reason,
                             tuple((e.context_id, e.seq) for e in squashed)))
 
 
@@ -158,16 +156,16 @@ def run(programs, *, reference, config=None, gated=False,
         machine.core.__class__ = ReferenceCore
         machine.core.ports.__class__ = ReferencePortSet
     recorder = EventRecorder()
-    machine.core.tracer = recorder
+    machine.core.attach(recorder)
     gate_calls = []
     if gated:
         # Holds back divides on every third cycle and logs each
         # consultation: the log must match too.
-        def gate(context, entry):
+        def gate(core, context, entry):
             cycle = machine.core.cycle
             gate_calls.append((cycle, context.context_id, entry.seq))
             return not (entry.op_cls == "div" and cycle % 3 == 0)
-        machine.core.issue_gates.append(gate)
+        machine.core.attach(SimpleNamespace(gate=gate))
     for context, program in zip(machine.contexts, programs):
         context.load_program(program)
     # The ready queues between steps, squashed entries included.
@@ -321,9 +319,8 @@ def test_issue_gate_consultations_match():
 
 
 def test_fast_forward_and_fence_on_flush():
-    config = MachineConfig(core=CoreConfig(fence_on_flush=True))
     assert_equivalent([generate_program(3), fence_program(3)],
-                      config=config)
+                      config=fences_machine())
 
 
 # --- seeded random programs -------------------------------------------------
@@ -343,8 +340,7 @@ def test_diffsweep_program_pair(seed):
 
 @pytest.mark.parametrize("seed", range(14, 18))
 def test_diffsweep_program_fence_on_flush(seed):
-    config = MachineConfig(core=CoreConfig(fence_on_flush=True))
-    assert_equivalent([generate_program(seed)], config=config)
+    assert_equivalent([generate_program(seed)], config=fences_machine())
 
 
 def test_reference_scans_past_the_fence():

@@ -1,6 +1,7 @@
 """Precise page-fault semantics — the mechanism MicroScope turns into
 a replay engine."""
 
+from types import SimpleNamespace
 
 from repro.cpu.context import ContextState
 from repro.cpu.machine import Machine
@@ -81,11 +82,11 @@ def test_younger_instructions_execute_in_walk_shadow():
     machine, kernel, process, data, handler = faulting_setup(fix_after=3)
     issued_divs = []
 
-    def observer(context, entry):
+    def observer(core, context, entry):
         if entry.instr.op is Opcode.FDIV:
             issued_divs.append(machine.cycle)
 
-    machine.core.issue_hooks.append(observer)
+    machine.core.attach(SimpleNamespace(on_issue=observer))
     program = (ProgramBuilder()
                .li("r1", data)
                .fli("f1", 8.0).fli("f2", 2.0)
@@ -102,11 +103,11 @@ def test_dependent_instructions_do_not_execute():
     machine, kernel, process, data, handler = faulting_setup(fix_after=3)
     issued_muls = []
 
-    def observer(context, entry):
+    def observer(core, context, entry):
         if entry.instr.op is Opcode.MUL:
             issued_muls.append(machine.cycle)
 
-    machine.core.issue_hooks.append(observer)
+    machine.core.attach(SimpleNamespace(on_issue=observer))
     program = (ProgramBuilder()
                .li("r1", data)
                .load("r2", "r1", 0)

@@ -1,5 +1,6 @@
 """Section 8 countermeasures behave as the paper describes."""
 
+from types import SimpleNamespace
 
 from repro.evaluation.defenses.dejavu import evaluate_dejavu
 from repro.evaluation.defenses.fences import evaluate_fence_on_flush
@@ -86,14 +87,12 @@ def test_fence_first_window_still_leaks():
     squash has happened) still executes and leaks once."""
     from repro.core.recipes import ReplayAction, ReplayDecision
     from repro.core.replayer import AttackEnvironment, Replayer
-    from repro.cpu.config import CoreConfig
-    from repro.config import MachineConfig
+    from repro.evaluation.defenses import fences_machine
     from repro.isa.instructions import Opcode
     from repro.isa.program import ProgramBuilder
 
     rep = Replayer(AttackEnvironment.build(
-        machine_config=MachineConfig(core=CoreConfig(
-            fence_on_flush=True))))
+        machine_config=fences_machine()))
     process = rep.create_victim_process("v", enclave=False)
     data = process.alloc(4096, "d")
     # Straight-line victim: no branch, so no mispredict flush precedes
@@ -107,11 +106,11 @@ def test_fence_first_window_still_leaks():
                .halt().build())
     issues = []
 
-    def hook(context, entry):
+    def hook(core, context, entry):
         if entry.instr.op is Opcode.FDIV:
             issues.append(rep.machine.cycle)
 
-    rep.machine.core.issue_hooks.append(hook)
+    rep.machine.core.attach(SimpleNamespace(on_issue=hook))
     recipe = rep.module.provide_replay_handle(
         process, data,
         attack_function=lambda e: ReplayDecision(

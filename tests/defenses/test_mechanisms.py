@@ -54,11 +54,12 @@ class _NullCounter:
 
 
 def _fake_machine(issue_width=6):
+    observers = []
     core = SimpleNamespace(cycle=0,
                            config=SimpleNamespace(
                                issue_width=issue_width),
-                           squash_hooks=[], retire_hooks=[],
-                           issue_hooks=[], issue_gates=[])
+                           observers=observers,
+                           attach=observers.append)
     metrics = SimpleNamespace(counter=lambda name: _NullCounter())
     return SimpleNamespace(core=core, metrics=metrics)
 
@@ -84,8 +85,8 @@ def test_duplicate_registration_rejected():
 def test_machine_installs_and_wires_mechanism():
     machine = Machine(jamais_vu_machine())
     assert isinstance(machine.defense, JamaisVuMechanism)
-    assert machine.core.issue_gates
-    assert machine.core.squash_hooks
+    assert machine.core._gate == (machine.defense.gate,)
+    assert machine.core._on_squash == (machine.defense.on_squash,)
     # params reach the factory
     machine = Machine(jamais_vu_machine("epoch", epoch_retires=7))
     assert machine.defense.variant == "epoch"
@@ -95,8 +96,8 @@ def test_machine_installs_and_wires_mechanism():
 def test_default_machine_has_no_defense():
     machine = Machine()
     assert machine.defense is None
-    assert not machine.core.issue_gates
-    assert not machine.core.squash_hooks
+    assert not machine.core._gate
+    assert not machine.core._on_squash
 
 
 # --- the nonspeculative release condition ----------------------------------
@@ -132,7 +133,7 @@ def test_counter_variant_saturates():
     mech = JamaisVuMechanism(variant="counter", saturate=3)
     ctx = _context()
     for _ in range(5):
-        mech._on_squash(ctx, [_entry(1, index=7)], "page-fault", None)
+        mech.on_squash(None, ctx, [_entry(1, index=7)], "page-fault", None)
     assert mech.flagged(0) == {7: 3}
 
 
@@ -140,31 +141,31 @@ def test_counter_variant_decays_on_retire():
     mech = JamaisVuMechanism(variant="counter", saturate=3)
     ctx = _context()
     for _ in range(2):
-        mech._on_squash(ctx, [_entry(1, index=7)], "page-fault", None)
-    mech._on_retire(ctx, _entry(1, index=7))
+        mech.on_squash(None, ctx, [_entry(1, index=7)], "page-fault", None)
+    mech.on_retire(None, ctx, _entry(1, index=7))
     assert mech.flagged(0) == {7: 1}
-    mech._on_retire(ctx, _entry(1, index=7))
+    mech.on_retire(None, ctx, _entry(1, index=7))
     assert mech.flagged(0) == {}
 
 
 def test_epoch_variant_clears_in_bulk():
     mech = JamaisVuMechanism(variant="epoch", epoch_retires=3)
     ctx = _context()
-    mech._on_squash(ctx, [_entry(1, index=1), _entry(2, index=2)],
+    mech.on_squash(None, ctx, [_entry(1, index=1), _entry(2, index=2)],
                     "page-fault", None)
-    mech._on_retire(ctx, _entry(3, index=3))
-    mech._on_retire(ctx, _entry(4, index=4))
+    mech.on_retire(None, ctx, _entry(3, index=3))
+    mech.on_retire(None, ctx, _entry(4, index=4))
     assert mech.flagged(0) == {1: 1, 2: 1}  # epoch not over yet
-    mech._on_retire(ctx, _entry(5, index=5))
+    mech.on_retire(None, ctx, _entry(5, index=5))
     assert mech.flagged(0) == {}
 
 
 def test_clear_on_retire_is_per_entry():
     mech = JamaisVuMechanism(variant="clear-on-retire")
     ctx = _context()
-    mech._on_squash(ctx, [_entry(1, index=1), _entry(2, index=2)],
+    mech.on_squash(None, ctx, [_entry(1, index=1), _entry(2, index=2)],
                     "page-fault", None)
-    mech._on_retire(ctx, _entry(1, index=1))
+    mech.on_retire(None, ctx, _entry(1, index=1))
     assert mech.flagged(0) == {2: 1}
 
 
@@ -178,19 +179,19 @@ def test_gate_blocks_flagged_speculative_entry_only():
     older = _entry(1, index=1, state=EntryState.EXECUTING)
     flagged = _entry(2, index=2)
     ctx = _context([older, flagged])
-    mech._on_squash(ctx, [flagged], "page-fault", None)
-    assert not mech._gate(ctx, flagged)          # speculative: held
-    assert mech._gate(ctx, older)                # unflagged: passes
+    mech.on_squash(None, ctx, [flagged], "page-fault", None)
+    assert not mech.gate(None, ctx, flagged)          # speculative: held
+    assert mech.gate(None, ctx, older)                # unflagged: passes
     ctx_head = _context([flagged])
-    assert mech._gate(ctx_head, flagged)         # nonspeculative: released
+    assert mech.gate(None, ctx_head, flagged)    # nonspeculative: released
 
 
 def test_jamais_vu_capture_restore_round_trip():
     mech = JamaisVuMechanism(variant="epoch")
     ctx = _context()
-    mech._on_squash(ctx, [_entry(1, index=4)], "page-fault", None)
+    mech.on_squash(None, ctx, [_entry(1, index=4)], "page-fault", None)
     state = mech.capture()
-    mech._on_squash(ctx, [_entry(2, index=9)], "mispredict", None)
+    mech.on_squash(None, ctx, [_entry(2, index=9)], "mispredict", None)
     mech.restore(state)
     assert mech.flagged(0) == {4: 1}
 
@@ -201,11 +202,11 @@ def test_jamais_vu_capture_restore_round_trip():
 def test_shadow_arms_and_decays():
     mech = DelayOnSquashMechanism(shadow_retires=2)
     ctx = _context()
-    mech._on_squash(ctx, [], "mispredict", None)
+    mech.on_squash(None, ctx, [], "mispredict", None)
     assert mech.in_shadow(0)
-    mech._on_retire(ctx, _entry(1))
+    mech.on_retire(None, ctx, _entry(1))
     assert mech.in_shadow(0)
-    mech._on_retire(ctx, _entry(2))
+    mech.on_retire(None, ctx, _entry(2))
     assert not mech.in_shadow(0)
 
 
@@ -215,9 +216,9 @@ def test_shadow_gates_only_side_channel_classes():
     load = _entry(2, op_cls="load")
     alu = _entry(3, op_cls="alu")
     ctx = _context([older, load, alu])
-    mech._on_squash(ctx, [], "page-fault", None)
-    assert not mech._gate(ctx, load)   # side-channel-capable: held
-    assert mech._gate(ctx, alu)        # harmless class: passes
+    mech.on_squash(None, ctx, [], "page-fault", None)
+    assert not mech.gate(None, ctx, load)   # side-channel-capable: held
+    assert mech.gate(None, ctx, alu)        # harmless class: passes
 
 
 def test_shadow_releases_in_program_order():
@@ -225,9 +226,9 @@ def test_shadow_releases_in_program_order():
     first = _entry(1, op_cls="load", state=EntryState.READY)
     second = _entry(2, op_cls="load", state=EntryState.READY)
     ctx = _context([first, second])
-    mech._on_squash(ctx, [], "page-fault", None)
-    assert mech._gate(ctx, first)        # oldest: may proceed
-    assert not mech._gate(ctx, second)   # younger: waits for first
+    mech.on_squash(None, ctx, [], "page-fault", None)
+    assert mech.gate(None, ctx, first)        # oldest: may proceed
+    assert not mech.gate(None, ctx, second)   # younger: waits for first
 
 
 def test_no_shadow_no_gating():
@@ -235,7 +236,7 @@ def test_no_shadow_no_gating():
     older = _entry(1, state=EntryState.EXECUTING)
     load = _entry(2, op_cls="load")
     ctx = _context([older, load])
-    assert mech._gate(ctx, load)
+    assert mech.gate(None, ctx, load)
 
 
 # --- SIMF ------------------------------------------------------------------
@@ -258,9 +259,9 @@ def test_simf_flushes_hierarchy_on_kernel_entry():
     threshold = hierarchy.hit_latency(1)
     hierarchy.access(0x4000)
     assert hierarchy.access(0x4000) <= threshold       # warm
-    machine.defense._on_squash(_context(), [], "mispredict", None)
+    machine.defense.on_squash(machine.core, _context(), [], "mispredict", None)
     assert hierarchy.access(0x4000) <= threshold       # still warm
-    machine.defense._on_squash(_context(), [], "page-fault", None)
+    machine.defense.on_squash(machine.core, _context(), [], "page-fault", None)
     assert hierarchy.access(0x4000) > threshold        # flushed
     flushes = machine.metrics.counter("defense.simf.flushes")
     assert flushes.value == 1
@@ -315,11 +316,11 @@ def test_leash_gate_enforces_issue_budget():
     entry = _entry(1)
     core.cycle = 110                       # inside the next window
     for _ in range(3):                     # budget = 6 // 2
-        assert mech._gate(ctx, entry)
-        mech._on_issue(ctx, entry)
-    assert not mech._gate(ctx, entry)      # over budget this cycle
+        assert mech.gate(core, ctx, entry)
+        mech.on_issue(core, ctx, entry)
+    assert not mech.gate(core, ctx, entry)      # over budget this cycle
     core.cycle = 111                       # new cycle, fresh budget
-    assert mech._gate(ctx, entry)
+    assert mech.gate(core, ctx, entry)
 
 
 def test_leash_capture_restore_round_trip():
@@ -341,11 +342,11 @@ def test_leash_capture_restore_round_trip():
 def test_capture_appends_defense_state():
     machine = Machine(jamais_vu_machine())
     ctx = _context()
-    machine.defense._on_squash(ctx, [_entry(1, index=3)],
+    machine.defense.on_squash(machine.core, ctx, [_entry(1, index=3)],
                                "page-fault", None)
     payload = machine.capture()
     assert len(payload) == 8
-    machine.defense._on_squash(ctx, [_entry(2, index=5)],
+    machine.defense.on_squash(machine.core, ctx, [_entry(2, index=5)],
                                "page-fault", None)
     machine.restore(payload)
     assert machine.defense.flagged(0) == {3: 1}

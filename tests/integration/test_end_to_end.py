@@ -1,6 +1,8 @@
 """Full-system integration: the paper's claims exercised end-to-end,
 crossing every substrate at once."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.attacks.aes_cache import AESCacheAttack
@@ -127,12 +129,12 @@ def test_walk_window_scales_with_tuning():
                                            divisions=2)
         count = [0]
 
-        def hook(context, entry):
+        def hook(core, context, entry):
             if context.context_id == 0 \
                     and entry.instr.op is Opcode.FDIV:
                 count[0] += 1
 
-        rep.machine.core.issue_hooks.append(hook)
+        rep.machine.core.attach(SimpleNamespace(on_issue=hook))
         recipe = rep.module.provide_replay_handle(
             process, victim.handle_va + 0x20,
             attack_function=lambda e: ReplayDecision(

@@ -3,6 +3,7 @@ and the validity of both exporters' output (JSONL and Chrome
 ``trace_event`` JSON)."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,7 +155,12 @@ def test_export_jsonl_one_valid_object_per_line(tmp_path):
     assert second["dur"] == 3
 
 
-# --- pipeline-tracer protocol ---------------------------------------------
+# --- core observer stages -------------------------------------------------
+
+def _at(cycle):
+    """A stand-in core whose clock reads *cycle*."""
+    return SimpleNamespace(cycle=cycle)
+
 
 class _Entry:
     """Minimal stand-in for a core pipeline entry."""
@@ -174,8 +180,8 @@ def test_retire_emits_fetch_to_retire_slice():
     tracer = EventTracer()
     entry = _Entry(context_id=1, seq=7, issue=12, complete=15,
                    is_replay=True)
-    tracer.on_fetch(10, entry)
-    tracer.on_retire(20, entry)
+    tracer.on_decode(_at(10), None, entry)
+    tracer.on_retire(_at(20), None, entry)
     (event,) = tracer.events()
     assert event.ts == 10 and event.dur == 10
     assert event.tid == 1
@@ -189,8 +195,8 @@ def test_squash_emits_slices_with_reason():
     tracer = EventTracer()
     entries = [_Entry(0, seq) for seq in (1, 2)]
     for entry in entries:
-        tracer.on_fetch(5, entry)
-    tracer.on_squash(9, entries, reason="page_fault")
+        tracer.on_decode(_at(5), None, entry)
+    tracer.on_squash(_at(9), None, entries, "page_fault", None)
     events = list(tracer.events())
     assert len(events) == 2
     assert all(e.cat == "squash" for e in events)
@@ -199,16 +205,16 @@ def test_squash_emits_slices_with_reason():
 
 def test_retire_without_fetch_is_ignored():
     tracer = EventTracer()
-    tracer.on_retire(20, _Entry(0, 1))    # fetched before attach
+    tracer.on_retire(_at(20), None, _Entry(0, 1))    # fetched before attach
     assert len(tracer) == 0
 
 
 def test_trace_instructions_off_suppresses_pipeline_slices():
     tracer = EventTracer(trace_instructions=False)
     entry = _Entry(0, 1)
-    tracer.on_fetch(1, entry)
-    tracer.on_retire(2, entry)
-    tracer.on_squash(3, [entry], reason="x")
+    tracer.on_decode(_at(1), None, entry)
+    tracer.on_retire(_at(2), None, entry)
+    tracer.on_squash(_at(3), None, [entry], "x", None)
     assert len(tracer) == 0
 
 

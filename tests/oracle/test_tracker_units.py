@@ -100,18 +100,19 @@ def test_secret_seeding_respects_config():
 
 def test_attach_machine_is_idempotent():
     machine = Machine()
-    hooks_before = (len(machine.core.decode_hooks),
-                    len(machine.core.issue_hooks),
-                    len(machine.core.retire_hooks),
+    hooks_before = (len(machine.core._on_decode),
+                    len(machine.core._on_issue),
+                    len(machine.core._on_retire),
                     len(machine.hierarchy.access_observers))
     attach_machine(machine)
     attach_machine(machine)
-    assert len(machine.core.decode_hooks) == hooks_before[0] + 1
-    assert len(machine.core.issue_hooks) == hooks_before[1] + 1
-    assert len(machine.core.retire_hooks) == hooks_before[2] + 1
+    assert len(machine.core._on_decode) == hooks_before[0] + 1
+    assert len(machine.core._on_issue) == hooks_before[1] + 1
+    assert len(machine.core._on_retire) == hooks_before[2] + 1
     assert len(machine.hierarchy.access_observers) == \
         hooks_before[3] + 1
-    assert machine.core.oracle is machine.core._oracle_hub
+    (hub,) = machine.core.observers
+    assert machine.core._on_squash == (hub.on_squash,)
 
 
 # --- FaultPolicy.verify hook -----------------------------------------------
