@@ -49,7 +49,7 @@ def _measure(tuning):
                 and entry.addr is not None and entry.addr >= work_va:
             issued[0] += 1
 
-    rep.machine.core.attach(SimpleNamespace(on_issue=hook))
+    rep.machine.attach(SimpleNamespace(on_issue=hook))
     walk_latency = [0]
 
     def attack_fn(event):

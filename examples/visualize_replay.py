@@ -25,7 +25,7 @@ from repro.reporting import machine_report
 def main():
     rep = Replayer(AttackEnvironment.build())
     tracer = PipelineTracer()
-    rep.machine.core.attach(tracer)
+    rep.machine.attach(tracer)
 
     process = rep.create_victim_process(enclave=False)
     data = process.alloc(4096, "handle-page")

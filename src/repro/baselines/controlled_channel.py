@@ -12,6 +12,7 @@ a *noiseless* channel, but spatially limited to 4 KiB pages (Table 1's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, List, Optional
 
 from repro.config import MachineConfig
@@ -104,7 +105,7 @@ class ControlledChannelAttack:
 
         fault_vpns: List[int] = []
 
-        def log_hook(context, fault):
+        def log_fault(core, context, fault):
             if context.process is victim_proc:
                 fault_vpns.append(fault.vpn)
                 # Service the fault like a regular demand pager so the
@@ -113,7 +114,7 @@ class ControlledChannelAttack:
                 return TrapAction(cost=3000)
             return None
 
-        rep.kernel.add_fault_hook(log_hook)
+        rep.machine.attach(SimpleNamespace(on_fault=log_fault))
         # Revoke presence of the two observable pages.
         rep.kernel.set_present(victim_proc, pageB_va, False)
         rep.kernel.set_present(victim_proc, pageC_va, False)

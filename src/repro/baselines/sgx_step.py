@@ -17,6 +17,7 @@ runs with different phases must be combined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.core.analysis import classify_hits
@@ -91,7 +92,7 @@ class SGXStepAttack:
         threshold = rep.machine.hierarchy.hit_latency(1)
         interval_hits: List[List[int]] = []
 
-        def on_interrupt(context, reason):
+        def on_interrupt(core, context, reason):
             if reason != "sgx-step":
                 return None
             hits = classify_hits(
@@ -100,7 +101,7 @@ class SGXStepAttack:
             module.prime_lines(victim_proc, probe_addrs)
             return TrapAction(cost=self.interrupt_cost)
 
-        rep.kernel.add_interrupt_hook(on_interrupt)
+        rep.machine.attach(SimpleNamespace(on_interrupt=on_interrupt))
         rep.launch_victim(victim_proc, victim.program)
         module.prime_lines(victim_proc, probe_addrs)
         ctx = rep.machine.contexts[0]

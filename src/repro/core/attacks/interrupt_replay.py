@@ -72,11 +72,10 @@ class InterruptReplayAttack:
             machine_config=self.machine))
         victim_proc = rep.create_victim_process("irq-victim")
         victim = setup_control_flow_victim(victim_proc, secret)
-        core = rep.machine.core
         ctx = rep.machine.contexts[0]
 
         observer = UnitIssueCounter()
-        core.attach(observer)
+        rep.machine.attach(observer)
         counts = observer.counts
         rep.launch_victim(victim_proc, victim.program)
 

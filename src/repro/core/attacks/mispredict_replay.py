@@ -58,16 +58,14 @@ class MispredictReplayAttack:
             enclave_config=EnclaveConfig(
                 flush_predictor_on_boundary=False))
         victim = setup_control_flow_victim(victim_proc, secret)
-        core = rep.machine.core
-
         observer = UnitIssueCounter()
-        core.attach(observer)
+        rep.machine.attach(observer)
         counts = observer.counts
         # Prime the counter for the victim's secret branch.
         branch_index = next(
             i for i, ins in enumerate(victim.program.instructions)
             if ins.is_cond_branch)
-        core.predictor.prime(branch_index, primed_taken)
+        rep.machine.core.predictor.prime(branch_index, primed_taken)
         rep.launch_victim(victim_proc, victim.program)
         rep.run_until_victim_done(context_id=0, max_cycles=100_000)
         ctx = rep.machine.contexts[0]

@@ -88,13 +88,11 @@ class RdrandBiasAttack:
             module_config=MicroScopeConfig(fault_handler_cost=2000)))
         victim_proc = rep.create_victim_process("rdrand-victim")
         victim = setup_rdrand_victim(victim_proc)
-        core = rep.machine.core
-
         # The SMT observer: unit usage of the victim context since the
         # last window began.  (Stands in for the timed port-contention
         # monitor demonstrated in the §6.1 attack.)
         observer = UnitIssueCounter()
-        core.attach(observer)
+        rep.machine.attach(observer)
         window = observer.counts
 
         def observed_parity() -> Optional[int]:
@@ -118,7 +116,7 @@ class RdrandBiasAttack:
                 return True
             return False
 
-        core.attach(SimpleNamespace(on_pte_race=race))
+        rep.machine.attach(SimpleNamespace(on_pte_race=race))
 
         def attack_fn(event) -> ReplayDecision:
             observer.reset()

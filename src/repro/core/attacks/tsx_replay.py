@@ -78,7 +78,6 @@ class TSXReplayAttack:
         victim_proc = rep.create_victim_process("tsx-victim")
         victim = setup_tsx_victim(victim_proc,
                                   max_retries=self.max_aborts_per_trial)
-        core = rep.machine.core
         victim_ctx = rep.machine.contexts[0]
         buffer_paddr = victim_proc.translate_any(victim.txn_buffer_va)
 
@@ -86,7 +85,7 @@ class TSXReplayAttack:
         # transaction (these instructions execute and even retire into
         # the transactional buffer before any abort).
         observer = UnitIssueCounter()
-        core.attach(observer)
+        rep.machine.attach(observer)
         window = observer.counts
 
         def undesired_parity_observed() -> bool:

@@ -2,11 +2,11 @@
 
 Implements the execution path of Figure 9: page faults whose PTE is
 registered as under attack are redirected from the kernel's page-fault
-handler to this module via a trampoline (a kernel fault hook).  The
-module owns the Attack Recipes, performs the §5.2.2 attack operations
-(software page walks, PTE/PWC/TLB/cache flushing, cache priming and
-probing, Monitor signalling), and exposes the §5.2.3 user interface of
-Table 2::
+handler to this module via a trampoline (its ``on_fault`` stage,
+:mod:`repro.cpu.observer`).  The module owns the Attack Recipes,
+performs the §5.2.2 attack operations (software page walks,
+PTE/PWC/TLB/cache flushing, cache priming and probing, Monitor
+signalling), and exposes the §5.2.3 user interface of Table 2::
 
     provide_replay_handle(addr)    provide_pivot(addr)
     provide_monitor_addr(addr)     initiate_page_walk(addr, length)
@@ -72,7 +72,7 @@ class MicroScopeModule:
         self._armed: Dict[Tuple[int, int], Tuple[AttackRecipe, bool]] = {}
         self.recipes: List[AttackRecipe] = []
         self._noise = random.Random(self.config.probe_noise_seed)
-        kernel.add_fault_hook(self._trampoline)
+        self.machine.attach(self)
         self.machine.metrics.register_group(
             "microscope", self.stats, replace=True)
         self.machine.metrics.register_pull(
@@ -266,9 +266,9 @@ class MicroScopeModule:
             if armed_recipe is recipe:
                 del self._armed[key]
 
-    def _trampoline(self, context, fault: PageFault
-                    ) -> Optional[TrapAction]:
-        """Kernel fault hook: claims faults on pages under attack."""
+    def on_fault(self, core, context, fault: PageFault
+                 ) -> Optional[TrapAction]:
+        """The trampoline: claims faults on pages under attack."""
         process = context.process
         if process is None:
             return None
@@ -296,9 +296,8 @@ class MicroScopeModule:
                 cat="replay", tid=MICROSCOPE_TID,
                 replay_no=recipe.replays, action=decision.action.name,
                 pivot=is_pivot, ctx=context.context_id)
-        if decision.action is ReplayAction.HALT:
-            return TrapAction(cost=cost, halt=True)
-        return TrapAction(cost=cost)
+        return TrapAction(cost=cost,
+                          halt=decision.action is ReplayAction.HALT)
 
     def _apply_decision(self, recipe: AttackRecipe, fault: PageFault,
                         decision: ReplayDecision, is_pivot: bool) -> int:
@@ -330,12 +329,7 @@ class MicroScopeModule:
                                            recipe.walk_tuning)
             if recipe.prime_monitor_addrs and recipe.monitor_addrs:
                 cost += self.prime_lines(process, recipe.monitor_addrs)
-        elif decision.action is ReplayAction.HALT:
-            return cost
         return cost
-
-    def action_for_halt(self) -> TrapAction:
-        return TrapAction(cost=self.config.fault_handler_cost, halt=True)
 
     # ------------------------------------------------------------------
     # snapshot support

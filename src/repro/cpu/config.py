@@ -90,7 +90,7 @@ def default_latencies() -> Dict[str, int]:
 
 @dataclass(frozen=True)
 class DefenseHookConfig:
-    """A hardware defense mechanism, attached to the core as an
+    """A hardware defense mechanism, attached to the machine as an
     observer (:mod:`repro.cpu.observer`).
 
     ``scheme`` names a mechanism registered in

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import CoreConfig, op_class
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
-from repro.cpu.observer import STAGES, Observer
+from repro.cpu.observer import CORE_STAGES, bind_stages
 from repro.cpu.ports import PortSet
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
@@ -88,13 +88,12 @@ class Core:
         self._event_tiebreak = 0
         self._rdrand = random.Random(config.rdrand_seed)
         self._jitter = random.Random(config.rdtsc_jitter_seed)
-        #: Attached observers (repro.cpu.observer), in attach order;
-        #: ``_<stage>`` (``_on_decode`` ... ``_gate``) holds the bound
-        #: methods to call at each stage.
-        self._observers: Tuple[object, ...] = ()
-        self._rebuild_dispatch()
+        #: Observer dispatch (repro.cpu.observer): ``_<stage>``
+        #: (``_on_decode`` ... ``_gate``) holds the bound methods to
+        #: call at each stage; ``Machine.attach`` rebuilds them.
+        bind_stages(self, CORE_STAGES, ())
         # Transaction aborts triggered by cache evictions land here.
-        hierarchy.l1.add_evict_observer(self._on_l1_evict)
+        hierarchy.l1.on_evict = self._on_l1_evict
 
     # ------------------------------------------------------------------
     # per-cycle driver
@@ -113,46 +112,6 @@ class Core:
     def busy(self) -> bool:
         """True while any context can still make progress."""
         return any(not ctx.finished() for ctx in self.contexts)
-
-    # ------------------------------------------------------------------
-    # observers
-    # ------------------------------------------------------------------
-
-    @property
-    def observers(self) -> Tuple[object, ...]:
-        """The attached observers, in attach order."""
-        return self._observers
-
-    def attach(self, observer) -> None:
-        """Call *observer* at every stage it defines (the protocol of
-        :class:`repro.cpu.observer.Observer`), after every observer
-        attached before it.  Attaching the same object twice raises
-        ValueError."""
-        if any(attached is observer for attached in self._observers):
-            raise ValueError(f"{observer!r} is already attached")
-        self._observers += (observer,)
-        self._rebuild_dispatch()
-
-    def detach(self, observer) -> None:
-        """Undo :meth:`attach`; raises ValueError when *observer* is
-        not attached."""
-        remaining = tuple(attached for attached in self._observers
-                          if attached is not observer)
-        if len(remaining) == len(self._observers):
-            raise ValueError(f"{observer!r} is not attached")
-        self._observers = remaining
-        self._rebuild_dispatch()
-
-    def _rebuild_dispatch(self) -> None:
-        # An observer lacking a stage method, or inheriting Observer's
-        # do-nothing default, is left out of that stage's tuple.
-        for stage in STAGES:
-            default = getattr(Observer, stage)
-            methods = (getattr(observer, stage, None)
-                       for observer in self._observers)
-            setattr(self, "_" + stage, tuple(
-                method for method in methods if method is not None
-                and getattr(method, "__func__", None) is not default))
 
     # ------------------------------------------------------------------
     # quiescence fast-forward

@@ -4,15 +4,18 @@ A :class:`Machine` wires one physical memory, one cache hierarchy, one
 TLB hierarchy and page walker, and one SMT core together (the paper's
 attack plays out on a single physical core; the Replayer runs as kernel
 code, not on its own core).  The kernel from :mod:`repro.kernel`
-attaches itself as the machine's trap handler.
+attaches itself as the machine's trap handler.  Observers
+(:mod:`repro.cpu.observer`) watch it all through :meth:`Machine.attach`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 from repro.cpu.core import Core
+from repro.cpu.observer import (CORE_STAGES, KERNEL_STAGES, MEMORY_STAGES,
+                                bind_stages)
 from repro.cpu.traps import TrapHandler
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.physical import PhysicalMemory
@@ -42,6 +45,10 @@ class Machine:
         self.walker = PageWalker(self.phys, self.hierarchy, self.pwc)
         self.core = Core(0, self.config.core, self.phys, self.hierarchy,
                          self.tlbs, self.walker)
+        #: Attached observers, in attach order (change them only
+        #: through attach/detach); the kernel stages' tuples live here.
+        self.observers: Tuple[object, ...] = ()
+        bind_stages(self, KERNEL_STAGES, ())
         #: The machine-wide metric index.  Groups are bound by
         #: reference; subsystems keep plain attribute increments.
         self.metrics = MetricsRegistry()
@@ -90,6 +97,34 @@ class Machine:
     def set_trap_handler(self, handler: TrapHandler):
         self.core.trap_handler = handler
 
+    # --- observers --------------------------------------------------------
+
+    def attach(self, observer) -> None:
+        """Call *observer* at every stage it defines (the protocol of
+        :class:`repro.cpu.observer.Observer`), on whichever layer fires
+        that stage, after every observer attached before it.  Attaching
+        the same object twice raises ValueError."""
+        if any(attached is observer for attached in self.observers):
+            raise ValueError(f"{observer!r} is already attached")
+        self.observers += (observer,)
+        self._route()
+
+    def detach(self, observer) -> None:
+        """Undo :meth:`attach`; raises ValueError when *observer* is
+        not attached."""
+        remaining = tuple(attached for attached in self.observers
+                          if attached is not observer)
+        if len(remaining) == len(self.observers):
+            raise ValueError(f"{observer!r} is not attached")
+        self.observers = remaining
+        self._route()
+
+    def _route(self) -> None:
+        observers = self.observers
+        bind_stages(self.core, CORE_STAGES, observers)
+        bind_stages(self, KERNEL_STAGES, observers)
+        bind_stages(self.hierarchy, MEMORY_STAGES, observers)
+
     # --- observability ----------------------------------------------------
 
     def attach_tracer(self, tracer):
@@ -98,13 +133,13 @@ class Machine:
         events; the kernel and the MicroScope module pick it up per
         fault through ``machine.tracer``."""
         self.detach_tracer()
-        self.core.attach(tracer)
+        self.attach(tracer)
         self.tracer = tracer
 
     def detach_tracer(self):
         """Return to the zero-cost no-tracing configuration."""
         if self.tracer is not None:
-            self.core.detach(self.tracer)
+            self.detach(self.tracer)
             self.tracer = None
 
     @contextmanager
@@ -135,8 +170,15 @@ class Machine:
         return payload
 
     def restore(self, state: tuple):
-        if self.defense is not None:
-            if len(state) < 8:
+        # The defense slot must match, or a fenced snapshot would
+        # silently restore into an unfenced machine.
+        if self.defense is None:
+            if len(state) != 7:
+                raise ValueError(
+                    "snapshot carries defense state but no defense "
+                    "mechanism is installed")
+        else:
+            if len(state) != 8:
                 raise ValueError(
                     "snapshot lacks defense state but a defense "
                     "mechanism is installed")

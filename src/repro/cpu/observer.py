@@ -1,37 +1,45 @@
-"""The core's observer protocol: the one way to watch or steer the
-pipeline.
+"""The machine's observer protocol: the one way to watch or steer the
+simulated machine.
 
 An observer is any object carrying some of the stage methods of
-:class:`Observer`.  ``Core.attach(observer)`` wires it in and
-``Core.detach(observer)`` takes it out again.  Subclassing
-:class:`Observer` is optional: a duck-typed object works the same, and
-the core calls an observer only at the stages it defines.  For each
-stage the core keeps one tuple of bound methods, rebuilt on every
-attach/detach, so a stage nobody watches costs one empty-tuple loop.
+:class:`Observer`.  ``Machine.attach(observer)`` wires it in and
+``Machine.detach(observer)`` takes it out again.  Subclassing
+:class:`Observer` is optional: a duck-typed object works the same.
+Each stage is fired by one layer — the core (:data:`CORE_STAGES`),
+the kernel (:data:`KERNEL_STAGES`, whose tuples live on the machine)
+or the memory hierarchy (:data:`MEMORY_STAGES`) — which keeps one
+tuple of bound methods per stage, rebuilt by :func:`bind_stages` on
+every attach/detach, so a stage nobody watches costs one empty-tuple
+loop.
 
 Observers run in attach order at every stage.  Every method receives
-the :class:`~repro.cpu.core.Core` first (for the cycle, ports and
-memory system), then the :class:`~repro.cpu.context.HardwareContext`
-and the :class:`~repro.cpu.rob.ROBEntry` concerned.  The pipeline
-tracers, the leakage oracle, the defense mechanisms and the attacks'
-SMT sibling monitors are all observers.
+the :class:`~repro.cpu.core.Core` first, then the
+:class:`~repro.cpu.context.HardwareContext` and the entry or fault
+concerned; ``on_mem_access`` is the one exception, as the hierarchy
+holds no core.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Opcode
 
-#: The stage methods, one dispatch tuple each.
-STAGES: Tuple[str, ...] = ("on_decode", "on_issue", "on_complete",
-                           "on_retire", "on_squash", "on_pte_race",
-                           "gate")
+#: The stages the core fires.
+CORE_STAGES: Tuple[str, ...] = ("on_decode", "on_issue", "on_complete",
+                                "on_retire", "on_squash", "on_pte_race",
+                                "gate")
+#: The stages the kernel fires; their tuples live on the machine.
+KERNEL_STAGES: Tuple[str, ...] = ("on_fault", "on_interrupt")
+#: The stage the memory hierarchy fires.
+MEMORY_STAGES: Tuple[str, ...] = ("on_mem_access",)
+#: Every stage method, one dispatch tuple each.
+STAGES: Tuple[str, ...] = CORE_STAGES + KERNEL_STAGES + MEMORY_STAGES
 
 
 class Observer:
-    """The protocol, with do-nothing defaults.  The core skips an
-    observer at every stage whose method is still the default here."""
+    """The protocol, with do-nothing defaults.  An observer is skipped
+    at every stage whose method is still the default here."""
 
     def on_decode(self, core: Any, context: Any, entry: Any) -> None:
         """*entry* was decoded and its operands resolved.
@@ -79,6 +87,34 @@ class Observer:
         consulted in attach order and the first False stops the
         check."""
         return True
+
+    def on_fault(self, core: Any, context: Any, fault: Any) -> Any:
+        """The Fig. 9 trampoline: return a ``TrapAction`` to claim the
+        page *fault*, or None to pass it on to the next observer and
+        then to demand paging.  The first claim wins."""
+
+    def on_interrupt(self, core: Any, context: Any, reason: str) -> Any:
+        """Return a ``TrapAction`` to claim the interrupt, or None for
+        the kernel's default interrupt cost.  The first claim wins."""
+
+    def on_mem_access(self, paddr: int, is_write: bool, hit_level: int,
+                      latency: int) -> None:
+        """A demand access hit at *hit_level* (``len(levels)``: DRAM).
+        No core argument: the walker and the module's probes access the
+        hierarchy too."""
+
+
+def bind_stages(layer: Any, stages: Iterable[str],
+                observers: Sequence[Any]) -> None:
+    """Set ``layer._<stage>`` for each of *stages* to the bound methods
+    of the *observers* that define it beyond :class:`Observer`'s
+    no-op default, in attach order."""
+    for stage in stages:
+        default = getattr(Observer, stage)
+        methods = (getattr(observer, stage, None) for observer in observers)
+        setattr(layer, "_" + stage, tuple(
+            method for method in methods if method is not None
+            and getattr(method, "__func__", None) is not default))
 
 
 class UnitIssueCounter(Observer):

@@ -1,8 +1,9 @@
 """Pipeline tracing: per-instruction lifecycle capture and rendering.
 
-Attach a :class:`PipelineTracer` to a core (``core.attach(tracer)``)
-and every dynamic instruction's journey — fetch, issue, complete,
-retire or squash — is recorded with cycle timestamps.
+Attach a :class:`PipelineTracer` to a machine
+(``machine.attach(tracer)``) and every dynamic instruction's journey —
+fetch, issue, complete, retire or squash — is recorded with cycle
+timestamps.
 :func:`render_pipeline` draws the classic pipeline-viewer text
 diagram::
 

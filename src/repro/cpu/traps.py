@@ -4,7 +4,7 @@ The core never contains OS policy: when a faulting instruction reaches
 the head of the ROB (precise exception) or an interrupt is taken, it
 calls a :class:`TrapHandler` and obeys the returned
 :class:`TrapAction`.  The kernel package implements the handler; the
-MicroScope module hooks the kernel's page-fault path (Fig. 9).
+MicroScope module claims faults on its page-fault path (Fig. 9).
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ def count_transmit_issues(replays: int, secret: int,
     victim_proc = rep.create_victim_process("victim")
     victim = setup_control_flow_victim(victim_proc, secret)
     issues = UnitIssueCounter()
-    rep.machine.core.attach(issues)
+    rep.machine.attach(issues)
 
     def attack_fn(event) -> ReplayDecision:
         if event.replay_no >= replays:

@@ -2,13 +2,13 @@
 
 Every defense that changes the hardware — the §8 fences and the
 follow-on literature's Jamais Vu, Delay-on-Squash, SIMF and LEASH —
-is a small state machine that watches the pipeline as a core observer
+is a small state machine that watches the machine as an observer
 (:mod:`repro.cpu.observer`: ``on_squash``, ``on_retire``,
 ``on_issue``) and pushes back through its ``gate`` or by setting
 context state.  Each one is a :class:`DefenseMechanism`:
 
-* ``attach(machine)`` attaches it to ``machine.core`` and creates its
-  metric counters (identity wiring, done once at machine
+* ``attach(machine)`` attaches it with ``machine.attach`` and creates
+  its metric counters (identity wiring, done once at machine
   construction);
 * ``capture()`` / ``restore()`` clone its mutable state, which the
   machine appends to its own snapshot payload — so Replayer
@@ -36,15 +36,15 @@ if TYPE_CHECKING:
 
 
 class DefenseMechanism(Observer):
-    """Base class: a defense attached to the core as an observer."""
+    """Base class: a defense attached to the machine as an observer."""
 
     #: Registry key; subclasses override.
     scheme: str = ""
 
     def attach(self, machine) -> None:
-        """Attach to *machine*'s core (called once, at construction);
+        """Attach to *machine* (called once, at construction);
         subclasses extend it to create their metric counters."""
-        machine.core.attach(self)
+        machine.attach(self)
 
     def capture(self) -> tuple:
         """Clone the mechanism's mutable state (snapshot support)."""

@@ -32,10 +32,6 @@ from repro.evaluation.defenses.mechanisms import (
     register_mechanism,
 )
 
-#: Squash reasons that correspond to a kernel entry.
-KERNEL_ENTRY_REASONS = ("page-fault", "interrupt")
-
-
 def is_kernel_entry(reason: str) -> bool:
     """True for squash reasons that transfer control to the kernel."""
     return reason == "page-fault" or reason.startswith("interrupt")

@@ -87,7 +87,7 @@ def evaluate_tsgx(secret: int = 1,
     victim = setup_control_flow_victim(victim_proc, secret)
     wrapped = wrap_with_tsgx(victim.program, victim_proc, threshold)
     issues = UnitIssueCounter()
-    rep.machine.core.attach(issues)
+    rep.machine.attach(issues)
     # The attacker clears the present bit once; inside a transaction
     # every fault becomes an abort, so the MicroScope module is never
     # invoked again — and neither is the kernel.  To keep the replay

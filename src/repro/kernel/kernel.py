@@ -5,8 +5,9 @@ paging, and implements the trap path of Figure 9:
 
 1. the MMU raises a page fault and the core traps here;
 2. the fault handler classifies the fault;
-3. *trampoline*: registered hooks (the MicroScope module installs one)
-   get first claim on the fault;
+3. *trampoline*: the machine's ``on_fault`` observers
+   (:mod:`repro.cpu.observer`; the MicroScope module is one) get first
+   claim on the fault, in attach order;
 4. unclaimed faults fall back to regular demand paging (or kill the
    process on a genuine segfault).
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cpu.context import HardwareContext
 from repro.cpu.machine import Machine
@@ -33,11 +34,7 @@ from repro.observability.tracer import KERNEL_TID
 from repro.vm import address as vaddr
 from repro.vm.faults import PageFault
 
-__all__ = ["FaultHook", "Kernel", "KernelConfig", "KernelStats"]
-
-#: A trampoline hook: returns a TrapAction to claim the fault, or None
-#: to pass it on.
-FaultHook = Callable[[HardwareContext, PageFault], Optional[TrapAction]]
+__all__ = ["Kernel", "KernelConfig", "KernelStats"]
 
 
 @dataclass
@@ -70,9 +67,6 @@ class Kernel(TrapHandler):
         self.processes: List[Process] = []
         self.stats = KernelStats()
         self._next_pid = 1
-        self._fault_hooks: List[FaultHook] = []
-        self._interrupt_hooks: List[Callable[[HardwareContext, str],
-                                             Optional[TrapAction]]] = []
         self._jitter = random.Random(self.config.jitter_seed)
         machine.set_trap_handler(self)
         # Rebuilding a kernel on the same machine (tests do this)
@@ -119,17 +113,6 @@ class Kernel(TrapHandler):
         if flush:
             self.invlpg(process, va)
 
-    # --- trampoline hooks (Fig. 9, step 4) -----------------------------------
-
-    def add_fault_hook(self, hook: FaultHook):
-        self._fault_hooks.append(hook)
-
-    def remove_fault_hook(self, hook: FaultHook):
-        self._fault_hooks.remove(hook)
-
-    def add_interrupt_hook(self, hook):
-        self._interrupt_hooks.append(hook)
-
     # --- trap handling ---------------------------------------------------------
 
     def _cost(self, base: int) -> int:
@@ -142,8 +125,8 @@ class Kernel(TrapHandler):
         self.stats.page_faults += 1
         claimed = False
         action = None
-        for hook in self._fault_hooks:
-            action = hook(context, fault)
+        for observer in self.machine._on_fault:
+            action = observer(self.machine.core, context, fault)
             if action is not None:
                 self.stats.hook_claims += 1
                 claimed = True
@@ -187,8 +170,8 @@ class Kernel(TrapHandler):
                          reason: str) -> TrapAction:
         self.stats.interrupts += 1
         action = None
-        for hook in self._interrupt_hooks:
-            action = hook(context, reason)
+        for observer in self.machine._on_interrupt:
+            action = observer(self.machine.core, context, reason)
             if action is not None:
                 break
         if action is None:
@@ -206,8 +189,9 @@ class Kernel(TrapHandler):
     def capture(self) -> tuple:
         """Clone kernel state.  Process *objects* are shared by
         reference (the rest of the system holds pointers to them);
-        their mutable address-space state is cloned per process.  Hook
-        registrations are identity wiring and stay untouched."""
+        their mutable address-space state is cloned per process.
+        Observers (the trampoline included) are attached to the
+        machine: identity wiring that stays untouched."""
         return (
             self.stats.capture(),
             self._next_pid,

@@ -2,9 +2,10 @@
 
 Caches model presence, recency and dirtiness of 64-byte lines; data
 itself always lives in :class:`~repro.mem.physical.PhysicalMemory`.
-Observers can subscribe to line evictions/invalidations — the TSX model
-uses this to abort transactions whose write set loses a line, exactly
-the abort trigger MicroScope's Section 7.1 exploits.
+A cache's ``on_evict`` slot hears every line that leaves it — the
+core's TSX model uses the L1's to abort transactions whose write set
+loses a line, exactly the abort trigger MicroScope's Section 7.1
+exploits.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Cache:
 
     __slots__ = ("config", "name", "latency", "_num_sets", "_ways",
                  "_line_shift", "_policy", "_tags", "_dirty", "_meta",
-                 "_where", "_occupied", "stats", "_evict_observers")
+                 "_where", "_occupied", "stats", "on_evict")
 
     def __init__(self, config: CacheConfig):
         config.num_sets  # validate geometry eagerly
@@ -79,7 +80,9 @@ class Cache:
         # fill path allocates nothing.
         self._occupied: List[bool] = [False] * self._ways
         self.stats = CacheStats()
-        self._evict_observers: List[Callable[[int, bool], None]] = []
+        #: ``on_evict(line_addr, was_dirty)`` or None, called whenever a
+        #: line leaves this cache (eviction or invalidation).
+        self.on_evict: Optional[Callable[[int, bool], None]] = None
 
     # --- geometry helpers ---------------------------------------------
 
@@ -106,17 +109,6 @@ class Cache:
                 lines.append(addr)
             addr += span
         return lines
-
-    # --- observers ------------------------------------------------------
-
-    def add_evict_observer(self, callback: Callable[[int, bool], None]):
-        """Register ``callback(line_addr, was_dirty)`` fired whenever a
-        line leaves this cache (eviction or invalidation)."""
-        self._evict_observers.append(callback)
-
-    def _notify_evict(self, line_addr: int, dirty: bool):
-        for callback in self._evict_observers:
-            callback(line_addr, dirty)
 
     # --- main operations --------------------------------------------------
 
@@ -147,7 +139,7 @@ class Cache:
 
     def insert(self, paddr: int, dirty: bool = False) -> Optional[int]:
         """Fill the line of *paddr*; return the evicted line address (and
-        record its dirtiness via the observer) or ``None``."""
+        report its dirtiness to ``on_evict``) or ``None``."""
         line_addr = paddr & ~(LINE_SIZE - 1)
         existing = self._where.get(line_addr)
         if existing is not None:
@@ -167,7 +159,8 @@ class Cache:
             was_dirty = self._dirty[set_idx][way]
             del self._where[evicted]
             self.stats.evictions += 1
-            self._notify_evict(evicted, was_dirty)
+            if self.on_evict is not None:
+                self.on_evict(evicted, was_dirty)
         tags[way] = line_addr
         self._dirty[set_idx][way] = dirty
         self._where[line_addr] = (set_idx, way)
@@ -188,7 +181,8 @@ class Cache:
         if hasattr(self._policy, "on_invalidate"):
             self._policy.on_invalidate(self._meta[set_idx], way)
         self.stats.invalidations += 1
-        self._notify_evict(line_addr, was_dirty)
+        if self.on_evict is not None:
+            self.on_evict(line_addr, was_dirty)
         return True
 
     def flush_all(self):
@@ -218,8 +212,8 @@ class Cache:
 
     def restore(self, state: tuple):
         """Restore state captured by :meth:`capture`.  The snapshot is
-        cloned again, so one capture supports many restores.  Observer
-        registrations are identity, not state, and are left alone."""
+        cloned again, so one capture supports many restores.  The
+        ``on_evict`` slot is identity, not state, and is left alone."""
         tags, dirty, meta, where, rng, stats = state
         self._tags = [list(ways) for ways in tags]
         self._dirty = [list(ways) for ways in dirty]

@@ -19,7 +19,7 @@ together and provides the operations the rest of the system needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.mem.cache import Cache, CacheConfig, line_of
 from repro.observability.stats import HierarchyStats
@@ -59,13 +59,10 @@ class MemoryHierarchy:
             raise ValueError("hierarchy needs at least one cache level")
         self.dram_latency = self.config.dram_latency
         self.stats = HierarchyStats()
-        #: Demand-access observers: ``callback(paddr, is_write,
-        #: hit_level, latency)`` fired after every :meth:`access`.
-        #: ``hit_level`` is the level index, or ``len(levels)`` for
-        #: DRAM.  The leakage oracle subscribes here to attribute the
-        #: latency class of secret-dependent accesses; identity wiring,
-        #: not machine state (capture/restore leaves it alone).
-        self.access_observers: List = []
+        #: The ``on_mem_access`` observers (repro.cpu.observer), called
+        #: after every :meth:`access`; ``Machine.attach`` rebuilds the
+        #: tuple.  Identity wiring, not machine state.
+        self._on_mem_access: Tuple = ()
 
     @property
     def l1(self) -> Cache:
@@ -100,9 +97,8 @@ class MemoryHierarchy:
         # Fill the line into every level above the hit.
         for i in range(min(hit_level, len(self.levels)) - 1, -1, -1):
             self._fill(i, paddr, dirty=is_write and i == 0)
-        if self.access_observers:
-            for observer in self.access_observers:
-                observer(paddr, is_write, hit_level, latency)
+        for observer in self._on_mem_access:
+            observer(paddr, is_write, hit_level, latency)
         return latency
 
     def _fill(self, level: int, paddr: int, dirty: bool = False):

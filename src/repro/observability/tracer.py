@@ -23,7 +23,7 @@ provided:
 Timestamps are simulated cycles, exported through the trace format's
 microsecond field — i.e. 1 "us" in the viewer is 1 cycle.
 
-The tracer is also a core observer (:mod:`repro.cpu.observer`: the
+The tracer is also an observer (:mod:`repro.cpu.observer`: the core's
 ``on_decode``/``on_retire``/``on_squash`` stages), recording every
 dynamic instruction as a completed slice on its context's track.
 Attach it with :meth:`repro.cpu.machine.Machine.attach_tracer`, which

@@ -336,7 +336,7 @@ class TaintOracle:
 
 
 class _CoreHub:
-    """Permanently-attached core observer forwarding to the thread's
+    """Permanently-attached observer forwarding to the thread's
     active oracle (a ``None``-check when idle, so warm machines keep
     the hub across oracle-free runs at negligible cost)."""
 
@@ -379,14 +379,12 @@ class _CoreHub:
 
 
 def attach_machine(machine: Any) -> None:
-    """Idempotently attach the oracle hub to *machine*'s core and
-    memory hierarchy (see :func:`repro.oracle.runtime.note_machine`)."""
-    core = machine.core
-    if any(isinstance(observer, _CoreHub) for observer in core.observers):
-        return
-    hub = _CoreHub()
-    core.attach(hub)
-    machine.hierarchy.access_observers.append(hub.on_mem_access)
+    """Idempotently attach the oracle hub to *machine*, which routes
+    its core stages and ``on_mem_access`` (see
+    :func:`repro.oracle.runtime.note_machine`)."""
+    if not any(isinstance(observer, _CoreHub)
+               for observer in machine.observers):
+        machine.attach(_CoreHub())
 
 
 # ---------------------------------------------------------------------

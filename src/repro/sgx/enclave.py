@@ -147,7 +147,7 @@ class SGXPlatform:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.enclaves: List[Enclave] = []
-        kernel.add_fault_hook(self._aex_hook)
+        kernel.machine.attach(self)
 
     def create_enclave(self, process: Process,
                        config: Optional[EnclaveConfig] = None,
@@ -157,9 +157,9 @@ class SGXPlatform:
         self.enclaves.append(enclave)
         return enclave
 
-    def _aex_hook(self, context, fault: PageFault):
+    def on_fault(self, core, context, fault: PageFault):
         """Record AEXs for bookkeeping; never claims the fault, so the
-        regular (possibly MicroScope-hooked) handling still runs."""
+        regular (possibly MicroScope-claimed) handling still runs."""
         process = context.process
         if process is not None and process.enclave is not None:
             process.enclave.record_aex(fault, self.kernel.machine.cycle)

@@ -16,7 +16,7 @@ methods that every stateful subsystem exposes:
 * ``repro.core`` — MicroScope module stats, armed pages and per-recipe
   attack progress.
 
-Identity wiring — hook registrations, trap handlers, tracers, the
+Identity wiring — attached observers, trap handlers, tracers, the
 object graph between kernel/module/processes — is deliberately *not*
 part of a snapshot: it never changes during execution, and restoring
 into the same environment reuses it.  A snapshot may be restored any

@@ -309,8 +309,9 @@ follow-on defense from the replay-attack literature) reduced to
 mechanism-level levers — a machine configuration, a replay budget, a
 victim transform, a detector, or a machine-level
 `DefenseMechanism` installed through `MachineConfig.defense` and
-attached to the core as an observer (`on_squash`, `on_retire`,
-`on_issue`, `gate`; see [`ARCHITECTURE.md`](ARCHITECTURE.md)).
+attached to the machine as an observer of core stages (`on_squash`,
+`on_retire`, `on_issue`, `gate`; see
+[`ARCHITECTURE.md`](ARCHITECTURE.md)).
 Because every attack runner passes `machine=defense.machine` through
 unchanged, a new mechanism reaches all seven attack rows with zero
 attack-side code.

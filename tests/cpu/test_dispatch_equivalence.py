@@ -156,7 +156,7 @@ def run(programs, *, reference, config=None, gated=False,
         machine.core.__class__ = ReferenceCore
         machine.core.ports.__class__ = ReferencePortSet
     recorder = EventRecorder()
-    machine.core.attach(recorder)
+    machine.attach(recorder)
     gate_calls = []
     if gated:
         # Holds back divides on every third cycle and logs each
@@ -165,7 +165,7 @@ def run(programs, *, reference, config=None, gated=False,
             cycle = machine.core.cycle
             gate_calls.append((cycle, context.context_id, entry.seq))
             return not (entry.op_cls == "div" and cycle % 3 == 0)
-        machine.core.attach(SimpleNamespace(gate=gate))
+        machine.attach(SimpleNamespace(gate=gate))
     for context, program in zip(machine.contexts, programs):
         context.load_program(program)
     # The ready queues between steps, squashed entries included.

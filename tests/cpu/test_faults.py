@@ -86,7 +86,7 @@ def test_younger_instructions_execute_in_walk_shadow():
         if entry.instr.op is Opcode.FDIV:
             issued_divs.append(machine.cycle)
 
-    machine.core.attach(SimpleNamespace(on_issue=observer))
+    machine.attach(SimpleNamespace(on_issue=observer))
     program = (ProgramBuilder()
                .li("r1", data)
                .fli("f1", 8.0).fli("f2", 2.0)
@@ -107,7 +107,7 @@ def test_dependent_instructions_do_not_execute():
         if entry.instr.op is Opcode.MUL:
             issued_muls.append(machine.cycle)
 
-    machine.core.attach(SimpleNamespace(on_issue=observer))
+    machine.attach(SimpleNamespace(on_issue=observer))
     program = (ProgramBuilder()
                .li("r1", data)
                .load("r2", "r1", 0)

@@ -8,7 +8,7 @@ from repro.isa.program import ProgramBuilder
 def traced_machine(program):
     machine = Machine()
     tracer = PipelineTracer()
-    machine.core.attach(tracer)
+    machine.attach(tracer)
     machine.contexts[0].load_program(program)
     machine.run(100_000)
     return machine, tracer
@@ -58,7 +58,7 @@ def test_replay_trail_visible():
     from repro.core.replayer import AttackEnvironment, Replayer
     rep = Replayer(AttackEnvironment.build())
     tracer = PipelineTracer()
-    rep.machine.core.attach(tracer)
+    rep.machine.attach(tracer)
     process = rep.create_victim_process(enclave=False)
     data = process.alloc(4096, "d")
     program = (ProgramBuilder()
@@ -94,7 +94,7 @@ def test_render_empty():
 def test_capacity_cap():
     tracer = PipelineTracer(capacity=2)
     machine = Machine()
-    machine.core.attach(tracer)
+    machine.attach(tracer)
     machine.contexts[0].load_program(
         ProgramBuilder().nop().nop().nop().nop().halt().build())
     machine.run(10_000)
@@ -104,7 +104,7 @@ def test_capacity_cap():
 def test_for_context_filter():
     machine = Machine()
     tracer = PipelineTracer()
-    machine.core.attach(tracer)
+    machine.attach(tracer)
     machine.contexts[0].load_program(
         ProgramBuilder().li("r1", 1).halt().build())
     machine.contexts[1].load_program(

@@ -110,7 +110,7 @@ def test_fence_first_window_still_leaks():
         if entry.instr.op is Opcode.FDIV:
             issues.append(rep.machine.cycle)
 
-    rep.machine.core.attach(SimpleNamespace(on_issue=hook))
+    rep.machine.attach(SimpleNamespace(on_issue=hook))
     recipe = rep.module.provide_replay_handle(
         process, data,
         attack_function=lambda e: ReplayDecision(

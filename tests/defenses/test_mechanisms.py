@@ -57,11 +57,10 @@ def _fake_machine(issue_width=6):
     observers = []
     core = SimpleNamespace(cycle=0,
                            config=SimpleNamespace(
-                               issue_width=issue_width),
-                           observers=observers,
-                           attach=observers.append)
+                               issue_width=issue_width))
     metrics = SimpleNamespace(counter=lambda name: _NullCounter())
-    return SimpleNamespace(core=core, metrics=metrics)
+    return SimpleNamespace(core=core, metrics=metrics,
+                           observers=observers, attach=observers.append)
 
 
 # --- registry --------------------------------------------------------------
@@ -360,6 +359,15 @@ def test_restore_rejects_snapshot_without_defense_state():
     defended = Machine(jamais_vu_machine())
     with pytest.raises(ValueError, match="lacks defense state"):
         defended.restore(Machine().capture())
+
+
+def test_restore_rejects_defense_state_on_an_undefended_machine():
+    """A fences snapshot carries an (empty) defense slot; restoring it
+    into an undefended machine must fail, not run without fences."""
+    fenced = Machine(MachineConfig(defense=DefenseHookConfig(
+        scheme="fences")))
+    with pytest.raises(ValueError, match="carries defense state"):
+        Machine().restore(fenced.capture())
 
 
 # --- evaluation drivers ----------------------------------------------------

@@ -134,7 +134,7 @@ def test_walk_window_scales_with_tuning():
                     and entry.instr.op is Opcode.FDIV:
                 count[0] += 1
 
-        rep.machine.core.attach(SimpleNamespace(on_issue=hook))
+        rep.machine.attach(SimpleNamespace(on_issue=hook))
         recipe = rep.module.provide_replay_handle(
             process, victim.handle_va + 0x20,
             attack_function=lambda e: ReplayDecision(

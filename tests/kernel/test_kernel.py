@@ -1,4 +1,6 @@
 
+from types import SimpleNamespace
+
 from repro.cpu.context import ContextState
 from repro.cpu.traps import TrapAction
 from repro.isa.program import ProgramBuilder
@@ -67,12 +69,12 @@ def test_fault_hook_claims_before_default():
     machine.pwc.flush_all()
     claimed = []
 
-    def hook(context, fault):
+    def on_fault(core, context, fault):
         claimed.append(fault.vpn)
         kernel.set_present(process, fault.va, True)
         return TrapAction(cost=10)
 
-    kernel.add_fault_hook(hook)
+    machine.attach(SimpleNamespace(on_fault=on_fault))
     program = (ProgramBuilder()
                .li("r1", base).load("r2", "r1", 0).halt().build())
     kernel.launch(process, program)
@@ -84,11 +86,13 @@ def test_fault_hook_claims_before_default():
 
 def test_remove_fault_hook():
     machine = Machine()
-    kernel = Kernel(machine)
-    hook = lambda c, f: None
-    kernel.add_fault_hook(hook)
-    kernel.remove_fault_hook(hook)
-    assert hook not in kernel._fault_hooks
+    Kernel(machine)
+    observer = SimpleNamespace(on_fault=lambda core, c, f: None)
+    machine.attach(observer)
+    assert machine._on_fault == (observer.on_fault,)
+    machine.detach(observer)
+    assert observer not in machine.observers
+    assert machine._on_fault == ()
 
 
 def test_invlpg_keeps_tlb_coherent(system):

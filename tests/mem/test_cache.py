@@ -76,8 +76,7 @@ def test_flush_all():
 def test_dirty_tracking_via_observer():
     events = []
     cache = small_cache(ways=1, sets=1)
-    cache.add_evict_observer(lambda line, dirty: events.append((line,
-                                                                dirty)))
+    cache.on_evict = lambda line, dirty: events.append((line, dirty))
     cache.insert(0x0, dirty=False)
     cache.lookup(0x0, is_write=True)   # mark dirty
     cache.insert(0x40)                 # evicts dirty line 0
@@ -87,7 +86,7 @@ def test_dirty_tracking_via_observer():
 def test_observer_fires_on_invalidate():
     events = []
     cache = small_cache()
-    cache.add_evict_observer(lambda line, dirty: events.append(line))
+    cache.on_evict = lambda line, dirty: events.append(line)
     cache.insert(0x1000)
     cache.invalidate(0x1000)
     assert events == [line_of(0x1000)]

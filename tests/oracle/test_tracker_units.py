@@ -103,16 +103,16 @@ def test_attach_machine_is_idempotent():
     hooks_before = (len(machine.core._on_decode),
                     len(machine.core._on_issue),
                     len(machine.core._on_retire),
-                    len(machine.hierarchy.access_observers))
+                    len(machine.hierarchy._on_mem_access))
     attach_machine(machine)
     attach_machine(machine)
     assert len(machine.core._on_decode) == hooks_before[0] + 1
     assert len(machine.core._on_issue) == hooks_before[1] + 1
     assert len(machine.core._on_retire) == hooks_before[2] + 1
-    assert len(machine.hierarchy.access_observers) == \
-        hooks_before[3] + 1
-    (hub,) = machine.core.observers
+    assert len(machine.hierarchy._on_mem_access) == hooks_before[3] + 1
+    (hub,) = machine.observers
     assert machine.core._on_squash == (hub.on_squash,)
+    assert machine.hierarchy._on_mem_access == (hub.on_mem_access,)
 
 
 # --- FaultPolicy.verify hook -----------------------------------------------
