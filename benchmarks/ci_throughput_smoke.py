@@ -23,12 +23,10 @@ and the measured overhead is written to
 visible across PRs.  Only the off-vs-baseline comparison gates;
 tracing-on cost is reported, not gated.
 
-A memoization check covers both levels of the ``repro.memo`` compute
-cache: a replay-window served from :class:`~repro.memo.WindowMemo`
-and an evaluation matrix served from a warm
-:class:`~repro.memo.TrialStore` must each be bit-identical to their
-cold runs *and* beat the minimum speedups (2x / 5x); the measured
-numbers are written to
+A memoization check covers the ``repro.memo`` trial store: an
+evaluation matrix served from a warm :class:`~repro.memo.TrialStore`
+must be bit-identical to its cold run *and* at least 5x faster; the
+measured numbers are written to
 ``benchmarks/results/memoization_throughput.json``.
 
 Usage::
@@ -161,74 +159,24 @@ def tracing_overhead_check() -> bool:
     return ok
 
 
-def memoization_check(min_window_speedup: float = 2.0,
-                      min_store_speedup: float = 5.0) -> bool:
-    """Prove both memoization levels are sound and actually fast.
+def memoization_check(min_store_speedup: float = 5.0) -> bool:
+    """Prove the trial store is sound and actually fast.
 
-    Level 1: the same replay window runs cold and then from a
-    :class:`~repro.memo.WindowMemo` hit; the machine report, recipe
-    progress and metrics dump must be bit-identical, and the hit must
-    be at least *min_window_speedup* faster.  Level 2: a small
-    evaluation matrix runs cold into a fresh ``TrialStore`` and then
-    warm; the sorted-JSON serialization must be byte-identical and
-    the warm run at least *min_store_speedup* faster.  Measurements
-    land in ``benchmarks/results/memoization_throughput.json``.
-    Returns True on success.
+    A small evaluation matrix runs cold into a fresh ``TrialStore``
+    and then warm; the sorted-JSON serialization must be
+    byte-identical and the warm run at least *min_store_speedup*
+    faster.  Measurements land in
+    ``benchmarks/results/memoization_throughput.json``.  Returns True
+    on success.
     """
-    import dataclasses
     import tempfile
     import time
 
-    from repro.core.recipes import (
-        WalkLocation, WalkTuning, replay_n_times)
-    from repro.core.replayer import AttackEnvironment, Replayer
     from repro.evaluation import MatrixRunner
-    from repro.memo import TrialStore, WindowMemo
-    from repro.reporting import machine_report
-    from repro.victims.control_flow import setup_control_flow_victim
+    from repro.memo import TrialStore
 
     ok = True
 
-    # --- Level 1: replay-window memoization -------------------------------
-    memo = WindowMemo()
-    rep = Replayer(AttackEnvironment.build(), memo=memo)
-    proc = rep.create_victim_process("victim")
-    victim = setup_control_flow_victim(proc, secret=1)
-    recipe = rep.module.provide_replay_handle(
-        proc, victim.handle_va + 0x20, name="memo-smoke",
-        attack_function=replay_n_times(20),
-        walk_tuning=WalkTuning(upper=WalkLocation.PWC,
-                               leaf=WalkLocation.DRAM))
-    rep.launch_victim(proc, victim.program)
-    rep.arm(recipe)
-    rep.checkpoint()
-
-    def observe(cycles):
-        return (cycles, recipe.replays, list(recipe.probe_log),
-                dataclasses.asdict(machine_report(
-                    rep.machine, rep.kernel, rep.module)),
-                rep.machine.metrics.dump())
-
-    t0 = time.perf_counter()
-    cold_window = observe(rep.run_window(recipe))
-    window_cold_s = time.perf_counter() - t0
-    rep.rewind()
-    t0 = time.perf_counter()
-    warm_window = observe(rep.run_window(recipe))
-    window_warm_s = time.perf_counter() - t0
-    window_speedup = window_cold_s / max(window_warm_s, 1e-9)
-    window_identical = (warm_window == cold_window
-                        and memo.counts()["hits"] == 1)
-    if not window_identical:
-        print("memoization: FAIL (window hit diverged from cold run)")
-        ok = False
-    elif window_speedup < min_window_speedup:
-        print(f"memoization: FAIL (window hit only "
-              f"{window_speedup:.1f}x faster; need "
-              f">={min_window_speedup:.1f}x)")
-        ok = False
-
-    # --- Level 2: content-addressed trial store ---------------------------
     overrides = {"port-contention": {"measurements": 200,
                                      "calibrate_samples": 200}}
     with tempfile.TemporaryDirectory() as cache_dir:
@@ -262,14 +210,6 @@ def memoization_check(min_window_speedup: float = 2.0,
         ok = False
 
     payload = {
-        "window": {
-            "workload": "control-flow replay window (20 replays)",
-            "cold_seconds": window_cold_s,
-            "warm_seconds": window_warm_s,
-            "speedup": window_speedup,
-            "min_speedup": min_window_speedup,
-            "bit_identical": window_identical,
-        },
         "trial_store": {
             "workload": "1x2 evaluation matrix, port-contention",
             "cold_seconds": store_cold_s,
@@ -283,8 +223,8 @@ def memoization_check(min_window_speedup: float = 2.0,
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if ok:
-        print(f"memoization: OK (window hit {window_speedup:.1f}x, "
-              f"warm store {store_speedup:.1f}x; both bit-identical)")
+        print(f"memoization: OK (warm store {store_speedup:.1f}x; "
+              f"bit-identical)")
     return ok
 
 

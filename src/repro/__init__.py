@@ -17,8 +17,7 @@ cycle-level simulator written from scratch:
 * :mod:`repro.baselines` -- the Table-1 comparison attacks;
 * :mod:`repro.evaluation` -- the attack x defense matrix behind
   ``docs/RESULTS.md``;
-* :mod:`repro.memo` -- the two-level deterministic compute cache
-  (replay-window memoization + content-addressed trial store);
+* :mod:`repro.memo` -- the content-addressed, on-disk trial store;
 * :mod:`repro.oracle` -- the taint-tracking leakage oracle: "does
   this defense work" as a checkable information-flow property
   (``Experiment(oracle=True)``, ``MatrixRunner(oracle=True)``,
@@ -89,10 +88,8 @@ from repro.harness import (
 )
 from repro.kernel.kernel import KernelConfig
 from repro.memo import (
-    MemoConfig,
     TrialStore,
     Unmemoizable,
-    WindowMemo,
     resolve_store,
     trial_key,
 )
@@ -137,7 +134,6 @@ __all__ = [
     "MachineSnapshot",
     "MatrixCell",
     "MatrixRunner",
-    "MemoConfig",
     "MetricsRegistry",
     "MicroScopeConfig",
     "ModExpExtractionAttack",
@@ -155,7 +151,6 @@ __all__ = [
     "TaintOracle",
     "TrialStore",
     "Unmemoizable",
-    "WindowMemo",
     "classify_cell",
     "default_workers",
     "derive_seed",

@@ -27,12 +27,11 @@ class                   defined in
 :class:`KernelConfig`   :mod:`repro.kernel.kernel` (lazy)
 :class:`EnclaveConfig`  :mod:`repro.sgx.enclave` (lazy)
 :class:`MicroScopeConfig`  :mod:`repro.core.module` (lazy)
-:class:`MemoConfig`     :mod:`repro.memo.store` (lazy)
 ======================  ============================================
 
-The last four are resolved lazily (PEP 562): they live in modules
-that transitively import :mod:`repro.cpu.machine` (or this module),
-and importing them eagerly here would close an import cycle.
+The last three are resolved lazily (PEP 562): they live in modules
+that transitively import :mod:`repro.cpu.machine`, and importing them
+eagerly here would close an import cycle.
 
 Serialisation
 -------------
@@ -77,13 +76,11 @@ class MachineConfig:
     defense: Optional[DefenseHookConfig] = None
 
 
-#: Configs importable lazily (their modules import repro.cpu.machine,
-#: or — for MemoConfig — repro.config itself).
+#: Configs importable lazily (their modules import repro.cpu.machine).
 _LAZY_CONFIGS = {
     "KernelConfig": "repro.kernel.kernel",
     "EnclaveConfig": "repro.sgx.enclave",
     "MicroScopeConfig": "repro.core.module",
-    "MemoConfig": "repro.memo.store",
 }
 
 #: Registry used by :func:`from_dict` to resolve ``"__config__"`` tags.
@@ -186,7 +183,6 @@ __all__ = [
     "HierarchyConfig",
     "KernelConfig",
     "MachineConfig",
-    "MemoConfig",
     "MicroScopeConfig",
     "PWCConfig",
     "PortConfig",

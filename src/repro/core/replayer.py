@@ -48,14 +48,14 @@ class AttackEnvironment:
 class Replayer:
     """Drives a victim (and optionally a monitor) under replay.
 
-    With a :class:`~repro.memo.window.WindowMemo` attached
-    (``memo=``), :meth:`run_window` serves repeated replay windows
-    from the cache instead of re-simulating them; without one it is a
-    plain :meth:`run_until_released`.
+    Every replay window is simulated: :meth:`run_until_released` runs
+    the machine until the armed recipe releases the victim.
+    :meth:`checkpoint` and :meth:`rewind` fork repeated trials from one
+    captured platform state.
     """
 
     def __init__(self, env: Optional[AttackEnvironment] = None,
-                 memo: Optional[object] = None, **env_kwargs):
+                 **env_kwargs):
         self.env = env or AttackEnvironment.build(**env_kwargs)
         # Warm-started environments were built outside any oracle
         # activation; (re)offer the machine so an active oracle's hub
@@ -65,7 +65,6 @@ class Replayer:
         self.kernel = self.env.kernel
         self.sgx = self.env.sgx
         self.module = self.env.module
-        self.memo = memo
         self._checkpoint: Optional[MachineSnapshot] = None
 
     # --- checkpoint / rewind ----------------------------------------------
@@ -132,32 +131,6 @@ class Replayer:
         """Run until the recipe releases the victim (or budget ends)."""
         return self.machine.run(
             max_cycles, until=lambda _m: recipe.released)
-
-    def run_window(self, recipe: AttackRecipe,
-                   max_cycles: int = 5_000_000) -> int:
-        """Run one replay window (until *recipe* releases the victim),
-        memoized when a :class:`~repro.memo.window.WindowMemo` is
-        attached.
-
-        The window is keyed by the platform snapshot at entry plus the
-        recipe's fingerprint; on a hit the recorded final snapshot is
-        spliced back into the machine bit-exactly and the recorded
-        cycle count returned.  A recipe whose callbacks cannot be
-        keyed soundly (bound methods, closures over live objects) runs
-        cold and bumps the memo's ``uncacheable`` counter.
-        """
-        if self.memo is None:
-            return self.run_until_released(recipe, max_cycles)
-        from repro.memo.keys import Unmemoizable, recipe_fingerprint
-        try:
-            extra = {"recipe": recipe_fingerprint(recipe),
-                     "max_cycles": max_cycles}
-        except Unmemoizable:
-            self.memo.note_uncacheable()
-            return self.run_until_released(recipe, max_cycles)
-        return self.memo.run(
-            self.env, extra,
-            lambda: self.run_until_released(recipe, max_cycles))
 
     def run_until_victim_done(self, context_id: int = 0,
                               max_cycles: int = 5_000_000) -> int:

@@ -165,13 +165,16 @@ class Machine:
         if self.defense is not None:
             # Appended only when a defense is installed, so default
             # platforms keep their historical payload shape (and the
-            # digests / memo keys derived from it).
-            payload = payload + (self.defense.capture(),)
+            # state digests derived from it).  The scheme travels with
+            # the state so a restore can refuse a different defense.
+            payload = payload + ((self.defense.scheme,
+                                  self.defense.capture()),)
         return payload
 
     def restore(self, state: tuple):
         # The defense slot must match, or a fenced snapshot would
-        # silently restore into an unfenced machine.
+        # silently restore into an unfenced (or differently defended)
+        # machine.
         if self.defense is None:
             if len(state) != 7:
                 raise ValueError(
@@ -182,7 +185,12 @@ class Machine:
                 raise ValueError(
                     "snapshot lacks defense state but a defense "
                     "mechanism is installed")
-            self.defense.restore(state[7])
+            scheme, defense_state = state[7]
+            if scheme != self.defense.scheme:
+                raise ValueError(
+                    f"snapshot carries {scheme!r} defense state but "
+                    f"the machine runs {self.defense.scheme!r}")
+            self.defense.restore(defense_state)
         phys, hierarchy, tlbs, pwc, walker, core, metrics = state[:7]
         self.phys.restore(phys)
         self.hierarchy.restore(hierarchy)

@@ -1,33 +1,24 @@
-"""Two-level deterministic compute cache.
+"""Deterministic compute cache: the on-disk trial store.
 
-MicroScope is a determinism machine: a replay handle forces the
-pipeline to re-execute the same instruction window bit-for-bit, and
-the harness seed lineage makes every sweep trial a pure function of
-its parameters.  This package turns both observations into caches —
-compute every identical replay exactly once:
+The harness seed lineage makes every sweep trial a pure function of
+its parameters, so an identical trial need only be computed once.
+:class:`TrialStore` (:mod:`repro.memo.store`) is a persistent on-disk
+store addressed by SHA-256 of (trial function fingerprint, canonical
+parameters, derived seed) — see :func:`trial_key` in
+:mod:`repro.memo.keys`.  It plugs in under
+:func:`repro.harness.run_resilient_sweep`, the
+:class:`repro.Experiment` facade and the evaluation matrix, so
+re-running an unchanged configuration is near-instant and safe across
+processes.
 
-* **Level 1 — replay windows** (:class:`WindowMemo`,
-  :mod:`repro.memo.window`): key a replayed window by the stable
-  digest of the machine snapshot at its start
-  (:func:`repro.snapshot.state_digest`) plus the recipe fingerprint;
-  on a hit, splice the recorded final snapshot back into the machine
-  instead of simulating.  Used through
-  :meth:`repro.core.replayer.Replayer.run_window`.
-* **Level 2 — sweep trials** (:class:`TrialStore`,
-  :mod:`repro.memo.store`): a persistent on-disk store addressed by
-  SHA-256 of (trial function fingerprint, canonical parameters,
-  derived seed), plugged in under
-  :func:`repro.harness.run_resilient_sweep`, the
-  :class:`repro.Experiment` facade and the evaluation matrix, so
-  re-running an unchanged configuration is near-instant and safe
-  across processes.
+The store is sound by construction: keys cover everything the outcome
+depends on, anything unkeyable (:class:`Unmemoizable`) runs uncached,
+and any poisoned entry degrades to a recompute with a counter bump.
 
-Both levels are sound by construction: keys cover everything the
-outcome depends on, anything unkeyable (:class:`Unmemoizable`) runs
-cold, and any poisoned entry degrades to a recompute with a counter
-bump.  ``tests/snapshot/test_memo_differential.py`` proves memoized
-runs bit-identical to cold ones — machine state, observations and
-metrics counters included.
+Replay windows are deliberately not cached: MicroScope replays a
+window by faulting it again, and each replay starts from a different
+machine state (recipe progress, primed lines, walk tuning), so a
+cache keyed on the platform state would never hit.
 """
 
 from repro.memo.keys import (
@@ -36,30 +27,24 @@ from repro.memo.keys import (
     canonical_json,
     digest_of,
     fingerprint_callable,
-    recipe_fingerprint,
     trial_key,
 )
 from repro.memo.store import (
     CACHE_DIR_ENV,
     STORE_VERSION,
-    MemoConfig,
     TrialStore,
     resolve_store,
 )
-from repro.memo.window import WindowMemo
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "MemoConfig",
     "STORE_VERSION",
     "TrialStore",
     "Unmemoizable",
-    "WindowMemo",
     "canonical",
     "canonical_json",
     "digest_of",
     "fingerprint_callable",
-    "recipe_fingerprint",
     "resolve_store",
     "trial_key",
 ]

@@ -1,11 +1,10 @@
 """Canonical cache keys for deterministic compute.
 
-Both memoization levels rest on the same question: *when are two
-computations guaranteed to produce bit-identical results?*  Answer:
-when everything their outcome depends on — configuration, parameters,
-seed lineage, captured machine state, attack callbacks and their
-closure state — canonicalises to the same bytes.  This module builds
-those bytes.
+The trial store rests on one question: *when are two computations
+guaranteed to produce bit-identical results?*  Answer: when
+everything their outcome depends on — the trial function and its
+closure state, configuration, parameters and seed lineage —
+canonicalises to the same bytes.  This module builds those bytes.
 
 :func:`canonical` maps a parameter structure to a JSON-compatible,
 tagged form (stable across processes and dict orderings);
@@ -197,35 +196,6 @@ def digest_of(value: Any) -> str:
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
 
 
-def recipe_fingerprint(recipe: Any) -> Any:
-    """Canonical identity/knob state of an
-    :class:`~repro.core.recipes.AttackRecipe`.
-
-    Covers the parts *outside* any machine snapshot: the attack and
-    pivot callbacks (with closure state) and the static knobs.  The
-    mutable progress fields (``replays``, ``probe_log``, monitored
-    addresses…) travel in the module's snapshot capture and are keyed
-    by the state digest instead.  Raises :class:`Unmemoizable` when a
-    callback cannot be keyed (e.g. a bound method of a stateful
-    stepper object).
-    """
-    return {
-        "name": recipe.name,
-        "process": recipe.process.name,
-        "replay_handle_va": recipe.replay_handle_va,
-        "confidence": canonical(recipe.confidence),
-        "max_replays": recipe.max_replays,
-        "walk_tuning": canonical(recipe.walk_tuning),
-        "prime_monitor_addrs": recipe.prime_monitor_addrs,
-        "attack_function": (None if recipe.attack_function is None
-                            else fingerprint_callable(
-                                recipe.attack_function)),
-        "pivot_function": (None if recipe.pivot_function is None
-                           else fingerprint_callable(
-                               recipe.pivot_function)),
-    }
-
-
 def trial_key(trial_fn: Any, params: Any, seed: int) -> str:
     """The content address of one sweep trial.
 
@@ -245,6 +215,5 @@ __all__ = [
     "canonical_json",
     "digest_of",
     "fingerprint_callable",
-    "recipe_fingerprint",
     "trial_key",
 ]

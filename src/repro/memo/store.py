@@ -1,4 +1,4 @@
-"""Level 2: the content-addressed trial store.
+"""The content-addressed trial store.
 
 A sweep trial is a pure function of ``(trial function, parameters,
 derived seed)`` — the harness determinism contract the chaos suite
@@ -27,7 +27,6 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -43,20 +42,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Counter names every :class:`TrialStore` maintains.
 STORE_COUNTERS = ("hits", "misses", "stores", "corrupt", "stale",
                   "rejected", "uncacheable")
-
-
-@dataclass
-class MemoConfig:
-    """Memoization knobs (a registered :mod:`repro.config` dataclass).
-
-    ``cache_dir=""`` leaves the trial store disabled unless the
-    ``REPRO_CACHE_DIR`` environment variable points somewhere.
-    """
-
-    enabled: bool = True
-    cache_dir: str = ""
-    #: LRU capacity of a per-process replay-window memo (Level 1).
-    window_entries: int = 64
 
 
 class TrialStore:
@@ -193,7 +178,6 @@ def resolve_store(cache_dir: Any = None, *, enabled: bool = True,
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "MemoConfig",
     "STORE_COUNTERS",
     "STORE_VERSION",
     "TrialStore",

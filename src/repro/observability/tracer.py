@@ -44,12 +44,9 @@ MICROSCOPE_TID = 101
 #: :meth:`repro.harness.resilience.SweepReport.emit_trace`; host-time
 #: microseconds rather than cycles).
 HARNESS_TID = 102
-#: Track for :mod:`repro.memo` cache hit/miss slices (host-time
-#: microseconds, like the harness track).
-MEMO_TID = 103
 
 _TRACK_NAMES = {KERNEL_TID: "kernel", MICROSCOPE_TID: "microscope",
-                HARNESS_TID: "harness", MEMO_TID: "memo"}
+                HARNESS_TID: "harness"}
 
 #: Chrome trace_event phases used by this tracer.
 PH_COMPLETE = "X"

@@ -4,17 +4,17 @@
 MachineSnapshot` to a SHA-256 that is a pure function of the captured
 *logical* state: two snapshots of bit-identical platform states —
 taken at different times, in different processes, or from
-independently built environments — produce the same digest.  This is
-the keying primitive of :mod:`repro.memo`'s replay-window cache: a
-digest collision is only possible for states that would also behave
-identically, so a cache hit is always sound.
+independently built environments — produce the same digest, and a
+snapshot's digest does not change while the machine runs on.
+The oracle identity tests use it as their equality check.
 
 A plain ``pickle.dumps`` of the snapshot payload is *not* stable,
-because capture payloads reach live identity wiring (core contexts
-hold their :class:`~repro.kernel.process.Process`, processes hold the
-live :class:`~repro.mem.physical.PhysicalMemory`, recipes hold attack
-callbacks).  The normalizing pickler therefore rewrites exactly the
-three classes of unstable objects:
+because capture payloads reach live identity wiring (the kernel
+shares its :class:`~repro.kernel.process.Process` objects by
+reference, an enclave holds its :class:`~repro.kernel.kernel.Kernel`,
+processes hold the live :class:`~repro.mem.physical.PhysicalMemory`,
+recipes hold attack callbacks).  The normalizing pickler therefore
+rewrites exactly these classes of unstable objects:
 
 * **callables** (functions, bound methods, builtins) become
   deterministic ``module:qualname`` tokens, with primitive closure
@@ -24,7 +24,11 @@ three classes of unstable objects:
   history, not state;
 * **physical memory** is reduced to its logical frame contents,
   dropping the copy-on-write bookkeeping (``_cow``) that later
-  ``take()`` calls mutate in place.
+  ``take()`` calls mutate in place;
+* **processes** become ``pid`` tokens and the **kernel** a constant
+  token: their live objects carry the machine's *current* state, while
+  the captured state of each process is already in the kernel payload
+  (``process.capture()``).
 
 Everything else pickles normally, so any state change — registers,
 cache tags, RNG streams, recipe progress, metrics instruments —
@@ -80,7 +84,13 @@ class _NormalizingPickler(pickle.Pickler):
                 ordered = sorted(obj, key=lambda v: (repr(type(v)),
                                                      repr(v)))
             return (str, (f"__set__:{ordered!r}",))
+        from repro.kernel.kernel import Kernel
+        from repro.kernel.process import Process
         from repro.mem.physical import PhysicalMemory
+        if isinstance(obj, Process):
+            return (str, (f"__process__:{obj.pid}",))
+        if isinstance(obj, Kernel):
+            return (str, ("__kernel__",))
         if isinstance(obj, PhysicalMemory):
             frames = tuple(sorted(
                 (frame_no, tuple(sorted(frame.items())))

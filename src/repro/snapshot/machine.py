@@ -30,7 +30,9 @@ from typing import Optional
 #: Bump when the layout of any subsystem's capture() payload changes.
 #: v2: machine payloads gained the metrics-registry instrument state
 #: (walker latency histogram etc.) as a trailing element.
-SNAPSHOT_VERSION = 2
+#: v3: a defended machine's trailing defense element is
+#: ``(scheme, state)``, so a restore can reject a different defense.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(Exception):
@@ -77,13 +79,6 @@ class MachineSnapshot:
             sgx.capture() if sgx is not None else None,
             module.capture() if module is not None else None,
         )
-
-    def digest(self) -> str:
-        """Stable SHA-256 of the captured logical state (see
-        :mod:`repro.snapshot.digest`): equal for bit-identical
-        platform states however and whenever they were captured."""
-        from repro.snapshot.digest import state_digest
-        return state_digest(self)
 
     def restore(self, env):
         """Restore *env* in place to the captured state."""

@@ -68,8 +68,11 @@ def test_from_dict_rejects_untagged():
 
 
 def test_from_dict_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        config.from_dict({"__config__": "WarpDriveConfig"})
+    # A payload tagged with a config class that no longer exists must
+    # not load either.
+    for tag in ("WarpDriveConfig", "MemoConfig"):
+        with pytest.raises(ValueError):
+            config.from_dict({"__config__": tag})
 
 
 def test_from_dict_rejects_a_removed_field():

@@ -370,6 +370,17 @@ def test_restore_rejects_defense_state_on_an_undefended_machine():
         Machine().restore(fenced.capture())
 
 
+def test_restore_rejects_another_schemes_defense_state():
+    """A fences and a simf payload have the same length; restoring one
+    into the other must fail, not run under the wrong defense."""
+    fenced = Machine(MachineConfig(defense=DefenseHookConfig(
+        scheme="fences")))
+    simf = Machine(MachineConfig(defense=DefenseHookConfig(
+        scheme="simf")))
+    with pytest.raises(ValueError, match="'fences' defense state"):
+        simf.restore(fenced.capture())
+
+
 # --- evaluation drivers ----------------------------------------------------
 
 

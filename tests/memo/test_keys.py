@@ -9,11 +9,8 @@ from pathlib import Path
 
 import pytest
 
-import repro.config
-from repro.config import from_dict, to_dict
 from repro.core.recipes import WalkTuning, replay_n_times
 from repro.memo import (
-    MemoConfig,
     Unmemoizable,
     canonical,
     canonical_json,
@@ -224,12 +221,3 @@ def test_cell_trial_key_is_pinned():
     if expected is None:
         pytest.skip("no pinned key for this Python version")
     assert trial_key(_cell_trial, ("cf-cache", "none", {}), 1) == expected
-
-
-# --- MemoConfig registration ---------------------------------------------
-
-def test_memo_config_round_trips_through_repro_config():
-    cfg = MemoConfig(enabled=False, cache_dir="/tmp/x",
-                     window_entries=8)
-    assert from_dict(to_dict(cfg)) == cfg
-    assert repro.config.MemoConfig is MemoConfig
