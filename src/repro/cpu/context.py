@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa import registers
 from repro.isa.program import Program
+from repro.cpu.decode import DecodedInstr, decode_program
 from repro.cpu.rob import ReorderBuffer, ROBEntry, clone_entry
 from repro.observability.stats import ContextStats
 
@@ -64,6 +65,9 @@ class HardwareContext:
         self.inflight_loads: Dict[int, List[ROBEntry]] = {}
         self.state = ContextState.IDLE
         self.program: Optional[Program] = None
+        #: ``program``'s decode table (repro.cpu.decode), indexed like
+        #: the program.  Derived state: never captured by a snapshot.
+        self.decoded: Tuple[DecodedInstr, ...] = ()
         self.process = None  # set by the kernel when scheduling
         self.fetch_index = 0
         #: Front end stalled until this cycle (mispredict/squash refill).
@@ -92,6 +96,7 @@ class HardwareContext:
                      start_index: int = 0):
         """Bind *program* (and optionally a process) and start running."""
         self.program = program
+        self.decoded = decode_program(program)
         self.process = process
         self.fetch_index = start_index
         self.state = ContextState.RUNNING
@@ -129,7 +134,7 @@ class HardwareContext:
             return True
         if (self.state is ContextState.RUNNING and self.rob.empty
                 and self.program is not None
-                and self.fetch_index >= len(self.program)):
+                and self.fetch_index >= len(self.decoded)):
             return True
         return False
 
@@ -193,8 +198,9 @@ class HardwareContext:
         """Recompute the rename map from surviving ROB entries after a
         squash (youngest producer wins)."""
         self.rename.clear()
+        decoded = self.decoded
         for entry in self.rob.entries:
-            dest = entry.instr.dest()
+            dest = decoded[entry.index].dest
             if dest is not None:
                 self.rename[dest] = entry
 
@@ -213,7 +219,7 @@ class HardwareContext:
                            if s not in squashed_seqs]
         for entry in entries:
             self.replay_candidates.add(entry.index)
-            if entry.instr.is_load and entry.addr is not None:
+            if entry.op_cls == "load" and entry.addr is not None:
                 self.unindex_load(entry)
 
     def oldest_fence_seq(self) -> Optional[int]:
@@ -234,7 +240,8 @@ class HardwareContext:
         clone memo; sharing it preserves entry aliasing between the
         ROB, rename map, ready queue, load index and the event heap.
         ``program`` and ``process`` are shared by reference (programs
-        are immutable; process state is captured by the kernel)."""
+        are immutable; process state is captured by the kernel).  The
+        decode table is derived from ``program`` and left out."""
         return (
             dict(self.int_regs), dict(self.fp_regs),
             self.rob.capture(memo),
@@ -270,6 +277,8 @@ class HardwareContext:
             addr: [clone_entry(e, memo) for e in bucket]
             for addr, bucket in inflight.items()}
         self.state = ctx_state
+        if program is not self.program:
+            self.decoded = decode_program(program)
         self.program = program
         self.process = process
         self.fetch_index = fetch_index

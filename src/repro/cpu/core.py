@@ -31,8 +31,9 @@ import random
 from typing import List, Optional, Tuple
 
 from repro.cpu.branch import BranchPredictor
-from repro.cpu.config import CoreConfig, op_class
+from repro.cpu.config import OP_CLASSES, CoreConfig
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
+from repro.cpu.decode import FLOW_BRANCH, FLOW_JUMP, FLOW_NEXT, LATENCY_KEYS
 from repro.cpu.observer import CORE_STAGES, bind_stages
 from repro.cpu.ports import PortSet
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
@@ -60,12 +61,26 @@ def _is_subnormal(value: float) -> bool:
     return value != 0.0 and abs(value) < _MIN_NORMAL and math.isfinite(value)
 
 
+def _check_config(config: CoreConfig):
+    """Reject a port layout or latency table the pipeline cannot run:
+    an op class no port accepts would wait forever in the ready queue,
+    and a missing latency would fail mid-run."""
+    served = set().union(*(port.classes for port in config.ports))
+    for cls in OP_CLASSES:
+        if cls not in served:
+            raise ValueError(f"no execution port accepts op class {cls!r}")
+    missing = sorted(LATENCY_KEYS - config.latencies.keys())
+    if missing:
+        raise ValueError(f"no latency configured for {', '.join(missing)}")
+
+
 class Core:
     """One physical core with ``config.num_contexts`` SMT contexts."""
 
     def __init__(self, core_id: int, config: CoreConfig,
                  phys: PhysicalMemory, hierarchy: MemoryHierarchy,
                  tlbs: TLBHierarchy, walker: PageWalker):
+        _check_config(config)
         self.core_id = core_id
         self.config = config
         self.phys = phys
@@ -138,9 +153,10 @@ class Core:
             state = context.state
             if state is ContextState.RUNNING:
                 program = context.program
+                length = len(context.decoded)
                 entries = context.rob.entries
                 if (not entries and program is not None
-                        and context.fetch_index >= len(program)):
+                        and context.fetch_index >= length):
                     # Finished, so not busy; a leftover interrupt,
                     # abort or ready entry still acts if another
                     # context keeps the core busy.
@@ -159,8 +175,7 @@ class Core:
                     return cycle
                 if entries and entries[0].completed:
                     return cycle  # retire (or fault/trap) can act now
-                if (program is not None
-                        and context.fetch_index < len(program)
+                if (context.fetch_index < length
                         and len(entries) < context.rob.capacity):
                     stall = context.fetch_stall_until
                     if stall <= cycle:
@@ -272,7 +287,7 @@ class Core:
             entry.complete_cycle = self.cycle
             if entry.mispredicted:
                 self._handle_mispredict(entry)
-            if entry.faulted and entry.instr.is_load \
+            if entry.faulted and entry.op_cls == "load" \
                     and self._on_pte_race:
                 self._try_pte_race(entry)
             for observer in self._on_complete:
@@ -382,14 +397,14 @@ class Core:
                     break
 
     def _apply_retire(self, context: HardwareContext, entry: ROBEntry):
-        instr = entry.instr
-        op = instr.op
-        dest = instr.dest()
+        decoded = context.decoded[entry.index]
+        op = entry.instr.op
+        dest = decoded.dest
         if dest is not None and entry.value is not None:
             context.write_reg(dest, entry.value)
         if context.rename.get(dest) is entry:
             del context.rename[dest]
-        if instr.is_store:
+        if decoded.is_store:
             self._drain_store(context, entry)
         elif op is Opcode.HALT:
             context.state = ContextState.HALTED
@@ -403,7 +418,7 @@ class Core:
                 self._abort_transaction(context, "explicit-abort")
         if entry.seq in context.fence_seqs:
             context.fence_seqs.remove(entry.seq)
-        if instr.is_load and entry.addr is not None:
+        if decoded.is_load and entry.addr is not None:
             context.unindex_load(entry)
         context.replay_candidates.discard(entry.index)
         context.stats.retired += 1
@@ -427,7 +442,7 @@ class Core:
     def _begin_transaction(self, context: HardwareContext,
                            entry: ROBEntry):
         ints, fps = context.snapshot_regs()
-        fallback = context.program.target_index(entry.instr)
+        fallback = context.decoded[entry.index].target
         context.txn = TransactionState(
             fallback_index=fallback, int_regs=ints, fp_regs=fps)
 
@@ -537,20 +552,20 @@ class Core:
         gates = self._gate
         if gates and not all(gate(self, context, entry) for gate in gates):
             return False  # held back by an observer, e.g. a defense
-        if entry.instr.is_load:
+        op_cls = entry.op_cls
+        if op_cls == "load":
             if not self._execute_load(context, entry):
                 return False
             context.index_inflight_load(entry)
         else:
             ports = self.ports
-            op_cls = entry.op_cls
             port = ports.find(self.cycle, op_cls)
             if port is None:
                 return False
-            latency = self._latency_for(entry)
+            latency = self._latency_for(context, entry)
             ports.issue(port, self.cycle, op_cls, latency)
             entry.port_name = port.name
-            if entry.instr.is_store:
+            if op_cls == "store":
                 self._execute_store(context, entry, latency)
             else:
                 self._execute_alu(context, entry, latency)
@@ -559,37 +574,23 @@ class Core:
             observer(self, context, entry)
         return True
 
-    def _latency_for(self, entry: ROBEntry) -> int:
+    def _latency_for(self, context: HardwareContext,
+                     entry: ROBEntry) -> int:
         cfg = self.config
-        op = entry.instr.op
-        if op is Opcode.FDIV:
-            a, b = entry.operands
-            result_sub = False
-            try:
-                result_sub = _is_subnormal(float(a) / float(b))
-            except (ZeroDivisionError, TypeError, OverflowError):
-                pass
-            if (_is_subnormal(float(a or 0.0)) or _is_subnormal(float(b or 0.0))
-                    or result_sub):
-                return cfg.latency_of("fdiv_subnormal")
-            return cfg.latency_of("fdiv")
-        if op is Opcode.DIV:
-            return cfg.latency_of("div")
-        if op is Opcode.FMUL:
-            return cfg.latency_of("fmul")
-        if op is Opcode.MUL:
-            return cfg.latency_of("mul")
-        if op is Opcode.RDTSC:
-            return cfg.latency_of("rdtsc")
-        if op is Opcode.RDRAND:
-            return cfg.latency_of("rdrand")
-        if op in (Opcode.TBEGIN, Opcode.TEND, Opcode.TABORT):
-            return cfg.latency_of("tsx")
-        if op is Opcode.FENCE:
-            return cfg.latency_of("fence")
-        if entry.instr.is_store:
-            return cfg.latency_of("store")
-        return cfg.latency_of(entry.op_cls)
+        key = context.decoded[entry.index].latency_key
+        if key is not None:
+            return cfg.latency_of(key)
+        # FDIV: the slow divider path for a subnormal operand or result.
+        a, b = entry.operands
+        result_sub = False
+        try:
+            result_sub = _is_subnormal(float(a) / float(b))
+        except (ZeroDivisionError, TypeError, OverflowError):
+            pass
+        if (_is_subnormal(float(a or 0.0)) or _is_subnormal(float(b or 0.0))
+                or result_sub):
+            return cfg.latency_of("fdiv_subnormal")
+        return cfg.latency_of("fdiv")
 
     # --- ALU / branch / misc execution -----------------------------------
 
@@ -597,6 +598,7 @@ class Core:
                      latency: int):
         instr = entry.instr
         op = instr.op
+        is_branch = entry.op_cls == "branch"
         a, b = entry.operands
         value = None
         if op is Opcode.LI or op is Opcode.FLI:
@@ -646,7 +648,7 @@ class Core:
                 value = a / b
             except ZeroDivisionError:
                 value = math.inf if a > 0 else -math.inf if a < 0 else 0.0
-        elif instr.is_branch:
+        elif is_branch:
             self._execute_branch(context, entry)
         elif op is Opcode.RDTSC:
             value = self.cycle
@@ -659,16 +661,16 @@ class Core:
             value = None
         else:  # pragma: no cover - every opcode is handled above
             raise NotImplementedError(f"unhandled opcode {op}")
-        if not instr.is_branch:
+        if not is_branch:
             entry.value = value
         self._schedule(entry, latency)
 
     def _execute_branch(self, context: HardwareContext, entry: ROBEntry):
         instr = entry.instr
-        program = context.program
+        target = context.decoded[entry.index].target
         if instr.op is Opcode.JMP:
             entry.actual_taken = True
-            entry.value = program.target_index(instr)
+            entry.value = target
             entry.mispredicted = False
             return
         a = _to_signed(entry.operands[0])
@@ -682,8 +684,7 @@ class Core:
         else:  # BGE
             taken = a >= b
         entry.actual_taken = taken
-        correct_next = (program.target_index(instr) if taken
-                        else entry.index + 1)
+        correct_next = target if taken else entry.index + 1
         entry.value = correct_next
         entry.mispredicted = (entry.predicted_taken is not None
                               and entry.predicted_taken != taken)
@@ -838,8 +839,7 @@ class Core:
             if cycle < context.fetch_stall_until:
                 continue
             while (budget > 0 and not context.rob.full
-                   and context.program is not None
-                   and context.fetch_index < len(context.program)):
+                   and context.fetch_index < len(context.decoded)):
                 stop = self._decode_one(context)
                 budget -= 1
                 if stop:
@@ -848,19 +848,16 @@ class Core:
     def _decode_one(self, context: HardwareContext) -> bool:
         """Decode one instruction into the ROB.  Returns True when the
         front end should stop fetching this context this cycle."""
-        program = context.program
         index = context.fetch_index
-        instr = program[index]
+        decoded = context.decoded[index]
         entry = ROBEntry(context.next_seq(), context.context_id, index,
-                         instr, op_class(instr))
+                         decoded.instr, decoded.op_cls)
         if index in context.replay_candidates:
             entry.is_replay = True
             context.stats.replays += 1
         context.stats.fetched += 1
         # Resolve source operands against the rename map / arch state.
-        for slot, src in enumerate((instr.rs1, instr.rs2)):
-            if src is None:
-                continue
+        for slot, src in decoded.sources:
             producer = context.rename.get(src)
             if producer is None:
                 entry.operands[slot] = context.read_reg(src)
@@ -874,32 +871,31 @@ class Core:
         # resolved against: it names *entry* as a producer only below.
         for observer in self._on_decode:
             observer(self, context, entry)
-        dest = instr.dest()
+        dest = decoded.dest
         if dest is not None:
             context.rename[dest] = entry
         # Control flow steering.
         stop = False
-        if instr.op is Opcode.JMP:
-            context.fetch_index = program.target_index(instr)
-        elif instr.is_cond_branch:
+        flow = decoded.flow
+        if flow == FLOW_NEXT:
+            context.fetch_index = index + 1
+        elif flow == FLOW_BRANCH:
             predicted = self.predictor.predict(index)
             entry.predicted_taken = predicted
-            context.fetch_index = (program.target_index(instr) if predicted
-                                   else index + 1)
-        elif instr.op is Opcode.HALT:
+            context.fetch_index = decoded.target if predicted else index + 1
+        elif flow == FLOW_JUMP:
+            context.fetch_index = decoded.target
+        else:  # FLOW_HALT
             context.fetch_index = index + 1
             # Stop fetching past the HALT; a squash/redirect resets the
             # stall if the HALT turns out to be on a wrong path.
             context.fetch_stall_until = float("inf")
             stop = True
-        else:
-            context.fetch_index = index + 1
         # Serialisation: fences, fenced RDRAND, and a squash observer's
         # request (the fences defense) all gate younger execution until
         # this entry retires.
-        serialize = instr.op is Opcode.FENCE
-        if instr.op is Opcode.RDRAND and self.config.rdrand_fenced:
-            serialize = True
+        serialize = decoded.fence or (decoded.rdrand
+                                      and self.config.rdrand_fenced)
         if context.serialize_next_fetch:
             serialize = True
             context.serialize_next_fetch = False

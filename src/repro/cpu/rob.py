@@ -156,7 +156,7 @@ class ReorderBuffer:
         if self.full:
             raise OverflowError("ROB overflow")
         self.entries.append(entry)
-        if entry.instr.is_store:
+        if entry.op_cls == "store":
             self._stores.append(entry)
 
     def pop_head(self) -> ROBEntry:

@@ -2,24 +2,30 @@
 
 ``Core._dispatch`` stops its program-order scan at the oldest in-flight
 fence, computes an instruction's latency only once a port is free, and
-``PortSet.new_cycle`` resets only the ports that issued.  None of that
-may change a simulated event.  :class:`ReferenceCore` below keeps the
-plain rules instead: every ready entry goes through the fence check one
-by one, latency is computed before the port search, every port is reset
-every cycle, and the SMT round-robin order is rebuilt each cycle.  Both
-run the same programs; the event streams, counters and cycle counts
-must agree exactly.
+``PortSet.new_cycle`` resets only the ports that issued.  Decode reads
+each instruction's facts from the context's per-program decode table.
+None of that may change a simulated event.  :class:`ReferenceCore`
+below keeps the plain rules instead: every ready entry goes through the
+fence check one by one, latency is computed before the port search,
+every port is reset every cycle, the SMT round-robin order is rebuilt
+each cycle, and decode and latency lookup work from the ``Instruction``
+fields on every dynamic instruction, without the table.  Both run the
+same programs; the event streams, counters and cycle counts must agree
+exactly.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
+from repro.cpu.config import op_class
 from repro.cpu.context import ContextState
-from repro.cpu.core import Core
+from repro.cpu.core import Core, _is_subnormal
 from repro.cpu.machine import Machine
 from repro.cpu.ports import PortSet
+from repro.cpu.rob import EntryState, ROBEntry
 from repro.evaluation.defenses import fences_machine
+from repro.isa.instructions import Opcode
 from repro.isa.program import ProgramBuilder
 from repro.tools.diffsweep import DATA_BASE, generate_program
 
@@ -44,7 +50,8 @@ class ReferencePortSet(PortSet):
 
 
 class ReferenceCore(Core):
-    """Dispatch and fetch without any of the per-cycle shortcuts."""
+    """Dispatch, fetch, decode and latency lookup without any of the
+    per-cycle shortcuts or the decode table."""
 
     @staticmethod
     def _round_robin(count, start):
@@ -87,7 +94,7 @@ class ReferenceCore(Core):
                 return False
             context.index_inflight_load(entry)
         else:
-            latency = self._latency_for(entry)
+            latency = self._reference_latency(entry)
             port = self.ports.try_issue(self.cycle, entry.op_cls, latency)
             if port is None:
                 return False
@@ -120,6 +127,92 @@ class ReferenceCore(Core):
                 budget -= 1
                 if stop:
                     break
+
+    def _reference_latency(self, entry):
+        cfg = self.config
+        op = entry.instr.op
+        if op is Opcode.FDIV:
+            a, b = entry.operands
+            result_sub = False
+            try:
+                result_sub = _is_subnormal(float(a) / float(b))
+            except (ZeroDivisionError, TypeError, OverflowError):
+                pass
+            if (_is_subnormal(float(a or 0.0))
+                    or _is_subnormal(float(b or 0.0)) or result_sub):
+                return cfg.latency_of("fdiv_subnormal")
+            return cfg.latency_of("fdiv")
+        if op is Opcode.DIV:
+            return cfg.latency_of("div")
+        if op is Opcode.FMUL:
+            return cfg.latency_of("fmul")
+        if op is Opcode.MUL:
+            return cfg.latency_of("mul")
+        if op is Opcode.RDTSC:
+            return cfg.latency_of("rdtsc")
+        if op is Opcode.RDRAND:
+            return cfg.latency_of("rdrand")
+        if op in (Opcode.TBEGIN, Opcode.TEND, Opcode.TABORT):
+            return cfg.latency_of("tsx")
+        if op is Opcode.FENCE:
+            return cfg.latency_of("fence")
+        if entry.instr.is_store:
+            return cfg.latency_of("store")
+        return cfg.latency_of(entry.op_cls)
+
+    def _decode_one(self, context):
+        program = context.program
+        index = context.fetch_index
+        instr = program[index]
+        entry = ROBEntry(context.next_seq(), context.context_id, index,
+                         instr, op_class(instr))
+        if index in context.replay_candidates:
+            entry.is_replay = True
+            context.stats.replays += 1
+        context.stats.fetched += 1
+        for slot, src in enumerate((instr.rs1, instr.rs2)):
+            if src is None:
+                continue
+            producer = context.rename.get(src)
+            if producer is None:
+                entry.operands[slot] = context.read_reg(src)
+            elif producer.completed and not producer.faulted:
+                entry.operands[slot] = producer.value
+            else:
+                producer.dependents.append((entry, slot))
+                entry.pending += 1
+        for observer in self._on_decode:
+            observer(self, context, entry)
+        dest = instr.dest()
+        if dest is not None:
+            context.rename[dest] = entry
+        stop = False
+        if instr.op is Opcode.JMP:
+            context.fetch_index = program.target_index(instr)
+        elif instr.is_cond_branch:
+            predicted = self.predictor.predict(index)
+            entry.predicted_taken = predicted
+            context.fetch_index = (program.target_index(instr) if predicted
+                                   else index + 1)
+        elif instr.op is Opcode.HALT:
+            context.fetch_index = index + 1
+            context.fetch_stall_until = float("inf")
+            stop = True
+        else:
+            context.fetch_index = index + 1
+        serialize = instr.op is Opcode.FENCE
+        if instr.op is Opcode.RDRAND and self.config.rdrand_fenced:
+            serialize = True
+        if context.serialize_next_fetch:
+            serialize = True
+            context.serialize_next_fetch = False
+        if serialize:
+            context.fence_seqs.append(entry.seq)
+        context.rob.push(entry)
+        if entry.pending == 0:
+            entry.state = EntryState.READY
+            context.wake(entry)
+        return stop
 
 
 class EventRecorder:

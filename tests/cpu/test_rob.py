@@ -1,12 +1,13 @@
 import pytest
 
+from repro.cpu.config import op_class
 from repro.cpu.rob import EntryState, ReorderBuffer, ROBEntry
 from repro.isa import instructions as ins
 
 
 def entry(seq, index=0, instr=None):
     instr = instr or ins.nop()
-    return ROBEntry(seq, 0, index, instr, "alu")
+    return ROBEntry(seq, 0, index, instr, op_class(instr))
 
 
 def test_capacity():
