@@ -141,7 +141,7 @@ def _spec_from_args(args):
         defenses=tuple(args.defenses) if args.defenses else (),
         overrides=json.loads(args.overrides) if args.overrides else {},
         master_seed=args.master_seed, label=args.label,
-        backend=args.backend, workers=args.workers)
+        workers=args.workers)
 
 
 def _emit(payload) -> None:
@@ -270,7 +270,6 @@ def main(argv=None) -> int:
                              '{"measurements": 400}}\'')
     submit.add_argument("--master-seed", type=int, default=None)
     submit.add_argument("--label", default=None)
-    submit.add_argument("--backend", default="scalar")
     submit.add_argument("--workers", type=int, default=1)
     submit.add_argument("--wait", action="store_true",
                         help="block until the job finishes "

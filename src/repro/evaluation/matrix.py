@@ -264,9 +264,6 @@ class MatrixRunner:
     #: content address (trial fn + params + seed) is already stored
     #: load instead of recomputing.
     store: Any = None
-    #: Sweep backend, forwarded to :class:`repro.Experiment`
-    #: (``"scalar"``, ``"inline"`` or ``"pool"``).
-    backend: str = "scalar"
     metrics: Any = None
     tracer: Any = None
     #: A running experiment service to submit through instead of
@@ -313,7 +310,7 @@ class MatrixRunner:
             attacks=attacks, defenses=defenses,
             overrides={a: dict(o) for a, o in self.overrides.items()},
             master_seed=self.master_seed, label=self.label,
-            backend=self.backend, workers=self.workers or 1)
+            workers=self.workers or 1)
         submitted = client.submit(spec)
         status = client.wait(submitted["job"])
         if status["state"] != "done":
@@ -350,8 +347,8 @@ class MatrixRunner:
             master_seed=self.master_seed, label=self.label,
             workers=self.workers, policy=self.policy,
             chaos=self.chaos, journal=self.journal,
-            store=self.store, backend=self.backend,
-            metrics=self.metrics, tracer=self.tracer).run()
+            store=self.store, metrics=self.metrics,
+            tracer=self.tracer).run()
         self.last_run_report = report
         matrix = build_matrix(attacks, defenses, params,
                               report.results,

@@ -176,14 +176,6 @@ class Experiment:
     #: Path or :class:`~repro.memo.store.TrialStore`: the persistent
     #: content-addressed trial cache (see :mod:`repro.memo`).
     store: Any = None
-    #: Trial dispatch: ``"scalar"`` (auto), ``"inline"`` or
-    #: ``"pool"``; see :mod:`repro.harness.backends`.
-    backend: str = "scalar"
-    #: Accepted for signature symmetry with
-    #: :class:`repro.evaluation.matrix.MatrixRunner`; experiments are
-    #: not service-routable (only whole matrices are), so any non-None
-    #: value raises at :meth:`run`.
-    service: Any = None
     #: Taint-tracking leakage oracle: ``True`` / an
     #: :class:`~repro.oracle.OracleConfig` (or its dict form) runs
     #: every trial under :func:`repro.oracle.activate` and fills
@@ -263,12 +255,6 @@ class Experiment:
 
     def run(self) -> ExperimentReport:
         """Execute and return an :class:`ExperimentReport`."""
-        if self.service is not None:
-            raise NotImplementedError(
-                "Experiment(service=...) is not supported: the "
-                "experiment service executes whole matrices, not "
-                "arbitrary trial callables. Use "
-                "repro.evaluation.MatrixRunner(service=...) instead.")
         from repro.oracle.tracker import _coerce_config
         oracle_config = _coerce_config(self.oracle)
         trial_fn, params = self._trial_spec()
@@ -283,7 +269,7 @@ class Experiment:
             master_seed=self.master_seed, workers=workers,
             label=self.label, policy=self.policy, chaos=self.chaos,
             journal=self.journal, store=self.store, metrics=metrics,
-            tracer=self.tracer, backend=self.backend)
+            tracer=self.tracer)
         results = sweep.results()
         summaries: Optional[List[Optional[Dict[str, Any]]]] = None
         if oracle_config is not None:

@@ -12,9 +12,9 @@ workers misbehave:
   :func:`run_resilient_sweep`: watchdog timeouts, bounded retries
   with fresh seed lineage, graceful degradation, journalled resume,
   and the :class:`SweepReport` accounting;
-* :mod:`repro.harness.backends` — the :class:`ExecutionBackend`
-  layer (inline / supervised process pool, plus auto-selecting
-  ``scalar``) every trial dispatch runs through;
+* :mod:`repro.harness.dispatch` — the one trial dispatcher: trials
+  run in this process unless chaos, a watchdog timeout or more than
+  one effective worker asks for the supervised process pool;
 * :mod:`repro.harness.journal` — on-disk checkpointing of completed
   trials so interrupted sweeps resume without rerunning anything;
 * :mod:`repro.harness.chaos` — deterministic fault injection
@@ -31,15 +31,6 @@ are also invariant to the failure schedule for trials whose outcome
 is a pure function of their parameters and seed.
 """
 
-from repro.harness.backends import (
-    ExecutionBackend,
-    ExecutionRequest,
-    InlineBackend,
-    PoolBackend,
-    ScalarBackend,
-    backend_names,
-    resolve_backend,
-)
 from repro.harness.chaos import FAULT_KINDS, ChaosError, ChaosPlan
 from repro.harness.journal import (
     JournalError,
@@ -70,12 +61,7 @@ __all__ = [
     "SKIPPED",
     "ChaosError",
     "ChaosPlan",
-    "ExecutionBackend",
-    "ExecutionRequest",
     "FaultPolicy",
-    "InlineBackend",
-    "PoolBackend",
-    "ScalarBackend",
     "JournalError",
     "JournalMismatch",
     "ResilientSweepResult",
@@ -86,10 +72,8 @@ __all__ = [
     "Trial",
     "TrialAttempt",
     "TrialReport",
-    "backend_names",
     "collect_sweep_reports",
     "default_workers",
-    "resolve_backend",
     "derive_seed",
     "merge_ordered",
     "run_resilient_sweep",

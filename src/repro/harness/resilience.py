@@ -344,22 +344,87 @@ def collect_sweep_reports() -> Iterator[List[SweepReport]]:
         _report_collector = previous
 
 
+# --- trial store ----------------------------------------------------------
+
+
+class StoreSession:
+    """The trial-store rules one sweep (or one cell executor) follows.
+
+    * a trial whose key (trial-function fingerprint + canonical
+      params + attempt-0 seed) has a record that ``verify`` accepts is
+      served "cached" without running (:meth:`serve`);
+    * only attempt-0 successes are persisted (:meth:`persist`): a
+      retry ran with an attempt-k seed, and lookups always use the
+      attempt-0 seed, so caching a retried result would pair the
+      wrong lineage;
+    * :meth:`delta` is the store's counter movement since the session
+      opened.
+
+    With ``store=None`` there are no keys, so every rule is a no-op.
+    """
+
+    def __init__(self, store: Any, trial_fn: TrialFn,
+                 trials: Sequence[Trial]):
+        self.store = store
+        self.keys: Dict[int, str] = {}
+        self._before: Dict[str, int] = {}
+        if store is None:
+            return
+        from repro.memo.keys import Unmemoizable, trial_key
+        self._before = store.counts()
+        for trial in trials:
+            try:
+                self.keys[trial.index] = trial_key(
+                    trial_fn, trial.params, trial.seed)
+            except Unmemoizable:
+                # Unkeyable trials run uncached, with a counter bump.
+                store.note_uncacheable()
+
+    def serve(self, trials: Sequence[Trial],
+              verify: Optional[Callable[[Any], bool]],
+              outcomes: Dict[int, Any],
+              reports: Dict[int, TrialReport]) -> List[Trial]:
+        """Resolve every trial with a sound stored record; return the
+        trials served."""
+        hits: List[Trial] = []
+        for trial in trials:
+            key = self.keys.get(trial.index)
+            if key is None:
+                continue
+            hit, result = self.store.get(key, verify=verify)
+            if hit:
+                outcomes[trial.index] = result
+                reports[trial.index] = TrialReport(
+                    index=trial.index, attempts=[],
+                    resolution="cached")
+                hits.append(trial)
+        return hits
+
+    def persist(self, trials: Sequence[Trial],
+                outcomes: Dict[int, Any],
+                reports: Dict[int, TrialReport]) -> None:
+        """Store the attempt-0 successes among *trials*."""
+        for trial in trials:
+            report = reports.get(trial.index)
+            if (trial.index in self.keys
+                    and report is not None
+                    and report.resolution == "ok"
+                    and report.attempts
+                    and report.attempts[-1].attempt == 0):
+                self.store.put(self.keys[trial.index], trial.seed,
+                               outcomes[trial.index])
+
+    def delta(self) -> Optional[Dict[str, int]]:
+        """Counter deltas since the session opened (``None`` without
+        a store)."""
+        if self.store is None:
+            return None
+        after = self.store.counts()
+        return {name: after[name] - self._before.get(name, 0)
+                for name in after}
+
+
 # --- driver ---------------------------------------------------------------
-
-
-def _trial_keys(trial_fn: TrialFn, trials: Sequence[Trial],
-                store: Any) -> Dict[int, str]:
-    """Content addresses for every keyable trial; unkeyable trials
-    are simply absent (they run uncached, with a counter bump)."""
-    from repro.memo.keys import Unmemoizable, trial_key
-    keys: Dict[int, str] = {}
-    for trial in trials:
-        try:
-            keys[trial.index] = trial_key(trial_fn, trial.params,
-                                          trial.seed)
-        except Unmemoizable:
-            store.note_uncacheable()
-    return keys
 
 
 def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
@@ -371,13 +436,12 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
                         journal: Any = None,
                         store: Any = None,
                         metrics: Any = None,
-                        tracer: Any = None,
-                        backend: str = "scalar") -> ResilientSweepResult:
+                        tracer: Any = None) -> ResilientSweepResult:
     """Run ``trial_fn(params[i], seed_i)`` for every parameter set,
     surviving crashing, hanging and lying workers.
 
     *trial_fn* must be a top-level (picklable) callable whenever a
-    process backend runs it.  Trial *i* gets
+    worker process runs it.  Trial *i* gets
     ``derive_seed(master_seed, i, label)`` and results land in trial
     order regardless of worker scheduling; ``workers=None`` uses
     :func:`default_workers`.  On top of that contract come the
@@ -390,28 +454,20 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
     *metrics* registry / *tracer* to record the :class:`SweepReport`
     into.
 
-    Store semantics: a trial whose key (trial-function fingerprint +
-    canonical params + derived seed) has a sound record is resolved
-    "cached" without running; first-attempt successes are persisted
-    for future sweeps.  ``FaultPolicy.verify`` vets cached results
-    exactly like fresh ones — a rejected or corrupt record is a miss
-    that recomputes, never a wrong result.
+    Store semantics (:class:`StoreSession`): a trial whose key has a
+    sound record is resolved "cached" without running; first-attempt
+    successes are persisted for future sweeps.
+    ``FaultPolicy.verify`` vets cached results exactly like fresh
+    ones — a rejected or corrupt record is a miss that recomputes,
+    never a wrong result.
 
-    Execution is delegated to a pluggable
-    :class:`~repro.harness.backends.ExecutionBackend` named by
-    *backend* (or an instance passed directly):
-
-    * ``"scalar"`` (default) auto-selects — with no chaos, no
-      watchdog timeout and one worker, trials run inline in this
-      process; otherwise every attempt gets its own supervised
-      worker process;
-    * ``"inline"`` / ``"pool"`` force those two paths explicitly.
-
-    All backends produce bit-identical results for the same inputs
-    (``tests/harness/test_backends.py``).
+    The remaining trials go to :func:`repro.harness.dispatch.dispatch`:
+    with no chaos, no watchdog timeout and one effective worker they
+    run in this process; otherwise every attempt gets its own
+    supervised worker process.  Both paths produce bit-identical
+    results for the same inputs (``tests/harness/test_backends.py``).
     """
-    from repro.harness.backends import ExecutionRequest, resolve_backend
-    backend_obj = resolve_backend(backend)
+    from repro.harness.dispatch import dispatch
     policy = policy or FaultPolicy()
     params = list(params)
     trials = [Trial(index=i,
@@ -430,25 +486,13 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
             reports[index] = TrialReport(index=index, attempts=[],
                                          resolution="journal")
 
-    store_obj = None
-    keys: Dict[int, str] = {}
-    counts_before: Dict[str, int] = {}
     if store is not None:
         from repro.memo.store import TrialStore
-        store_obj = (store if isinstance(store, TrialStore)
-                     else TrialStore(store))
-        counts_before = store_obj.counts()
-        keys = _trial_keys(trial_fn, trials, store_obj)
-        for trial in trials:
-            if trial.index in reports or trial.index not in keys:
-                continue
-            hit, result = store_obj.get(keys[trial.index],
-                                        verify=policy.verify)
-            if hit:
-                outcomes[trial.index] = result
-                reports[trial.index] = TrialReport(
-                    index=trial.index, attempts=[],
-                    resolution="cached")
+        if not isinstance(store, TrialStore):
+            store = TrialStore(store)
+    cache = StoreSession(store, trial_fn, trials)
+    cache.serve([t for t in trials if t.index not in reports],
+                policy.verify, outcomes, reports)
 
     todo = [t for t in trials if t.index not in reports]
     if workers is None:
@@ -459,43 +503,22 @@ def run_resilient_sweep(trial_fn: TrialFn, params: Sequence[Any], *,
 
     t0 = time.perf_counter()
     try:
-        if todo:
-            backend_obj.execute(ExecutionRequest(
-                trial_fn=trial_fn, todo=todo, policy=policy,
-                master_seed=master_seed, label=label,
-                workers=effective_workers, chaos=chaos,
-                journal=journal_obj, outcomes=outcomes,
-                reports=reports, t0=t0))
+        dispatch(trial_fn, todo, policy=policy,
+                 master_seed=master_seed, label=label,
+                 workers=effective_workers, chaos=chaos,
+                 journal=journal_obj, outcomes=outcomes,
+                 reports=reports, t0=t0)
     finally:
         if journal_obj is not None:
             journal_obj.close()
-
-    if store_obj is not None:
-        # Persist first-attempt successes only: a retry ran with an
-        # attempt-k seed, and lookups always use the attempt-0 seed,
-        # so caching a retried result would pair the wrong lineage.
-        for trial in todo:
-            trial_report = reports.get(trial.index)
-            if (trial.index in keys
-                    and trial_report is not None
-                    and trial_report.resolution == "ok"
-                    and trial_report.attempts
-                    and trial_report.attempts[-1].attempt == 0):
-                store_obj.put(keys[trial.index], trial.seed,
-                              outcomes[trial.index])
+    cache.persist(todo, outcomes, reports)
 
     wall = time.perf_counter() - t0
-    cache_delta: Optional[Dict[str, int]] = None
-    if store_obj is not None:
-        counts_after = store_obj.counts()
-        cache_delta = {name: counts_after[name]
-                       - counts_before.get(name, 0)
-                       for name in counts_after}
     report = SweepReport(
         label=label, master_seed=master_seed,
         workers=effective_workers,
         trials=[reports[t.index] for t in trials],
-        wall_seconds=wall, cache=cache_delta)
+        wall_seconds=wall, cache=cache.delta())
     if metrics is not None:
         report.record_into(metrics)
     if tracer is not None:

@@ -18,7 +18,8 @@ Typical use::
     merged = merge_ordered(sweep.results(), combine)
 
 :func:`~repro.harness.resilience.run_resilient_sweep` is the driver;
-this module holds the seed and merge pieces it and its backends share.
+this module holds the seed and merge pieces it and the dispatcher
+share.
 """
 
 from __future__ import annotations

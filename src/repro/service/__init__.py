@@ -15,8 +15,8 @@ The pieces:
 * :mod:`repro.service.ledger` — :class:`CellLedger`, the
   journal-as-coordination-log that shards cells across workers;
 * :mod:`repro.service.executor` — :class:`CellExecutor`, one
-  worker's claim/execute/journal loop, running cells through the
-  pluggable :mod:`repro.harness.backends` layer and the shared
+  worker's claim/execute/journal loop, running cells through
+  :func:`repro.harness.dispatch.dispatch` and the shared
   :class:`~repro.memo.store.TrialStore`;
 * :mod:`repro.service.server` — :class:`ExperimentServer` and
   :func:`serve`;

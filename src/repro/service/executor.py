@@ -14,13 +14,14 @@ coordination beyond two append-only files:
 
 The execution loop is: peek the journal → drop completed cells →
 claim a batch of unclaimed pending cells → resolve them (trial store
-first, then the job's configured
-:class:`~repro.harness.backends.ExecutionBackend`) → repeat.  When
-every pending cell is claimed by someone else the executor polls the
+first, under the same :class:`~repro.harness.resilience.StoreSession`
+rules as ``run_resilient_sweep``, then
+:func:`repro.harness.dispatch.dispatch`) → repeat.  When every
+pending cell is claimed by someone else the executor polls the
 journal until they land (or their claims lease out, at which point it
 claims them itself).  Because cells carry absolute trial indices,
 any claim pattern yields bit-identical results — the same guarantee
-the backends layer gives ``run_resilient_sweep``.
+the dispatcher gives ``run_resilient_sweep``.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.harness.backends import ExecutionRequest, resolve_backend
+from repro.harness.dispatch import dispatch
 from repro.harness.journal import SweepJournal
 from repro.harness.resilience import (
     SKIPPED,
     FaultPolicy,
+    StoreSession,
     SweepReport,
     TrialReport,
 )
@@ -66,7 +68,8 @@ class CellExecutor:
     worker: str
     master_seed: int = 0
     label: str = ""
-    backend: str = "scalar"
+    #: Worker processes per claimed batch (see
+    #: :func:`repro.harness.dispatch.dispatch`).
     workers: int = 1
     policy: FaultPolicy = SERVICE_POLICY
     store: Any = None
@@ -85,59 +88,6 @@ class CellExecutor:
                       params=p)
                 for i, p in enumerate(self.params)]
 
-    # --- store integration ------------------------------------------------
-
-    def _store_keys(self, trials: List[Trial]) -> Dict[int, str]:
-        if self.store is None:
-            return {}
-        from repro.harness.resilience import _trial_keys
-        return _trial_keys(self.trial_fn, trials, self.store)
-
-    def _resolve_cached(self, todo: List[Trial],
-                        keys: Dict[int, str],
-                        journal: SweepJournal,
-                        outcomes: Dict[int, Any],
-                        reports: Dict[int, TrialReport]
-                        ) -> List[Trial]:
-        """Serve claimed cells from the trial store; journal the hits
-        so every other worker sees them as completed."""
-        if self.store is None:
-            return todo
-        remaining: List[Trial] = []
-        for trial in todo:
-            key = keys.get(trial.index)
-            if key is None:
-                remaining.append(trial)
-                continue
-            hit, result = self.store.get(key,
-                                         verify=self.policy.verify)
-            if not hit:
-                remaining.append(trial)
-                continue
-            outcomes[trial.index] = result
-            reports[trial.index] = TrialReport(
-                index=trial.index, attempts=[], resolution="cached")
-            journal.record(trial.index, 0, trial.seed, result)
-        return remaining
-
-    def _persist(self, todo: List[Trial], keys: Dict[int, str],
-                 outcomes: Dict[int, Any],
-                 reports: Dict[int, TrialReport]) -> None:
-        """Store attempt-0 successes (same rule as the sweep driver:
-        retried results ran under attempt-k seeds and must not be
-        cached against the attempt-0 key)."""
-        if self.store is None:
-            return
-        for trial in todo:
-            report = reports.get(trial.index)
-            if (trial.index in keys
-                    and report is not None
-                    and report.resolution == "ok"
-                    and report.attempts
-                    and report.attempts[-1].attempt == 0):
-                self.store.put(keys[trial.index], trial.seed,
-                               outcomes[trial.index])
-
     # --- the loop ---------------------------------------------------------
 
     def run(self) -> Tuple[List[Any], SweepReport]:
@@ -149,8 +99,6 @@ class CellExecutor:
         """
         t0 = time.perf_counter()
         trials = self._trials()
-        counts_before: Dict[str, int] = (
-            self.store.counts() if self.store is not None else {})
         journal = SweepJournal(self.journal_path, atomic=True)
         outcomes: Dict[int, Any] = {}
         reports: Dict[int, TrialReport] = {}
@@ -159,31 +107,24 @@ class CellExecutor:
             outcomes[index] = result
             reports[index] = TrialReport(index=index, attempts=[],
                                          resolution="journal")
-        keys = self._store_keys(trials)
+        cache = StoreSession(self.store, self.trial_fn, trials)
         try:
-            self._loop(trials, journal, keys, outcomes, reports, t0)
+            self._loop(trials, journal, cache, outcomes, reports, t0)
         finally:
             journal.close()
         wall = time.perf_counter() - t0
-        cache_delta: Optional[Dict[str, int]] = None
-        if self.store is not None:
-            counts_after = self.store.counts()
-            cache_delta = {name: counts_after[name]
-                           - counts_before.get(name, 0)
-                           for name in counts_after}
         self.report = SweepReport(
             label=self.label, master_seed=self.master_seed,
             workers=self.workers,
             trials=[reports[t.index] for t in trials
                     if t.index in reports],
-            wall_seconds=wall, cache=cache_delta)
+            wall_seconds=wall, cache=cache.delta())
         results = [outcomes.get(t.index) for t in trials]
         return results, self.report
 
     def _loop(self, trials: List[Trial], journal: SweepJournal,
-              keys: Dict[int, str], outcomes: Dict[int, Any],
+              cache: StoreSession, outcomes: Dict[int, Any],
               reports: Dict[int, TrialReport], t0: float) -> None:
-        backend_obj = resolve_backend(self.backend)
         while True:
             if self.should_stop is not None and self.should_stop():
                 return
@@ -201,18 +142,22 @@ class CellExecutor:
                 self._absorb(journal, outcomes, reports)
                 continue
             todo = [t for t in pending if t.index in won]
-            todo = self._resolve_cached(todo, keys, journal,
-                                        outcomes, reports)
+            # Journal store hits so every other worker sees them as
+            # completed.
+            for trial in cache.serve(todo, self.policy.verify,
+                                     outcomes, reports):
+                journal.record(trial.index, 0, trial.seed,
+                               outcomes[trial.index])
+            todo = [t for t in todo if t.index not in reports]
             if todo:
-                backend_obj.execute(ExecutionRequest(
-                    trial_fn=self.trial_fn, todo=todo,
-                    policy=self.policy, master_seed=self.master_seed,
-                    label=self.label, workers=self.workers,
-                    chaos=None, journal=journal, outcomes=outcomes,
-                    reports=reports, t0=t0))
+                dispatch(self.trial_fn, todo, policy=self.policy,
+                         master_seed=self.master_seed,
+                         label=self.label, workers=self.workers,
+                         chaos=None, journal=journal,
+                         outcomes=outcomes, reports=reports, t0=t0)
                 self._journal_unjournalled(todo, journal, outcomes,
                                            reports)
-                self._persist(todo, keys, outcomes, reports)
+                cache.persist(todo, outcomes, reports)
             if self.on_progress is not None:
                 self.on_progress(len(reports))
 
@@ -239,7 +184,7 @@ class CellExecutor:
         for trial in todo:
             report = reports.get(trial.index)
             if report is None or report.resolution == "ok":
-                continue  # successes were journalled by the backend
+                continue  # successes were journalled by dispatch
             result = outcomes.get(trial.index)
             if result is SKIPPED:
                 result = None

@@ -32,9 +32,8 @@ class JobSpec:
     Empty ``attacks``/``defenses`` mean "every registered one" — the
     same convention as :class:`repro.evaluation.MatrixRunner`.
     ``workers`` is the number of sharded cell executors the server
-    runs for this job; ``backend`` names the
-    :class:`~repro.harness.backends.ExecutionBackend` each executor
-    dispatches through.
+    runs for this job; each executor runs its cells in-process (see
+    :func:`repro.harness.dispatch.dispatch`).
     """
 
     attacks: Tuple[str, ...] = ()
@@ -43,7 +42,6 @@ class JobSpec:
         default_factory=dict)
     master_seed: Optional[int] = None
     label: Optional[str] = None
-    backend: str = "scalar"
     workers: int = 1
 
     def __post_init__(self):
@@ -59,7 +57,7 @@ class JobSpec:
 
     def resolved(self) -> "JobSpec":
         """The spec with defaults and registry wildcards filled in
-        (and attack, defense and backend names validated) — the
+        (and attack and defense names validated) — the
         canonical form jobs are hashed and executed under."""
         from repro.evaluation.attacks import attack_names, get_attack
         from repro.evaluation.defenses import defense_names, get_defense
@@ -67,8 +65,6 @@ class JobSpec:
             DEFAULT_LABEL,
             DEFAULT_MASTER_SEED,
         )
-        from repro.harness.backends import resolve_backend
-        resolve_backend(self.backend)
         attacks = self.attacks or attack_names()
         defenses = self.defenses or defense_names()
         for name in attacks:
@@ -83,7 +79,7 @@ class JobSpec:
                          else int(self.master_seed)),
             label=(DEFAULT_LABEL if self.label is None
                    else str(self.label)),
-            backend=self.backend, workers=self.workers)
+            workers=self.workers)
 
     def cells(self) -> List[Tuple[str, str, Dict[str, Any]]]:
         """The job's trial parameter list, in cell-seed order."""
@@ -103,7 +99,6 @@ class JobSpec:
         """JSON-ready form (stable key order via sorted dumps)."""
         return {
             "attacks": list(self.attacks),
-            "backend": self.backend,
             "defenses": list(self.defenses),
             "label": self.label,
             "master_seed": self.master_seed,
@@ -114,15 +109,31 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Any key :meth:`to_dict` does not produce raises ``ValueError``
+        naming it: a misspelled axis must not silently widen the job
+        to every registered attack or defense.
+        """
+        unknown = sorted(set(payload) - _SPEC_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown job spec key(s): {', '.join(unknown)}; "
+                f"expected a subset of {', '.join(sorted(_SPEC_KEYS))}")
         return cls(
             attacks=tuple(payload.get("attacks") or ()),
             defenses=tuple(payload.get("defenses") or ()),
             overrides=payload.get("overrides") or {},
             master_seed=payload.get("master_seed"),
             label=payload.get("label"),
-            backend=payload.get("backend", "scalar"),
             workers=int(payload.get("workers", 1)))
+
+
+#: The keys :meth:`JobSpec.to_dict` writes and :meth:`JobSpec.from_dict`
+#: accepts.
+_SPEC_KEYS = frozenset(
+    ("attacks", "defenses", "label", "master_seed", "overrides",
+     "workers"))
 
 
 def job_id(spec: JobSpec) -> str:
@@ -138,7 +149,6 @@ def job_id(spec: JobSpec) -> str:
     resolved = spec.resolved()
     material = canonical_json({
         "attacks": list(resolved.attacks),
-        "backend": resolved.backend,
         "defenses": list(resolved.defenses),
         "label": resolved.label,
         "master_seed": resolved.master_seed,

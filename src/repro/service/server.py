@@ -205,7 +205,7 @@ class ExperimentServer:
                     journal_path=journal_path, ledger=ledger,
                     worker=f"{self._worker_tag}:{shard}",
                     master_seed=spec.master_seed, label=spec.label,
-                    backend=spec.backend, workers=1,
+                    workers=1,
                     store=self._store,
                     on_progress=lambda done, r=record:
                         self._progress(r, done),

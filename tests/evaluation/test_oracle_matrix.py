@@ -16,7 +16,7 @@ from repro.evaluation.matrix import MatrixRunner, _cell_trial
 from repro.experiment import Experiment
 
 #: The kwargs the ISSUE requires to exist on both facades, identically.
-SHARED_KWARGS = ("store", "backend", "service", "oracle",
+SHARED_KWARGS = ("store", "oracle",
                  "workers", "policy", "chaos", "journal",
                  "master_seed", "label", "metrics", "tracer")
 
@@ -37,9 +37,10 @@ def test_experiment_and_matrix_runner_kwargs_stay_in_sync(name):
 
 
 def test_experiment_service_raises_toward_matrix_runner():
-    experiment = Experiment(trial=_cell_trial, service="/tmp/state")
-    with pytest.raises(NotImplementedError, match="MatrixRunner"):
-        experiment.run()
+    """Only whole matrices are service-routable: ``service=`` lives on
+    ``MatrixRunner`` alone."""
+    with pytest.raises(TypeError, match="service"):
+        Experiment(trial=_cell_trial, service="/tmp/state")
 
 
 def test_matrix_runner_rejects_oracle_with_service():

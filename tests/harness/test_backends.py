@@ -1,30 +1,34 @@
-"""The pluggable execution-backend layer.
+"""The trial dispatcher: engine selection and engine parity.
 
-Every backend must honour the same contract: handed the same trials,
-it fills the same outcomes, the same seeds, the same journal records
-and the same ``SweepReport`` resolutions — so ``inline``, ``pool``
-and ``scalar`` are interchangeable execution substrates, not three
-behaviours."""
+``repro.harness.dispatch.dispatch`` runs trials in-process unless
+chaos, a watchdog timeout or more than one effective worker asks for
+the supervised process pool.  Whichever engine runs them, the same
+trials must fill the same outcomes, the same seeds, the same journal
+records and the same ``SweepReport`` resolutions."""
 
 import json
+import os
 
 import pytest
 
 from repro.harness import (
-    ExecutionBackend,
-    ExecutionRequest,
+    ChaosPlan,
     FaultPolicy,
-    InlineBackend,
-    backend_names,
     derive_seed,
-    resolve_backend,
     run_resilient_sweep,
 )
-from repro.harness.backends import BACKENDS
 
 FAST = FaultPolicy(backoff_base=0.0)
 
-GENERIC_BACKENDS = ("inline", "pool", "scalar")
+#: Engine configurations compared against the in-process reference:
+#: ``inline`` stays in this process, ``pool`` fans out over two
+#: workers, ``timeout`` takes the pool at one worker for its watchdog.
+ENGINES = {
+    "inline": dict(workers=1),
+    "pool": dict(workers=2),
+    "timeout": dict(workers=1,
+                    policy=FaultPolicy(backoff_base=0.0, timeout=30.0)),
+}
 
 
 def seed_echo(params, seed):
@@ -38,17 +42,46 @@ def flaky_even_first(params, seed):
     return (params, seed)
 
 
-# --- cross-backend parity --------------------------------------------------
+def report_pid(params, seed):
+    return os.getpid()
 
 
-@pytest.mark.parametrize("backend", GENERIC_BACKENDS)
-def test_backend_parity_results_and_report(backend):
-    reference = run_resilient_sweep(
-        seed_echo, list(range(6)), master_seed=7, label="par",
-        policy=FAST, workers=1, backend="inline")
-    other = run_resilient_sweep(
-        seed_echo, list(range(6)), master_seed=7, label="par",
-        policy=FAST, workers=2, backend=backend)
+def _sweep(trial_fn, params, engine, **kwargs):
+    options = {"policy": FAST, **ENGINES[engine], **kwargs}
+    return run_resilient_sweep(trial_fn, params, **options)
+
+
+# --- engine selection ------------------------------------------------------
+
+
+def test_dispatch_selects_the_pool_only_when_asked():
+    here = os.getpid()
+
+    def pids(**kwargs):
+        kwargs.setdefault("policy", FAST)
+        return run_resilient_sweep(report_pid, [0, 1], **kwargs).results()
+
+    assert pids(workers=1) == [here, here]
+    # Each trigger alone moves every attempt into a worker process.
+    for trigger in (dict(workers=2),
+                    dict(workers=1, policy=FaultPolicy(
+                        backoff_base=0.0, timeout=30.0)),
+                    dict(workers=1, chaos=ChaosPlan(faults={}))):
+        assert here not in pids(**trigger), trigger
+    # workers=2 over one trial is one effective worker: in-process.
+    assert run_resilient_sweep(report_pid, [0], policy=FAST,
+                               workers=2).results() == [here]
+
+
+# --- cross-engine parity ---------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", ["inline", "pool", "timeout"])
+def test_backend_parity_results_and_report(engine):
+    reference = _sweep(seed_echo, list(range(6)), "inline",
+                       master_seed=7, label="par")
+    other = _sweep(seed_echo, list(range(6)), engine, master_seed=7,
+                   label="par")
     assert other.results() == reference.results()
     assert ([t.seed for t in other.trials]
             == [t.seed for t in reference.trials])
@@ -56,93 +89,36 @@ def test_backend_parity_results_and_report(backend):
             == reference.report.resolution_counts())
 
 
-@pytest.mark.parametrize("backend", GENERIC_BACKENDS)
-def test_backend_parity_under_retries(backend):
-    reference = run_resilient_sweep(
-        flaky_even_first, list(range(5)), master_seed=7,
-        label="par", policy=FAST, workers=1, backend="inline")
-    other = run_resilient_sweep(
-        flaky_even_first, list(range(5)), master_seed=7,
-        label="par", policy=FAST, workers=2, backend=backend)
+@pytest.mark.parametrize("engine", ["inline", "pool", "timeout"])
+def test_backend_parity_under_retries(engine):
+    reference = _sweep(flaky_even_first, list(range(5)), "inline",
+                       master_seed=7, label="par")
+    other = _sweep(flaky_even_first, list(range(5)), engine,
+                   master_seed=7, label="par")
     assert other.results() == reference.results()
     # Same trials retried, same attempt counts.
     assert ([len(t.attempts) for t in other.report.trials]
             == [len(t.attempts) for t in reference.report.trials])
 
 
-@pytest.mark.parametrize("backend", GENERIC_BACKENDS)
-def test_backend_parity_journal_records(backend, tmp_path):
-    path = tmp_path / f"{backend}.jsonl"
-    run_resilient_sweep(seed_echo, list(range(4)), master_seed=3,
-                        label="jp", policy=FAST, workers=2,
-                        journal=path, backend=backend)
+def _journal_trials(path):
     records = [json.loads(line)
                for line in path.read_text().splitlines()]
-    trials = [r for r in records if r["kind"] == "trial"]
-    assert sorted(t["index"] for t in trials) == [0, 1, 2, 3]
-    # Seeds and payload digests are backend-invariant.
-    by_index = {t["index"]: (t["seed"], t["sha256"]) for t in trials}
-    expect = {i: derive_seed(3, i, "jp") for i in range(4)}
-    assert {i: s for i, (s, _) in by_index.items()} == expect
-    reference = run_resilient_sweep(
-        seed_echo, list(range(4)), master_seed=3, label="jp",
-        policy=FAST, workers=1, backend="inline")
-    assert ([by_index[i] is not None for i in range(4)]
-            and reference.results()
-            == [(i, expect[i]) for i in range(4)])
+    return {r["index"]: (r["attempt"], r["seed"], r["sha256"])
+            for r in records if r["kind"] == "trial"}
 
 
-# --- name resolution -------------------------------------------------------
-
-
-def test_backend_names_sorted():
-    assert backend_names() == ("inline", "pool", "scalar")
-
-
-def test_backend_map_is_fixed():
-    with pytest.raises(TypeError):
-        BACKENDS["custom"] = InlineBackend()  # type: ignore[index]
-
-
-def test_resolve_backend_accepts_instance():
-    backend = InlineBackend()
-    assert resolve_backend(backend) is backend
-    assert resolve_backend("inline") is BACKENDS["inline"]
-
-
-def test_resolve_backend_unknown():
-    with pytest.raises(ValueError, match="backend"):
-        resolve_backend("warp-drive")
-
-
-def test_custom_backend_instance_runs_sweeps():
-    class Doubling(ExecutionBackend):
-        """Delegates to inline, then doubles every outcome —
-        observable proof the custom backend actually executed."""
-
-        def execute(self, request):
-            BACKENDS["inline"].execute(request)
-            for index in [t.index for t in request.todo]:
-                a, b = request.outcomes[index]
-                request.outcomes[index] = (a * 2, b)
-
-    result = run_resilient_sweep(
-        seed_echo, [1, 2], master_seed=0, label="cb",
-        policy=FAST, workers=1, backend=Doubling())
-    assert [a for a, _ in result.results()] == [2, 4]
-
-
-def test_inline_backend_rejects_chaos():
-    from repro.harness.chaos import ChaosPlan
-    with pytest.raises(ValueError, match="isolation"):
-        run_resilient_sweep(
-            seed_echo, [1], master_seed=0, policy=FAST,
-            chaos=ChaosPlan(faults={(0, 0): "exception"}),
-            backend="inline")
-
-
-def test_execution_request_clock_origin_is_sticky():
-    request = ExecutionRequest(trial_fn=seed_echo, todo=[],
-                               policy=FAST)
-    origin = request.clock_origin()
-    assert request.clock_origin() == origin
+@pytest.mark.parametrize("engine", ["inline", "pool", "timeout"])
+def test_backend_parity_journal_records(engine, tmp_path):
+    reference_path = tmp_path / "reference.jsonl"
+    _sweep(seed_echo, list(range(4)), "inline", master_seed=3,
+           label="jp", journal=reference_path)
+    path = tmp_path / f"{engine}.jsonl"
+    _sweep(seed_echo, list(range(4)), engine, master_seed=3,
+           label="jp", journal=path)
+    trials = _journal_trials(path)
+    assert sorted(trials) == [0, 1, 2, 3]
+    # Attempts, seeds and payload digests are engine-invariant.
+    assert trials == _journal_trials(reference_path)
+    assert ({i: seed for i, (_, seed, _) in trials.items()}
+            == {i: derive_seed(3, i, "jp") for i in range(4)})

@@ -97,7 +97,7 @@ def test_chaos_run_is_bit_identical_to_fault_free():
     }, hang_seconds=30.0)
 
     clean = run_resilient_sweep(pure_trial, params, master_seed=11,
-                                label="acceptance", backend="inline")
+                                label="acceptance", workers=1)
     chaotic = run_resilient_sweep(pure_trial, params, master_seed=11,
                                   label="acceptance", policy=PATIENT,
                                   chaos=plan, workers=4)
@@ -169,8 +169,7 @@ def test_resumed_sweep_reruns_zero_completed_trials(tmp_path):
     assert bit_identical(
         resumed.results(),
         run_resilient_sweep(pure_trial, params, master_seed=9,
-                            label="resume",
-                            backend="inline").results())
+                            label="resume", workers=1).results())
     resolutions = resumed.report.resolution_counts()
     assert resolutions["journal"] == 4
     assert resolutions["ok"] == 1

@@ -21,6 +21,10 @@ from repro.harness import (
 
 FAST = FaultPolicy(backoff_base=0.0)
 
+#: A watchdog deadline no trial here comes near: it moves a
+#: one-worker sweep into the supervised pool.
+WATCHED = FaultPolicy(backoff_base=0.0, timeout=30.0)
+
 
 def _square_trial(params, seed):
     return params * params
@@ -55,26 +59,23 @@ def test_derive_seed_is_stable_and_distinct():
 
 def test_pool_preserves_submission_order():
     items = list(range(40))
-    inline = _sweep(_slow_for_even_trial, items, workers=1,
-                    backend="inline").results()
-    pooled = _sweep(_slow_for_even_trial, items, workers=4,
-                    backend="pool").results()
+    inline = _sweep(_slow_for_even_trial, items, workers=1).results()
+    pooled = _sweep(_slow_for_even_trial, items, workers=4).results()
     assert pooled == inline
     assert [item for item, _ in pooled] == items
 
 
 def test_sweep_empty_and_single():
-    for backend in ("inline", "pool"):
+    for policy in (FAST, WATCHED):
         assert _sweep(_square_trial, [], workers=8,
-                      backend=backend).results() == []
+                      policy=policy).results() == []
         assert _sweep(_square_trial, [3], workers=8,
-                      backend=backend).results() == [9]
+                      policy=policy).results() == [9]
 
 
 def test_sweep_hands_each_trial_its_derived_seed():
     sweep = _sweep(_seed_echo_trial, ["a", "b", "c"],
-                   master_seed=42, workers=1, label="echo",
-                   backend="inline")
+                   master_seed=42, workers=1, label="echo")
     assert len(sweep) == 3
     for trial, (params, seed) in sweep:
         assert params == trial.params
@@ -85,9 +86,9 @@ def test_sweep_hands_each_trial_its_derived_seed():
 def test_sweep_worker_invariant_on_synthetic_trials():
     params = list(range(16))
     serial = _sweep(_seed_echo_trial, params, master_seed=5,
-                    workers=1, label="inv", backend="inline")
+                    workers=1, label="inv")
     parallel = _sweep(_seed_echo_trial, params, master_seed=5,
-                      workers=4, label="inv", backend="pool")
+                      workers=4, label="inv")
     assert serial.results() == parallel.results()
     assert serial.trials == parallel.trials
 

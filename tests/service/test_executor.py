@@ -35,7 +35,7 @@ def _executor(tmp_path, worker, params, **kwargs):
         journal_path=journal_path,
         ledger=CellLedger(tmp_path / "ledger.jsonl"),
         worker=worker, master_seed=9, label="exec",
-        backend="inline", policy=FAST, poll_interval=0.005)
+        policy=FAST, poll_interval=0.005)
     defaults.update(kwargs)
     return CellExecutor(**defaults)
 
@@ -52,7 +52,7 @@ def test_single_executor_matches_resilient_sweep(tmp_path):
     results, report = _executor(tmp_path, "w0", params).run()
     reference = run_resilient_sweep(
         seed_echo, params, master_seed=9, label="exec",
-        policy=FAST, workers=1, backend="inline")
+        policy=FAST, workers=1)
     assert results == reference.results()
     assert report.resolution_counts()["ok"] == 5
 
@@ -79,7 +79,7 @@ def test_two_executors_shard_without_overlap(tmp_path):
     # Both workers see the complete, identical result set...
     reference = run_resilient_sweep(
         seed_echo, params, master_seed=9, label="exec",
-        policy=FAST, workers=1, backend="inline")
+        policy=FAST, workers=1)
     assert outputs["a"][0] == reference.results()
     assert outputs["b"][0] == reference.results()
     # ...and every cell was executed exactly once, by exactly one.
@@ -109,7 +109,7 @@ def test_store_hits_resolve_cached_and_journal(tmp_path):
     # Warm the store through the ordinary sweep path.
     run_resilient_sweep(seed_echo, params, master_seed=9,
                         label="exec", policy=FAST, workers=1,
-                        store=store, backend="inline")
+                        store=store)
     _make_header(tmp_path / "journal.jsonl", "exec", 9, len(params))
     results, report = _executor(tmp_path, "w0", params,
                                 store=store).run()
@@ -121,7 +121,7 @@ def test_store_hits_resolve_cached_and_journal(tmp_path):
         == params
     reference = run_resilient_sweep(
         seed_echo, params, master_seed=9, label="exec",
-        policy=FAST, workers=1, backend="inline")
+        policy=FAST, workers=1)
     assert results == reference.results()
 
 

@@ -20,6 +20,15 @@ def test_job_id_ignores_worker_count():
     assert job_id(base) == job_id(sharded)
 
 
+def test_spec_carries_no_execution_choice():
+    """Identity holds only what changes results: the dict form has
+    no dispatch knob for ``job_id`` (or a resubmission) to trip on."""
+    spec = JobSpec(attacks=("cf-cache",), defenses=("none",))
+    assert sorted(spec.to_dict()) == [
+        "attacks", "defenses", "label", "master_seed", "overrides",
+        "workers"]
+
+
 def test_job_id_wildcards_equal_explicit_axes():
     assert job_id(JobSpec()) == job_id(
         JobSpec(attacks=attack_names(), defenses=defense_names()))
@@ -47,17 +56,20 @@ def test_resolved_validates_names():
         JobSpec(attacks=("warp-attack",)).resolved()
 
 
-def test_resolved_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown sweep backend"):
-        JobSpec(attacks=("cf-cache",), defenses=("none",),
-                backend="simd").resolved()
+def test_from_dict_rejects_unknown_keys():
+    """A misspelled axis must not widen the job to every defense, and
+    a pre-upgrade payload's ``backend`` is no longer a spec key."""
+    with pytest.raises(ValueError, match="backend, defences"):
+        JobSpec.from_dict({"attacks": ["cf-cache"],
+                           "defences": ["none"], "backend": "inline"})
 
 
-def test_submit_with_unknown_backend_creates_no_job(service):
+def test_submit_with_unknown_key_creates_no_job(service):
     client, state = service
-    with pytest.raises(ServiceError, match="unknown sweep backend"):
-        client.submit(JobSpec(attacks=("cf-cache",),
-                              defenses=("none",), backend="batch"))
+    with pytest.raises(ServiceError, match="defences"):
+        client._request({"op": "submit",
+                         "spec": {"attacks": ["cf-cache"],
+                                  "defences": ["none"]}})
     assert client.jobs() == []
     jobs_root = state / "jobs"
     assert not jobs_root.exists() or not any(jobs_root.iterdir())
@@ -75,7 +87,7 @@ def test_cells_are_attacks_outer_defenses_inner():
 def test_to_from_dict_roundtrip():
     spec = JobSpec(attacks=("cf-cache",), defenses=("none",),
                    overrides={"cf-cache": {"k": 1}}, master_seed=5,
-                   label="x", backend="inline", workers=3)
+                   label="x", workers=3)
     clone = JobSpec.from_dict(spec.to_dict())
     assert clone == spec
     assert job_id(clone) == job_id(spec)
