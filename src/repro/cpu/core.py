@@ -11,9 +11,12 @@ Per cycle the core performs, in order:
 4. **Dispatch** — issue ready instructions to execution ports, SMT
    round-robin, oldest first.  The program-order scan stops at the
    oldest in-flight fence; latency is computed only for an op that was
-   granted a port; only ports that issued are reset next cycle.  Loads
-   translate through TLB → page walk here, which is where the
-   MicroScope speculation window opens.
+   granted a port; only ports that issued are reset next cycle.  Once
+   an op class finds every port held in a cycle, later entries of that
+   class (either context) add the same ``contended`` counts without
+   searching again, and a cycle in which nothing leaves a ready queue
+   leaves the queue as it is.  Loads translate through TLB → page walk
+   here, which is where the MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
    flow into the ROB.
 
@@ -28,14 +31,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import OP_CLASSES, CoreConfig
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
 from repro.cpu.decode import FLOW_BRANCH, FLOW_JUMP, FLOW_NEXT, LATENCY_KEYS
 from repro.cpu.observer import CORE_STAGES, bind_stages
-from repro.cpu.ports import PortSet
+from repro.cpu.ports import Port, PortSet
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
 from repro.isa.instructions import Instruction, Opcode
@@ -62,9 +65,25 @@ def _is_subnormal(value: float) -> bool:
 
 
 def _check_config(config: CoreConfig):
-    """Reject a port layout or latency table the pipeline cannot run:
-    an op class no port accepts would wait forever in the ready queue,
-    and a missing latency would fail mid-run."""
+    """Reject a configuration the pipeline cannot run, or would run
+    silently wrong: an op class no port accepts would wait forever in
+    the ready queue, a missing latency would fail mid-run, a misspelled
+    class name would be ignored (``non_pipelined={"fdiv"}`` leaves the
+    divider pipelined), and a zero width or ROB size retires nothing."""
+    for name in ("fetch_width", "issue_width", "retire_width",
+                 "rob_size"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, "
+                             f"got {getattr(config, name)}")
+    for where, classes in (
+            [("non_pipelined", config.non_pipelined)]
+            + [(f"port {port.name}", port.classes)
+               for port in config.ports]):
+        unknown = sorted(set(classes) - set(OP_CLASSES))
+        if unknown:
+            raise ValueError(f"{where} names unknown op class(es) "
+                             f"{', '.join(map(repr, unknown))}; known: "
+                             f"{', '.join(OP_CLASSES)}")
     served = set().union(*(port.classes for port in config.ports))
     for cls in OP_CLASSES:
         if cls not in served:
@@ -142,10 +161,24 @@ class Core:
         known to wake the core (naive stepping is then the only safe
         answer).  Otherwise returns a later cycle T: every cycle
         strictly before T is provably an empty ``step()``, because the
-        only pending work sits in the event heap or behind a known
-        stall/block cycle.  A busy cycle returns at the first context
-        that can act.
+        only pending work sits in the event heap, behind a known
+        stall/block cycle, or in a ready queue whose entries are all
+        held (:meth:`_hold`): younger than the oldest in-flight fence,
+        that fence while an older entry is incomplete, or an op whose
+        every port a non-pipelined op holds until some cycle that then
+        bounds T.  Such a step changes nothing but the ``contended``
+        counts of those ports, which :meth:`fast_forward` credits in
+        bulk.  With a ``gate`` observer attached, or a load ready, the
+        probe steps.  A busy cycle returns at the first context that
+        can act.
         """
+        return self._next_work(None)
+
+    def _next_work(self, held: Optional[List[Sequence[Port]]]
+                   ) -> Optional[int]:
+        """:meth:`next_work_cycle`; when *held* is a list, it also
+        receives, per port-held ready entry, the ports dispatch would
+        count as contended each cycle until the returned one."""
         cycle = self.cycle
         busy = False
         target = math.inf
@@ -167,9 +200,30 @@ class Core:
                         target = cycle
                     continue
                 busy = True
-                for entry in context.ready:
-                    if not entry.squashed:
-                        return cycle  # dispatch may issue this cycle
+                if context.ready:
+                    if self._gate:
+                        # A gate may answer differently each cycle, and
+                        # its calls are observable: step.
+                        for entry in context.ready:
+                            if not entry.squashed:
+                                return cycle
+                    else:
+                        fence_seq = context.oldest_fence_seq()
+                        if fence_seq is None:
+                            fence_seq = math.inf
+                        for entry in context.sorted_ready():
+                            if entry.seq > fence_seq:
+                                break  # dispatch never scans past it
+                            if entry.squashed:
+                                continue
+                            hold = self._hold(context, entry, fence_seq)
+                            if hold is None:
+                                return cycle  # dispatch may issue it
+                            until, ports = hold
+                            if until < target:
+                                target = until
+                            if ports and held is not None:
+                                held.append(ports)
                 if (context.pending_interrupt is not None
                         or context.txn_abort_pending):
                     return cycle
@@ -198,13 +252,49 @@ class Core:
             return cycle
         return target
 
+    def _hold(self, context: HardwareContext, entry: ROBEntry,
+              fence_seq: float) -> Optional[Tuple[float, Sequence[Port]]]:
+        """Why a ready, unsquashed *entry*, not younger than
+        *fence_seq* (the context's oldest in-flight fence), cannot
+        issue at the current cycle, as the rules of :meth:`_try_execute`
+        decide with no gate attached.
+
+        Returns ``None`` when it may issue now (or when that cannot be
+        ruled out cheaply: loads are never held here).  Otherwise
+        returns ``(until, ports)``: it cannot issue before cycle
+        *until* (``math.inf`` when only a completion, which the event
+        heap bounds, can release it), and each cycle it waits, dispatch
+        counts one ``contended`` cycle on each of *ports*."""
+        if entry.seq == fence_seq:
+            if context.rob.all_older_completed(entry.seq):
+                return None
+            return math.inf, ()
+        op_cls = entry.op_cls
+        if op_cls == "load":
+            return None
+        now = self.cycle
+        ports = self.ports._by_class[op_cls]
+        until = math.inf
+        for port in ports:
+            busy_until = port.busy_until
+            if busy_until <= now:
+                return None
+            if busy_until < until:
+                until = busy_until
+        return until, ports
+
     def fast_forward(self, limit: Optional[int] = None) -> int:
         """Jump the clock to the next cycle where work exists (clamped
-        to *limit*).  Returns the number of empty cycles skipped.  The
-        skipped cycles are exactly the no-op ``step()`` calls naive
-        stepping would have performed, so all observable state —
-        cycle counts, stats, architectural state — is bit-identical."""
-        target = self.next_work_cycle()
+        to *limit*).  Returns the number of cycles skipped.  The
+        skipped cycles are exactly the ``step()`` calls naive stepping
+        would have performed with no effect beyond port accounting:
+        for a jump of k cycles, every port of each port-held ready
+        entry's class (:meth:`_hold`) gains k ``contended`` cycles, the
+        count :meth:`PortSet.find` would have made one cycle at a time.
+        All observable state — cycle counts, stats, port counters,
+        architectural state — is bit-identical."""
+        held: List[Sequence[Port]] = []
+        target = self._next_work(held)
         if target is None:
             return 0
         if limit is not None and target > limit:
@@ -212,6 +302,9 @@ class Core:
         skipped = target - self.cycle
         if skipped <= 0:
             return 0
+        for ports in held:
+            for port in ports:
+                port.stats.contended += skipped
         self.cycle = target
         return skipped
 
@@ -513,6 +606,13 @@ class Core:
         budget = self.config.issue_width
         contexts = self.contexts
         rotations = self._rotations
+        # Op classes whose port search failed this cycle, with the ports
+        # that search counted as contended.  Nothing on those ports can
+        # free up or issue later this cycle, so a later entry of the
+        # class (either context) counts the same ports without searching
+        # again.  Gates are consulted per entry, so with one attached
+        # every entry takes the full path.
+        exhausted = None if self._gate else {}
         for context_id in rotations[self.cycle % len(rotations)]:
             if budget <= 0:
                 break
@@ -527,19 +627,52 @@ class Core:
             if fence_seq is None:
                 fence_seq = math.inf
             ready = context.sorted_ready()
-            still_ready = []
+            # Built from the first entry that leaves the queue (issued,
+            # or squashed by an issue); until then the queue is left as
+            # it is.  Only an issue in this scan can squash an entry of
+            # this context, so a scan that issues nothing finds none.
+            still_ready = None
             for position, entry in enumerate(ready):
                 if entry.squashed:
+                    if still_ready is None:
+                        still_ready = ready[:position]
                     continue
                 if budget <= 0 or entry.seq > fence_seq:
-                    still_ready.extend([e for e in ready[position:]
-                                        if not e.squashed])
+                    if still_ready is not None:
+                        still_ready.extend([e for e in ready[position:]
+                                            if not e.squashed])
                     break
+                op_cls = entry.op_cls
+                if exhausted is not None and entry.seq != fence_seq:
+                    counted = exhausted.get(op_cls)
+                    if counted is not None:
+                        for port in counted:
+                            port.stats.contended += 1
+                        if still_ready is not None:
+                            still_ready.append(entry)
+                        continue
                 if self._try_execute(context, entry, fence_seq):
                     budget -= 1
-                else:
+                    if still_ready is None:
+                        still_ready = ready[:position]
+                    continue
+                if still_ready is not None:
                     still_ready.append(entry)
-            context.ready = still_ready
+                if (exhausted is not None and entry.seq != fence_seq
+                        and op_cls != "load"):
+                    # With no gate, a non-load that is not the fence
+                    # fails only in the port search.
+                    exhausted[op_cls] = self._contended_ports(op_cls)
+            if still_ready is not None:
+                context.ready = still_ready
+
+    def _contended_ports(self, op_cls: str) -> List[Port]:
+        """The ports a port search for *op_cls* that just failed counted
+        as contended: those a non-pipelined op holds and that issued
+        nothing this cycle (:meth:`PortSet.find`)."""
+        now = self.cycle
+        return [port for port in self.ports._by_class[op_cls]
+                if not port._issued_this_cycle and now < port.busy_until]
 
     def _try_execute(self, context: HardwareContext, entry: ROBEntry,
                      fence_seq: float) -> bool:

@@ -212,10 +212,14 @@ class Machine:
 
         Provably-empty cycles are skipped in one jump
         (:meth:`Core.fast_forward`), bit-exactly with stepping them one
-        by one.  *until* is evaluated once per loop iteration, so it
-        must depend on simulation state (which cannot change during
-        skipped cycles), not on raw cycle numbers: use :meth:`step` or
-        :meth:`run_until_cycle` to stop at an exact cycle.
+        by one; that includes cycles in which ready entries only wait
+        on a fence or on a port a non-pipelined op holds.  *until* is
+        evaluated once per loop iteration, so it must depend on
+        simulation state, not on raw cycle numbers: use :meth:`step` or
+        :meth:`run_until_cycle` to stop at an exact cycle.  The only
+        state that changes during a jump is port ``contended``
+        counters, which advance by the jump length at once, so *until*
+        must not read them either.
         """
         core = self.core
         start = core.cycle

@@ -77,7 +77,13 @@ class PortSet:
         """The first port that can take *op_cls* at cycle *now*, or
         ``None``.  Every candidate skipped because a non-pipelined op
         still holds it counts one ``contended`` cycle, whether or not a
-        later port is free."""
+        later port is free.
+
+        The core reproduces these counts without calling ``find``
+        where the answer is known: after a failed search, dispatch
+        adds the same counts for later entries of *op_cls* in that
+        cycle, and ``Core.fast_forward`` adds one per skipped cycle for
+        each ready entry whose class has every port held."""
         for port in self._by_class.get(op_cls, ()):
             if port._issued_this_cycle:
                 continue

@@ -5,7 +5,12 @@ the tier-1 Hypothesis suite (``tests/cpu/test_differential.py``) can
 afford per-PR: generate *cases* seeded random programs, execute each
 on both the out-of-order :class:`~repro.cpu.machine.Machine` and the
 sequential :mod:`repro.isa.interpreter` golden model, and require
-final integer/FP register state and memory to agree.
+final integer/FP register state and memory to agree.  Each case also
+checks a counter contract on the core: the execution ports' ``issued``
+counts sum to the contexts' ``stats.issued``.  Every issue path
+(loads, stores, ALU ops) goes through both counters, so a scheduler
+shortcut that drops or duplicates an issue breaks the sum even when
+the architectural state still matches.
 
 The sweep runs through :func:`repro.harness.run_resilient_sweep`, so
 it journals every completed case (``journal.jsonl``) and produces the
@@ -167,6 +172,12 @@ def run_case(params: Any, seed: int) -> Dict[str, Any]:
         core = machine.phys.read(addr)
         if not _fp_equal(core or 0, value or 0):
             mismatches.append(f"mem {addr:#x}")
+    port_issues = sum(issued for issued, _contended
+                      in machine.core.ports.contention_report().values())
+    context_issues = sum(ctx.stats.issued for ctx in machine.contexts)
+    if port_issues != context_issues:
+        mismatches.append(f"port issues {port_issues} != context "
+                          f"issues {context_issues}")
     return {
         "case": params["case"],
         "instructions": len(program.instructions),

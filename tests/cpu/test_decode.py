@@ -120,3 +120,24 @@ def test_missing_latencies_are_rejected_by_name():
     del latencies["mul"]
     with pytest.raises(ValueError, match="fdiv_subnormal, mul"):
         _machine(latencies=latencies)
+
+
+def test_unknown_non_pipelined_class_is_rejected():
+    """``"fdiv"`` is an opcode, not an op class: the divider once
+    silently became pipelined and Fig. 10 lost its contention."""
+    with pytest.raises(ValueError, match="non_pipelined.*'fdiv'"):
+        _machine(non_pipelined=frozenset({"fdiv"}))
+
+
+def test_unknown_port_class_is_rejected():
+    ports = (PortConfig("p0", frozenset(OP_CLASSES) | {"sqrt"}),)
+    with pytest.raises(ValueError, match="port p0.*'sqrt'"):
+        _machine(ports=ports)
+
+
+@pytest.mark.parametrize("field", ["fetch_width", "issue_width",
+                                   "retire_width", "rob_size"])
+def test_widths_and_rob_size_must_be_positive(field):
+    """``issue_width=0`` once ran to ``max_cycles`` retiring nothing."""
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        _machine(**{field: 0})

@@ -345,6 +345,24 @@ def divider_program(iterations, numerator, denominator):
     return b.build()
 
 
+def divide_queue_program(iterations, divides=4, alu_ops=3):
+    """Independent divides queued behind the busy divider, with ALU
+    traffic that also bids for the divider's port, p0."""
+    b = ProgramBuilder("divide-queue")
+    b.li("r1", 0).li("r2", iterations).li("r3", 91).li("r4", 7)
+    b.fli("f1", 9.0).fli("f2", 3.0)
+    b.label("loop")
+    for i in range(divides):
+        b.div(f"r{5 + i}", "r3", "r4")
+    b.fdiv("f3", "f1", "f2")
+    for i in range(alu_ops):
+        b.add(f"r{10 + i % 3}", "r3", "r4")
+    b.addi("r1", "r1", 1)
+    b.bne("r1", "r2", "loop")
+    b.halt()
+    return b.build()
+
+
 def memory_order_program(behind=20):
     """A store whose address waits on a divide, a younger load of the
     same address that issues first, and a fence plus a ready queue
@@ -390,6 +408,36 @@ def test_smt_divider_contention_pair():
 def test_smt_divider_with_subnormal_operands():
     assert_equivalent([divider_program(25, 9.0, 3.0),
                        divider_program(25, 5e-310, 3.0)])
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_smt_divide_queues_on_the_shared_divider(monkeypatch, gated):
+    """Several divides per context wait on the divider in the same
+    cycles.  Without a gate, production searches the ports once per
+    class and cycle and counts the later divides from that record; the
+    reference searches for every one."""
+    searches = {"production": 0, "reference": 0}
+    find, reference_issue = PortSet.find, ReferencePortSet.try_issue
+
+    def counting_find(self, now, op_cls):
+        searches["production"] += op_cls == "div"
+        return find(self, now, op_cls)
+
+    def counting_issue(self, now, op_cls, latency):
+        searches["reference"] += op_cls == "div"
+        return reference_issue(self, now, op_cls, latency)
+
+    monkeypatch.setattr(PortSet, "find", counting_find)
+    monkeypatch.setattr(ReferencePortSet, "try_issue", counting_issue)
+    result = assert_equivalent([divide_queue_program(12),
+                                divide_queue_program(10, divides=3)],
+                               gated=gated)
+    divider = [p for p in result["ports"] if p[0] == "p0"][0]
+    assert divider[2] > 0
+    if gated:
+        assert result["gate_calls"]
+    else:
+        assert searches["production"] < searches["reference"]
 
 
 def test_memory_order_squash_mid_dispatch():

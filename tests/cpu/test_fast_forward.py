@@ -17,13 +17,19 @@ workload shapes:
   work;
 * one ciphertext of the §4.4 AES key recovery and a small Fig. 10
   port-contention panel, run through the attacks' own code;
-* unit cases for the quiescence probe (``next_work_cycle``) and the
-  jump clamp.
+* unit cases for the quiescence probe (``next_work_cycle``), its
+  held-entry rules (divider, fence, gate, load) and the jump clamp.
+
+Beside cycles and state, each leg compares every port's ``issued`` and
+``contended`` counts: a jump over cycles in which a ready entry waits
+for a held port credits the ``contended`` cycles naive stepping would
+have counted one by one.
 """
 
 import heapq
 from contextlib import contextmanager
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +40,7 @@ from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.context import ContextState
 from repro.cpu.machine import Machine
+from repro.cpu.rob import EntryState
 from repro.crypto.aes import encrypt_block
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
@@ -63,11 +70,15 @@ def _naive_run(machine, max_cycles=1_000_000, until=None):
 
 
 def _snapshot(machine: Machine):
-    """Cycle count, architectural state, and the full stats report."""
+    """Cycle count, architectural state, the full stats report, every
+    port's ``(issued, contended)`` counts (a jump credits ``contended``
+    in bulk) and the metrics registry."""
     report = asdict(machine_report(machine))
     regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
             for ctx in machine.contexts]
-    return machine.cycle, regs, report
+    return (machine.cycle, regs, report,
+            machine.core.ports.contention_report(),
+            machine.metrics.dump())
 
 
 @contextmanager
@@ -312,3 +323,86 @@ def test_run_until_cycle_exact_under_fast_forward():
     assert machine.cycle == finish + 777
     machine.run_until_cycle(finish + 1_000)
     assert machine.cycle == finish + 1_000
+
+
+# --- held ready entries -----------------------------------------------------
+
+def _divider_held_machine(gate=None) -> Machine:
+    """Two independent divides, stepped until the second waits in the
+    ready queue while the first holds the non-pipelined divider, with
+    nothing left to retire and no event due."""
+    machine = Machine()
+    if gate is not None:
+        machine.attach(SimpleNamespace(gate=gate))
+    program = (ProgramBuilder("divides").li("r2", 96).li("r3", 4)
+               .div("r4", "r2", "r3").div("r5", "r2", "r3")
+               .halt().build())
+    context = machine.contexts[0]
+    context.load_program(program)
+    core = machine.core
+    divider = core.ports.port_named("p0")
+    for _ in range(100):
+        core.step()
+        if (core.cycle < divider.busy_until
+                and [e.op_cls for e in context.ready] == ["div"]
+                and not context.rob.head.completed
+                and core._events[0][0] > core.cycle):
+            return machine
+    raise AssertionError("the second divide never waited on the divider")
+
+
+def test_probe_skips_a_divide_held_by_the_divider():
+    """The held divide cannot issue before the divider frees up, and
+    the jump credits the ``contended`` cycles dispatch would have
+    counted on it, one per skipped cycle."""
+    machine = _divider_held_machine()
+    core = machine.core
+    divider = core.ports.port_named("p0")
+    target = core.next_work_cycle()
+    assert core.cycle < target <= divider.busy_until
+    contended = divider.stats.contended
+    skipped = core.fast_forward()
+    assert core.cycle == target
+    assert divider.stats.contended == contended + skipped
+
+
+def test_probe_steps_on_a_held_divide_when_a_gate_is_attached():
+    """A gate is consulted per entry and cycle, so nothing is skipped."""
+    machine = _divider_held_machine(gate=lambda core, context, e: True)
+    core = machine.core
+    assert core.cycle < core.ports.port_named("p0").busy_until
+    assert core.next_work_cycle() == core.cycle
+
+
+def test_probe_steps_on_a_fence_whose_older_entries_completed():
+    """A fence at the ROB head, with nothing older left in flight,
+    issues now even though the next event is far off."""
+    machine = Machine()
+    program = (ProgramBuilder("fence-first").fence().addi("r2", "r2", 1)
+               .halt().build())
+    context = machine.contexts[0]
+    context.load_program(program)
+    core = machine.core
+    core.step()  # fetch the whole program
+    fence = context.rob.head
+    assert fence.seq == context.oldest_fence_seq()
+    assert fence.state is EntryState.READY and fence in context.ready
+    assert context.rob.all_older_completed(fence.seq)
+    heapq.heappush(core._events, (core.cycle + 200, -1, object()))
+    assert core.next_work_cycle() == core.cycle
+
+
+def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
+    """The probe does not model a load's store-buffer search, so a
+    ready load makes it step whatever its ports say."""
+    machine = Machine()
+    program = ProgramBuilder("load").load("r2", "r1", 0).halt().build()
+    context = machine.contexts[0]
+    context.load_program(program)
+    core = machine.core
+    core.step()
+    assert [e.op_cls for e in context.ready][0] == "load"
+    for name in ("p2", "p3"):
+        core.ports.port_named(name).busy_until = core.cycle + 100
+    heapq.heappush(core._events, (core.cycle + 200, -1, object()))
+    assert core.next_work_cycle() == core.cycle

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.cpu.ports import Port
 from repro.harness import derive_seed
 from repro.tools.diffsweep import (
     LABEL,
@@ -29,6 +30,26 @@ def test_run_case_matches_on_sampled_seeds():
         assert payload["match"], payload["mismatches"]
         assert payload["seed"] == seed
         assert payload["retired"] > 0
+
+
+def test_run_case_checks_port_issues_against_context_issues(monkeypatch):
+    """A port that counts an issue twice leaves the architectural state
+    intact; only the counter contract notices."""
+    counted = Port.issue
+
+    def twice(self, now, op_cls, latency):
+        counted(self, now, op_cls, latency)
+        if op_cls == "store":
+            self.stats.issued += 1
+
+    monkeypatch.setattr(Port, "issue", twice)
+    seed = next(s for s in (derive_seed(2019, case, LABEL)
+                            for case in range(20))
+                if any(i.is_store for i in generate_program(s)))
+    payload = run_case({"case": 0}, seed)
+    assert not payload["match"]
+    [mismatch] = payload["mismatches"]
+    assert mismatch.startswith("port issues")
 
 
 def test_run_sweep_writes_artifacts_and_resumes(tmp_path):
