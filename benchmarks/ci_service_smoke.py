@@ -8,7 +8,9 @@ processes:
 
 1. boot ``python -m repro serve`` on a fresh state dir, submit a
    2×2 matrix job, and SIGKILL the server the moment the first cell
-   lands in the journal (genuinely mid-run);
+   lands in the journal (genuinely mid-run).  The server leads its
+   own process group; every member of it (the pool workers included)
+   must be gone within a fixed bound of the kill;
 2. restart the server on the same state dir; boot recovery must
    re-enqueue the job and run it to completion;
 3. assert from the journal that every cell was journalled exactly
@@ -43,6 +45,10 @@ SRC = REPO / "src"
 ATTACKS = ("cf-cache", "loop-secret")
 DEFENSES = ("none", "fences")
 
+#: Seconds the killed server's process group may take to drain: a pool
+#: worker finishes its in-flight cell and exits.
+GROUP_DRAIN_BOUND = 30.0
+
 
 def log(message: str) -> None:
     print(f"[service-smoke] {message}", flush=True)
@@ -57,11 +63,14 @@ def start_server(state_dir: Path) -> subprocess.Popen:
         (state_dir / "endpoint.json").unlink()
     except OSError:
         pass
+    # A session of its own makes the server the leader of a fresh
+    # process group, which its pool workers join: after a SIGKILL the
+    # group must drain (see wait_group_empty).
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--state-dir", str(state_dir)],
         env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.STDOUT)
+        stderr=subprocess.STDOUT, start_new_session=True)
     deadline = time.monotonic() + 30
     endpoint = state_dir / "endpoint.json"
     while time.monotonic() < deadline:
@@ -73,6 +82,23 @@ def start_server(state_dir: Path) -> subprocess.Popen:
         time.sleep(0.05)
     process.kill()
     raise RuntimeError("server never wrote endpoint.json")
+
+
+def wait_group_empty(pgid: int, bound: float = GROUP_DRAIN_BOUND) -> float:
+    """Wait until no process is left in group *pgid*; return how long
+    that took.  Pool workers must not outlive a killed server."""
+    t0 = time.monotonic()
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return time.monotonic() - t0
+        if time.monotonic() - t0 > bound:
+            os.killpg(pgid, signal.SIGKILL)  # don't leak them past CI
+            raise AssertionError(
+                f"process group {pgid} still has members {bound}s "
+                f"after the server was killed")
+        time.sleep(0.05)
 
 
 def journal_indices(journal: Path):
@@ -129,11 +155,13 @@ def interrupted_round(spec, state: Path):
         # crash-recovery contract must not depend on a tidy exit.
         server.send_signal(signal.SIGKILL)
         server.wait(timeout=10)
+    drained = wait_group_empty(server.pid)
     prekill = journal_indices(journal)
     total = len(ATTACKS) * len(DEFENSES)
     if len(prekill) >= total:
         return None  # finished before the kill landed; retry
-    log(f"killed server with {len(prekill)}/{total} cells journalled")
+    log(f"killed server with {len(prekill)}/{total} cells journalled; "
+        f"its process group drained in {drained:.2f}s")
     return len(prekill)
 
 
@@ -178,12 +206,10 @@ def main() -> int:
             assert sorted(indices) == list(range(total)), (
                 f"journal must hold each cell exactly once, "
                 f"got indices {sorted(indices)}")
-            # Zero reruns, part 2: the resumed shards executed only
-            # the missing cells; pre-kill cells resolved as journal.
-            executed = sum(
-                shard["resolutions"]["ok"]
-                + shard["resolutions"]["cached"]
-                for shard in metrics["shards"])
+            # Zero reruns, part 2: the resumed run executed only the
+            # missing cells; pre-kill cells resolved as journal.
+            resolutions = metrics["report"]["resolutions"]
+            executed = resolutions["ok"] + resolutions["cached"]
             assert executed == total - prekill, (
                 f"resumed run executed {executed} cells, expected "
                 f"{total - prekill} (prekill={prekill})")

@@ -213,7 +213,7 @@ class Experiment:
         :class:`~repro.core.replayer.Replayer`.
 
         With ``warm=True`` the underlying environment comes from the
-        process-wide :func:`repro.snapshot.warm_start` cache, keyed on
+        calling thread's :func:`repro.snapshot.warm_start` cache, keyed on
         this experiment's configs: repeated calls rewind to one
         post-build snapshot instead of reconstructing the platform.
         """

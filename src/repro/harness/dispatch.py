@@ -2,7 +2,7 @@
 
 :func:`dispatch` resolves a todo list of trials — for
 :func:`repro.harness.run_resilient_sweep` and the job service's cell
-executors alike — on one of two engines, picked from what the call
+executor alike — on one of two engines, picked from what the call
 asks for:
 
 * the **supervised process pool** when ``chaos`` is set, when
@@ -19,7 +19,7 @@ attached) is journalled exactly once, so results are bit-identical
 whichever engine ran them — proven by ``tests/harness/test_backends.py``.
 Trials carry *absolute* sweep indices, so retry seeds derive from
 ``(master_seed, trial.index, label, attempt)`` and any subset of a
-sweep (a service shard, the tail after a journal resume) produces
+sweep (a service batch, the tail after a journal resume) produces
 exactly the results the full sweep would.
 """
 

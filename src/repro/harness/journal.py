@@ -22,9 +22,13 @@ Integrity rules:
   :class:`JournalMismatch` instead of silently mixing results;
 * each trial line carries the SHA-256 of its pickled result; a line
   that fails any integrity check — torn tail (the classic artefact of
-  dying mid-``write``), digest mismatch, undecodable pickle — is
-  discarded *along with everything after it* (appends are ordered, so
-  later lines are suspect too); those trials simply rerun;
+  dying mid-``write``; a line counts only once its newline is on
+  disk), digest mismatch, undecodable pickle — is discarded *along
+  with everything after it* (appends are ordered, so later lines are
+  suspect too); those trials simply rerun.  :meth:`SweepJournal.open`
+  truncates the file back to the last accepted line before it
+  appends, so the records written after a resume are never hidden
+  behind the discarded tail;
 * the recorded seed must equal ``derive_seed(master, index, label,
   attempt)`` for the recorded attempt, which catches journals whose
   parameters were re-derived differently.
@@ -66,6 +70,11 @@ def _fingerprint(label: str, master_seed: int, trial_count: int) -> str:
 class SweepJournal:
     """Append-only journal of completed sweep trials.
 
+    A journal has one appender: the process that opened it.  Trials
+    run in pool workers are journalled by that parent process (see
+    :mod:`repro.harness.dispatch`), and a job-service job is one
+    sweep with one journal.
+
     Use through :func:`repro.harness.resilience.run_resilient_sweep`
     (``journal=path``); direct use::
 
@@ -76,17 +85,12 @@ class SweepJournal:
         journal.close()
     """
 
-    def __init__(self, path, *, atomic: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.path = Path(path)
         self._fh = None
         self._label = ""
         self._master_seed = 0
         self._trial_count = 0
-        #: With ``atomic=True`` every record is appended with a single
-        #: ``os.write`` on the O_APPEND descriptor, so multiple
-        #: processes/threads sharing one journal (the service's
-        #: sharded cell workers) never interleave bytes mid-line.
-        self._atomic = atomic
         #: Trials dropped at load time for failing integrity checks.
         self.discarded = 0
 
@@ -95,17 +99,23 @@ class SweepJournal:
     def open(self, label: str, master_seed: int,
              trial_count: int) -> Dict[int, Tuple[int, Any]]:
         """Open (creating if needed) and return completed trials as
-        ``{index: (attempt, result)}``."""
+        ``{index: (attempt, result)}``.
+
+        Whatever follows the last accepted record (a torn tail, a
+        corrupt line and the lines after it) is truncated away before
+        appending, so records written from here on are seen by the
+        next load."""
         self._label = label
         self._master_seed = master_seed
         self._trial_count = trial_count
         completed: Dict[int, Tuple[int, Any]] = {}
+        end = 0
         if self.path.exists() and self.path.stat().st_size > 0:
-            completed = self._load()
+            completed, end = self._load()
+            os.truncate(self.path, end)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._fh = open(self.path, "a", encoding="utf-8")
-        if fresh:
+        if end == 0:
             self._append({
                 "kind": "header",
                 "version": JOURNAL_VERSION,
@@ -116,28 +126,6 @@ class SweepJournal:
                                             trial_count),
             })
         return completed
-
-    def bind(self, label: str, master_seed: int,
-             trial_count: int) -> "SweepJournal":
-        """Set the sweep identity without opening the file for
-        append — for read-only consumers (:meth:`peek` pollers) that
-        must never write a header."""
-        self._label = label
-        self._master_seed = master_seed
-        self._trial_count = trial_count
-        return self
-
-    def peek(self) -> Dict[int, Tuple[int, Any]]:
-        """Completed trials currently on disk, re-read fresh.
-
-        Requires a prior :meth:`open` or :meth:`bind` (the integrity
-        checks need the sweep identity).  Safe while other processes
-        are appending: a torn tail degrades to "not completed yet"
-        exactly as on resume.
-        """
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            return {}
-        return self._load()
 
     def close(self) -> None:
         if self._fh is not None:
@@ -170,25 +158,21 @@ class SweepJournal:
         })
 
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        if self._atomic:
-            # One os.write per record on the O_APPEND descriptor:
-            # concurrent appenders cannot interleave within a line.
-            os.write(self._fh.fileno(), line.encode("utf-8"))
-        else:
-            self._fh.write(line)
-            self._fh.flush()
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.flush()
         os.fsync(self._fh.fileno())
 
     # --- loading ----------------------------------------------------------
 
-    def _load(self) -> Dict[int, Tuple[int, Any]]:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            return {}
+    def _load(self) -> Tuple[Dict[int, Tuple[int, Any]], int]:
+        """Completed trials, plus the byte offset just past the last
+        accepted line (header included): where appends resume."""
+        # The piece after the final newline is empty or a torn tail: a
+        # line counts only once its newline is on disk.
+        lines = self.path.read_bytes().split(b"\n")
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise JournalError(
                 f"{self.path}: unreadable journal header") from exc
         if header.get("kind") != "header":
@@ -208,7 +192,10 @@ class SweepJournal:
                 f"label={self._label!r} master_seed={self._master_seed} "
                 f"trial_count={self._trial_count}")
         completed: Dict[int, Tuple[int, Any]] = {}
-        for line in lines[1:]:
+        if len(lines) == 1:
+            return completed, 0  # header torn before its newline
+        end = len(lines[0]) + 1
+        for line in lines[1:-1]:
             record = self._decode(line)
             if record is None:
                 # Torn or corrupt line: everything after it is suspect
@@ -216,13 +203,14 @@ class SweepJournal:
                 break
             index, attempt, result = record
             completed[index] = (attempt, result)
-        return completed
+            end += len(line) + 1
+        return completed, end
 
-    def _decode(self, line: str
+    def _decode(self, line: bytes
                 ) -> Optional[Tuple[int, int, Any]]:
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+        except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         if record.get("kind") != "trial":
             return None

@@ -11,7 +11,9 @@ Two complementary tools:
   without threading a machine handle through every helper.  Machines
   built in *worker processes* (the parallel sweep harness) are not
   visible to the parent's collector; their counters stay
-  worker-local.
+  worker-local.  The collector is thread-local, like the active
+  oracle in :mod:`repro.oracle.runtime`: a block sees only the
+  machines its own thread builds.
 
 ``Machine.profile()`` (see :mod:`repro.cpu.machine`) returns a
 :class:`RunProfile` capturing cycles and host seconds for one region,
@@ -20,35 +22,37 @@ from which cycles-per-host-second falls out directly.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
-#: The active machine collector, or None.  Machine.__init__ performs
-#: one module-attribute read + None check — nothing else — so the
-#: hook is effectively free when no collector is installed.
-_collector: Optional[List[Any]] = None
+#: ``_collector.machines`` is this thread's active machine list, if
+#: any.  Machine.__init__ performs one thread-local read + None check
+#: — nothing else — so the hook is effectively free when no collector
+#: is installed.
+_collector = threading.local()
 
 
 def note_machine(machine: Any) -> None:
     """Called by ``Machine.__init__``; records *machine* when a
-    collector is active."""
-    if _collector is not None:
-        _collector.append(machine)
+    collector is active on this thread."""
+    machines = getattr(_collector, "machines", None)
+    if machines is not None:
+        machines.append(machine)
 
 
 @contextmanager
 def collect_machines() -> Iterator[List[Any]]:
-    """Collect every Machine constructed in this block (re-entrant
-    blocks nest: inner collectors shadow outer ones)."""
-    global _collector
-    previous = _collector
+    """Collect every Machine this thread constructs in this block
+    (re-entrant blocks nest: inner collectors shadow outer ones)."""
+    previous = getattr(_collector, "machines", None)
     machines: List[Any] = []
-    _collector = machines
+    _collector.machines = machines
     try:
         yield machines
     finally:
-        _collector = previous
+        _collector.machines = previous
 
 
 class RunProfile:

@@ -2,22 +2,19 @@
 
 ``python -m repro serve`` boots an asyncio server that accepts
 (attack × defense × config × seed) matrix jobs over a local
-line-JSON socket, shards each job's cells across worker threads via
-an append-only claim ledger, journals every completed cell, and
-serves byte-stable results — so a server killed mid-job and
-restarted resumes with **zero recomputed cells** and a bit-identical
-``result.json``.
+line-JSON socket, runs each job's cells through the one trial
+dispatcher (the supervised process pool for ``workers > 1``),
+journals every completed cell, and serves byte-stable results — so a
+server killed mid-job and restarted resumes with **zero recomputed
+cells** and a bit-identical ``result.json``.
 
 The pieces:
 
 * :mod:`repro.service.jobs` — :class:`JobSpec` (content-addressed:
   identical matrices get identical job ids) and job lifecycle records;
-* :mod:`repro.service.ledger` — :class:`CellLedger`, the
-  journal-as-coordination-log that shards cells across workers;
-* :mod:`repro.service.executor` — :class:`CellExecutor`, one
-  worker's claim/execute/journal loop, running cells through
-  :func:`repro.harness.dispatch.dispatch` and the shared
-  :class:`~repro.memo.store.TrialStore`;
+* :mod:`repro.service.executor` — :class:`CellExecutor`, one job's
+  batch loop: trial store first, then
+  :func:`repro.harness.dispatch.dispatch`, every cell journalled;
 * :mod:`repro.service.server` — :class:`ExperimentServer` and
   :func:`serve`;
 * :mod:`repro.service.client` — the blocking :class:`ServiceClient`
@@ -33,7 +30,6 @@ story.
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.executor import SERVICE_POLICY, CellExecutor
 from repro.service.jobs import JOB_STATES, JobRecord, JobSpec, job_id
-from repro.service.ledger import DEFAULT_LEASE, CellLedger
 from repro.service.protocol import ProtocolError
 from repro.service.server import (
     ENDPOINT_FILE,
@@ -42,12 +38,10 @@ from repro.service.server import (
 )
 
 __all__ = [
-    "DEFAULT_LEASE",
     "ENDPOINT_FILE",
     "JOB_STATES",
     "SERVICE_POLICY",
     "CellExecutor",
-    "CellLedger",
     "ExperimentServer",
     "JobRecord",
     "JobSpec",

@@ -1,27 +1,20 @@
-"""The sharded cell executor: claim, execute, journal, repeat.
+"""The cell executor: one job's cells, batch by batch, through the
+one dispatcher.
 
-A :class:`CellExecutor` is one worker's view of one job.  Any number
-of executors — threads of one server, or executors of a server that
-restarted mid-job — cooperate on the same job directory with zero
-coordination beyond two append-only files:
+A :class:`CellExecutor` runs every cell of one job.  The **sweep
+journal** (:class:`~repro.harness.journal.SweepJournal`) is the
+single completion record: a cell is done iff its result line is in
+the journal, so a restarted server resumes by reopening it.
 
-* the **sweep journal** (:class:`~repro.harness.journal.SweepJournal`,
-  atomic append mode) is the single source of completion truth: a
-  cell is done iff its result line is in the journal;
-* the **cell ledger** (:class:`~repro.service.ledger.CellLedger`)
-  shards the *pending* cells: an executor only runs cells it holds a
-  live claim on.
-
-The execution loop is: peek the journal → drop completed cells →
-claim a batch of unclaimed pending cells → resolve them (trial store
-first, under the same :class:`~repro.harness.resilience.StoreSession`
-rules as ``run_resilient_sweep``, then
-:func:`repro.harness.dispatch.dispatch`) → repeat.  When every
-pending cell is claimed by someone else the executor polls the
-journal until they land (or their claims lease out, at which point it
-claims them itself).  Because cells carry absolute trial indices,
-any claim pattern yields bit-identical results — the same guarantee
-the dispatcher gives ``run_resilient_sweep``.
+The loop walks the pending cells in batches of ``workers`` cells:
+serve what it can from the trial store (under the same
+:class:`~repro.harness.resilience.StoreSession` rules as
+``run_resilient_sweep``), resolve the rest with
+:func:`repro.harness.dispatch.dispatch` — the supervised process pool
+when ``workers > 1`` — persist, report progress, and check
+``should_stop`` before the next batch.  Because cells carry absolute
+trial indices, any batching yields bit-identical results, the same
+guarantee the dispatcher gives ``run_resilient_sweep``.
 """
 
 from __future__ import annotations
@@ -40,14 +33,6 @@ from repro.harness.resilience import (
     TrialReport,
 )
 from repro.harness.sweep import Trial, TrialFn, derive_seed
-from repro.service.ledger import CellLedger
-
-#: How many cells one claim batch grabs — small enough that shards
-#: stay balanced, large enough to amortise the ledger append.
-CLAIM_BATCH = 4
-
-#: Seconds between journal polls while waiting on other workers.
-POLL_INTERVAL = 0.05
 
 #: The fault policy service jobs run under: the matrix trial converts
 #: attack exceptions into error metrics itself, so harness-level
@@ -59,26 +44,23 @@ SERVICE_POLICY = FaultPolicy(max_attempts=3, backoff_base=0.0,
 
 @dataclass
 class CellExecutor:
-    """One worker executing its share of one job's cells."""
+    """Runs one job's cells to completion, resuming from its journal."""
 
     trial_fn: TrialFn
     params: List[Any]
     journal_path: Any
-    ledger: CellLedger
-    worker: str
     master_seed: int = 0
     label: str = ""
-    #: Worker processes per claimed batch (see
-    #: :func:`repro.harness.dispatch.dispatch`).
+    #: Pool workers per batch (see
+    #: :func:`repro.harness.dispatch.dispatch`); a batch holds this
+    #: many cells, so the pool is never capped.
     workers: int = 1
     policy: FaultPolicy = SERVICE_POLICY
     store: Any = None
-    claim_batch: int = CLAIM_BATCH
-    poll_interval: float = POLL_INTERVAL
-    #: Called after every loop iteration with the number of journalled
-    #: cells — the server's progress hook.
+    #: Called after every batch with the number of resolved cells —
+    #: the server's progress hook.
     on_progress: Optional[Callable[[int], None]] = None
-    #: Set by the server to abort the loop (e.g. on shutdown).
+    #: Set by the server to stop between batches (e.g. on shutdown).
     should_stop: Optional[Callable[[], bool]] = None
     report: Optional[SweepReport] = field(default=None, init=False)
 
@@ -88,18 +70,17 @@ class CellExecutor:
                       params=p)
                 for i, p in enumerate(self.params)]
 
-    # --- the loop ---------------------------------------------------------
-
     def run(self) -> Tuple[List[Any], SweepReport]:
-        """Cooperate on the job until every cell is journalled.
+        """Run every cell not yet in the journal.
 
-        Returns the results in trial order plus this worker's
-        :class:`~repro.harness.resilience.SweepReport` (cells other
-        workers ran appear with resolution ``"journal"``).
+        Returns the results in trial order (``None`` for cells left
+        pending by ``should_stop``) plus the job's
+        :class:`~repro.harness.resilience.SweepReport`, in which cells
+        read back from the journal resolve as ``"journal"``.
         """
         t0 = time.perf_counter()
         trials = self._trials()
-        journal = SweepJournal(self.journal_path, atomic=True)
+        journal = SweepJournal(self.journal_path)
         outcomes: Dict[int, Any] = {}
         reports: Dict[int, TrialReport] = {}
         for index, (_attempt, result) in journal.open(
@@ -108,93 +89,54 @@ class CellExecutor:
             reports[index] = TrialReport(index=index, attempts=[],
                                          resolution="journal")
         cache = StoreSession(self.store, self.trial_fn, trials)
+        pending = [t for t in trials if t.index not in reports]
+        size = max(self.workers, 1)
         try:
-            self._loop(trials, journal, cache, outcomes, reports, t0)
+            for start in range(0, len(pending), size):
+                if self.should_stop is not None and self.should_stop():
+                    break
+                self._batch(pending[start:start + size], journal,
+                            cache, outcomes, reports, t0)
+                if self.on_progress is not None:
+                    self.on_progress(len(reports))
         finally:
             journal.close()
-        wall = time.perf_counter() - t0
         self.report = SweepReport(
             label=self.label, master_seed=self.master_seed,
             workers=self.workers,
             trials=[reports[t.index] for t in trials
                     if t.index in reports],
-            wall_seconds=wall, cache=cache.delta())
-        results = [outcomes.get(t.index) for t in trials]
-        return results, self.report
+            wall_seconds=time.perf_counter() - t0, cache=cache.delta())
+        return [outcomes.get(t.index) for t in trials], self.report
 
-    def _loop(self, trials: List[Trial], journal: SweepJournal,
-              cache: StoreSession, outcomes: Dict[int, Any],
-              reports: Dict[int, TrialReport], t0: float) -> None:
-        while True:
-            if self.should_stop is not None and self.should_stop():
-                return
-            pending = [t for t in trials if t.index not in reports]
-            if not pending:
-                return
-            won = set(self.ledger.claim(
-                self.worker,
-                self.ledger.unclaimed(
-                    [t.index for t in pending])[:self.claim_batch]))
-            if not won:
-                # Everything pending is claimed by someone else: wait
-                # for their journal lines (or their leases) to land.
-                time.sleep(self.poll_interval)
-                self._absorb(journal, outcomes, reports)
-                continue
-            todo = [t for t in pending if t.index in won]
-            # Journal store hits so every other worker sees them as
-            # completed.
-            for trial in cache.serve(todo, self.policy.verify,
-                                     outcomes, reports):
-                journal.record(trial.index, 0, trial.seed,
-                               outcomes[trial.index])
-            todo = [t for t in todo if t.index not in reports]
-            if todo:
-                dispatch(self.trial_fn, todo, policy=self.policy,
-                         master_seed=self.master_seed,
-                         label=self.label, workers=self.workers,
-                         chaos=None, journal=journal,
-                         outcomes=outcomes, reports=reports, t0=t0)
-                self._journal_unjournalled(todo, journal, outcomes,
-                                           reports)
-                cache.persist(todo, outcomes, reports)
-            if self.on_progress is not None:
-                self.on_progress(len(reports))
+    def _batch(self, todo: List[Trial], journal: SweepJournal,
+               cache: StoreSession, outcomes: Dict[int, Any],
+               reports: Dict[int, TrialReport], t0: float) -> None:
+        """Resolve one batch and journal every cell of it.
 
-    def _absorb(self, journal: SweepJournal,
-                outcomes: Dict[int, Any],
-                reports: Dict[int, TrialReport]) -> None:
-        """Pull other workers' completions out of the journal."""
-        for index, (_attempt, result) in journal.peek().items():
-            if index not in reports:
-                outcomes[index] = result
-                reports[index] = TrialReport(
-                    index=index, attempts=[], resolution="journal")
-        if self.on_progress is not None:
-            self.on_progress(len(reports))
-
-    def _journal_unjournalled(self, todo: List[Trial],
-                              journal: SweepJournal,
-                              outcomes: Dict[int, Any],
-                              reports: Dict[int, TrialReport]) -> None:
-        """Journal skipped/defaulted resolutions too: the journal is
-        the job's completion truth, so a cell that exhausted its
-        attempts must still land there (as its fallback payload) or
-        every other worker would wait on it forever."""
+        Dispatch journals successes itself; store hits and cells that
+        exhausted their attempts (as their fallback payload) are
+        journalled here, so a resumed job never reruns either."""
+        for trial in cache.serve(todo, self.policy.verify,
+                                 outcomes, reports):
+            journal.record(trial.index, 0, trial.seed,
+                           outcomes[trial.index])
+        todo = [t for t in todo if t.index not in reports]
+        dispatch(self.trial_fn, todo, policy=self.policy,
+                 master_seed=self.master_seed, label=self.label,
+                 workers=self.workers, chaos=None, journal=journal,
+                 outcomes=outcomes, reports=reports, t0=t0)
         for trial in todo:
-            report = reports.get(trial.index)
-            if report is None or report.resolution == "ok":
-                continue  # successes were journalled by dispatch
-            result = outcomes.get(trial.index)
-            if result is SKIPPED:
-                result = None
+            if reports[trial.index].resolution == "ok":
+                continue
+            if outcomes[trial.index] is SKIPPED:
                 outcomes[trial.index] = None
-            journal.record(trial.index, 0, trial.seed, result)
+            journal.record(trial.index, 0, trial.seed,
+                           outcomes[trial.index])
+        cache.persist(todo, outcomes, reports)
 
 
 __all__ = [
-    "CLAIM_BATCH",
-    "POLL_INTERVAL",
     "SERVICE_POLICY",
     "CellExecutor",
 ]

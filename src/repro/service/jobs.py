@@ -8,7 +8,7 @@ bit-identical to what the client would have computed itself.
 
 Job identity is *content-addressed*: :func:`job_id` hashes the
 canonical JSON of the spec, so resubmitting the same matrix maps to
-the same job directory (journal, ledger, result) and therefore
+the same job directory (journal, result) and therefore
 resumes instead of recomputing — the service-level analogue of the
 :class:`~repro.memo.store.TrialStore` discipline.
 """
@@ -31,8 +31,8 @@ class JobSpec:
 
     Empty ``attacks``/``defenses`` mean "every registered one" — the
     same convention as :class:`repro.evaluation.MatrixRunner`.
-    ``workers`` is the number of sharded cell executors the server
-    runs for this job; each executor runs its cells in-process (see
+    ``workers`` is the number of pool workers the job's executor
+    runs cells on; ``1`` runs them in the server process (see
     :func:`repro.harness.dispatch.dispatch`).
     """
 
@@ -142,9 +142,9 @@ def job_id(spec: JobSpec) -> str:
     matrices — however they were spelled (wildcards, dict order) —
     get identical ids, so resubmission resumes the same journal.
 
-    ``workers`` is deliberately excluded: how many shards execute a
-    matrix never changes its results, so it must not change its
-    identity either.
+    ``workers`` is deliberately excluded: how many pool workers
+    execute a matrix never changes its results, so it must not change
+    its identity either.
     """
     resolved = spec.resolved()
     material = canonical_json({

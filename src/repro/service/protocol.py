@@ -4,8 +4,8 @@ Every service message — request, response, and streamed progress
 event — is one JSON object on one line, UTF-8, ``\\n``-terminated.
 Requests carry an ``"op"`` field; responses carry ``"ok"`` (plus the
 payload) or ``"ok": false`` with an ``"error"`` string.  The framing
-is deliberately the same as the journal and ledger files: everything
-in the service is a line of JSON, greppable and replayable.
+is deliberately the same as the job journal's: everything in the
+service is a line of JSON, greppable and replayable.
 
 Both flavours live here: the asyncio pair used by the server
 (:func:`send_message` / :func:`read_message`) and the blocking pair

@@ -2,9 +2,10 @@
 
 ``python -m repro serve --state-dir DIR`` turns the evaluation matrix
 into a service: clients submit (attack × defense × config × seed)
-jobs over a local socket, the server shards each job's cells across
-worker threads, and every intermediate is a file in the job
-directory::
+jobs over a local socket, the server runs each job through one
+:class:`~repro.service.executor.CellExecutor` (its cells go to the
+supervised process pool when the job asks for ``workers > 1``), and
+every intermediate is a file in the job directory::
 
     DIR/
       endpoint.json            # {"host": ..., "port": ..., "pid": ...}
@@ -12,15 +13,13 @@ directory::
       jobs/<job id>/
         spec.json              # the resolved JobSpec
         journal.jsonl          # sweep journal — completion truth
-        ledger.jsonl           # cell claim ledger — sharding truth
         result.json            # the EvaluationMatrix (byte-stable)
-        metrics.json           # per-shard SweepReports + registry dump
+        metrics.json           # the job's SweepReport + registry dump
 
 Crash safety is structural, not transactional: kill the server at any
 instant and restart it on the same state directory — boot recovery
-re-enqueues every job with a spec but no result, the new executors
-append an epoch to the ledger (voiding the dead process's claims) and
-resume from the journal, so no journalled cell ever reruns and the
+re-enqueues every job with a spec but no result and its executor
+resumes from the journal, so no journalled cell ever reruns and the
 final ``result.json`` is byte-identical to an uninterrupted run
 (enforced by the ``service-smoke`` CI job).
 """
@@ -35,11 +34,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
 from repro.evaluation.matrix import _cell_trial, build_matrix
-from repro.harness.journal import SweepJournal
 from repro.observability.registry import MetricsRegistry
 from repro.service.executor import CellExecutor
 from repro.service.jobs import JobRecord, JobSpec, job_id
-from repro.service.ledger import DEFAULT_LEASE, CellLedger
 from repro.service.protocol import (
     ProtocolError,
     read_message,
@@ -58,15 +55,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 class ExperimentServer:
-    """The job server: queue, shards, and the line-JSON endpoint."""
+    """The job server: queue, executors, and the line-JSON endpoint."""
 
     def __init__(self, state_dir, *, host: str = "127.0.0.1",
-                 port: int = 0, cache_dir: Any = None,
-                 lease: float = DEFAULT_LEASE) -> None:
+                 port: int = 0, cache_dir: Any = None) -> None:
         self.state_dir = Path(state_dir)
         self.host = host
         self.port = port
-        self.lease = lease
         self.jobs: Dict[str, JobRecord] = {}
         self._cache_dir = Path(cache_dir) if cache_dir is not None \
             else self.state_dir / "store"
@@ -76,7 +71,6 @@ class ExperimentServer:
         self._watchers: Dict[str, List[asyncio.Queue]] = {}
         self._stopping: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._worker_tag = f"srv-{os.getpid()}"
 
     # --- paths ------------------------------------------------------------
 
@@ -179,7 +173,6 @@ class ExperimentServer:
     async def _run_job(self, record: JobRecord) -> None:
         spec = record.spec.resolved()
         job_dir = self.job_dir(record.job)
-        journal_path = job_dir / "journal.jsonl"
         params = spec.cells()
         record.total = len(params)
         record.state = "running"
@@ -188,42 +181,18 @@ class ExperimentServer:
                                   "state": "running"})
         t0 = time.perf_counter()
         try:
-            # The server (one task per job) creates the journal header
-            # before any executor opens the file, so concurrent
-            # shards never race to write it.
-            header = SweepJournal(journal_path, atomic=True)
-            header.open(spec.label, spec.master_seed, len(params))
-            header.close()
-            ledger = CellLedger(job_dir / "ledger.jsonl",
-                                lease=self.lease)
-            # Restart fence: claims of any dead predecessor are void.
-            ledger.epoch(self._worker_tag)
             stopping = self._stopping
-            executors = [
-                CellExecutor(
-                    trial_fn=_cell_trial, params=list(params),
-                    journal_path=journal_path, ledger=ledger,
-                    worker=f"{self._worker_tag}:{shard}",
-                    master_seed=spec.master_seed, label=spec.label,
-                    workers=1,
-                    store=self._store,
-                    on_progress=lambda done, r=record:
-                        self._progress(r, done),
-                    should_stop=(stopping.is_set
-                                 if stopping is not None else None))
-                for shard in range(max(spec.workers, 1))]
-            shard_results = await asyncio.gather(*[
-                asyncio.to_thread(executor.run)
-                for executor in executors])
-            if self._stopping is not None \
-                    and self._stopping.is_set():
+            executor = CellExecutor(
+                trial_fn=_cell_trial, params=params,
+                journal_path=job_dir / "journal.jsonl",
+                master_seed=spec.master_seed, label=spec.label,
+                workers=spec.workers, store=self._store,
+                on_progress=lambda done: self._progress(record, done),
+                should_stop=(stopping.is_set
+                             if stopping is not None else None))
+            results, report = await asyncio.to_thread(executor.run)
+            if stopping is not None and stopping.is_set():
                 return  # shutdown mid-job: leave it resumable
-            # The journal is the completion truth — assemble the
-            # matrix from it, not from any single shard's view.
-            completed = SweepJournal(journal_path).bind(
-                spec.label, spec.master_seed, len(params)).peek()
-            results = [completed[i][1] if i in completed else None
-                       for i in range(len(params))]
             matrix = build_matrix(
                 spec.attacks, spec.defenses, params, results,
                 master_seed=spec.master_seed, label=spec.label)
@@ -231,12 +200,14 @@ class ExperimentServer:
                 matrix.to_dict(), sort_keys=True, indent=2)
                 + "\n").encode("utf-8"))
             record.wall_seconds = time.perf_counter() - t0
-            self._account(record, [r for _, r in shard_results])
+            registry = MetricsRegistry()
+            report.record_into(registry, prefix="service.job")
+            record.metrics = registry.dump()
+            record.cache = report.cache
             _atomic_write(job_dir / "metrics.json", (json.dumps(
                 {"cache": record.cache, "job": record.job,
                  "metrics": record.metrics,
-                 "shards": [r.to_dict()
-                            for _, r in shard_results],
+                 "report": report.to_dict(),
                  "wall_seconds": record.wall_seconds},
                 sort_keys=True, indent=2) + "\n").encode("utf-8"))
             record.done = record.total
@@ -250,17 +221,6 @@ class ExperimentServer:
                     "event": "state", "job": record.job,
                     "state": record.state,
                     "error": record.error or None})
-
-    def _account(self, record: JobRecord, reports: List[Any]) -> None:
-        """Fold the shard SweepReports into the job's metrics dump."""
-        registry = MetricsRegistry()
-        cache: Dict[str, int] = {}
-        for report in reports:
-            report.record_into(registry, prefix="service.job")
-            for name, count in (report.cache or {}).items():
-                cache[name] = cache.get(name, 0) + count
-        record.metrics = registry.dump()
-        record.cache = cache or None
 
     # --- the endpoint -----------------------------------------------------
 

@@ -46,23 +46,52 @@ def test_mismatched_sweep_is_rejected(tmp_path):
 def test_torn_tail_discards_suffix(tmp_path):
     path = record_trials(tmp_path / "sweep.journal",
                          indices=(0, 1, 2))
+    whole = path.read_bytes()
     with open(path, "a") as fh:
         fh.write('{"kind": "trial", "index"')  # torn write
     journal = SweepJournal(path)
     completed = journal.open("sweep", 7, 4)
-    # Append after a torn tail must still work: the journal reopens
-    # in append mode and new records land beyond the junk...
-    journal.record(3, 1, derive_seed(7, 3, "sweep", 1), "late")
     journal.close()
     assert sorted(completed) == [0, 1, 2]
+    # Reopening cuts the torn tail off before anything is appended.
+    assert path.read_bytes() == whole
 
-    # ...and the *next* load stops at the torn line, so the late
-    # record (after the junk) is discarded too — ordered-append
-    # semantics, documented in the module docstring.
+
+def test_records_after_a_torn_resume_stay_visible(tmp_path):
+    """Resume after a crash mid-append: every record written by the
+    resumed run must be seen by the run after it."""
+    path = record_trials(tmp_path / "sweep.journal", indices=(0,))
+    with open(path, "a") as fh:
+        fh.write('{"kind": "trial", "index": 1, "att')  # half a line
+    record_trials(path, indices=(1, 2))  # reopen, then record 1 and 2
     journal = SweepJournal(path)
     completed = journal.open("sweep", 7, 4)
     journal.close()
     assert sorted(completed) == [0, 1, 2]
+    assert journal.discarded == 0
+
+
+def test_corrupt_line_and_its_suffix_are_truncated(tmp_path):
+    path = record_trials(tmp_path / "sweep.journal", indices=(0, 1, 2))
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"sha256": "', b'"sha256": "0')
+    path.write_bytes(b"\n".join(lines))
+    journal = SweepJournal(path)
+    assert sorted(journal.open("sweep", 7, 4)) == [0]
+    journal.close()
+    assert path.read_bytes() == b"\n".join(lines[:2]) + b"\n"
+
+
+def test_a_line_without_its_newline_is_torn(tmp_path):
+    path = record_trials(tmp_path / "sweep.journal", indices=(0, 1))
+    path.write_bytes(path.read_bytes()[:-1])  # drop the last newline
+    journal = SweepJournal(path)
+    assert sorted(journal.open("sweep", 7, 4)) == [0]
+    journal.record(1, 0, derive_seed(7, 1, "sweep"), "again")
+    journal.close()
+    journal = SweepJournal(path)
+    assert journal.open("sweep", 7, 4)[1] == (0, "again")
+    journal.close()
 
 
 def test_corrupted_payload_is_discarded(tmp_path):

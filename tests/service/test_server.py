@@ -3,6 +3,7 @@ recovery — against a real asyncio server on a real socket."""
 
 import json
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +29,23 @@ def _submit_and_wait(client):
     return spec, submitted["job"], status
 
 
+@contextmanager
+def _server(state):
+    """A live server on *state* (and its own trial store)."""
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=serve, args=(state,),
+        kwargs={"on_ready": lambda s: ready.set()}, daemon=True)
+    thread.start()
+    assert ready.wait(15), "server never came up"
+    client = ServiceClient(state_dir=state)
+    try:
+        yield client
+    finally:
+        client.shutdown()
+        thread.join(timeout=15)
+
+
 def test_ping(service):
     client, _ = service
     reply = client.ping()
@@ -43,9 +61,35 @@ def test_submit_runs_job_to_done(service):
     assert status["cache"]["stores"] == 2
     assert status["metrics"]  # registry dump travels on status
     job_dir = state / "jobs" / jid
-    for artifact in ("spec.json", "journal.jsonl", "ledger.jsonl",
-                     "result.json", "metrics.json"):
+    for artifact in ("spec.json", "journal.jsonl", "result.json",
+                     "metrics.json"):
         assert (job_dir / artifact).exists(), artifact
+    metrics = json.loads((job_dir / "metrics.json").read_text())
+    assert metrics["report"]["resolutions"]["ok"] == 2
+
+
+def _pool_job(client, workers):
+    """Run two cells that share one warm-start key as one job on
+    *workers* pool workers; return the spec and the result payload."""
+    spec = JobSpec(attacks=("port-contention",),
+                   defenses=("none", "dejavu"),
+                   overrides={"port-contention": {"measurements": 200}},
+                   workers=workers)
+    status = client.wait(client.submit(spec)["job"], timeout=120)
+    assert status["state"] == "done", status
+    return spec, client.result(status["job"])
+
+
+def test_pool_job_matches_inline_job_and_local_run(service, tmp_path):
+    client, _ = service
+    spec, pooled = _pool_job(client, workers=2)
+    with _server(tmp_path / "inline") as inline:
+        _spec, inline_result = _pool_job(inline, workers=1)
+    assert pooled == inline_result
+    local = MatrixRunner(attacks=spec.attacks, defenses=spec.defenses,
+                         overrides=spec.overrides, workers=1).run()
+    assert EvaluationMatrix.from_dict(pooled).to_dict() \
+        == local.to_dict()
 
 
 def test_result_matches_local_matrix_run(service):
@@ -124,25 +168,12 @@ def test_recovery_completes_job_from_prior_state(tmp_path):
     (job_dir / "spec.json").write_text(
         json.dumps(spec.to_dict(), sort_keys=True))
 
-    ready = threading.Event()
-
-    def boot():
-        serve(state, on_ready=lambda s: ready.set())
-
-    thread = threading.Thread(target=boot, daemon=True)
-    thread.start()
-    assert ready.wait(15)
-    client = ServiceClient(state_dir=state)
-    try:
+    with _server(state) as client:
         status = client.wait(jid, timeout=120)
         assert status["state"] == "done"
         remote = EvaluationMatrix.from_dict(client.result(jid))
-        local = MatrixRunner(attacks=ATTACKS,
-                             defenses=DEFENSES).run()
-        assert remote.to_dict() == local.to_dict()
-    finally:
-        client.shutdown()
-        thread.join(timeout=15)
+    local = MatrixRunner(attacks=ATTACKS, defenses=DEFENSES).run()
+    assert remote.to_dict() == local.to_dict()
 
 
 def test_client_requires_an_address_or_state_dir():
