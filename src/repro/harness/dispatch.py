@@ -28,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import multiprocessing
+import os
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
@@ -170,10 +172,31 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Start a daemon thread that ends this worker once it is no
+    longer *parent*'s child.  A worker whose supervisor was SIGKILLed
+    is re-parented; without the check it would run its attempt to the
+    end, and a hung attempt with no watchdog ``timeout`` (a service
+    job's) would live forever."""
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch",
+                     daemon=True).start()
+
+
 def _attempt_worker(fn, params, seed, chaos, index, attempt, conn):
     """Run one attempt in a worker process and ship the result with an
     integrity digest.  Chaos hooks run here — inside the blast radius
-    the supervisor is designed to contain."""
+    the supervisor is designed to contain.  The worker exits on its
+    own if the supervisor dies (:func:`_exit_with_parent`)."""
+    _exit_with_parent(os.getppid())
     try:
         if chaos is not None:
             chaos.before(index, attempt)

@@ -352,7 +352,8 @@ class StoreSession:
 
     * a trial whose key (trial-function fingerprint + canonical
       params + attempt-0 seed) has a record that ``verify`` accepts is
-      served "cached" without running (:meth:`serve`);
+      served "cached" without running (:meth:`serve`); the function
+      is fingerprinted once per session, the params once per trial;
     * only attempt-0 successes are persisted (:meth:`persist`): a
       retry ran with an attempt-k seed, and lookups always use the
       attempt-0 seed, so caching a retried result would pair the
@@ -370,15 +371,30 @@ class StoreSession:
         self._before: Dict[str, int] = {}
         if store is None:
             return
-        from repro.memo.keys import Unmemoizable, trial_key
+        from repro.memo.keys import (
+            Unmemoizable,
+            fingerprint_callable,
+            fingerprinted_trial_key,
+        )
         self._before = store.counts()
+        # One fingerprint per sweep: every trial runs the same function.
+        try:
+            fingerprint = fingerprint_callable(trial_fn)
+        except Unmemoizable:
+            fingerprint = None
         for trial in trials:
-            try:
-                self.keys[trial.index] = trial_key(
-                    trial_fn, trial.params, trial.seed)
-            except Unmemoizable:
+            key = None
+            if fingerprint is not None:
+                try:
+                    key = fingerprinted_trial_key(
+                        fingerprint, trial.params, trial.seed)
+                except Unmemoizable:
+                    pass
+            if key is None:
                 # Unkeyable trials run uncached, with a counter bump.
                 store.note_uncacheable()
+            else:
+                self.keys[trial.index] = key
 
     def serve(self, trials: Sequence[Trial],
               verify: Optional[Callable[[Any], bool]],

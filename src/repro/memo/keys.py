@@ -26,7 +26,8 @@ import functools
 import hashlib
 import json
 import types
-from typing import Any
+import weakref
+from typing import Any, Dict
 
 from repro.config import to_dict as config_to_dict
 
@@ -85,11 +86,25 @@ def _code_material(code: types.CodeType) -> bytes:
                  code.co_varnames)).encode()
 
 
+#: ``_code_hash`` per code object.  A sweep keys every trial against
+#: the same trial function, so its code is hashed once, not per trial.
+#: Code objects that compare equal have equal bytecode, names and
+#: type-exact constants, hence equal material, so sharing an entry
+#: between them is sound; reassigning ``fn.__code__`` looks up the new
+#: code object.
+_CODE_HASHES: "weakref.WeakKeyDictionary[types.CodeType, str]" = \
+    weakref.WeakKeyDictionary()
+
+
 def _code_hash(fn: Any) -> str:
     code = getattr(fn, "__code__", None)
     if code is None:
         return ""
-    return hashlib.sha256(_code_material(code)).hexdigest()[:16]
+    digest = _CODE_HASHES.get(code)
+    if digest is None:
+        digest = hashlib.sha256(_code_material(code)).hexdigest()[:16]
+        _CODE_HASHES[code] = digest
+    return digest
 
 
 def fingerprint_callable(fn: Any) -> Any:
@@ -137,16 +152,43 @@ def fingerprint_callable(fn: Any) -> Any:
     raise Unmemoizable(f"{fn!r} is not callable")
 
 
+def _canonical_dict(value: Dict[Any, Any]) -> Any:
+    for k in value:
+        if type(k) is not str:
+            # Any other key is canonicalised, not string-ified, so 1
+            # and "1" never collide; pairs sort by their canonical
+            # JSON, key first.
+            pairs = [[canonical(k), canonical(v)]
+                     for k, v in value.items()]
+            return {"__map__": sorted(
+                pairs, key=lambda pair: json.dumps(pair, sort_keys=True))}
+    return {"__dict__": [[k, canonical(v)]
+                         for k, v in sorted(value.items())]}
+
+
 def canonical(value: Any) -> Any:
     """Reduce *value* to a JSON-compatible canonical structure.
 
-    Handles primitives, bytes, enums, tuples/lists, dicts (string-ified
-    sorted keys), sets/frozensets (sorted), registered config
-    dataclasses (via :func:`repro.config.to_dict`), generic dataclasses
-    (tagged by qualified name) and callables.  Raises
-    :class:`Unmemoizable` for anything else.
+    Handles primitives, bytes, enums, tuples/lists, dicts (sorted
+    keys; a dict with any non-``str`` key is tagged ``__map__`` and
+    keeps its keys' canonical form), sets/frozensets (sorted),
+    registered config dataclasses (via :func:`repro.config.to_dict`),
+    generic dataclasses (tagged by qualified name) and callables.
+    Raises :class:`Unmemoizable` for anything else.
     """
-    if value is None or isinstance(value, (bool, int, str)):
+    # Exact types first: the common case skips the isinstance chain.
+    # Subclasses (IntEnum, OrderedDict, namedtuple, ...) fall through
+    # to the chain below, which decides for them as it always has.
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return _canonical_dict(value)
+    if kind is list:
+        return [canonical(v) for v in value]
+    if kind is tuple:
+        return {"__tuple__": [canonical(v) for v in value]}
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return {"__float__": repr(value)}
@@ -165,9 +207,7 @@ def canonical(value: Any) -> Any:
         return {"__set__": sorted(
             items, key=lambda v: json.dumps(v, sort_keys=True))}
     if isinstance(value, dict):
-        return {"__dict__": [
-            [str(k), canonical(v)]
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))]}
+        return _canonical_dict(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         try:
             return {"__config__": config_to_dict(value)}
@@ -185,15 +225,31 @@ def canonical(value: Any) -> Any:
         f"{value!r} into a cache key")
 
 
+#: The one encoder of key text.  ``json.dumps`` with options builds a
+#: fresh encoder per call, which cost more than encoding a trial key.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
     """The canonical structure as deterministic JSON text."""
-    return json.dumps(canonical(value), sort_keys=True,
-                      separators=(",", ":"))
+    return _KEY_ENCODER.encode(canonical(value))
 
 
 def digest_of(value: Any) -> str:
     """SHA-256 hex digest of :func:`canonical_json`."""
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+def fingerprinted_trial_key(fingerprint: Any, params: Any,
+                            seed: int) -> str:
+    """:func:`trial_key` for a function already reduced by
+    :func:`fingerprint_callable` — the one definition of a key's
+    layout, so a sweep fingerprints its trial function once and keys
+    every trial through here.  Raises :class:`Unmemoizable` when the
+    parameters cannot be keyed."""
+    return digest_of({"fn": fingerprint,
+                      "params": canonical(params),
+                      "seed": seed})
 
 
 def trial_key(trial_fn: Any, params: Any, seed: int) -> str:
@@ -204,9 +260,8 @@ def trial_key(trial_fn: Any, params: Any, seed: int) -> str:
     trial's outcome is a function of.  Raises :class:`Unmemoizable`
     when either the function or the parameters cannot be keyed.
     """
-    return digest_of({"fn": fingerprint_callable(trial_fn),
-                      "params": canonical(params),
-                      "seed": seed})
+    return fingerprinted_trial_key(fingerprint_callable(trial_fn),
+                                   params, seed)
 
 
 __all__ = [
@@ -215,5 +270,6 @@ __all__ = [
     "canonical_json",
     "digest_of",
     "fingerprint_callable",
+    "fingerprinted_trial_key",
     "trial_key",
 ]

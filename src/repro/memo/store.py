@@ -50,6 +50,7 @@ class TrialStore:
     def __init__(self, root: Any, *, metrics: Any = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         self.metrics = metrics
         self._counts: Dict[str, int] = {name: 0
                                         for name in STORE_COUNTERS}
@@ -91,9 +92,12 @@ class TrialStore:
         (``stale``), fails its integrity digest or unpickle
         (``corrupt``), or is rejected by *verify* (``rejected``).
         """
-        path = self.path_for(key)
+        # A str path and a plain open: the same file as path_for(key),
+        # without two pathlib joins per read.
+        path = os.path.join(self._root, key[:2], key + ".json")
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                record = json.loads(fh.read())
         except FileNotFoundError:
             self._bump("misses")
             return False, None

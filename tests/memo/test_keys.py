@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,11 @@ from repro.memo import (
     digest_of,
     fingerprint_callable,
     trial_key,
+)
+from repro.memo.keys import (
+    _code_hash,
+    _code_material,
+    fingerprinted_trial_key,
 )
 
 
@@ -66,6 +72,26 @@ def test_canonical_enum_and_config_dataclass():
         {"upper": "pwc", "leaf": "dram"})
 
 
+def test_non_string_dict_keys_do_not_collide_with_their_strings():
+    assert digest_of({1: "a"}) != digest_of({"1": "a"})
+    assert digest_of({(1, 2): "a"}) != digest_of({"(1, 2)": "a"})
+    assert digest_of({None: "a"}) != digest_of({"None": "a"})
+    assert canonical({1: "a"}) == {"__map__": [[1, "a"]]}
+
+
+def test_mixed_key_dicts_are_order_independent():
+    assert canonical_json({1: "a", "1": "b"}) == \
+        canonical_json({"1": "b", 1: "a"})
+    assert canonical_json({2: "x", 1: "y"}) == \
+        canonical_json({1: "y", 2: "x"})
+
+
+def test_string_keyed_dicts_keep_their_layout():
+    assert canonical({"b": 1, "a": (2,)}) == {
+        "__dict__": [["a", {"__tuple__": [2]}], ["b", 1]]}
+    assert canonical({}) == {"__dict__": []}
+
+
 def test_canonical_rejects_opaque_objects():
     with pytest.raises(Unmemoizable):
         canonical(object())
@@ -98,6 +124,41 @@ def test_partial_fingerprints_through_to_the_target():
         functools.partial(_trial, seed=3))
     assert fingerprint_callable(p) != fingerprint_callable(
         functools.partial(_trial, seed=4))
+
+
+def _with_constant(fn, old, new):
+    """*fn* with its type-exact constant *old* replaced by *new*:
+    a code object equal to fn's in everything but that constant."""
+    consts = tuple(new if type(c) is type(old) and c == old else c
+                   for c in fn.__code__.co_consts)
+    return types.FunctionType(fn.__code__.replace(co_consts=consts),
+                              fn.__globals__, fn.__name__)
+
+
+def _returns_one():
+    return 1.0
+
+
+def test_code_hash_cache_keeps_type_distinct_constants_apart():
+    """1.0, 1 and True hash alike as dict keys; their code must not."""
+    variants = [_returns_one, _with_constant(_returns_one, 1.0, 1),
+                _with_constant(_returns_one, 1.0, True)]
+    assert [type(fn()) for fn in variants] == [float, int, bool]
+    first = [_code_hash(fn) for fn in variants]
+    again = [_code_hash(fn) for fn in variants]
+    assert first == again
+    assert len(set(first)) == 3
+
+
+def test_reassigning_code_changes_the_fingerprint():
+    def trial(params, seed):
+        return params
+
+    before = fingerprint_callable(trial)
+    trial.__code__ = _other_trial.__code__
+    after = fingerprint_callable(trial)
+    assert after["code"] != before["code"]
+    assert after["code"] == fingerprint_callable(_other_trial)["code"]
 
 
 def test_distinct_functions_fingerprint_differently():
@@ -213,6 +274,9 @@ def test_trial_functions_without_nested_code_keep_their_hash(name):
                    code.co_varnames)).encode()
     assert fingerprint_callable(fn)["code"] == \
         hashlib.sha256(legacy).hexdigest()[:16]
+    # The per-code-object cache serves the same hash as a fresh one.
+    fresh = hashlib.sha256(_code_material(code)).hexdigest()[:16]
+    assert _code_hash(fn) == _code_hash(fn) == fresh
 
 
 def test_cell_trial_key_is_pinned():
@@ -221,3 +285,78 @@ def test_cell_trial_key_is_pinned():
     if expected is None:
         pytest.skip("no pinned key for this Python version")
     assert trial_key(_cell_trial, ("cf-cache", "none", {}), 1) == expected
+
+
+# --- version-independent key pins ------------------------------------------
+#
+# Trial keys hash the trial function's bytecode, which differs between
+# Python versions, so the full-key pin above holds on one version only.
+# Everything else in a key is version independent and pinned here: the
+# canonical form of the real matrix params, of the tagged value kinds,
+# and the {"fn", "params", "seed"} layout under a fixed fingerprint.
+
+#: What ``python -m repro matrix --samples 200`` passes to its
+#: port-contention row.
+_PORT_OVERRIDES = {"port-contention": {"measurements": 200,
+                                       "calibrate_samples": 200}}
+
+_FIXED_FINGERPRINT = {"__fn__": "repro.evaluation.matrix:_cell_trial",
+                      "code": "0123456789abcdef", "cells": []}
+
+
+def _grid_params():
+    from repro.evaluation import attack_names, defense_names
+    from repro.evaluation.matrix import matrix_params
+    return matrix_params(attack_names(), defense_names(), _PORT_OVERRIDES)
+
+
+def test_matrix_params_canonicalise_to_pinned_bytes():
+    params = _grid_params()
+    assert len(params) == 77
+    assert digest_of(canonical(params)) == (
+        "b75f0bbf46e2bb92ec1f98818a49b1b5"
+        "45538bc09bf2e011fbaa0d678e78a247")
+
+
+def test_tagged_values_canonicalise_to_pinned_bytes():
+    from repro.core.recipes import WalkLocation
+    sample = {"rate": 0.25, "tiny": -3.5e-07, "blob": b"\x00\xff",
+              "walk": WalkLocation.DRAM, "pair": (1, "x", None),
+              "flags": [True, False]}
+    assert digest_of(canonical(sample)) == (
+        "63887d0fc9be047216f053df7b32193d"
+        "8fcf749000164056273439b97335b450")
+
+
+def test_trial_key_layout_is_pinned():
+    from repro.evaluation.matrix import DEFAULT_LABEL, DEFAULT_MASTER_SEED
+    from repro.harness import derive_seed
+    keys = "".join(
+        fingerprinted_trial_key(
+            _FIXED_FINGERPRINT, params,
+            derive_seed(DEFAULT_MASTER_SEED, index, DEFAULT_LABEL))
+        for index, params in enumerate(_grid_params()))
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "0e74e514710941ae35dbd8301fbef28e"
+        "3c50531f2722f303790c3fc0c4fa42cc")
+
+
+def test_store_session_keys_equal_trial_key(tmp_path):
+    from repro.evaluation.matrix import (
+        DEFAULT_LABEL,
+        DEFAULT_MASTER_SEED,
+        _cell_trial,
+    )
+    from repro.harness import derive_seed
+    from repro.harness.resilience import StoreSession
+    from repro.harness.sweep import Trial
+    from repro.memo import TrialStore
+    trials = [Trial(index=index, params=params,
+                    seed=derive_seed(DEFAULT_MASTER_SEED, index,
+                                     DEFAULT_LABEL))
+              for index, params in enumerate(_grid_params())]
+    session = StoreSession(TrialStore(tmp_path), _cell_trial, trials)
+    assert len(session.keys) == len(trials)
+    for trial in trials:
+        assert session.keys[trial.index] == trial_key(
+            _cell_trial, trial.params, trial.seed)

@@ -115,6 +115,17 @@ def test_unkeyable_trial_fn_runs_uncached(tmp_path):
     assert len(store) == 0
 
 
+def test_unkeyable_params_run_uncached_and_the_rest_cache(tmp_path):
+    store = TrialStore(tmp_path)
+    params = [1, object(), 3, object()]
+    swept = run_resilient_sweep(_pure, params, master_seed=MASTER,
+                                label=LABEL, workers=1, store=store)
+    assert swept.report.resolution_counts()["ok"] == 4
+    assert swept.report.cache["uncacheable"] == 2
+    assert swept.report.cache["stores"] == 2
+    assert len(store) == 2
+
+
 def test_journal_resolution_wins_over_store(tmp_path):
     store = TrialStore(tmp_path / "cache")
     journal = tmp_path / "sweep.journal"
