@@ -18,7 +18,13 @@ Per cycle the core performs, in order:
    leaves the queue as it is.  Loads translate through TLB → page walk
    here, which is where the MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
-   flow into the ROB.
+   flow into the ROB, one pass over each context's fetch group.
+
+``step()`` runs all five.  A caller that probes first
+(:meth:`Core.next_work`, as ``Machine.run`` does) skips cycles in
+which no stage can act (:meth:`Core.fast_forward`) and runs cycles in
+which only fetch can act as :meth:`Core.front_end_cycle`, both
+bit-exact with ``step()``.
 
 Everything MicroScope needs emerges from these rules: instructions
 younger than a page-faulting load execute in its shadow and leave
@@ -36,7 +42,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import OP_CLASSES, CoreConfig
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
-from repro.cpu.decode import FLOW_BRANCH, FLOW_JUMP, FLOW_NEXT, LATENCY_KEYS
+from repro.cpu.decode import (FLOW_BRANCH, FLOW_HALT, FLOW_JUMP, FLOW_NEXT,
+                              LATENCY_KEYS)
 from repro.cpu.observer import CORE_STAGES, bind_stages
 from repro.cpu.ports import Port, PortSet
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
@@ -169,18 +176,23 @@ class Core:
         bounds T.  Such a step changes nothing but the ``contended``
         counts of those ports, which :meth:`fast_forward` credits in
         bulk.  With a ``gate`` observer attached, or a load ready, the
-        probe steps.  A busy cycle returns at the first context that
-        can act.
+        probe steps.  :meth:`next_work` also says whether fetch is the
+        only stage that can act now.
         """
-        return self._next_work(None)
+        return self.next_work(None)[0]
 
-    def _next_work(self, held: Optional[List[Sequence[Port]]]
-                   ) -> Optional[int]:
-        """:meth:`next_work_cycle`; when *held* is a list, it also
+    def next_work(self, held: Optional[List[Sequence[Port]]]
+                  ) -> Tuple[Optional[int], bool]:
+        """``(next_work_cycle(), front_end_only)``.  *front_end_only*
+        is True when the cycle is the current one and fetch is the only
+        stage that can act in it: :meth:`front_end_cycle` then does
+        exactly what ``step()`` would.  When *held* is a list, it also
         receives, per port-held ready entry, the ports dispatch would
-        count as contended each cycle until the returned one."""
+        count as contended each cycle until the returned one; it is
+        complete whenever the answer is a jump or *front_end_only*."""
         cycle = self.cycle
         busy = False
+        fetch_now = False
         target = math.inf
         for context in self.contexts:
             state = context.state
@@ -206,7 +218,7 @@ class Core:
                         # its calls are observable: step.
                         for entry in context.ready:
                             if not entry.squashed:
-                                return cycle
+                                return cycle, False
                     else:
                         fence_seq = context.oldest_fence_seq()
                         if fence_seq is None:
@@ -218,7 +230,7 @@ class Core:
                                 continue
                             hold = self._hold(context, entry, fence_seq)
                             if hold is None:
-                                return cycle  # dispatch may issue it
+                                return cycle, False  # dispatch may issue
                             until, ports = hold
                             if until < target:
                                 target = until
@@ -226,31 +238,51 @@ class Core:
                                 held.append(ports)
                 if (context.pending_interrupt is not None
                         or context.txn_abort_pending):
-                    return cycle
+                    return cycle, False
                 if entries and entries[0].completed:
-                    return cycle  # retire (or fault/trap) can act now
+                    return cycle, False  # retire (or fault/trap) acts
                 if (context.fetch_index < length
                         and len(entries) < context.rob.capacity):
                     stall = context.fetch_stall_until
                     if stall <= cycle:
-                        return cycle  # fetch can act now
-                    if stall < target:
+                        # Fetch can act now; keep checking that every
+                        # other stage is idle.
+                        fetch_now = True
+                    elif stall < target:
                         target = stall
             elif state is ContextState.BLOCKED:
                 busy = True
                 blocked_until = context.blocked_until
                 if blocked_until <= cycle:
-                    return cycle
+                    return cycle, False
                 if blocked_until < target:
                     target = blocked_until
             # IDLE/HALTED contexts are finished and never act again.
         if not busy:
-            return None
+            return None, False
         if self._events and self._events[0][0] < target:
             target = self._events[0][0]
-        if target <= cycle or target == math.inf:
-            return cycle
-        return target
+        if target <= cycle:
+            return cycle, False
+        if fetch_now:
+            return cycle, True
+        if target == math.inf:
+            return cycle, False
+        return target, False
+
+    def front_end_cycle(self, held: List[Sequence[Port]]):
+        """Advance one cycle in which fetch is the only stage that can
+        act (``next_work(held)`` answered *front_end_only*): exactly
+        what ``step()`` would do.  Completion, abort and retire have
+        nothing to do; dispatch would issue nothing and only count one
+        ``contended`` cycle on each of the *held* ports, which is
+        credited here; then fetch runs as in ``step()``."""
+        self.ports.new_cycle()
+        for ports in held:
+            for port in ports:
+                port.stats.contended += 1
+        self._fetch()
+        self.cycle += 1
 
     def _hold(self, context: HardwareContext, entry: ROBEntry,
               fence_seq: float) -> Optional[Tuple[float, Sequence[Port]]]:
@@ -294,7 +326,7 @@ class Core:
         All observable state — cycle counts, stats, port counters,
         architectural state — is bit-identical."""
         held: List[Sequence[Port]] = []
-        target = self._next_work(held)
+        target = self.next_work(held)[0]
         if target is None:
             return 0
         if limit is not None and target > limit:
@@ -971,71 +1003,108 @@ class Core:
                 continue
             if cycle < context.fetch_stall_until:
                 continue
-            while (budget > 0 and not context.rob.full
-                   and context.fetch_index < len(context.decoded)):
-                stop = self._decode_one(context)
-                budget -= 1
-                if stop:
-                    break
+            budget -= self._decode_group(context, budget)
 
-    def _decode_one(self, context: HardwareContext) -> bool:
-        """Decode one instruction into the ROB.  Returns True when the
-        front end should stop fetching this context this cycle."""
+    def _decode_group(self, context: HardwareContext, budget: int) -> int:
+        """Decode this cycle's fetch group of *context* into its ROB in
+        one pass: up to *budget* instructions, fewer when the ROB
+        fills, the program ends or a HALT is decoded.  Returns how many
+        were decoded.
+
+        Each decode observer sees its entry as one-at-a-time decode
+        showed it: ``stats.fetched`` already counts the entry,
+        ``fetch_index`` still points at it, and neither the rename map,
+        the ROB, the ready queue nor the fence list names it yet."""
+        rob = context.rob
+        entries = rob.entries
+        count = min(budget, rob.capacity - len(entries))
+        decoded = context.decoded
+        length = len(decoded)
         index = context.fetch_index
-        decoded = context.decoded[index]
-        entry = ROBEntry(context.next_seq(), context.context_id, index,
-                         decoded.instr, decoded.op_cls)
-        if index in context.replay_candidates:
-            entry.is_replay = True
-            context.stats.replays += 1
-        context.stats.fetched += 1
-        # Resolve source operands against the rename map / arch state.
-        for slot, src in decoded.sources:
-            producer = context.rename.get(src)
-            if producer is None:
-                entry.operands[slot] = context.read_reg(src)
-            elif producer.completed and not producer.faulted:
-                entry.operands[slot] = producer.value
-            else:
-                # In-flight (or faulted: never wakes) producer.
-                producer.dependents.append((entry, slot))
-                entry.pending += 1
-        # Decode observers still see the rename map the operands were
-        # resolved against: it names *entry* as a producer only below.
-        for observer in self._on_decode:
-            observer(self, context, entry)
-        dest = decoded.dest
-        if dest is not None:
-            context.rename[dest] = entry
-        # Control flow steering.
-        stop = False
-        flow = decoded.flow
-        if flow == FLOW_NEXT:
-            context.fetch_index = index + 1
-        elif flow == FLOW_BRANCH:
-            predicted = self.predictor.predict(index)
-            entry.predicted_taken = predicted
-            context.fetch_index = decoded.target if predicted else index + 1
-        elif flow == FLOW_JUMP:
-            context.fetch_index = decoded.target
-        else:  # FLOW_HALT
-            context.fetch_index = index + 1
-            # Stop fetching past the HALT; a squash/redirect resets the
-            # stall if the HALT turns out to be on a wrong path.
-            context.fetch_stall_until = float("inf")
-            stop = True
-        # Serialisation: fences, fenced RDRAND, and a squash observer's
-        # request (the fences defense) all gate younger execution until
-        # this entry retires.
-        serialize = decoded.fence or (decoded.rdrand
-                                      and self.config.rdrand_fenced)
-        if context.serialize_next_fetch:
-            serialize = True
-            context.serialize_next_fetch = False
-        if serialize:
-            context.fence_seqs.append(entry.seq)
-        context.rob.push(entry)
-        if entry.pending == 0:
-            entry.state = EntryState.READY
-            context.wake(entry)
-        return stop
+        if count <= 0 or index >= length:
+            return 0
+        context_id = context.context_id
+        stats = context.stats
+        rename = context.rename
+        int_regs = context.int_regs
+        fp_regs = context.fp_regs
+        replay_candidates = context.replay_candidates
+        # Fetch-time wakeups arrive in seq order: every entry already
+        # in the ready queue is older than the one decoded now.
+        wake = context.ready.append
+        stores = rob._stores
+        observers = self._on_decode
+        predict = self.predictor.predict
+        rdrand_fenced = self.config.rdrand_fenced
+        completed = EntryState.COMPLETED
+        ready = EntryState.READY
+        seq = context._next_seq
+        done = 0
+        while done < count and index < length:
+            decoded_instr = decoded[index]
+            entry = ROBEntry(seq, context_id, index, decoded_instr.instr,
+                             decoded_instr.op_cls)
+            seq += 1
+            done += 1
+            if index in replay_candidates:
+                entry.is_replay = True
+                stats.replays += 1
+            stats.fetched += 1
+            # Resolve source operands against the rename map / arch
+            # state.
+            pending = 0
+            operands = entry.operands
+            for slot, src in decoded_instr.sources:
+                producer = rename.get(src)
+                if producer is None:
+                    operands[slot] = (int_regs[src] if src in int_regs
+                                      else fp_regs[src])
+                elif producer.state is completed and producer.fault is None:
+                    operands[slot] = producer.value
+                else:
+                    # In-flight (or faulted: never wakes) producer.
+                    producer.dependents.append((entry, slot))
+                    pending += 1
+            entry.pending = pending
+            if observers:
+                context.fetch_index = index
+                for observer in observers:
+                    observer(self, context, entry)
+            dest = decoded_instr.dest
+            if dest is not None:
+                rename[dest] = entry
+            # Control flow steering.
+            flow = decoded_instr.flow
+            if flow == FLOW_NEXT:
+                index += 1
+            elif flow == FLOW_BRANCH:
+                predicted = predict(index)
+                entry.predicted_taken = predicted
+                index = decoded_instr.target if predicted else index + 1
+            elif flow == FLOW_JUMP:
+                index = decoded_instr.target
+            else:  # FLOW_HALT
+                index += 1
+                # Stop fetching past the HALT; a squash/redirect resets
+                # the stall if the HALT turns out to be on a wrong path.
+                context.fetch_stall_until = float("inf")
+            # Serialisation: fences, fenced RDRAND, and a squash
+            # observer's request (the fences defense) all gate younger
+            # execution until this entry retires.
+            if context.serialize_next_fetch:
+                context.serialize_next_fetch = False
+                context.fence_seqs.append(entry.seq)
+            elif decoded_instr.fence or (decoded_instr.rdrand
+                                         and rdrand_fenced):
+                context.fence_seqs.append(entry.seq)
+            entries.append(entry)
+            if decoded_instr.is_store:
+                stores.append(entry)
+            if pending == 0:
+                entry.state = ready
+                wake(entry)
+            if flow == FLOW_HALT:
+                break
+        context.fetch_index = index
+        context._next_seq = seq
+        return done

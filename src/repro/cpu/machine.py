@@ -210,16 +210,25 @@ class Machine:
         """Run until *until* returns True, all contexts finish, or the
         cycle budget is exhausted.  Returns cycles executed.
 
-        Provably-empty cycles are skipped in one jump
-        (:meth:`Core.fast_forward`), bit-exactly with stepping them one
-        by one; that includes cycles in which ready entries only wait
-        on a fence or on a port a non-pipelined op holds.  *until* is
-        evaluated once per loop iteration, so it must depend on
-        simulation state, not on raw cycle numbers: use :meth:`step` or
-        :meth:`run_until_cycle` to stop at an exact cycle.  The only
-        state that changes during a jump is port ``contended``
-        counters, which advance by the jump length at once, so *until*
-        must not read them either.
+        Each loop iteration asks the core what can act now
+        (:meth:`Core.next_work`) and does one of three things, all
+        bit-exact with stepping the core cycle by cycle:
+
+        * nothing can act: skip the provably-empty cycles in one jump
+          (:meth:`Core.fast_forward`), including cycles in which ready
+          entries only wait on a fence or on a port a non-pipelined op
+          holds, then step;
+        * only fetch can act: run a front-end-only cycle
+          (:meth:`Core.front_end_cycle`), which skips completion,
+          retire and dispatch;
+        * otherwise: :meth:`Core.step`.
+
+        *until* is evaluated once per loop iteration, so it must
+        depend on simulation state, not on raw cycle numbers: use
+        :meth:`step` or :meth:`run_until_cycle` to stop at an exact
+        cycle.  The only state that changes during a jump is port
+        ``contended`` counters, which advance by the jump length at
+        once, so *until* must not read them either.
         """
         core = self.core
         start = core.cycle
@@ -227,9 +236,13 @@ class Machine:
         while core.cycle < limit:
             if until is not None and until(self):
                 break
-            target = core.next_work_cycle()
+            held: list = []
+            target, front_end_only = core.next_work(held)
             if target is None:
                 break
+            if front_end_only:
+                core.front_end_cycle(held)
+                continue
             if target > core.cycle:
                 core.fast_forward(limit)
                 if core.cycle >= limit:

@@ -82,8 +82,9 @@ class PortSet:
         The core reproduces these counts without calling ``find``
         where the answer is known: after a failed search, dispatch
         adds the same counts for later entries of *op_cls* in that
-        cycle, and ``Core.fast_forward`` adds one per skipped cycle for
-        each ready entry whose class has every port held."""
+        cycle, and ``Core.fast_forward`` adds one per skipped cycle (as
+        ``Core.front_end_cycle`` does for its one cycle) for each ready
+        entry whose class has every port held."""
         for port in self._by_class.get(op_cls, ()):
             if port._issued_this_cycle:
                 continue

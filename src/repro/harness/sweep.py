@@ -24,6 +24,7 @@ share.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, List, Sequence
@@ -32,6 +33,7 @@ from typing import Any, Callable, List, Sequence
 TrialFn = Callable[[Any, int], Any]
 
 
+@functools.lru_cache(maxsize=4096)
 def derive_seed(master_seed: int, index: int, label: str = "",
                 attempt: int = 0) -> int:
     """Derive a 64-bit trial seed from the sweep's master seed.
@@ -48,6 +50,10 @@ def derive_seed(master_seed: int, index: int, label: str = "",
     functions of the sweep inputs alone.  ``attempt=0`` hashes the
     historical material, so first-attempt seeds are bit-identical to
     the pre-resilience harness.
+
+    A pure function of its arguments, so it is memoised (bounded): a
+    sweep and the matrix built from it (``build_matrix``) share one
+    derivation per cell.
     """
     if attempt:
         material = f"{master_seed}:{label}:{index}:{attempt}".encode()

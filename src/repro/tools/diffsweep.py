@@ -6,11 +6,18 @@ afford per-PR: generate *cases* seeded random programs, execute each
 on both the out-of-order :class:`~repro.cpu.machine.Machine` and the
 sequential :mod:`repro.isa.interpreter` golden model, and require
 final integer/FP register state and memory to agree.  Each case also
-checks a counter contract on the core: the execution ports' ``issued``
-counts sum to the contexts' ``stats.issued``.  Every issue path
-(loads, stores, ALU ops) goes through both counters, so a scheduler
-shortcut that drops or duplicates an issue breaks the sum even when
-the architectural state still matches.
+checks counter contracts on the core, each against a count kept
+elsewhere, so a scheduler shortcut that drops or duplicates an event
+breaks one even when the architectural state still matches:
+
+* the execution ports' ``issued`` counts sum to the contexts'
+  ``stats.issued`` (every issue path, loads, stores and ALU ops, goes
+  through both counters);
+* the core's ``stats.retired`` equals the golden model's retired
+  instruction count;
+* per context, ``stats.fetched == stats.retired + stats.squashed``:
+  once the program finishes, every decoded entry has left the ROB
+  exactly one way.
 
 The sweep runs through :func:`repro.harness.run_resilient_sweep`, so
 it journals every completed case (``journal.jsonl``) and produces the
@@ -178,6 +185,15 @@ def run_case(params: Any, seed: int) -> Dict[str, Any]:
     if port_issues != context_issues:
         mismatches.append(f"port issues {port_issues} != context "
                           f"issues {context_issues}")
+    if context.stats.retired != reference.retired:
+        mismatches.append(f"retired {context.stats.retired} != golden "
+                          f"model retired {reference.retired}")
+    for ctx in machine.contexts:
+        stats = ctx.stats
+        if stats.fetched != stats.retired + stats.squashed:
+            mismatches.append(
+                f"ctx{ctx.context_id} fetched {stats.fetched} != "
+                f"retired {stats.retired} + squashed {stats.squashed}")
     return {
         "case": params["case"],
         "instructions": len(program.instructions),

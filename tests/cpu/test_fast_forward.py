@@ -18,7 +18,11 @@ workload shapes:
 * one ciphertext of the §4.4 AES key recovery and a small Fig. 10
   port-contention panel, run through the attacks' own code;
 * unit cases for the quiescence probe (``next_work_cycle``), its
-  held-entry rules (divider, fence, gate, load) and the jump clamp.
+  held-entry rules (divider, fence, gate, load) and the jump clamp;
+* a Fig. 7-shaped monitor beside a divider hog, whose ROB fills behind
+  an in-flight fence while its divides wait on the divider: the
+  cycles in which only fetch can act run as front-end-only cycles
+  (``Core.front_end_cycle``), with and without a decode observer.
 
 Beside cycles and state, each leg compares every port's ``issued`` and
 ``contended`` counts: a jump over cycles in which a ready entry waits
@@ -39,14 +43,17 @@ from repro.core.attacks.port_contention import PortContentionAttack
 from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.context import ContextState
+from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.cpu.rob import EntryState
+from repro.cpu.trace import PipelineTracer
 from repro.crypto.aes import encrypt_block
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
 from repro.reporting import machine_report
 from repro.snapshot import clear_cache
 from repro.victims.control_flow import setup_control_flow_victim
+from repro.victims.monitor import build_port_contention_monitor
 
 _DATA_REGS = [f"r{i}" for i in range(2, 10)]
 _OFFSETS = [0, 8, 16, 64]
@@ -406,3 +413,100 @@ def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
         core.ports.port_named(name).busy_until = core.cycle + 100
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
     assert core.next_work_cycle() == core.cycle
+
+
+# --- front-end-only cycles --------------------------------------------------
+
+#: ``Core.step`` calls ``Machine.run`` makes on :func:`_fig7_machine`'s
+#: run; naive stepping makes one per cycle.  Without front-end-only
+#: cycles the same run makes 559.
+FIG7_STEPS = 335
+
+
+def _fig7_machine(observer=None) -> Machine:
+    """Fig. 7's monitor on context 1 (fence, rdtsc, a burst of FDIVs,
+    fence, rdtsc, store per sample) beside a loop of integer divides on
+    context 0 that keeps the shared non-pipelined divider held."""
+    hog = (ProgramBuilder("divider-hog").li("r2", 96).li("r3", 4)
+           .li("r0", 30).li("r13", 0).label("loop")
+           .div("r4", "r2", "r3").div("r5", "r2", "r3")
+           .subi("r0", "r0", 1).bne("r0", "r13", "loop")
+           .halt().build())
+    machine = Machine()
+    if observer is not None:
+        machine.attach(observer)
+    machine.contexts[0].load_program(hog)
+    machine.contexts[1].load_program(
+        build_port_contention_monitor(DATA_BASE, measurements=12,
+                                      divs_per_sample=4))
+    return machine
+
+
+def _fig7_state(machine: Machine):
+    core = machine.core
+    return (machine.cycle,
+            [ctx.stats.as_dict() for ctx in machine.contexts],
+            core.ports.contention_report(),
+            core.predictor.stats.as_dict(),
+            machine.metrics.dump())
+
+
+def _fig7_run(run, observer=None):
+    """The final state of :func:`_fig7_machine` under *run*, the number
+    of ``Core.step`` calls it made, and whether the monitor's ROB was
+    ever full behind an in-flight fence while the divider was held."""
+    machine = _fig7_machine(observer)
+    monitor = machine.contexts[1]
+    divider = machine.core.ports.port_named("p0")
+    seen = []
+
+    def watch(m):
+        if (len(monitor.rob) == monitor.rob.capacity
+                and monitor.fence_seqs
+                and m.cycle < divider.busy_until):
+            seen.append(m.cycle)
+        return False
+
+    steps = [0]
+    step = Core.step
+
+    def counted(core):
+        steps[0] += 1
+        step(core)
+
+    Core.step = counted
+    try:
+        run(machine, 1_000_000, until=watch)
+    finally:
+        Core.step = step
+    assert all(ctx.finished() for ctx in machine.contexts)
+    return _fig7_state(machine), steps[0], bool(seen)
+
+
+def test_front_end_cycles_match_naive_on_a_fig7_monitor():
+    """Cycle, per-context stats, port ``issued``/``contended``,
+    predictor stats and the metrics registry all match naive stepping,
+    and ``Machine.run`` steps the core in fewer than half the cycles."""
+    fast, fast_steps, _ = _fig7_run(Machine.run)
+    naive, naive_steps, rob_filled = _fig7_run(_naive_run)
+    assert fast == naive
+    assert rob_filled
+    assert naive_steps == naive[0]
+    assert fast_steps == FIG7_STEPS
+
+
+def test_front_end_cycles_show_decode_observers_the_naive_fetch_cycles():
+    """A decode observer (the pipeline tracer) records the same entries
+    with the same ``fetch_cycle`` under ``Machine.run`` as under naive
+    stepping, and attaching it keeps the front-end-only cycles."""
+    fast_tracer, naive_tracer = PipelineTracer(), PipelineTracer()
+    fast, fast_steps, _ = _fig7_run(Machine.run, fast_tracer)
+    naive, _, _ = _fig7_run(_naive_run, naive_tracer)
+    assert fast == naive
+    assert fast_tracer.records == naive_tracer.records
+    fetched = [(r.context_id, r.seq, r.fetch_cycle)
+               for r in fast_tracer.records]
+    assert len(fetched) == sum(stats["fetched"] for stats in fast[1])
+    assert fetched == [(r.context_id, r.seq, r.fetch_cycle)
+                       for r in naive_tracer.records]
+    assert fast_steps == FIG7_STEPS

@@ -120,6 +120,37 @@ def test_every_stage_fires():
     assert ("a", "squash", "mispredict") in log
 
 
+def test_decode_observer_sees_each_entry_of_a_fetch_group_alone():
+    """Fetch decodes a group in one pass, yet every decode observer
+    sees its entry as if it were decoded on its own: counted by
+    ``stats.fetched``, pointed at by ``fetch_index``, and not yet in
+    the rename map, the ROB, the ready queue or the fence list."""
+    seen = []
+
+    class Inspector(Observer):
+        def on_decode(self, core, context, entry):
+            dest = entry.instr.dest()
+            seen.append((
+                context.fetch_index == entry.index,
+                context.stats.fetched,
+                dest is None or context.rename.get(dest) is not entry,
+                all(e is not entry for e in context.rob.entries),
+                all(e is not entry for e in context.ready),
+                entry.seq not in context.fence_seqs))
+
+    machine = Machine()
+    machine.attach(Inspector())
+    program = (ProgramBuilder().li("r1", 1).fence().addi("r1", "r1", 1)
+               .addi("r2", "r1", 2).halt().build())
+    machine.contexts[0].load_program(program)
+    machine.step()
+    assert machine.contexts[0].stats.fetched == 4  # one full group
+    machine.run(10_000)
+    assert seen == [(True, fetched, True, True, True, True)
+                    for fetched in range(1, len(seen) + 1)]
+    assert len(seen) == machine.contexts[0].stats.fetched == 5
+
+
 def test_observers_are_called_in_attach_order():
     machine = Machine()
     log = []

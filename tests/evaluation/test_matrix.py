@@ -38,6 +38,20 @@ def test_cell_seeds_follow_the_sweep_lineage(small_matrix):
                                         DEFAULT_LABEL)
 
 
+def test_build_matrix_reuses_the_seeds_the_sweep_derived():
+    """``build_matrix`` names each cell's seed without hashing it again
+    (``derive_seed`` is memoised), and the seed is the lineage's."""
+    from repro.evaluation.matrix import build_matrix, matrix_params
+    params = matrix_params(("cf-cache",), ("none", "fences"), {})
+    seeds = [derive_seed(11, index, "reuse") for index in range(2)]
+    before = derive_seed.cache_info()
+    matrix = build_matrix(("cf-cache",), ("none", "fences"), params,
+                          [None, None], master_seed=11, label="reuse")
+    assert derive_seed.cache_info().misses == before.misses
+    assert [matrix.cell("cf-cache", d).seed
+            for d in ("none", "fences")] == seeds
+
+
 def test_to_dict_round_trip(small_matrix):
     payload = small_matrix.to_dict()
     assert payload == small_matrix.to_dict()

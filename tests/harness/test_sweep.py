@@ -7,6 +7,7 @@ contract on synthetic trials and then on the real thing: a seeded AES
 key-recovery sweep run with 1 worker and with N.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -55,6 +56,23 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(7, 0, "x") != derive_seed(8, 0, "x")
     assert derive_seed(7, 0, "x") != derive_seed(7, 0, "y")
     assert all(0 <= s < 2 ** 64 for s in seeds)
+
+
+def test_derive_seed_hashes_each_seed_once():
+    """Seeds are memoised with the bytes of the SHA-256 lineage, so a
+    sweep and the matrix built from it hash each cell seed once."""
+
+    def sha(material):
+        return int.from_bytes(hashlib.sha256(material).digest()[:8],
+                              "big")
+
+    before = derive_seed.cache_info()
+    assert derive_seed(7, 3, "memo-once") == sha(b"7:memo-once:3")
+    assert derive_seed(7, 3, "memo-once") == sha(b"7:memo-once:3")
+    assert derive_seed(7, 3, "memo-once", 2) == sha(b"7:memo-once:3:2")
+    after = derive_seed.cache_info()
+    assert after.misses == before.misses + 2
+    assert after.hits == before.hits + 1
 
 
 def test_pool_preserves_submission_order():

@@ -2,8 +2,10 @@
 
 import json
 
+from repro.cpu.context import HardwareContext
 from repro.cpu.ports import Port
 from repro.harness import derive_seed
+from repro.isa import interpreter
 from repro.tools.diffsweep import (
     LABEL,
     generate_program,
@@ -50,6 +52,41 @@ def test_run_case_checks_port_issues_against_context_issues(monkeypatch):
     assert not payload["match"]
     [mismatch] = payload["mismatches"]
     assert mismatch.startswith("port issues")
+
+
+def test_run_case_checks_retired_against_the_golden_model(monkeypatch):
+    """A golden-model count one off is reported, and nothing else is:
+    the core's own counts still balance."""
+    golden = interpreter.run_program
+
+    def one_more(program, *args, **kwargs):
+        state = golden(program, *args, **kwargs)
+        state.retired += 1
+        return state
+
+    monkeypatch.setattr(interpreter, "run_program", one_more)
+    payload = run_case({"case": 0}, derive_seed(2019, 0, LABEL))
+    assert not payload["match"]
+    [mismatch] = payload["mismatches"]
+    assert mismatch.startswith("retired ")
+
+
+def test_run_case_checks_fetched_against_retired_plus_squashed(
+        monkeypatch):
+    """A squash that goes uncounted leaves the architectural state and
+    the retired count intact; only the fetch balance notices."""
+    noted = HardwareContext.note_squashed
+
+    def one_short(self, entries):
+        noted(self, entries)
+        if entries:
+            self.stats.squashed -= 1
+
+    monkeypatch.setattr(HardwareContext, "note_squashed", one_short)
+    payload = run_case({"case": 0}, derive_seed(2019, 0, LABEL))
+    assert not payload["match"]
+    [mismatch] = payload["mismatches"]
+    assert mismatch.startswith("ctx0 fetched ")
 
 
 def test_run_sweep_writes_artifacts_and_resumes(tmp_path):
