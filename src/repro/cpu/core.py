@@ -9,14 +9,14 @@ Per cycle the core performs, in order:
    order from the ROB head; a faulted head triggers the precise
    page-fault trap (or a transaction abort when inside TSX).
 4. **Dispatch** — issue ready instructions to execution ports, SMT
-   round-robin, oldest first.  The program-order scan stops at the
-   oldest in-flight fence; latency is computed only for an op that was
-   granted a port; only ports that issued are reset next cycle.  Once
-   an op class finds every port held in a cycle, later entries of that
-   class (either context) add the same ``contended`` counts without
-   searching again, and a cycle in which nothing leaves a ready queue
-   leaves the queue as it is.  Loads translate through TLB → page walk
-   here, which is where the MicroScope speculation window opens.
+   round-robin, oldest first: the fence rule, then ``gate`` observers,
+   then the port search.  The scan stops at the oldest in-flight fence;
+   latency is computed only once a port is granted; only ports that
+   issued are reset next cycle.  Once an op class finds every port held
+   in a cycle, later entries of that class add the same ``contended``
+   counts without searching again, and a scan that issues nothing
+   leaves the ready queue as it is.  Loads translate through TLB → page
+   walk here, which is where the MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
    flow into the ROB, one pass over each context's fetch group.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import OP_CLASSES, CoreConfig
@@ -158,38 +158,32 @@ class Core:
     # quiescence fast-forward
     # ------------------------------------------------------------------
 
-    def next_work_cycle(self) -> Optional[int]:
-        """The next cycle at which any pipeline stage can act, from one
-        pass over the contexts.
-
-        Returns ``None`` when no context is busy (:meth:`busy` is
-        False), whatever the event heap still holds.  Returns the
-        current cycle when some stage may act now, or when nothing is
-        known to wake the core (naive stepping is then the only safe
-        answer).  Otherwise returns a later cycle T: every cycle
-        strictly before T is provably an empty ``step()``, because the
-        only pending work sits in the event heap, behind a known
-        stall/block cycle, or in a ready queue whose entries are all
-        held (:meth:`_hold`): younger than the oldest in-flight fence,
-        that fence while an older entry is incomplete, or an op whose
-        every port a non-pipelined op holds until some cycle that then
-        bounds T.  Such a step changes nothing but the ``contended``
-        counts of those ports, which :meth:`fast_forward` credits in
-        bulk.  With a ``gate`` observer attached, or a load ready, the
-        probe steps.  :meth:`next_work` also says whether fetch is the
-        only stage that can act now.
-        """
-        return self.next_work(None)[0]
-
     def next_work(self, held: Optional[List[Sequence[Port]]]
                   ) -> Tuple[Optional[int], bool]:
-        """``(next_work_cycle(), front_end_only)``.  *front_end_only*
-        is True when the cycle is the current one and fetch is the only
-        stage that can act in it: :meth:`front_end_cycle` then does
-        exactly what ``step()`` would.  When *held* is a list, it also
-        receives, per port-held ready entry, the ports dispatch would
-        count as contended each cycle until the returned one; it is
-        complete whenever the answer is a jump or *front_end_only*."""
+        """``(cycle, front_end_only)``: the next cycle at which any
+        pipeline stage can act, from one pass over the contexts.
+
+        *cycle* is ``None`` when no context is busy (:meth:`busy` is
+        False), whatever the event heap still holds.  It is the current
+        cycle when some stage may act now, or when nothing is known to
+        wake the core (naive stepping is then the only safe answer).
+        Otherwise it is a later cycle T: every cycle strictly before T
+        is provably an empty ``step()``, because the only pending work
+        sits in the event heap, behind a known stall/block cycle, or in
+        a ready queue whose entries are all held (:meth:`_hold`):
+        younger than the oldest in-flight fence, that fence while an
+        older entry is incomplete, or an op whose every port a
+        non-pipelined op holds until some cycle that then bounds T.
+        Such a step changes nothing but the ``contended`` counts of
+        those ports, which :meth:`fast_forward` credits in bulk.  A
+        ready load, or an entry dispatch would hand to a ``gate``
+        observer, makes the probe step.  *front_end_only* is True when
+        *cycle* is the current one and only fetch can act in it:
+        :meth:`front_end_cycle` then does exactly what ``step()`` would.
+        When *held* is a list, it also receives, per port-held ready
+        entry, the ports dispatch would count as contended each cycle
+        until *cycle*; it is complete whenever the answer is a jump or
+        *front_end_only*."""
         cycle = self.cycle
         busy = False
         fetch_now = False
@@ -213,29 +207,22 @@ class Core:
                     continue
                 busy = True
                 if context.ready:
-                    if self._gate:
-                        # A gate may answer differently each cycle, and
-                        # its calls are observable: step.
-                        for entry in context.ready:
-                            if not entry.squashed:
-                                return cycle, False
-                    else:
-                        fence_seq = context.oldest_fence_seq()
-                        if fence_seq is None:
-                            fence_seq = math.inf
-                        for entry in context.sorted_ready():
-                            if entry.seq > fence_seq:
-                                break  # dispatch never scans past it
-                            if entry.squashed:
-                                continue
-                            hold = self._hold(context, entry, fence_seq)
-                            if hold is None:
-                                return cycle, False  # dispatch may issue
-                            until, ports = hold
-                            if until < target:
-                                target = until
-                            if ports and held is not None:
-                                held.append(ports)
+                    fence_seq = context.oldest_fence_seq()
+                    if fence_seq is None:
+                        fence_seq = math.inf
+                    for entry in context.sorted_ready():
+                        if entry.seq > fence_seq:
+                            break  # dispatch never scans past it
+                        if entry.squashed:
+                            continue
+                        hold = self._hold(context, entry, fence_seq)
+                        if hold is None:
+                            return cycle, False  # dispatch may issue
+                        until, ports = hold
+                        if until < target:
+                            target = until
+                        if ports and held is not None:
+                            held.append(ports)
                 if (context.pending_interrupt is not None
                         or context.txn_abort_pending):
                     return cycle, False
@@ -288,21 +275,22 @@ class Core:
               fence_seq: float) -> Optional[Tuple[float, Sequence[Port]]]:
         """Why a ready, unsquashed *entry*, not younger than
         *fence_seq* (the context's oldest in-flight fence), cannot
-        issue at the current cycle, as the rules of :meth:`_try_execute`
-        decide with no gate attached.
+        issue at the current cycle, as the rules of :meth:`_dispatch`
+        decide.
 
-        Returns ``None`` when it may issue now (or when that cannot be
-        ruled out cheaply: loads are never held here).  Otherwise
-        returns ``(until, ports)``: it cannot issue before cycle
-        *until* (``math.inf`` when only a completion, which the event
-        heap bounds, can release it), and each cycle it waits, dispatch
-        counts one ``contended`` cycle on each of *ports*."""
+        Returns ``None`` when it may issue now, or when that cannot be
+        ruled out cheaply: a load, or any entry past the fence rule
+        while a gate (whose calls are observable) is attached.
+        Otherwise returns ``(until, ports)``: it cannot issue before
+        cycle *until* (``math.inf`` when only a completion, which the
+        event heap bounds, can release it), and each cycle it waits,
+        dispatch counts one ``contended`` cycle on each of *ports*."""
         if entry.seq == fence_seq:
             if context.rob.all_older_completed(entry.seq):
                 return None
             return math.inf, ()
         op_cls = entry.op_cls
-        if op_cls == "load":
+        if op_cls == "load" or self._gate:
             return None
         now = self.cycle
         ports = self.ports._by_class[op_cls]
@@ -638,13 +626,13 @@ class Core:
         budget = self.config.issue_width
         contexts = self.contexts
         rotations = self._rotations
+        gates = self._gate
         # Op classes whose port search failed this cycle, with the ports
         # that search counted as contended.  Nothing on those ports can
         # free up or issue later this cycle, so a later entry of the
-        # class (either context) counts the same ports without searching
-        # again.  Gates are consulted per entry, so with one attached
-        # every entry takes the full path.
-        exhausted = None if self._gate else {}
+        # class (either context) that passes the fence rule and the
+        # gates counts the same ports without searching again.
+        exhausted: Dict[str, List[Port]] = {}
         for context_id in rotations[self.cycle % len(rotations)]:
             if budget <= 0:
                 break
@@ -674,26 +662,30 @@ class Core:
                         still_ready.extend([e for e in ready[position:]
                                             if not e.squashed])
                     break
+                if ((entry.seq == fence_seq and not
+                     context.rob.all_older_completed(entry.seq))
+                        or (gates and not all(gate(self, context, entry)
+                                              for gate in gates))):
+                    if still_ready is not None:
+                        still_ready.append(entry)
+                    continue
                 op_cls = entry.op_cls
-                if exhausted is not None and entry.seq != fence_seq:
-                    counted = exhausted.get(op_cls)
-                    if counted is not None:
-                        for port in counted:
-                            port.stats.contended += 1
-                        if still_ready is not None:
-                            still_ready.append(entry)
-                        continue
-                if self._try_execute(context, entry, fence_seq):
+                counted = exhausted.get(op_cls)
+                if counted is not None:
+                    for port in counted:
+                        port.stats.contended += 1
+                    if still_ready is not None:
+                        still_ready.append(entry)
+                    continue
+                if self._try_execute(context, entry):
                     budget -= 1
                     if still_ready is None:
                         still_ready = ready[:position]
                     continue
                 if still_ready is not None:
                     still_ready.append(entry)
-                if (exhausted is not None and entry.seq != fence_seq
-                        and op_cls != "load"):
-                    # With no gate, a non-load that is not the fence
-                    # fails only in the port search.
+                if op_cls != "load":
+                    # A non-load fails only in the port search.
                     exhausted[op_cls] = self._contended_ports(op_cls)
             if still_ready is not None:
                 context.ready = still_ready
@@ -706,17 +698,10 @@ class Core:
         return [port for port in self.ports._by_class[op_cls]
                 if not port._issued_this_cycle and now < port.busy_until]
 
-    def _try_execute(self, context: HardwareContext, entry: ROBEntry,
-                     fence_seq: float) -> bool:
-        """Attempt to begin execution; return True when issued.  The
-        caller has already held back everything younger than
-        *fence_seq*, the context's oldest in-flight fence."""
-        if entry.seq == fence_seq and not \
-                context.rob.all_older_completed(entry.seq):
-            return False
-        gates = self._gate
-        if gates and not all(gate(self, context, entry) for gate in gates):
-            return False  # held back by an observer, e.g. a defense
+    def _try_execute(self, context: HardwareContext,
+                     entry: ROBEntry) -> bool:
+        """Attempt to begin execution of an entry that passed the fence
+        rule and the gates; return True when issued."""
         op_cls = entry.op_cls
         if op_cls == "load":
             if not self._execute_load(context, entry):

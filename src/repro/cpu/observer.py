@@ -84,8 +84,11 @@ class Observer:
     def gate(self, core: Any, context: Any, entry: Any) -> bool:
         """May *entry* begin execution now?  False keeps it in the
         ready queue for a later cycle without using a port.  Gates are
-        consulted in attach order and the first False stops the
-        check."""
+        consulted in attach order, before the port search, and the
+        first False stops the check; only for entries dispatch reaches
+        (at or older than the oldest in-flight fence, the fence itself
+        once every older entry has completed), never in skipped or
+        front-end-only cycles."""
         return True
 
     def on_fault(self, core: Any, context: Any, fault: Any) -> Any:

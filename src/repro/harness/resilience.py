@@ -43,6 +43,7 @@ fault-free run.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -320,28 +321,30 @@ class ResilientSweepResult(SweepResult):
 
 # --- sweep-report collector (benchmark harness hook) ----------------------
 
-_report_collector: Optional[List[SweepReport]] = None
+#: ``.reports``: this thread's active report list, if any.
+_report_collector = threading.local()
 
 
 def note_sweep_report(report: SweepReport) -> None:
     """Called at the end of every resilient sweep; records the report
-    when a collector is active (same idiom as
+    when a collector is active on this thread (same idiom as
     :func:`repro.observability.profiler.note_machine`)."""
-    if _report_collector is not None:
-        _report_collector.append(report)
+    reports = getattr(_report_collector, "reports", None)
+    if reports is not None:
+        reports.append(report)
 
 
 @contextmanager
 def collect_sweep_reports() -> Iterator[List[SweepReport]]:
-    """Collect every :class:`SweepReport` produced in this block."""
-    global _report_collector
-    previous = _report_collector
+    """Collect every :class:`SweepReport` this thread produces in this
+    block (inner blocks shadow outer ones)."""
+    previous = getattr(_report_collector, "reports", None)
     reports: List[SweepReport] = []
-    _report_collector = reports
+    _report_collector.reports = reports
     try:
         yield reports
     finally:
-        _report_collector = previous
+        _report_collector.reports = previous
 
 
 # --- trial store ----------------------------------------------------------

@@ -9,9 +9,9 @@ written value is tainted — which over-approximates harder than the
 core-side oracle but keeps the sequential model a sound upper bound:
 a value the OOO oracle commits as tainted is tainted here too.
 
-Used by the oracle unit tests to pin the propagation rules on
-hand-built programs, and by ``repro.tools.diffsweep --oracle`` as the
-architectural reference during differential sweeps.
+Nothing in the package imports it: the oracle unit tests use it to pin
+the propagation rules on hand-built programs, and ``docs/ORACLE.md``
+shows it as the architectural reference.
 """
 
 from __future__ import annotations

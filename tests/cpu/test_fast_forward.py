@@ -17,7 +17,10 @@ workload shapes:
   work;
 * one ciphertext of the §4.4 AES key recovery and a small Fig. 10
   port-contention panel, run through the attacks' own code;
-* unit cases for the quiescence probe (``next_work_cycle``), its
+* the same panel under each gating defense (Jamais Vu, Delay-on-Squash,
+  LEASH), whose counters and state must match, and under a
+  cycle-dependent gate, whose ``(cycle, context, seq)`` call log must;
+* unit cases for the quiescence probe (``Core.next_work``), its
   held-entry rules (divider, fence, gate, load) and the jump clamp;
 * a Fig. 7-shaped monitor beside a divider hog, whose ROB fills behind
   an in-flight fence while its divides wait on the divider: the
@@ -35,6 +38,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +52,8 @@ from repro.cpu.machine import Machine
 from repro.cpu.rob import EntryState
 from repro.cpu.trace import PipelineTracer
 from repro.crypto.aes import encrypt_block
+from repro.evaluation.defenses import (delay_on_squash_machine,
+                                       jamais_vu_machine, leash_machine)
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
 from repro.reporting import machine_report
@@ -83,22 +89,27 @@ def _snapshot(machine: Machine):
     report = asdict(machine_report(machine))
     regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
             for ctx in machine.contexts]
+    defense = machine.defense
     return (machine.cycle, regs, report,
             machine.core.ports.contention_report(),
-            machine.metrics.dump())
+            machine.metrics.dump(),
+            defense.capture() if defense is not None else None)
 
 
 @contextmanager
-def _driver(run):
+def _driver(run, attach=None):
     """Route every ``Machine.run`` (and so ``run_until_cycle`` and the
     Replayer's run helpers) through *run*; yields the list of machines
-    it ran, in first-run order."""
+    it ran, in first-run order.  *attach*, if given, is called with
+    each machine before its first run."""
     machines = []
     original = Machine.run
 
     def recording(machine, *args, **kwargs):
         if machine not in machines:
             machines.append(machine)
+            if attach is not None:
+                attach(machine)
         return run(machine, *args, **kwargs)
 
     Machine.run = recording
@@ -108,15 +119,15 @@ def _driver(run):
         Machine.run = original
 
 
-def _under_both_drivers(workload):
+def _under_both_drivers(workload, attach=None):
     """``workload()``'s result and the final state of every machine it
     ran, first under ``Machine.run``, then under ``_naive_run``.  The
     warm-start cache is emptied before each leg so neither reuses a
-    platform the other built."""
+    platform the other built.  *attach* is passed to :func:`_driver`."""
     legs = []
     for run in (Machine.run, _naive_run):
         clear_cache()
-        with _driver(run) as machines:
+        with _driver(run, attach) as machines:
             result = workload()
         legs.append((result, [_snapshot(m) for m in machines]))
     clear_cache()
@@ -232,16 +243,59 @@ def test_fast_forward_matches_naive_on_aes_key_recovery_block():
     assert machines and attribution.candidates
 
 
-def test_fast_forward_matches_naive_on_port_contention_panel():
-    def panel():
-        attack = PortContentionAttack(measurements=40)
-        return attack.run(secret=1, threshold=attack.calibrate(200))
+def _port_contention_panel(machine=None):
+    attack = PortContentionAttack(measurements=40, machine=machine)
+    return attack.run(secret=1, threshold=attack.calibrate(200))
 
-    fast, naive = _under_both_drivers(panel)
+
+def test_fast_forward_matches_naive_on_port_contention_panel():
+    fast, naive = _under_both_drivers(_port_contention_panel)
     assert fast == naive
     result, machines = naive
     assert len(machines) == 2  # calibration and attack platforms
     assert len(result.samples) == 40 and result.replays > 0
+
+
+@pytest.mark.parametrize("config, counter", [
+    (jamais_vu_machine("counter"), "defense.jamais_vu.blocked_issues"),
+    (delay_on_squash_machine(), "defense.delay_on_squash.delayed_issues"),
+    # A short window and a one-issue budget, so the panel throttles.
+    (leash_machine(window_cycles=2048, throttle_factor=8),
+     "defense.leash.throttled_issues"),
+], ids=["jv-counter", "delay-on-squash", "leash"])
+def test_fast_forward_matches_naive_under_a_defense_gate(config, counter):
+    """The panel under each gating defense: the ``defense.*`` counters
+    (in ``metrics.dump()``) and each mechanism's ``capture()``, LEASH's
+    detector state included, match naive stepping."""
+    fast, naive = _under_both_drivers(
+        lambda: _port_contention_panel(config))
+    assert fast == naive
+    result, snapshots = naive
+    assert len(result.samples) == 40
+    assert all(snapshot[5] is not None for snapshot in snapshots)
+    assert sum(snapshot[4].get(counter, 0) for snapshot in snapshots) > 0
+
+
+def test_fast_forward_matches_naive_under_a_cycle_dependent_gate():
+    """A gate that holds divides on every third cycle sees the same
+    ``(cycle, context, seq)`` consultations under both drivers."""
+    logs = []
+
+    def attach(machine):
+        log = []
+        logs.append(log)
+
+        def gate(core, context, entry):
+            log.append((core.cycle, context.context_id, entry.seq))
+            return not (entry.op_cls == "div" and core.cycle % 3 == 0)
+
+        machine.attach(SimpleNamespace(gate=gate))
+
+    fast, naive = _under_both_drivers(_port_contention_panel, attach)
+    assert fast == naive
+    assert len(logs) == 4  # two machines per leg
+    assert logs[:2] == logs[2:]
+    assert all(logs)
 
 
 # --- the quiescence probe -------------------------------------------------
@@ -266,7 +320,7 @@ def test_fast_forward_idle_after_halt():
     is busy: the probe says stop and ``run`` exits on its own."""
     for machine in (Machine(), _halted_machine()):
         assert not machine.core.busy()
-        assert machine.core.next_work_cycle() is None
+        assert machine.core.next_work(None)[0] is None
         assert machine.run(1_000) == 0
 
 
@@ -278,7 +332,7 @@ def test_probe_stops_when_finished_contexts_leave_an_event_due():
     due = object()  # never touched unless a step processes it
     heapq.heappush(core._events, (core.cycle, -1, due))
     assert not core.busy()
-    assert core.next_work_cycle() is None
+    assert core.next_work(None)[0] is None
     assert machine.run(1_000) == 0
     assert core._events[0][2] is due
 
@@ -288,7 +342,7 @@ def test_probe_steps_when_work_can_act_now():
     machine = Machine()
     program = (ProgramBuilder("p").li("r2", 1).halt().build())
     machine.contexts[0].load_program(program)
-    assert machine.core.next_work_cycle() == machine.cycle
+    assert machine.core.next_work(None)[0] == machine.cycle
     assert machine.core.fast_forward() == 0
 
 
@@ -298,16 +352,16 @@ def test_probe_steps_when_nothing_is_known_to_wake_the_core():
     machine = Machine()
     machine.contexts[0].state = ContextState.RUNNING
     assert machine.core.busy()
-    assert machine.core.next_work_cycle() == machine.cycle
+    assert machine.core.next_work(None)[0] == machine.cycle
 
 
 def test_probe_jumps_to_the_earliest_deadline():
     machine = _halted_machine()
     core = machine.core
     _block_context(machine, 500)
-    assert core.next_work_cycle() == core.cycle + 500
+    assert core.next_work(None)[0] == core.cycle + 500
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
-    assert core.next_work_cycle() == core.cycle + 200
+    assert core.next_work(None)[0] == core.cycle + 200
 
 
 def test_fast_forward_clamps_to_limit():
@@ -365,7 +419,7 @@ def test_probe_skips_a_divide_held_by_the_divider():
     machine = _divider_held_machine()
     core = machine.core
     divider = core.ports.port_named("p0")
-    target = core.next_work_cycle()
+    target = core.next_work(None)[0]
     assert core.cycle < target <= divider.busy_until
     contended = divider.stats.contended
     skipped = core.fast_forward()
@@ -374,11 +428,45 @@ def test_probe_skips_a_divide_held_by_the_divider():
 
 
 def test_probe_steps_on_a_held_divide_when_a_gate_is_attached():
-    """A gate is consulted per entry and cycle, so nothing is skipped."""
+    """Dispatch hands the port-held divide to the gate before its port
+    search, and a gate may answer differently each cycle and its calls
+    are observable, so the probe steps."""
     machine = _divider_held_machine(gate=lambda core, context, e: True)
     core = machine.core
     assert core.cycle < core.ports.port_named("p0").busy_until
-    assert core.next_work_cycle() == core.cycle
+    assert core.next_work(None)[0] == core.cycle
+
+
+def test_probe_skips_fence_held_entries_when_a_gate_is_attached():
+    """Dispatch consults no gate for a fence while an older entry is
+    incomplete, nor for anything behind it, so the probe skips those
+    cycles with a gate attached too: naive stepping through them makes
+    no gate call."""
+    calls = []
+    machine = Machine()
+    machine.attach(SimpleNamespace(
+        gate=lambda core, context, entry: calls.append(entry.seq) or True))
+    program = (ProgramBuilder("fenced").li("r2", 96).li("r3", 4)
+               .div("r4", "r2", "r3").fence().addi("r5", "r2", 1)
+               .halt().build())
+    context = machine.contexts[0]
+    context.load_program(program)
+    core = machine.core
+    for _ in range(100):
+        core.step()
+        if (len(context.ready) > 1
+                and context.ready[0].seq == context.oldest_fence_seq()
+                and not context.rob.head.completed
+                and core._events[0][0] > core.cycle):
+            break
+    else:
+        raise AssertionError("the fence never waited on the divide")
+    target, front_end_only = core.next_work(None)
+    assert target > core.cycle and not front_end_only
+    calls.clear()
+    while core.cycle < target:
+        core.step()
+    assert calls == []
 
 
 def test_probe_steps_on_a_fence_whose_older_entries_completed():
@@ -396,7 +484,7 @@ def test_probe_steps_on_a_fence_whose_older_entries_completed():
     assert fence.state is EntryState.READY and fence in context.ready
     assert context.rob.all_older_completed(fence.seq)
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
-    assert core.next_work_cycle() == core.cycle
+    assert core.next_work(None)[0] == core.cycle
 
 
 def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
@@ -412,7 +500,7 @@ def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
     for name in ("p2", "p3"):
         core.ports.port_named(name).busy_until = core.cycle + 100
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
-    assert core.next_work_cycle() == core.cycle
+    assert core.next_work(None)[0] == core.cycle
 
 
 # --- front-end-only cycles --------------------------------------------------

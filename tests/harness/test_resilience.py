@@ -1,6 +1,7 @@
 """The fault-tolerant sweep runner: retries, watchdog, degradation."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -235,6 +236,30 @@ def test_collector_sees_reports():
         run_resilient_sweep(square, [2], policy=FAST, label="b",
                             workers=1)
     assert [r.label for r in reports] == ["a", "b"]
+
+
+def test_collectors_on_two_threads_see_only_their_own_reports():
+    """Both threads hold a collector block at once; each one's report
+    lands only in its own list."""
+    both_collecting = threading.Barrier(2)
+    both_ran = threading.Barrier(2)
+    seen = {}
+
+    def collect(label):
+        with collect_sweep_reports() as reports:
+            both_collecting.wait(timeout=30)
+            run_resilient_sweep(square, [1], policy=FAST, label=label,
+                                workers=1)
+            both_ran.wait(timeout=30)
+        seen[label] = [r.label for r in reports]
+
+    threads = [threading.Thread(target=collect, args=(label,))
+               for label in ("left", "right")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert seen == {"left": ["left"], "right": ["right"]}
 
 
 def test_report_to_dict_is_json_ready():
