@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa import registers
@@ -21,6 +22,8 @@ from repro.observability.stats import ContextStats
 
 __all__ = ["ContextState", "ContextStats", "HardwareContext",
            "TransactionState"]
+
+_by_seq = attrgetter("seq")
 
 
 class ContextState(enum.Enum):
@@ -172,7 +175,7 @@ class HardwareContext:
         """The ready queue in program (seq) order, re-sorting only when
         an out-of-order wakeup dirtied it."""
         if self._ready_dirty:
-            self.ready.sort(key=lambda e: e.seq)
+            self.ready.sort(key=_by_seq)
             self._ready_dirty = False
         return self.ready
 

@@ -13,18 +13,22 @@ Per cycle the core performs, in order:
    then the port search.  The scan stops at the oldest in-flight fence;
    latency is computed only once a port is granted; only ports that
    issued are reset next cycle.  Once an op class finds every port held
-   in a cycle, later entries of that class add the same ``contended``
-   counts without searching again, and a scan that issues nothing
-   leaves the ready queue as it is.  Loads translate through TLB → page
-   walk here, which is where the MicroScope speculation window opens.
+   in a cycle, later entries of that class are only counted, without
+   searching again, and their ``contended`` counts are added once after
+   the scan; a scan that issues nothing leaves the ready queue as it
+   is.  Loads translate through TLB → page walk here, which is where
+   the MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
    flow into the ROB, one pass over each context's fetch group.
 
 ``step()`` runs all five.  A caller that probes first
 (:meth:`Core.next_work`, as ``Machine.run`` does) skips cycles in
-which no stage can act (:meth:`Core.fast_forward`) and runs cycles in
-which only fetch can act as :meth:`Core.front_end_cycle`, both
-bit-exact with ``step()``.
+which no stage can act (:meth:`Core.fast_forward`, handed the probe's
+answer) and runs cycles in which only fetch can act as
+:meth:`Core.front_end_cycle`, both bit-exact with ``step()``.  The
+probe asks once per op class whether its ports hold it back, and a
+front-end-only cycle judges only the entries its own fetch added, so
+a run of such cycles costs one probe, not one per cycle.
 
 Everything MicroScope needs emerges from these rules: instructions
 younger than a page-faulting load execute in its shadow and leave
@@ -159,8 +163,8 @@ class Core:
     # ------------------------------------------------------------------
 
     def next_work(self, held: Optional[List[Sequence[Port]]]
-                  ) -> Tuple[Optional[int], bool]:
-        """``(cycle, front_end_only)``: the next cycle at which any
+                  ) -> Tuple[Optional[int], Optional[float]]:
+        """``(cycle, front_end_bound)``: the next cycle at which any
         pipeline stage can act, from one pass over the contexts.
 
         *cycle* is ``None`` when no context is busy (:meth:`busy` is
@@ -170,24 +174,31 @@ class Core:
         Otherwise it is a later cycle T: every cycle strictly before T
         is provably an empty ``step()``, because the only pending work
         sits in the event heap, behind a known stall/block cycle, or in
-        a ready queue whose entries are all held (:meth:`_hold`):
-        younger than the oldest in-flight fence, that fence while an
-        older entry is incomplete, or an op whose every port a
-        non-pipelined op holds until some cycle that then bounds T.
-        Such a step changes nothing but the ``contended`` counts of
-        those ports, which :meth:`fast_forward` credits in bulk.  A
-        ready load, or an entry dispatch would hand to a ``gate``
-        observer, makes the probe step.  *front_end_only* is True when
-        *cycle* is the current one and only fetch can act in it:
-        :meth:`front_end_cycle` then does exactly what ``step()`` would.
+        a ready queue whose entries are all held: younger than the
+        oldest in-flight fence, that fence while an older entry is
+        incomplete, or of an op class whose every port a non-pipelined
+        op holds until some cycle that then bounds T (:meth:`_hold`,
+        asked once per class: no port changes during the probe).  Such
+        a step changes nothing but the ``contended`` counts of those
+        ports, which :meth:`fast_forward` credits in bulk.  A ready
+        load, or an entry dispatch would hand to a ``gate`` observer,
+        makes the probe step.
+
+        *front_end_bound* is ``None`` unless *cycle* is the current one
+        and only fetch can act in it: :meth:`front_end_cycle` then does
+        exactly what ``step()`` would.  It is the T worked out as above
+        (``math.inf`` when nothing bounds it): until T, only what fetch
+        adds can change the answer, which is how ``front_end_cycle``
+        tells whether the next cycle is front-end-only too.
         When *held* is a list, it also receives, per port-held ready
         entry, the ports dispatch would count as contended each cycle
         until *cycle*; it is complete whenever the answer is a jump or
-        *front_end_only*."""
+        front-end-only."""
         cycle = self.cycle
         busy = False
         fetch_now = False
         target = math.inf
+        verdicts: Dict[str, Tuple[float, Sequence[Port]]] = {}
         for context in self.contexts:
             state = context.state
             if state is ContextState.RUNNING:
@@ -207,27 +218,17 @@ class Core:
                     continue
                 busy = True
                 if context.ready:
-                    fence_seq = context.oldest_fence_seq()
-                    if fence_seq is None:
-                        fence_seq = math.inf
-                    for entry in context.sorted_ready():
-                        if entry.seq > fence_seq:
-                            break  # dispatch never scans past it
-                        if entry.squashed:
-                            continue
-                        hold = self._hold(context, entry, fence_seq)
-                        if hold is None:
-                            return cycle, False  # dispatch may issue
-                        until, ports = hold
-                        if until < target:
-                            target = until
-                        if ports and held is not None:
-                            held.append(ports)
+                    until = self._held_until(context, context.sorted_ready(),
+                                             verdicts, held)
+                    if until is None:
+                        return cycle, None  # dispatch may issue
+                    if until < target:
+                        target = until
                 if (context.pending_interrupt is not None
                         or context.txn_abort_pending):
-                    return cycle, False
+                    return cycle, None
                 if entries and entries[0].completed:
-                    return cycle, False  # retire (or fault/trap) acts
+                    return cycle, None  # retire (or fault/trap) acts
                 if (context.fetch_index < length
                         and len(entries) < context.rob.capacity):
                     stall = context.fetch_stall_until
@@ -241,55 +242,138 @@ class Core:
                 busy = True
                 blocked_until = context.blocked_until
                 if blocked_until <= cycle:
-                    return cycle, False
+                    return cycle, None
                 if blocked_until < target:
                     target = blocked_until
             # IDLE/HALTED contexts are finished and never act again.
         if not busy:
-            return None, False
+            return None, None
         if self._events and self._events[0][0] < target:
             target = self._events[0][0]
         if target <= cycle:
-            return cycle, False
+            return cycle, None
         if fetch_now:
-            return cycle, True
+            return cycle, target
         if target == math.inf:
-            return cycle, False
-        return target, False
+            return cycle, None
+        return target, None
 
-    def front_end_cycle(self, held: List[Sequence[Port]]):
+    def front_end_cycle(self, held: List[Sequence[Port]],
+                        bound: float) -> Optional[float]:
         """Advance one cycle in which fetch is the only stage that can
-        act (``next_work(held)`` answered *front_end_only*): exactly
-        what ``step()`` would do.  Completion, abort and retire have
-        nothing to do; dispatch would issue nothing and only count one
-        ``contended`` cycle on each of the *held* ports, which is
-        credited here; then fetch runs as in ``step()``."""
+        act, exactly as ``step()`` would, and say whether the next
+        cycle is one too.
+
+        *bound* is the *front_end_bound* of ``next_work(held)``, or
+        what the previous call returned.  Completion, abort and retire
+        have nothing to do; dispatch would issue nothing and only count
+        one ``contended`` cycle on each of the *held* ports, which is
+        credited here; then fetch runs as in ``step()``.  (If a context
+        has raised an interrupt or abort since, as an ``until``
+        callback may, retire acts after all: the cycle runs as
+        ``step()`` and ``None`` is returned.)
+
+        Before *bound* nothing but fetch changes what the core can do,
+        so only the ready entries this fetch added are judged, by the
+        probe's own scan (:meth:`_held_until`): the ports of those its
+        op class holds back join *held*, and the cycle they are
+        released may lower the bound.  Returns the bound while the next
+        cycle is front-end-only too, and ``None`` (probe again) when an
+        added entry may issue, the bound is reached, or no context can
+        fetch next cycle (so an empty front-end cycle never stands in
+        for a jump)."""
+        contexts = self.contexts
+        # Fetch-time wakes are appended in seq order, so what fetch
+        # adds is the tail of each ready queue beyond these lengths.
+        before = []
+        for context in contexts:
+            if (context.pending_interrupt is not None
+                    or context.txn_abort_pending):
+                self.step()
+                return None
+            before.append(len(context.ready))
         self.ports.new_cycle()
         for ports in held:
             for port in ports:
                 port.stats.contended += 1
         self._fetch()
-        self.cycle += 1
+        cycle = self.cycle = self.cycle + 1
+        if cycle >= bound:
+            return None
+        verdicts: Dict[str, Tuple[float, Sequence[Port]]] = {}
+        fetchable = False
+        for context, size in zip(contexts, before):
+            ready = context.ready
+            if len(ready) > size:
+                until = self._held_until(context, ready[size:], verdicts,
+                                         held)
+                if until is None:
+                    return None
+                if until < bound:
+                    bound = until
+            if (not fetchable and context.state is ContextState.RUNNING
+                    and context.fetch_stall_until <= cycle
+                    and context.fetch_index < len(context.decoded)
+                    and len(context.rob.entries) < context.rob.capacity):
+                fetchable = True
+        return bound if fetchable else None
 
-    def _hold(self, context: HardwareContext, entry: ROBEntry,
-              fence_seq: float) -> Optional[Tuple[float, Sequence[Port]]]:
-        """Why a ready, unsquashed *entry*, not younger than
-        *fence_seq* (the context's oldest in-flight fence), cannot
-        issue at the current cycle, as the rules of :meth:`_dispatch`
-        decide.
+    def _held_until(self, context: HardwareContext,
+                    entries: Sequence[ROBEntry],
+                    verdicts: Dict[str, Tuple[float, Sequence[Port]]],
+                    held: Optional[List[Sequence[Port]]]
+                    ) -> Optional[float]:
+        """Judge *entries*, ready entries of *context* in program order,
+        as :meth:`_dispatch` would at the current cycle: ``None`` when
+        one may issue now, else the earliest cycle one might
+        (``math.inf`` when only a completion, which the event heap
+        bounds, can release one).
+
+        An entry younger than the oldest in-flight fence is held (the
+        scan stops there, as dispatch's does); the fence is held while
+        an older entry is incomplete; any other entry is judged by
+        :meth:`_hold`, once per op class: *verdicts* keeps the answers,
+        as no port changes while the core is judging.  Each port-held
+        entry's ports are appended to *held* (when it is a list)."""
+        fence_seq = context.oldest_fence_seq()
+        if fence_seq is None:
+            fence_seq = math.inf
+        until = math.inf
+        for entry in entries:
+            seq = entry.seq
+            if seq > fence_seq:
+                break
+            if entry.squashed:
+                continue
+            if seq == fence_seq:
+                if context.rob.all_older_completed(seq):
+                    return None
+                continue
+            op_cls = entry.op_cls
+            hold = verdicts.get(op_cls)
+            if hold is None:
+                hold = self._hold(op_cls)
+                if hold is None:
+                    return None
+                verdicts[op_cls] = hold
+                if hold[0] < until:
+                    until = hold[0]
+            if held is not None:
+                held.append(hold[1])
+        return until
+
+    def _hold(self, op_cls: str) -> Optional[Tuple[float, Sequence[Port]]]:
+        """Why a ready entry of *op_cls* that passed the fence rule
+        cannot issue at the current cycle, as the rules of
+        :meth:`_dispatch` decide.
 
         Returns ``None`` when it may issue now, or when that cannot be
-        ruled out cheaply: a load, or any entry past the fence rule
-        while a gate (whose calls are observable) is attached.
-        Otherwise returns ``(until, ports)``: it cannot issue before
-        cycle *until* (``math.inf`` when only a completion, which the
-        event heap bounds, can release it), and each cycle it waits,
-        dispatch counts one ``contended`` cycle on each of *ports*."""
-        if entry.seq == fence_seq:
-            if context.rob.all_older_completed(entry.seq):
-                return None
-            return math.inf, ()
-        op_cls = entry.op_cls
+        ruled out cheaply: a load, or any entry while a gate (whose
+        calls are observable) is attached.  Otherwise returns
+        ``(until, ports)``: every port of the class is held by a
+        non-pipelined op until at least cycle *until*, and each cycle
+        the entry waits, dispatch counts one ``contended`` cycle on
+        each of *ports*."""
         if op_cls == "load" or self._gate:
             return None
         now = self.cycle
@@ -303,7 +387,9 @@ class Core:
                 until = busy_until
         return until, ports
 
-    def fast_forward(self, limit: Optional[int] = None) -> int:
+    def fast_forward(self, limit: Optional[int] = None,
+                     target: Optional[int] = None,
+                     held: Optional[List[Sequence[Port]]] = None) -> int:
         """Jump the clock to the next cycle where work exists (clamped
         to *limit*).  Returns the number of cycles skipped.  The
         skipped cycles are exactly the ``step()`` calls naive stepping
@@ -312,11 +398,16 @@ class Core:
         entry's class (:meth:`_hold`) gains k ``contended`` cycles, the
         count :meth:`PortSet.find` would have made one cycle at a time.
         All observable state — cycle counts, stats, port counters,
-        architectural state — is bit-identical."""
-        held: List[Sequence[Port]] = []
-        target = self.next_work(held)[0]
-        if target is None:
-            return 0
+        architectural state — is bit-identical.
+
+        *target* and *held* are the answer of a ``next_work(held)``
+        just made at this cycle (``Machine.run`` passes its own probe);
+        without them the probe runs here."""
+        if target is None or held is None:
+            held = []
+            target = self.next_work(held)[0]
+            if target is None:
+                return 0
         if limit is not None and target > limit:
             target = limit
         skipped = target - self.cycle
@@ -627,12 +718,13 @@ class Core:
         contexts = self.contexts
         rotations = self._rotations
         gates = self._gate
-        # Op classes whose port search failed this cycle, with the ports
-        # that search counted as contended.  Nothing on those ports can
-        # free up or issue later this cycle, so a later entry of the
-        # class (either context) that passes the fence rule and the
-        # gates counts the same ports without searching again.
-        exhausted: Dict[str, List[Port]] = {}
+        # Op classes whose port search failed this cycle: how many later
+        # entries of the class (either context) passed the fence rule
+        # and the gates, and the ports that search counted as
+        # contended.  Nothing on those ports can free up or issue later
+        # this cycle, so each such entry would count the same ports
+        # again; they are credited once per class after the scan.
+        exhausted: Dict[str, list] = {}
         for context_id in rotations[self.cycle % len(rotations)]:
             if budget <= 0:
                 break
@@ -670,10 +762,9 @@ class Core:
                         still_ready.append(entry)
                     continue
                 op_cls = entry.op_cls
-                counted = exhausted.get(op_cls)
-                if counted is not None:
-                    for port in counted:
-                        port.stats.contended += 1
+                record = exhausted.get(op_cls)
+                if record is not None:
+                    record[0] += 1
                     if still_ready is not None:
                         still_ready.append(entry)
                     continue
@@ -686,9 +777,13 @@ class Core:
                     still_ready.append(entry)
                 if op_cls != "load":
                     # A non-load fails only in the port search.
-                    exhausted[op_cls] = self._contended_ports(op_cls)
+                    exhausted[op_cls] = [0, self._contended_ports(op_cls)]
             if still_ready is not None:
                 context.ready = still_ready
+        for repeats, ports in exhausted.values():
+            if repeats:
+                for port in ports:
+                    port.stats.contended += repeats
 
     def _contended_ports(self, op_cls: str) -> List[Port]:
         """The ports a port search for *op_cls* that just failed counted

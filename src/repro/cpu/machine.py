@@ -210,44 +210,55 @@ class Machine:
         """Run until *until* returns True, all contexts finish, or the
         cycle budget is exhausted.  Returns cycles executed.
 
-        Each loop iteration asks the core what can act now
-        (:meth:`Core.next_work`) and does one of three things, all
-        bit-exact with stepping the core cycle by cycle:
+        Each loop iteration runs one cycle or one jump, all bit-exact
+        with stepping the core cycle by cycle.  Unless a run of
+        front-end-only cycles is under way, it first asks the core what
+        can act now (:meth:`Core.next_work`) and does one of three
+        things:
 
         * nothing can act: skip the provably-empty cycles in one jump
-          (:meth:`Core.fast_forward`), including cycles in which ready
+          (:meth:`Core.fast_forward`, handed this probe's answer so it
+          does not probe again), including cycles in which ready
           entries only wait on a fence or on a port a non-pipelined op
           holds, then step;
         * only fetch can act: run a front-end-only cycle
           (:meth:`Core.front_end_cycle`), which skips completion,
-          retire and dispatch;
+          retire and dispatch.  It says whether the next cycle is one
+          too, judging only what its fetch added, so a run of such
+          cycles needs no further probe;
         * otherwise: :meth:`Core.step`.
 
-        *until* is evaluated once per loop iteration, so it must
-        depend on simulation state, not on raw cycle numbers: use
-        :meth:`step` or :meth:`run_until_cycle` to stop at an exact
-        cycle.  The only state that changes during a jump is port
-        ``contended`` counters, which advance by the jump length at
-        once, so *until* must not read them either.
+        *until* is evaluated once per cycle run, not per skipped cycle,
+        so it must depend on simulation state, not on raw cycle
+        numbers: use :meth:`step` or :meth:`run_until_cycle` to stop at
+        an exact cycle.  The only state that changes during a jump is
+        port ``contended`` counters, which advance by the jump length
+        at once, so *until* must not read them either.  It may raise
+        an interrupt or a transaction abort (``pending_interrupt``,
+        ``txn_abort_pending``), which the next cycle takes; any other
+        change it makes to the machine may go unseen until the next
+        probe.
         """
         core = self.core
         start = core.cycle
         limit = start + max_cycles
+        bound = None  # of the front-end-only run in progress
         while core.cycle < limit:
             if until is not None and until(self):
                 break
-            held: list = []
-            target, front_end_only = core.next_work(held)
-            if target is None:
-                break
-            if front_end_only:
-                core.front_end_cycle(held)
-                continue
-            if target > core.cycle:
-                core.fast_forward(limit)
-                if core.cycle >= limit:
+            if bound is None:
+                held = []
+                target, bound = core.next_work(held)
+                if target is None:
                     break
-            core.step()
+                if bound is None:
+                    if target > core.cycle:
+                        core.fast_forward(limit, target, held)
+                        if core.cycle >= limit:
+                            break
+                    core.step()
+                    continue
+            bound = core.front_end_cycle(held, bound)
         return core.cycle - start
 
     def run_until_cycle(self, cycle: int,

@@ -50,6 +50,12 @@ class Observer:
         architectural state).  After this call that identity is
         unrecoverable, as same-register read/write instructions
         overwrite it.
+
+        Decode may run in a front-end-only cycle, which judges only the
+        entries fetch adds to decide whether the next cycle is one too.
+        So a decode observer may record, but must not change what
+        another stage can do (ports, the event heap, context state,
+        other entries); no observer in this package does.
         """
 
     def on_issue(self, core: Any, context: Any, entry: Any) -> None:

@@ -81,10 +81,14 @@ class PortSet:
 
         The core reproduces these counts without calling ``find``
         where the answer is known: after a failed search, dispatch
-        adds the same counts for later entries of *op_cls* in that
-        cycle, and ``Core.fast_forward`` adds one per skipped cycle (as
+        counts the later entries of *op_cls* in that cycle and adds
+        that many to the same ports once, after its scan, and
+        ``Core.fast_forward`` adds one per skipped cycle (as
         ``Core.front_end_cycle`` does for its one cycle) for each ready
-        entry whose class has every port held."""
+        entry whose class has every port held.  Deferring the dispatch
+        credit is exact because nothing reads ``contended`` during a
+        cycle: only ``contention_report`` and the metrics registry
+        read it, between runs."""
         for port in self._by_class.get(op_cls, ()):
             if port._issued_this_cycle:
                 continue

@@ -17,7 +17,11 @@ breaks one even when the architectural state still matches:
   instruction count;
 * per context, ``stats.fetched == stats.retired + stats.squashed``:
   once the program finishes, every decoded entry has left the ROB
-  exactly one way.
+  exactly one way;
+* the program run again with naive ``Machine.step()``, one cycle at a
+  time, ends on the same cycle with the same context stats, port
+  ``issued``/``contended`` counts and ``metrics.dump()``: the
+  scheduler's skipped and front-end-only cycles must be exact.
 
 The sweep runs through :func:`repro.harness.run_resilient_sweep`, so
 it journals every completed case (``journal.jsonl``) and produces the
@@ -60,6 +64,9 @@ DEFAULT_MASTER_SEED = 2019
 
 #: Identity-mapped data page inside the default 256 MiB of DRAM.
 DATA_BASE = 0x0010_0000
+
+#: Cycle budget of each run of a case.
+MAX_CYCLES = 3_000_000
 
 _DATA_REGS = [f"r{i}" for i in range(2, 12)]
 _FP_REGS = [f"f{i}" for i in range(0, 8)]
@@ -135,6 +142,30 @@ def _fp_equal(x: Any, y: Any) -> bool:
     return x == y
 
 
+def _scheduler_view(machine) -> Dict[str, Any]:
+    """What a scheduler shortcut must leave exactly as naive stepping
+    does, by field."""
+    return {
+        "cycle": machine.cycle,
+        "context stats": [ctx.stats.as_dict()
+                          for ctx in machine.contexts],
+        "ports": machine.core.ports.contention_report(),
+        "metrics": machine.metrics.dump(),
+    }
+
+
+def _step_naively(program, max_cycles: int):
+    """*program* on a fresh machine, one ``Machine.step()`` per cycle
+    while the core is busy."""
+    from repro.cpu.machine import Machine
+    machine = Machine()
+    machine.contexts[0].load_program(program)
+    core = machine.core
+    while machine.cycle < max_cycles and core.busy():
+        machine.step()
+    return machine
+
+
 def run_case(params: Any, seed: int) -> Dict[str, Any]:
     """One differential case: both engines, compared field by field.
 
@@ -161,8 +192,13 @@ def run_case(params: Any, seed: int) -> Dict[str, Any]:
         machine = Machine()
         context = machine.contexts[0]
         context.load_program(program)
-        machine.run(3_000_000)
+        machine.run(MAX_CYCLES)
+        naive = _step_naively(program, MAX_CYCLES)
     mismatches: List[str] = []
+    naive_view = _scheduler_view(naive)
+    for field, value in _scheduler_view(machine).items():
+        if value != naive_view[field]:
+            mismatches.append(f"{field} mismatch against naive stepping")
     if oracle is not None and oracle.summary.total:
         mismatches.append(
             f"oracle raised {oracle.summary.total} events with no "

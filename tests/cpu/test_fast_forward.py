@@ -25,7 +25,11 @@ workload shapes:
 * a Fig. 7-shaped monitor beside a divider hog, whose ROB fills behind
   an in-flight fence while its divides wait on the divider: the
   cycles in which only fetch can act run as front-end-only cycles
-  (``Core.front_end_cycle``), with and without a decode observer.
+  (``Core.front_end_cycle``), with and without a decode observer;
+* front-end-only runs, which go on without a probe, ending each way
+  one can: fetch adds an entry that may issue, the ROB fills, an
+  ``until`` callback raises an interrupt, and a run under a gate.
+  These also compare ``PipelineTracer`` records.
 
 Beside cycles and state, each leg compares every port's ``issued`` and
 ``contended`` counts: a jump over cycles in which a ready entry waits
@@ -51,6 +55,7 @@ from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.cpu.rob import EntryState
 from repro.cpu.trace import PipelineTracer
+from repro.cpu.traps import TrapAction
 from repro.crypto.aes import encrypt_block
 from repro.evaluation.defenses import (delay_on_squash_machine,
                                        jamais_vu_machine, leash_machine)
@@ -509,6 +514,10 @@ def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
 #: run; naive stepping makes one per cycle.  Without front-end-only
 #: cycles the same run makes 559.
 FIG7_STEPS = 335
+#: ``Core.next_work`` probes on the same run: one per step, jump or
+#: run of front-end-only cycles.  Probing before every front-end-only
+#: cycle and again inside each jump, the same run makes 700.
+FIG7_PROBES = 362
 
 
 def _fig7_machine(observer=None) -> Machine:
@@ -539,10 +548,203 @@ def _fig7_state(machine: Machine):
             machine.metrics.dump())
 
 
+def _can_fetch(context, cycle) -> bool:
+    return (context.state is ContextState.RUNNING
+            and context.fetch_stall_until <= cycle
+            and context.fetch_index < len(context.decoded)
+            and len(context.rob.entries) < context.rob.capacity)
+
+
+@contextmanager
+def _scheduler_log():
+    """Count ``Core.next_work`` probes, record the cycle of each
+    ``Core.fast_forward`` jump, and log each ``Core.front_end_cycle``
+    call as ``(cycle, outcome)``: ``"run"`` when the next cycle is
+    front-end-only too, otherwise why the run ended: ``"interrupt"``
+    (raised before the call, which then stepped), ``"bound"``,
+    ``"fetch"`` (no context can fetch next cycle) or ``"entry"`` (an
+    entry that fetch added may issue)."""
+    log = SimpleNamespace(probes=0, jumps=[], cycles=[])
+    probe, front_end, jump = (Core.next_work, Core.front_end_cycle,
+                              Core.fast_forward)
+
+    def counted_probe(core, held):
+        log.probes += 1
+        return probe(core, held)
+
+    def logged_front_end(core, held, bound):
+        cycle = core.cycle
+        raised = any(context.pending_interrupt is not None
+                     or context.txn_abort_pending
+                     for context in core.contexts)
+        result = front_end(core, held, bound)
+        if result is not None:
+            outcome = "run"
+        elif raised:
+            outcome = "interrupt"
+        elif core.cycle >= bound:
+            outcome = "bound"
+        elif not any(_can_fetch(context, core.cycle)
+                     for context in core.contexts):
+            outcome = "fetch"
+        else:
+            outcome = "entry"
+        log.cycles.append((cycle, outcome))
+        return result
+
+    def logged_jump(core, *args):
+        log.jumps.append(core.cycle)
+        return jump(core, *args)
+
+    Core.next_work = counted_probe
+    Core.front_end_cycle = logged_front_end
+    Core.fast_forward = logged_jump
+    try:
+        yield log
+    finally:
+        Core.next_work, Core.front_end_cycle, Core.fast_forward = (
+            probe, front_end, jump)
+
+
+def _traced_legs(build, until=None):
+    """``(state, tracer records, scheduler log)`` of the machine
+    *build()* returns, run under ``Machine.run`` and then under
+    ``_naive_run`` with a :class:`PipelineTracer` attached.  *until*,
+    if given, makes each leg's predicate from its machine."""
+    legs = []
+    for run in (Machine.run, _naive_run):
+        machine = build()
+        tracer = PipelineTracer()
+        machine.attach(tracer)
+        with _scheduler_log() as log:
+            run(machine, 1_000_000,
+                until=None if until is None else until(machine))
+        assert all(ctx.finished() for ctx in machine.contexts)
+        legs.append((_fig7_state(machine), tracer.records, log))
+    return legs
+
+
+def _runs_ending(log, outcome):
+    """Cycles of the front-end-only cycles that ended a run of at
+    least two with *outcome*."""
+    return [cycle for (before, was), (cycle, now)
+            in zip(log.cycles, log.cycles[1:])
+            if was == "run" and now == outcome]
+
+
+def _divide_burst(divides: int) -> Machine:
+    """One context: ``divides`` independent divides, all but the first
+    waiting on the non-pipelined divider, then an ``addi`` that can
+    issue as soon as it is fetched, and more divides."""
+    builder = ProgramBuilder("divide-burst").li("r2", 96).li("r3", 4)
+    for _ in range(divides):
+        builder.div("r4", "r2", "r3")
+    builder.addi("r5", "r2", 1)
+    for _ in range(8):
+        builder.div("r4", "r2", "r3")
+    machine = Machine()
+    machine.contexts[0].load_program(builder.halt().build())
+    return machine
+
+
+def test_front_end_run_ends_when_fetch_adds_an_entry_that_may_issue():
+    """Fetch keeps adding divider-held divides, so the run goes on
+    without probing, until it fetches the ``addi``: that ends the run
+    and the next cycle steps and issues it."""
+    (fast, records, log), (naive, naive_records, _) = _traced_legs(
+        lambda: _divide_burst(24))
+    assert fast == naive
+    assert records == naive_records
+    [cycle] = _runs_ending(log, "entry")
+    [addi] = [r for r in records if r.text.startswith("addi")]
+    assert addi.fetch_cycle == cycle
+    assert addi.issue_cycle == cycle + 1
+
+
+def test_front_end_run_ends_when_the_rob_fills():
+    """A burst longer than the ROB: the run ends on the cycle whose
+    fetch fills it, and the probe that follows jumps to the divider's
+    release instead of running empty front-end cycles."""
+    (fast, records, log), (naive, naive_records, _) = _traced_legs(
+        lambda: _divide_burst(120))
+    assert fast == naive
+    assert records == naive_records
+    [cycle] = _runs_ending(log, "fetch")
+    assert cycle + 1 in log.jumps
+    in_rob = [r for r in records if r.fetch_cycle <= cycle
+              and (r.retire_cycle is None or r.retire_cycle > cycle)]
+    assert len(in_rob) == Machine().config.core.rob_size
+
+
+def test_front_end_run_takes_an_interrupt_raised_by_until():
+    """An ``until`` callback that raises an interrupt on the monitor
+    partway through a run (once the hog is done, the monitor's ROB
+    fills four entries a cycle): the next cycle takes it, as naive
+    stepping does, instead of going on fetching."""
+
+    def until(machine):
+        hog, monitor = machine.contexts
+        raised = []
+
+        def raise_once(m):
+            if (not raised and hog.finished()
+                    and len(monitor.rob.entries) >= 50):
+                monitor.pending_interrupt = "irq"
+                raised.append(m.cycle)
+            return False
+
+        return raise_once
+
+    def build():
+        machine = _fig7_machine()
+        machine.set_trap_handler(SimpleNamespace(
+            handle_interrupt=lambda context, reason: TrapAction(cost=60)))
+        return machine
+
+    (fast, records, log), (naive, naive_records, _) = _traced_legs(
+        build, until)
+    assert fast == naive
+    assert records == naive_records
+    assert fast[1][1]["interrupts"] == 1
+    assert len(_runs_ending(log, "interrupt")) == 1
+
+
+def test_front_end_runs_under_a_gate():
+    """With a gate attached, a run covers the cycles in which every
+    ready entry waits behind a fence (dispatch consults no gate for
+    them) while fetch fills the ROB, and the gate sees the same
+    ``(cycle, context, seq)`` consultations as under naive stepping."""
+    logs = []
+
+    def build():
+        log = []
+        logs.append(log)
+
+        def gate(core, context, entry):
+            log.append((core.cycle, context.context_id, entry.seq))
+            return not (entry.op_cls == "div" and core.cycle % 3 == 0)
+
+        builder = (ProgramBuilder("fenced-burst").li("r2", 96)
+                   .li("r3", 4).div("r4", "r2", "r3").fence())
+        for _ in range(40):
+            builder.addi("r5", "r2", 1)
+        machine = Machine()
+        machine.attach(SimpleNamespace(gate=gate))
+        machine.contexts[0].load_program(builder.halt().build())
+        return machine
+
+    (fast, records, log), (naive, naive_records, _) = _traced_legs(build)
+    assert fast == naive
+    assert records == naive_records
+    assert logs[0] == logs[1] and logs[0]
+    assert _runs_ending(log, "fetch")
+
+
 def _fig7_run(run, observer=None):
     """The final state of :func:`_fig7_machine` under *run*, the number
-    of ``Core.step`` calls it made, and whether the monitor's ROB was
-    ever full behind an in-flight fence while the divider was held."""
+    of ``Core.step`` calls and of ``Core.next_work`` probes it made,
+    and whether the monitor's ROB was ever full behind an in-flight
+    fence while the divider was held."""
     machine = _fig7_machine(observer)
     monitor = machine.contexts[1]
     divider = machine.core.ports.port_named("p0")
@@ -564,23 +766,26 @@ def _fig7_run(run, observer=None):
 
     Core.step = counted
     try:
-        run(machine, 1_000_000, until=watch)
+        with _scheduler_log() as log:
+            run(machine, 1_000_000, until=watch)
     finally:
         Core.step = step
     assert all(ctx.finished() for ctx in machine.contexts)
-    return _fig7_state(machine), steps[0], bool(seen)
+    return _fig7_state(machine), steps[0], log.probes, bool(seen)
 
 
 def test_front_end_cycles_match_naive_on_a_fig7_monitor():
     """Cycle, per-context stats, port ``issued``/``contended``,
     predictor stats and the metrics registry all match naive stepping,
-    and ``Machine.run`` steps the core in fewer than half the cycles."""
-    fast, fast_steps, _ = _fig7_run(Machine.run)
-    naive, naive_steps, rob_filled = _fig7_run(_naive_run)
+    ``Machine.run`` steps the core in fewer than half the cycles, and
+    it probes once per step, jump or run of front-end-only cycles."""
+    fast, fast_steps, fast_probes, _ = _fig7_run(Machine.run)
+    naive, naive_steps, _, rob_filled = _fig7_run(_naive_run)
     assert fast == naive
     assert rob_filled
     assert naive_steps == naive[0]
     assert fast_steps == FIG7_STEPS
+    assert fast_probes == FIG7_PROBES
 
 
 def test_front_end_cycles_show_decode_observers_the_naive_fetch_cycles():
@@ -588,8 +793,8 @@ def test_front_end_cycles_show_decode_observers_the_naive_fetch_cycles():
     with the same ``fetch_cycle`` under ``Machine.run`` as under naive
     stepping, and attaching it keeps the front-end-only cycles."""
     fast_tracer, naive_tracer = PipelineTracer(), PipelineTracer()
-    fast, fast_steps, _ = _fig7_run(Machine.run, fast_tracer)
-    naive, _, _ = _fig7_run(_naive_run, naive_tracer)
+    fast, fast_steps, _, _ = _fig7_run(Machine.run, fast_tracer)
+    naive, _, _, _ = _fig7_run(_naive_run, naive_tracer)
     assert fast == naive
     assert fast_tracer.records == naive_tracer.records
     fetched = [(r.context_id, r.seq, r.fetch_cycle)

@@ -3,6 +3,7 @@
 import json
 
 from repro.cpu.context import HardwareContext
+from repro.cpu.core import Core
 from repro.cpu.ports import Port
 from repro.harness import derive_seed
 from repro.isa import interpreter
@@ -87,6 +88,26 @@ def test_run_case_checks_fetched_against_retired_plus_squashed(
     assert not payload["match"]
     [mismatch] = payload["mismatches"]
     assert mismatch.startswith("ctx0 fetched ")
+
+
+def test_run_case_checks_the_scheduler_against_naive_stepping(
+        monkeypatch):
+    """A jump that forgets the ``contended`` cycles its held entries
+    wait leaves the architectural state and every other count intact;
+    only the naive-stepping leg notices, in the port counts and the
+    metrics registry that holds them."""
+    jump = Core.fast_forward
+
+    def uncredited(self, limit=None, target=None, held=None):
+        return jump(self, limit, target,
+                    None if held is None else [])
+
+    monkeypatch.setattr(Core, "fast_forward", uncredited)
+    payload = run_case({"case": 1}, derive_seed(2019, 1, LABEL))
+    assert not payload["match"]
+    assert payload["mismatches"] == [
+        "ports mismatch against naive stepping",
+        "metrics mismatch against naive stepping"]
 
 
 def test_run_sweep_writes_artifacts_and_resumes(tmp_path):
