@@ -7,7 +7,7 @@ benches stay predictable.
 Beyond the spin loops, this bench runs the replay-attack workload
 twice — an explicit one-step-per-cycle loop vs ``Machine.run``, which
 skips provably-empty cycles — and asserts both that the skipping is
-bit-exact (same cycles, same machine report) and that it actually pays
+bit-exact (same cycles, same metrics payload) and that it actually pays
 (>= 3x simulated-cycles/host-second).
 ``benchmarks/results/simulator_throughput.json`` records the numbers
 machine-readably; CI diffs fresh measurements against the committed
@@ -48,7 +48,7 @@ def test_smt_throughput(benchmark):
 def test_replay_attack_throughput(once):
     """The headline number: replay-attack simulation speed, naive
     per-cycle stepping vs ``Machine.run``'s fast-forward, proven
-    bit-exact on the full machine report."""
+    bit-exact on the full metrics payload."""
     replays = 2000 if full_scale() else 200
 
     def experiment():

@@ -10,14 +10,14 @@ percent drift).
 
 Also runs a snapshot round-trip smoke: take a mid-run snapshot of the
 replay-attack workload, run to completion, mutate nothing further,
-restore, run again, and require the machine report to be identical.
+restore, run again, and require the metrics payload to be identical.
 This is the functional contract the warm-start experiment drivers
 depend on, checked on every CI run in a few hundred milliseconds.
 
 Finally, a tracing overhead check: the replay-attack workload runs
 once with no tracer (the configuration the regression gate prices)
 and once with an ``EventTracer`` attached.  Both runs must produce a
-bit-identical machine report — tracing observes, it never perturbs —
+bit-identical metrics payload — tracing observes, it never perturbs —
 and the measured overhead is written to
 ``benchmarks/results/tracing_overhead.json`` so its trajectory is
 visible across PRs.  Only the off-vs-baseline comparison gates;
@@ -37,7 +37,6 @@ Usage::
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -68,13 +67,13 @@ def snapshot_roundtrip_smoke() -> bool:
 
     Checkpoints a launched control-flow victim, runs the replay attack
     to completion (heavily mutating every subsystem), rewinds, runs
-    again, and requires the two machine reports to be identical.
+    again, and requires the two metrics payloads to be identical.
     Returns True on success.
     """
     from repro.core.recipes import (
         WalkLocation, WalkTuning, replay_n_times)
     from repro.core.replayer import AttackEnvironment, Replayer
-    from repro.reporting import machine_report
+    from repro.reporting import metrics_payload
     from repro.victims.control_flow import setup_control_flow_victim
 
     rep = Replayer(AttackEnvironment.build())
@@ -91,16 +90,15 @@ def snapshot_roundtrip_smoke() -> bool:
 
     def run_to_done() -> dict:
         rep.run_until_victim_done(context_id=0, max_cycles=10_000_000)
-        return dataclasses.asdict(
-            machine_report(rep.machine, rep.kernel, rep.module))
+        return metrics_payload(rep.machine)
 
     first = run_to_done()
     rep.rewind()
     second = run_to_done()
     if second != first:
-        print("snapshot round-trip: FAIL (report diverged after rewind)")
+        print("snapshot round-trip: FAIL (metrics diverged after rewind)")
         return False
-    if first["contexts"][0]["retired"] == 0:
+    if first["metrics"]["cpu.ctx0.retired"] == 0:
         print("snapshot round-trip: FAIL (workload retired nothing)")
         return False
     print("snapshot round-trip: OK (rewound run is bit-identical)")
@@ -111,12 +109,10 @@ def tracing_overhead_check() -> bool:
     """Price tracing and prove it is purely observational.
 
     Runs the replay-attack workload tracing-off and tracing-on,
-    requires bit-identical machine reports (and a non-empty trace),
+    requires bit-identical metrics payloads (and a non-empty trace),
     and persists both rates plus the slowdown factor as a JSON
     artifact.  Returns True on success.
     """
-    import dataclasses
-
     from repro.observability import EventTracer
 
     (result_off, host_off) = timed(run_replay_attack, True, 200)
@@ -126,9 +122,7 @@ def tracing_overhead_check() -> bool:
     cycles_on, report_on = result_on
 
     ok = True
-    if (cycles_off != cycles_on
-            or dataclasses.asdict(report_off)
-            != dataclasses.asdict(report_on)):
+    if cycles_off != cycles_on or report_off != report_on:
         print("tracing overhead: FAIL (tracing perturbed the "
               "simulation results)")
         ok = False

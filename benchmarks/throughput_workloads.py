@@ -22,7 +22,7 @@ from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.machine import Machine
 from repro.isa.program import ProgramBuilder
-from repro.reporting import machine_report
+from repro.reporting import metrics_payload
 from repro.snapshot import clear_cache
 from repro.victims.control_flow import setup_control_flow_victim
 
@@ -50,13 +50,13 @@ def run_spin(iterations: int, contexts: int = 1) -> int:
 
 def run_replay_attack(fast_forward: bool, replays: int = 200,
                       tracer=None):
-    """Run the replay-attack workload; return ``(cycles, report)``.
+    """Run the replay-attack workload; return ``(cycles, payload)``.
 
     *fast_forward* runs the victim with ``Machine.run``, which skips
     provably-empty cycles; without it the victim is stepped once per
-    cycle by an explicit loop.  The report snapshot (per-context
-    stats, cache/TLB/walker counters) lets callers assert that the
-    skipping is bit-exact against naive stepping, not merely
+    cycle by an explicit loop.  The :func:`metrics_payload` (every
+    counter of the machine, kernel and module) lets callers assert
+    that the skipping is bit-exact against naive stepping, not merely
     cycle-equal.  Passing a *tracer* (an ``EventTracer``) attaches it
     for the whole run — the CI overhead check uses this to price
     tracing and to prove it does not perturb simulation results.
@@ -84,8 +84,7 @@ def run_replay_attack(fast_forward: bool, replays: int = 200,
         while (core.cycle < limit and not victim_ctx.finished()
                and core.busy()):
             core.step()
-    return rep.machine.cycle, machine_report(rep.machine, rep.kernel,
-                                             rep.module)
+    return rep.machine.cycle, metrics_payload(rep.machine)
 
 
 def timed(fn, *args, **kwargs):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Watch a replay attack happen, instruction by instruction.
 
-Attaches the pipeline tracer to the core, runs a 3-replay MicroScope
+Attaches the event tracer to the machine, runs a 3-replay MicroScope
 attack on a tiny victim, and renders:
 
 1. the pipeline diagram — the victim's post-handle instructions fetch,
@@ -17,15 +17,15 @@ Run:  python examples/visualize_replay.py
 
 from repro.core.recipes import replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
-from repro.cpu.trace import PipelineTracer, render_pipeline
 from repro.isa.program import ProgramBuilder
-from repro.reporting import machine_report
+from repro.observability import EventTracer, render_pipeline
+from repro.reporting import metrics_payload, render_metrics
 
 
 def main():
     rep = Replayer(AttackEnvironment.build())
-    tracer = PipelineTracer()
-    rep.machine.attach(tracer)
+    tracer = EventTracer()
+    rep.machine.attach_tracer(tracer)
 
     process = rep.create_victim_process(enclave=False)
     data = process.alloc(4096, "handle-page")
@@ -48,22 +48,19 @@ def main():
     rep.run_until_victim_done()
 
     print("=== pipeline view (victim context) ===")
-    print(render_pipeline(tracer.for_context(0), max_width=90))
+    print(render_pipeline(tracer.instructions(0), max_width=90))
 
     print("\n=== replay trail of the transmit divide (instruction 6) ===")
-    for instance in tracer.replays_of(index=6):
-        fate = (f"retired @ {instance.retire_cycle}"
-                if instance.retire_cycle is not None else
-                f"squashed @ {instance.squash_cycle} "
-                f"({instance.squash_reason})")
-        issued = ("executed" if instance.issue_cycle is not None
+    for instance in tracer.instructions(0, index=6):
+        end = instance.ts + instance.dur
+        fate = (f"retired @ {end}" if instance.cat == "pipeline" else
+                f"squashed @ {end} ({instance.args['reason']})")
+        issued = ("executed" if "issue" in instance.args
                   else "never issued")
-        print(f"  fetched @ {instance.fetch_cycle:>6}: {issued}, {fate}")
+        print(f"  fetched @ {instance.ts:>6}: {issued}, {fate}")
 
     print("\n=== machine report ===")
-    print(machine_report(rep.machine, kernel=rep.kernel,
-                         module=rep.module).render())
-
+    print(render_metrics(metrics_payload(rep.machine)))
 
 if __name__ == "__main__":
     main()

@@ -1119,11 +1119,12 @@ class Core:
         completed = EntryState.COMPLETED
         ready = EntryState.READY
         seq = context._next_seq
+        cycle = self.cycle
         done = 0
         while done < count and index < length:
             decoded_instr = decoded[index]
             entry = ROBEntry(seq, context_id, index, decoded_instr.instr,
-                             decoded_instr.op_cls)
+                             decoded_instr.op_cls, cycle)
             seq += 1
             done += 1
             if index in replay_candidates:

@@ -35,12 +35,14 @@ class ROBEntry:
         "seq", "context_id", "index", "instr", "op_cls", "state",
         "pending", "operands", "value", "addr", "paddr", "fault",
         "dependents", "predicted_taken", "actual_taken", "mispredicted",
-        "store_value", "addr_resolved", "squashed", "issue_cycle",
-        "complete_cycle", "port_name", "walk_latency", "is_replay",
+        "store_value", "addr_resolved", "squashed", "fetch_cycle",
+        "issue_cycle", "complete_cycle", "port_name", "walk_latency",
+        "is_replay",
     )
 
     def __init__(self, seq: int, context_id: int, index: int,
-                 instr: Instruction, op_cls: str):
+                 instr: Instruction, op_cls: str,
+                 fetch_cycle: Optional[int] = None):
         self.seq = seq
         self.context_id = context_id
         #: Program instruction index (our PC).
@@ -67,6 +69,8 @@ class ROBEntry:
         #: For stores: address computed (forwarding decisions possible).
         self.addr_resolved = False
         self.squashed = False
+        #: Lifecycle cycles: decoded, issued to a port, completed.
+        self.fetch_cycle = fetch_cycle
         self.issue_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
         self.port_name: Optional[str] = None

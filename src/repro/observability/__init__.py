@@ -47,6 +47,7 @@ from repro.observability.tracer import (
     MICROSCOPE_TID,
     EventTracer,
     TraceEvent,
+    render_pipeline,
 )
 
 __all__ = [
@@ -72,6 +73,7 @@ __all__ = [
     "MicroScopeStats",
     "EventTracer",
     "TraceEvent",
+    "render_pipeline",
     "HARNESS_TID",
     "KERNEL_TID",
     "MICROSCOPE_TID",

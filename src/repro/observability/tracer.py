@@ -24,11 +24,20 @@ Timestamps are simulated cycles, exported through the trace format's
 microsecond field — i.e. 1 "us" in the viewer is 1 cycle.
 
 The tracer is also an observer (:mod:`repro.cpu.observer`: the core's
-``on_decode``/``on_retire``/``on_squash`` stages), recording every
-dynamic instruction as a completed slice on its context's track.
-Attach it with :meth:`repro.cpu.machine.Machine.attach_tracer`, which
-wires both the core stages and the kernel/module emission sites at
-once.
+``on_retire``/``on_squash`` stages), recording every dynamic
+instruction as a completed slice on its context's track, fetch to
+retire or squash, read off the ``ROBEntry`` at its terminal
+transition.  Attach it with
+:meth:`repro.cpu.machine.Machine.attach_tracer`, which wires both the
+core stages and the kernel/module emission sites at once.
+:meth:`EventTracer.instructions` selects a context's slices (or one
+static instruction's replay trail) and :func:`render_pipeline` draws
+them as a text pipeline diagram::
+
+    c0 #2   div r3, r1, r2               |F-I=================R|
+
+which makes replay attacks *visible*: the victim's transmit
+instructions appear, execute, and die squashed, replay after replay.
 """
 
 from __future__ import annotations
@@ -52,6 +61,9 @@ _TRACK_NAMES = {KERNEL_TID: "kernel", MICROSCOPE_TID: "microscope",
 PH_COMPLETE = "X"
 PH_INSTANT = "i"
 PH_COUNTER = "C"
+
+#: Categories of the per-instruction slices: retired, squashed.
+_INSTRUCTION_CATS = ("pipeline", "squash")
 
 
 class TraceEvent:
@@ -92,17 +104,12 @@ class TraceEvent:
 class EventTracer:
     """Ring-buffered structured tracer."""
 
-    def __init__(self, capacity: int = 1 << 16,
-                 trace_instructions: bool = True):
+    def __init__(self, capacity: int = 1 << 16):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.trace_instructions = trace_instructions
         self._ring: List[Optional[TraceEvent]] = [None] * capacity
         self._total = 0
-        #: Live instruction fetch cycles, keyed like the pipeline
-        #: viewer keys entries; popped at the terminal transition.
-        self._fetch_cycles: Dict[int, int] = {}
 
     # --- ring mechanics ---------------------------------------------------
 
@@ -139,7 +146,6 @@ class EventTracer:
     def clear(self) -> None:
         self._ring = [None] * self.capacity
         self._total = 0
-        self._fetch_cycles.clear()
 
     # --- generic emission -------------------------------------------------
 
@@ -162,27 +168,21 @@ class EventTracer:
     # --- core observer stages ---------------------------------------------
     #
     # Instruction lifecycles are recorded as one complete slice each,
-    # emitted at the terminal transition (retire or squash) when the
-    # whole fetch->issue->complete timeline is known from the entry,
-    # so the issue and complete stages need no method here.
-
-    def _key(self, entry: Any) -> int:
-        return (entry.context_id << 48) | entry.seq
-
-    def on_decode(self, core: Any, context: Any, entry: Any) -> None:
-        if self.trace_instructions:
-            self._fetch_cycles[self._key(entry)] = core.cycle
+    # emitted at the terminal transition (retire or squash), when the
+    # whole fetch->issue->complete timeline is on the entry itself, so
+    # the tracer keeps no per-instruction state and needs no decode,
+    # issue or complete stage.
 
     def _instruction_slice(self, cycle: int, entry: Any, cat: str,
                            **extra: Any) -> None:
-        fetched = self._fetch_cycles.pop(self._key(entry), None)
-        if fetched is None:
-            return
+        fetched = entry.fetch_cycle
         args: Dict[str, Any] = {"seq": entry.seq, "index": entry.index}
         if entry.issue_cycle is not None:
             args["issue"] = entry.issue_cycle
         if entry.complete_cycle is not None:
             args["complete"] = entry.complete_cycle
+            if entry.fault is not None:
+                args["faulted"] = True
         if entry.is_replay:
             args["replay"] = True
         args.update(extra)
@@ -191,16 +191,26 @@ class EventTracer:
                                 tid=entry.context_id, args=args))
 
     def on_retire(self, core: Any, context: Any, entry: Any) -> None:
-        if self.trace_instructions:
-            self._instruction_slice(core.cycle, entry, "pipeline")
+        self._instruction_slice(core.cycle, entry, "pipeline")
 
     def on_squash(self, core: Any, context: Any, squashed: Sequence,
                   reason: str, trigger: Any) -> None:
-        if not self.trace_instructions:
-            return
         for entry in squashed:
             self._instruction_slice(core.cycle, entry, "squash",
                                     reason=reason)
+
+    # --- queries ----------------------------------------------------------
+
+    def instructions(self, context_id: int,
+                     index: Optional[int] = None) -> List[TraceEvent]:
+        """Retained instruction slices of *context_id* (only those of
+        static instruction *index*, if given: its replay trail), in
+        fetch order."""
+        found = [e for e in self.events()
+                 if e.cat in _INSTRUCTION_CATS and e.tid == context_id
+                 and (index is None or e.args["index"] == index)]
+        found.sort(key=lambda e: (e.ts, e.tid, e.args["seq"]))
+        return found
 
     # --- exporters --------------------------------------------------------
 
@@ -247,7 +257,59 @@ class EventTracer:
         return len(self)
 
 
+def render_pipeline(slices: Sequence[TraceEvent],
+                    start_cycle: Optional[int] = None,
+                    end_cycle: Optional[int] = None,
+                    max_width: int = 100) -> str:
+    """Draw instruction slices as a text pipeline diagram.
+
+    Stage marks: ``F`` fetch, ``I`` issue, ``C`` complete, ``R``
+    retire, ``X`` squash; ``-`` waiting in the ROB, ``=`` executing.
+    """
+    slices = list(slices)
+    if not slices:
+        return "(no instructions traced)"
+    lo = start_cycle if start_cycle is not None else min(
+        s.ts for s in slices)
+    hi = end_cycle if end_cycle is not None else max(
+        s.ts + s.dur for s in slices)
+    hi = max(hi, lo)
+    scale = max(1, (hi - lo + 1 + max_width - 1) // max_width)
+
+    def column(cycle: int) -> int:
+        return (cycle - lo) // scale
+
+    width = column(hi) + 1
+    lines = [f"cycles {lo}..{hi}"
+             + (f" (1 column = {scale} cycles)" if scale > 1 else "")]
+    for event in slices:
+        fetch, end = event.ts, event.ts + event.dur
+        if end < lo or fetch > hi:
+            continue
+        args = event.args
+        issue = args.get("issue")
+        row = [" "] * width
+        start = column(max(fetch, lo))
+        stop = column(min(end, hi))
+        for i in range(start, stop + 1):
+            row[i] = "-"
+        if issue is not None and lo <= issue <= hi:
+            for i in range(column(issue), stop + 1):
+                row[i] = "="
+        row[start] = "F"
+        marks = ((issue, "I"), (args.get("complete"), "C"),
+                 (end, "R" if event.cat == "pipeline" else "X"))
+        for cycle, mark in marks:
+            if cycle is not None and lo <= cycle <= hi:
+                row[column(cycle)] = mark
+        label = (f"c{event.tid} #{args['index']:<3} "
+                 f"{event.name[:28]:<28}")
+        lines.append(f"{label} |{''.join(row)}|")
+    return "\n".join(lines)
+
+
 __all__ = [
+    "render_pipeline",
     "EventTracer",
     "TraceEvent",
     "HARNESS_TID",

@@ -1,149 +1,20 @@
-"""Machine-wide statistics reporting.
+"""Machine-wide counter reporting.
 
-Aggregates every subsystem's counters into a structured snapshot and a
-human-readable report: per-context IPC and squash behaviour, cache and
-TLB hit rates, page-walk and PWC statistics, execution-port usage,
-branch-predictor accuracy, and (when a kernel is supplied) fault
-accounting.  Standard simulator telemetry — and a quick way to *see*
-an attack: replays show up as squash storms with near-zero IPC on the
-victim context while the monitor hums along.
+One source: the machine's metrics registry.  :func:`metrics_payload`
+is the cycle count plus ``machine.metrics.dump()`` — per-context
+fetch/retire/squash/replay counts, cache and TLB hits, page-walk and
+PWC statistics, execution-port usage, branch prediction and, when a
+kernel or MicroScope module is wired in, their fault accounting.
+:func:`export_metrics_json` writes it to disk and
+:func:`render_metrics` prints it as a short text report — a quick way
+to *see* an attack: replays show up as squash storms with near-zero
+IPC on the victim context while the monitor hums along.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-from repro.cpu.machine import Machine
-
-
-@dataclass
-class ContextReport:
-    context_id: int
-    fetched: int
-    retired: int
-    squashed: int
-    squash_events: int
-    replays: int
-    faults: int
-    txn_aborts: int
-    ipc: float
-
-    @property
-    def squash_rate(self) -> float:
-        return self.squashed / self.fetched if self.fetched else 0.0
-
-
-@dataclass
-class CacheReport:
-    name: str
-    hits: int
-    misses: int
-    evictions: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-@dataclass
-class MachineReport:
-    cycles: int
-    contexts: List[ContextReport]
-    caches: List[CacheReport]
-    tlb_hit_rate: float
-    pwc_hit_rate: float
-    walks: int
-    walk_faults: int
-    mean_walk_latency: float
-    dram_accesses: int
-    predictor_accuracy: float
-    port_issues: Dict[str, int]
-    kernel_page_faults: Optional[int] = None
-    microscope_replays: Optional[int] = None
-
-    def render(self) -> str:
-        lines = [f"machine report @ cycle {self.cycles}",
-                 "=" * 40]
-        for ctx in self.contexts:
-            lines.append(
-                f"ctx{ctx.context_id}: IPC {ctx.ipc:.2f}  retired "
-                f"{ctx.retired}  fetched {ctx.fetched}  squashed "
-                f"{ctx.squashed} ({ctx.squash_rate:.0%})  replays "
-                f"{ctx.replays}  faults {ctx.faults}  aborts "
-                f"{ctx.txn_aborts}")
-        for cache in self.caches:
-            lines.append(
-                f"{cache.name}: hit rate {cache.hit_rate:.1%} "
-                f"({cache.hits}/{cache.hits + cache.misses}), "
-                f"{cache.evictions} evictions")
-        lines.append(f"TLB hit rate: {self.tlb_hit_rate:.1%}   "
-                     f"PWC hit rate: {self.pwc_hit_rate:.1%}")
-        lines.append(f"page walks: {self.walks} ({self.walk_faults} "
-                     f"faulted, mean {self.mean_walk_latency:.0f} "
-                     f"cycles)   DRAM accesses: {self.dram_accesses}")
-        lines.append(
-            f"branch predictor accuracy: "
-            f"{self.predictor_accuracy:.1%}")
-        busiest = sorted(self.port_issues.items(),
-                         key=lambda kv: -kv[1])
-        lines.append("port issues: " + "  ".join(
-            f"{name}={count}" for name, count in busiest))
-        if self.kernel_page_faults is not None:
-            lines.append(f"kernel page faults: "
-                         f"{self.kernel_page_faults}")
-        if self.microscope_replays is not None:
-            lines.append(f"microscope handle faults: "
-                         f"{self.microscope_replays}")
-        return "\n".join(lines)
-
-
-def machine_report(machine: Machine, kernel=None,
-                   module=None) -> MachineReport:
-    """Snapshot every counter of *machine* (and optionally the kernel
-    and MicroScope module) into a :class:`MachineReport`."""
-    cycles = max(machine.cycle, 1)
-    contexts = []
-    for ctx in machine.contexts:
-        contexts.append(ContextReport(
-            context_id=ctx.context_id,
-            fetched=ctx.stats.fetched,
-            retired=ctx.stats.retired,
-            squashed=ctx.stats.squashed,
-            squash_events=ctx.stats.squash_events,
-            replays=ctx.stats.replays,
-            faults=ctx.stats.faults,
-            txn_aborts=ctx.stats.txn_aborts,
-            ipc=ctx.stats.retired / cycles))
-    caches = [CacheReport(c.name, c.stats.hits, c.stats.misses,
-                          c.stats.evictions)
-              for c in machine.hierarchy.levels]
-    tlb = machine.tlbs.l1d.stats
-    tlb_total = tlb.hits + tlb.misses
-    pwc = machine.pwc.stats
-    pwc_total = pwc.hits + pwc.misses
-    walker = machine.walker.stats
-    report = MachineReport(
-        cycles=machine.cycle,
-        contexts=contexts,
-        caches=caches,
-        tlb_hit_rate=tlb.hits / tlb_total if tlb_total else 0.0,
-        pwc_hit_rate=pwc.hits / pwc_total if pwc_total else 0.0,
-        walks=walker.walks,
-        walk_faults=walker.faults,
-        mean_walk_latency=(walker.total_latency / walker.walks
-                           if walker.walks else 0.0),
-        dram_accesses=machine.hierarchy.dram_accesses,
-        predictor_accuracy=machine.core.predictor.stats.accuracy,
-        port_issues={p.name: p.stats.issued
-                     for p in machine.core.ports.ports})
-    if kernel is not None:
-        report.kernel_page_faults = kernel.stats.page_faults
-    if module is not None:
-        report.microscope_replays = module.stats.handle_faults
-    return report
+from typing import Any, Dict, List
 
 
 def metrics_payload(env_or_machine) -> Dict[str, Any]:
@@ -165,3 +36,65 @@ def export_metrics_json(env_or_machine, path) -> Dict[str, Any]:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return payload
+
+
+def _rate(hits: int, misses: int) -> float:
+    total = hits + misses
+    return hits / total if total else 0.0
+
+
+def render_metrics(payload: Dict[str, Any]) -> str:
+    """A :func:`metrics_payload` as a human-readable text report."""
+    cycles = payload["cycle"]
+    metrics = payload["metrics"]
+
+    def group(prefix: str) -> List[str]:
+        """Unit names under *prefix*, in dump order."""
+        return list(dict.fromkeys(key[len(prefix):].split(".")[0]
+                                  for key in metrics
+                                  if key.startswith(prefix)))
+
+    lines = [f"machine report @ cycle {cycles}", "=" * 40]
+    for ctx in group("cpu.ctx"):
+        fetched, retired, squashed, replays, faults, aborts = (
+            metrics[f"cpu.ctx{ctx}.{name}"] for name in (
+                "fetched", "retired", "squashed", "replays", "faults",
+                "txn_aborts"))
+        squash_rate = squashed / fetched if fetched else 0.0
+        lines.append(
+            f"ctx{ctx}: IPC {retired / max(cycles, 1):.2f}  retired "
+            f"{retired}  fetched {fetched}  squashed {squashed} "
+            f"({squash_rate:.0%})  replays {replays}  faults {faults}  "
+            f"aborts {aborts}")
+    for level in group("mem."):
+        if level == "hierarchy":
+            continue
+        hits = metrics[f"mem.{level}.hits"]
+        misses = metrics[f"mem.{level}.misses"]
+        lines.append(
+            f"{level.upper()}: hit rate {_rate(hits, misses):.1%} "
+            f"({hits}/{hits + misses}), "
+            f"{metrics[f'mem.{level}.evictions']} evictions")
+    tlb = _rate(metrics["vm.tlb.l1d.hits"], metrics["vm.tlb.l1d.misses"])
+    pwc = _rate(metrics["vm.pwc.hits"], metrics["vm.pwc.misses"])
+    lines.append(f"TLB hit rate: {tlb:.1%}   PWC hit rate: {pwc:.1%}")
+    walks = metrics["vm.walker.walks"]
+    mean_walk = metrics["vm.walker.total_latency"] / walks if walks else 0.0
+    lines.append(f"page walks: {walks} ({metrics['vm.walker.faults']} "
+                 f"faulted, mean {mean_walk:.0f} cycles)   DRAM "
+                 f"accesses: {metrics['mem.hierarchy.dram_accesses']}")
+    predictions = metrics["cpu.predictor.predictions"]
+    accuracy = (1.0 - metrics["cpu.predictor.mispredictions"] / predictions
+                if predictions else 1.0)
+    lines.append(f"branch predictor accuracy: {accuracy:.1%}")
+    issued = sorted(((port, metrics[f"cpu.port.{port}.issued"])
+                     for port in group("cpu.port.")),
+                    key=lambda kv: -kv[1])
+    lines.append("port issues: " + "  ".join(
+        f"{port}={count}" for port, count in issued))
+    if "kernel.page_faults" in metrics:
+        lines.append(f"kernel page faults: {metrics['kernel.page_faults']}")
+    if "microscope.handle_faults" in metrics:
+        lines.append(f"microscope handle faults: "
+                     f"{metrics['microscope.handle_faults']}")
+    return "\n".join(lines)

@@ -1,13 +1,14 @@
 """Execute the Python code blocks in the docs — docs that drift fail.
 
 Extracts every fenced ````` ```python ````` block from the given
-markdown files (default: the README quickstart, ``docs/API.md`` and
-``docs/ORACLE.md``)
+markdown files (default: the README quickstart, ``docs/API.md``,
+``docs/DEFENSES.md``, ``docs/ORACLE.md`` and ``docs/OBSERVABILITY.md``)
 and executes each one in a fresh namespace, with the working
 directory pointed at a throwaway temp dir so examples may write
-journals and artifacts freely.  Any exception fails the run with the
-``file:line`` of the offending block, which is what keeps the prose
-examples permanently in sync with the code.
+journals and artifacts freely.  Any exception, a block that does not
+even parse included, fails the run with the ``file:line`` of the
+offending block, and the blocks after it still run: that is what keeps
+the prose examples permanently in sync with the code.
 
 A block can opt out by preceding its fence with an HTML comment
 containing ``doccheck: skip`` (for fragments that are deliberately
@@ -35,7 +36,7 @@ _ROOT = Path(__file__).resolve().parents[3]
 
 #: Files checked when none are given on the command line.
 DEFAULT_DOCS = ("README.md", "docs/API.md", "docs/DEFENSES.md",
-                "docs/ORACLE.md")
+                "docs/ORACLE.md", "docs/OBSERVABILITY.md")
 
 #: Comment text that exempts the following code block.
 SKIP_MARKER = "doccheck: skip"
@@ -98,10 +99,10 @@ def extract_file(path: Path, root: Path = _ROOT) -> List[CodeBlock]:
 def run_block(block: CodeBlock, cwd: str) -> Optional[str]:
     """Execute one block; returns the formatted error, or ``None``."""
     namespace = {"__name__": "__doccheck__"}
-    code = compile(block.source, block.location, "exec")
     previous = os.getcwd()
     try:
         os.chdir(cwd)
+        code = compile(block.source, block.location, "exec")
         exec(code, namespace)  # noqa: S102 - executing our own docs
     except Exception:
         return traceback.format_exc()

@@ -29,7 +29,7 @@ workload shapes:
 * front-end-only runs, which go on without a probe, ending each way
   one can: fetch adds an entry that may issue, the ROB fills, an
   ``until`` callback raises an interrupt, and a run under a gate.
-  These also compare ``PipelineTracer`` records.
+  These also compare the event tracer's instruction slices.
 
 Beside cycles and state, each leg compares every port's ``issued`` and
 ``contended`` counts: a jump over cycles in which a ready entry waits
@@ -39,7 +39,6 @@ have counted one by one.
 
 import heapq
 from contextlib import contextmanager
-from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -54,14 +53,14 @@ from repro.cpu.context import ContextState
 from repro.cpu.core import Core
 from repro.cpu.machine import Machine
 from repro.cpu.rob import EntryState
-from repro.cpu.trace import PipelineTracer
 from repro.cpu.traps import TrapAction
 from repro.crypto.aes import encrypt_block
 from repro.evaluation.defenses import (delay_on_squash_machine,
                                        jamais_vu_machine, leash_machine)
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
-from repro.reporting import machine_report
+from repro.observability import EventTracer
+from repro.reporting import metrics_payload
 from repro.snapshot import clear_cache
 from repro.victims.control_flow import setup_control_flow_victim
 from repro.victims.monitor import build_port_contention_monitor
@@ -88,16 +87,14 @@ def _naive_run(machine, max_cycles=1_000_000, until=None):
 
 
 def _snapshot(machine: Machine):
-    """Cycle count, architectural state, the full stats report, every
-    port's ``(issued, contended)`` counts (a jump credits ``contended``
-    in bulk) and the metrics registry."""
-    report = asdict(machine_report(machine))
+    """Architectural state, the cycle count and every counter
+    (``metrics_payload``), every port's ``(issued, contended)`` counts
+    (a jump credits ``contended`` in bulk) and the defense's state."""
     regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
             for ctx in machine.contexts]
     defense = machine.defense
-    return (machine.cycle, regs, report,
+    return (regs, metrics_payload(machine),
             machine.core.ports.contention_report(),
-            machine.metrics.dump(),
             defense.capture() if defense is not None else None)
 
 
@@ -227,9 +224,7 @@ def _run_replay_attack(replays: int = 40):
     rep.launch_victim(victim_proc, victim.program)
     rep.arm(recipe)
     rep.run_until_victim_done(context_id=0, max_cycles=20_000_000)
-    report = asdict(machine_report(rep.machine, rep.kernel,
-                                   rep.module))
-    return recipe.replays, report
+    return recipe.replays, metrics_payload(rep.machine)
 
 
 def test_fast_forward_matches_naive_on_replay_attack():
@@ -277,8 +272,9 @@ def test_fast_forward_matches_naive_under_a_defense_gate(config, counter):
     assert fast == naive
     result, snapshots = naive
     assert len(result.samples) == 40
-    assert all(snapshot[5] is not None for snapshot in snapshots)
-    assert sum(snapshot[4].get(counter, 0) for snapshot in snapshots) > 0
+    assert all(defense is not None for *_, defense in snapshots)
+    assert sum(payload["metrics"].get(counter, 0)
+               for _, payload, _, _ in snapshots) > 0
 
 
 def test_fast_forward_matches_naive_under_a_cycle_dependent_gate():
@@ -520,7 +516,7 @@ FIG7_STEPS = 335
 FIG7_PROBES = 362
 
 
-def _fig7_machine(observer=None) -> Machine:
+def _fig7_machine(*observers) -> Machine:
     """Fig. 7's monitor on context 1 (fence, rdtsc, a burst of FDIVs,
     fence, rdtsc, store per sample) beside a loop of integer divides on
     context 0 that keeps the shared non-pipelined divider held."""
@@ -530,7 +526,7 @@ def _fig7_machine(observer=None) -> Machine:
            .subi("r0", "r0", 1).bne("r0", "r13", "loop")
            .halt().build())
     machine = Machine()
-    if observer is not None:
+    for observer in observers:
         machine.attach(observer)
     machine.contexts[0].load_program(hog)
     machine.contexts[1].load_program(
@@ -606,21 +602,33 @@ def _scheduler_log():
             probe, front_end, jump)
 
 
+def _slices(tracer):
+    """The tracer's instruction slices as exported, after checking
+    that every decoded entry appears exactly once."""
+    events = [e.to_chrome() for e in tracer.events()]
+    assert len({(e["tid"], e["args"]["seq"]) for e in events}) \
+        == len(events) == tracer.total_emitted
+    return events
+
+
 def _traced_legs(build, until=None):
-    """``(state, tracer records, scheduler log)`` of the machine
+    """``(state, instruction slices, scheduler log)`` of the machine
     *build()* returns, run under ``Machine.run`` and then under
-    ``_naive_run`` with a :class:`PipelineTracer` attached.  *until*,
+    ``_naive_run`` with an :class:`EventTracer` attached.  *until*,
     if given, makes each leg's predicate from its machine."""
     legs = []
     for run in (Machine.run, _naive_run):
         machine = build()
-        tracer = PipelineTracer()
-        machine.attach(tracer)
+        tracer = EventTracer()
+        machine.attach_tracer(tracer)
         with _scheduler_log() as log:
             run(machine, 1_000_000,
                 until=None if until is None else until(machine))
         assert all(ctx.finished() for ctx in machine.contexts)
-        legs.append((_fig7_state(machine), tracer.records, log))
+        events = _slices(tracer)
+        assert len(events) == sum(ctx.stats.fetched
+                                  for ctx in machine.contexts)
+        legs.append((_fig7_state(machine), events, log))
     return legs
 
 
@@ -651,28 +659,27 @@ def test_front_end_run_ends_when_fetch_adds_an_entry_that_may_issue():
     """Fetch keeps adding divider-held divides, so the run goes on
     without probing, until it fetches the ``addi``: that ends the run
     and the next cycle steps and issues it."""
-    (fast, records, log), (naive, naive_records, _) = _traced_legs(
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
         lambda: _divide_burst(24))
     assert fast == naive
-    assert records == naive_records
+    assert slices == naive_slices
     [cycle] = _runs_ending(log, "entry")
-    [addi] = [r for r in records if r.text.startswith("addi")]
-    assert addi.fetch_cycle == cycle
-    assert addi.issue_cycle == cycle + 1
+    [addi] = [e for e in slices if e["name"].startswith("addi")]
+    assert addi["ts"] == cycle
+    assert addi["args"]["issue"] == cycle + 1
 
 
 def test_front_end_run_ends_when_the_rob_fills():
     """A burst longer than the ROB: the run ends on the cycle whose
     fetch fills it, and the probe that follows jumps to the divider's
     release instead of running empty front-end cycles."""
-    (fast, records, log), (naive, naive_records, _) = _traced_legs(
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
         lambda: _divide_burst(120))
     assert fast == naive
-    assert records == naive_records
+    assert slices == naive_slices
     [cycle] = _runs_ending(log, "fetch")
     assert cycle + 1 in log.jumps
-    in_rob = [r for r in records if r.fetch_cycle <= cycle
-              and (r.retire_cycle is None or r.retire_cycle > cycle)]
+    in_rob = [e for e in slices if e["ts"] <= cycle < e["ts"] + e["dur"]]
     assert len(in_rob) == Machine().config.core.rob_size
 
 
@@ -701,10 +708,10 @@ def test_front_end_run_takes_an_interrupt_raised_by_until():
             handle_interrupt=lambda context, reason: TrapAction(cost=60)))
         return machine
 
-    (fast, records, log), (naive, naive_records, _) = _traced_legs(
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
         build, until)
     assert fast == naive
-    assert records == naive_records
+    assert slices == naive_slices
     assert fast[1][1]["interrupts"] == 1
     assert len(_runs_ending(log, "interrupt")) == 1
 
@@ -733,19 +740,19 @@ def test_front_end_runs_under_a_gate():
         machine.contexts[0].load_program(builder.halt().build())
         return machine
 
-    (fast, records, log), (naive, naive_records, _) = _traced_legs(build)
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(build)
     assert fast == naive
-    assert records == naive_records
+    assert slices == naive_slices
     assert logs[0] == logs[1] and logs[0]
     assert _runs_ending(log, "fetch")
 
 
-def _fig7_run(run, observer=None):
+def _fig7_run(run, *observers):
     """The final state of :func:`_fig7_machine` under *run*, the number
     of ``Core.step`` calls and of ``Core.next_work`` probes it made,
     and whether the monitor's ROB was ever full behind an in-flight
     fence while the divider was held."""
-    machine = _fig7_machine(observer)
+    machine = _fig7_machine(*observers)
     monitor = machine.contexts[1]
     divider = machine.core.ports.port_named("p0")
     seen = []
@@ -789,17 +796,29 @@ def test_front_end_cycles_match_naive_on_a_fig7_monitor():
 
 
 def test_front_end_cycles_show_decode_observers_the_naive_fetch_cycles():
-    """A decode observer (the pipeline tracer) records the same entries
-    with the same ``fetch_cycle`` under ``Machine.run`` as under naive
-    stepping, and attaching it keeps the front-end-only cycles."""
-    fast_tracer, naive_tracer = PipelineTracer(), PipelineTracer()
-    fast, fast_steps, _, _ = _fig7_run(Machine.run, fast_tracer)
-    naive, _, _, _ = _fig7_run(_naive_run, naive_tracer)
+    """A decode observer sees each entry at the same cycle under
+    ``Machine.run`` as under naive stepping, that cycle is the entry's
+    ``fetch_cycle``, and attaching it keeps the front-end-only cycles.
+    The event tracer's slices match too, one per decoded entry, each
+    starting at that cycle."""
+    legs = []
+    for run in (Machine.run, _naive_run):
+        decoded = []
+
+        def on_decode(core, context, entry):
+            assert entry.fetch_cycle == core.cycle
+            decoded.append((entry.context_id, entry.seq, core.cycle))
+
+        tracer = EventTracer()
+        state, steps, _, _ = _fig7_run(
+            run, SimpleNamespace(on_decode=on_decode), tracer)
+        legs.append((state, steps, decoded, _slices(tracer)))
+    (fast, fast_steps, fast_decoded, fast_events), \
+        (naive, _, naive_decoded, naive_events) = legs
     assert fast == naive
-    assert fast_tracer.records == naive_tracer.records
-    fetched = [(r.context_id, r.seq, r.fetch_cycle)
-               for r in fast_tracer.records]
-    assert len(fetched) == sum(stats["fetched"] for stats in fast[1])
-    assert fetched == [(r.context_id, r.seq, r.fetch_cycle)
-                       for r in naive_tracer.records]
+    assert fast_events == naive_events
+    assert fast_decoded == naive_decoded
+    assert len(fast_decoded) == sum(stats["fetched"] for stats in fast[1])
+    assert sorted((e["tid"], e["args"]["seq"], e["ts"])
+                  for e in fast_events) == sorted(fast_decoded)
     assert fast_steps == FIG7_STEPS

@@ -17,11 +17,11 @@ from repro.cpu.observer import (
     Observer,
     UnitIssueCounter,
 )
-from repro.cpu.trace import PipelineTracer
 from repro.cpu.traps import TrapAction
 from repro.evaluation.defenses import fences_machine
 from repro.isa.program import ProgramBuilder
 from repro.kernel.kernel import Kernel
+from repro.observability import EventTracer
 
 
 def _program():
@@ -235,10 +235,10 @@ def test_detach_keeps_the_others_in_order():
 def test_tracer_detach_restores_untraced_dispatch():
     machine = Machine()
     before = _dispatch(machine)
-    tracer = PipelineTracer()
+    tracer = EventTracer()
     machine.attach_tracer(tracer)
     assert machine.observers[-1] is tracer
-    machine.attach_tracer(PipelineTracer())   # replaces, never stacks
+    machine.attach_tracer(EventTracer())      # replaces, never stacks
     assert tracer not in machine.observers
     machine.detach_tracer()
     assert _dispatch(machine) == before
@@ -388,7 +388,8 @@ def test_kernel_only_observer_leaves_every_core_stage_empty():
 
 def test_pte_race_won_load_is_traced_as_completed_normally():
     """The complete stage runs after the PTE race, so a load whose walk
-    the OS won completes with its fault cleared."""
+    the OS won completes with its fault cleared, and its traced slice
+    is not marked faulted."""
     machine = Machine()
     kernel = Kernel(machine)
     process = kernel.create_process("victim")
@@ -402,18 +403,24 @@ def test_pte_race_won_load_is_traced_as_completed_normally():
         kernel.set_present(process, data, True)
         return True
 
-    tracer = PipelineTracer()
+    completions = []
+    tracer = EventTracer()
     machine.attach(SimpleNamespace(on_pte_race=race))
-    machine.attach(tracer)
+    machine.attach(SimpleNamespace(
+        on_complete=lambda core, context, entry:
+        completions.append((entry.index, entry.faulted))))
+    machine.attach_tracer(tracer)
     kernel.launch(process, ProgramBuilder().li("r1", data)
                   .load("r2", "r1", 0).halt().build())
     machine.run(100_000)
     assert machine.contexts[0].int_regs["r2"] == 4242
     assert machine.contexts[0].stats.faults == 0
     assert len(races) == 1
-    (load,) = tracer.replays_of(index=1)
-    assert load.retire_cycle is not None
-    assert load.faulted is False
+    assert (1, False) in completions
+    (load,) = tracer.instructions(0, index=1)
+    assert load.cat == "pipeline"          # retired
+    assert "complete" in load.args
+    assert "faulted" not in load.args
 
 
 def test_relaunch_clears_a_stale_serialise_request():

@@ -1,14 +1,15 @@
-"""Pipeline tracer: lifecycle capture and rendering."""
+"""Instruction tracing on a real core: the event tracer's per-instruction
+slices, its ``instructions`` query and ``render_pipeline``."""
 
 from repro.cpu.machine import Machine
-from repro.cpu.trace import PipelineTracer, render_pipeline
 from repro.isa.program import ProgramBuilder
+from repro.observability import EventTracer, render_pipeline
 
 
 def traced_machine(program):
     machine = Machine()
-    tracer = PipelineTracer()
-    machine.attach(tracer)
+    tracer = EventTracer()
+    machine.attach_tracer(tracer)
     machine.contexts[0].load_program(program)
     machine.run(100_000)
     return machine, tracer
@@ -17,24 +18,27 @@ def traced_machine(program):
 def test_lifecycle_recorded_in_order():
     _machine, tracer = traced_machine(
         ProgramBuilder().li("r1", 1).addi("r2", "r1", 1).halt().build())
-    for record in tracer.records:
-        assert record.fetch_cycle is not None
-        if record.retire_cycle is not None:
-            assert record.fetch_cycle <= record.retire_cycle
-        if record.issue_cycle is not None:
-            assert record.fetch_cycle <= record.issue_cycle
-        if record.complete_cycle is not None \
-                and record.issue_cycle is not None:
-            assert record.issue_cycle < record.complete_cycle
+    slices = tracer.instructions(0)
+    assert slices
+    for event in slices:
+        fetch, end = event.ts, event.ts + event.dur
+        assert fetch < end
+        issue = event.args.get("issue")
+        complete = event.args.get("complete")
+        if issue is not None:
+            assert fetch <= issue <= end
+        if complete is not None and issue is not None:
+            assert issue < complete <= end
 
 
 def test_all_retired_for_clean_program():
     _machine, tracer = traced_machine(
         ProgramBuilder().li("r1", 1).mul("r2", "r1", "r1")
         .halt().build())
-    assert len(tracer.records) == 3
-    assert all(r.retire_cycle is not None for r in tracer.records)
-    assert not tracer.squashed()
+    slices = tracer.instructions(0)
+    assert len(slices) == 3
+    assert all(e.cat == "pipeline" for e in slices)
+    assert not any("faulted" in e.args for e in slices)
 
 
 def test_mispredict_squashes_traced():
@@ -46,9 +50,9 @@ def test_mispredict_squashes_traced():
                .li("r3", 9)
                .halt().build())
     _machine, tracer = traced_machine(program)
-    squashed = tracer.squashed()
+    squashed = [e for e in tracer.instructions(0) if e.cat == "squash"]
     assert squashed
-    assert any(r.squash_reason == "mispredict" for r in squashed)
+    assert any(e.args["reason"] == "mispredict" for e in squashed)
 
 
 def test_replay_trail_visible():
@@ -57,8 +61,8 @@ def test_replay_trail_visible():
     from repro.core.recipes import replay_n_times
     from repro.core.replayer import AttackEnvironment, Replayer
     rep = Replayer(AttackEnvironment.build())
-    tracer = PipelineTracer()
-    rep.machine.attach(tracer)
+    tracer = EventTracer()
+    rep.machine.attach_tracer(tracer)
     process = rep.create_victim_process(enclave=False)
     data = process.alloc(4096, "d")
     program = (ProgramBuilder()
@@ -70,18 +74,22 @@ def test_replay_trail_visible():
     rep.launch_victim(process, program)
     rep.arm(recipe)
     rep.run_until_victim_done()
-    instances = tracer.replays_of(index=1)   # the load
-    assert len(instances) == 5               # 4 replays + final
-    assert sum(1 for r in instances
-               if r.squash_reason == "page-fault") == 4
-    assert instances[-1].retire_cycle is not None
+    instances = tracer.instructions(0, index=1)   # the load
+    assert len(instances) == 5                     # 4 replays + final
+    assert [e.ts for e in instances] == sorted(e.ts for e in instances)
+    replays = instances[:-1]
+    assert all(e.args["reason"] == "page-fault" for e in replays)
+    assert all(e.args["faulted"] is True for e in replays)
+    assert all(e.args["replay"] is True for e in replays[1:])
+    assert instances[-1].cat == "pipeline"
+    assert "faulted" not in instances[-1].args
 
 
 def test_render_pipeline_output():
     _machine, tracer = traced_machine(
         ProgramBuilder().li("r1", 1).fli("f1", 2.0)
         .fdiv("f2", "f1", "f1").halt().build())
-    text = render_pipeline(tracer.records)
+    text = render_pipeline(tracer.instructions(0))
     assert "cycles" in text
     assert "fdiv" in text
     assert "F" in text and "R" in text
@@ -92,23 +100,26 @@ def test_render_empty():
 
 
 def test_capacity_cap():
-    tracer = PipelineTracer(capacity=2)
+    """The ring keeps the newest slices once it wraps."""
+    tracer = EventTracer(capacity=2)
     machine = Machine()
-    machine.attach(tracer)
+    machine.attach_tracer(tracer)
     machine.contexts[0].load_program(
         ProgramBuilder().nop().nop().nop().nop().halt().build())
     machine.run(10_000)
-    assert len(tracer.records) == 2
+    assert tracer.total_emitted == 5
+    assert [e.args["index"] for e in tracer.instructions(0)] == [3, 4]
 
 
 def test_for_context_filter():
     machine = Machine()
-    tracer = PipelineTracer()
-    machine.attach(tracer)
+    tracer = EventTracer()
+    machine.attach_tracer(tracer)
     machine.contexts[0].load_program(
         ProgramBuilder().li("r1", 1).halt().build())
     machine.contexts[1].load_program(
         ProgramBuilder().li("r1", 2).nop().halt().build())
     machine.run(10_000)
-    assert len(tracer.for_context(0)) == 2
-    assert len(tracer.for_context(1)) == 3
+    assert len(tracer.instructions(0)) == 2
+    assert len(tracer.instructions(1)) == 3
+    assert {e.tid for e in tracer.instructions(1)} == {1}

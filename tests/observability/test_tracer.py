@@ -165,22 +165,23 @@ def _at(cycle):
 class _Entry:
     """Minimal stand-in for a core pipeline entry."""
 
-    def __init__(self, context_id, seq, index=0, issue=None,
-                 complete=None, is_replay=False):
+    def __init__(self, context_id, seq, index=0, fetch=0, issue=None,
+                 complete=None, is_replay=False, fault=None):
         self.context_id = context_id
         self.seq = seq
         self.index = index
+        self.fetch_cycle = fetch
         self.issue_cycle = issue
         self.complete_cycle = complete
         self.is_replay = is_replay
+        self.fault = fault
         self.instr = f"instr#{seq}"
 
 
 def test_retire_emits_fetch_to_retire_slice():
     tracer = EventTracer()
-    entry = _Entry(context_id=1, seq=7, issue=12, complete=15,
+    entry = _Entry(context_id=1, seq=7, fetch=10, issue=12, complete=15,
                    is_replay=True)
-    tracer.on_decode(_at(10), None, entry)
     tracer.on_retire(_at(20), None, entry)
     (event,) = tracer.events()
     assert event.ts == 10 and event.dur == 10
@@ -189,13 +190,12 @@ def test_retire_emits_fetch_to_retire_slice():
     assert event.args["issue"] == 12
     assert event.args["complete"] == 15
     assert event.args["replay"] is True
+    assert "faulted" not in event.args
 
 
 def test_squash_emits_slices_with_reason():
     tracer = EventTracer()
-    entries = [_Entry(0, seq) for seq in (1, 2)]
-    for entry in entries:
-        tracer.on_decode(_at(5), None, entry)
+    entries = [_Entry(0, seq, fetch=5) for seq in (1, 2)]
     tracer.on_squash(_at(9), None, entries, "page_fault", None)
     events = list(tracer.events())
     assert len(events) == 2
@@ -203,19 +203,71 @@ def test_squash_emits_slices_with_reason():
     assert all(e.args["reason"] == "page_fault" for e in events)
 
 
-def test_retire_without_fetch_is_ignored():
+def test_only_a_completed_fault_marks_the_slice_faulted():
+    """``faulted`` is set when the entry completed carrying a fault; a
+    fault recorded by a walk the squash overtook never surfaced."""
     tracer = EventTracer()
-    tracer.on_retire(_at(20), None, _Entry(0, 1))    # fetched before attach
-    assert len(tracer) == 0
+    completed = _Entry(0, 1, fetch=5, issue=6, complete=8, fault="pf")
+    overtaken = _Entry(0, 2, fetch=5, issue=7, fault="pf")
+    tracer.on_squash(_at(9), None, [completed, overtaken], "x", None)
+    first, second = tracer.events()
+    assert first.args["faulted"] is True
+    assert "faulted" not in second.args
 
 
-def test_trace_instructions_off_suppresses_pipeline_slices():
-    tracer = EventTracer(trace_instructions=False)
-    entry = _Entry(0, 1)
-    tracer.on_decode(_at(1), None, entry)
-    tracer.on_retire(_at(2), None, entry)
-    tracer.on_squash(_at(3), None, [entry], "x", None)
-    assert len(tracer) == 0
+def test_retire_without_fetch_is_ignored():
+    """An entry fetched before the tracer was attached still gets its
+    slice: its whole lifecycle is on the entry, not in the tracer."""
+    tracer = EventTracer()
+    tracer.on_retire(_at(20), None, _Entry(0, 1, fetch=3))
+    (event,) = tracer.events()
+    assert (event.ts, event.dur) == (3, 17)
+
+
+def test_instructions_query_selects_context_and_index_in_fetch_order():
+    tracer = EventTracer()
+    tracer.instant("squash", ts=0, tid=0)
+    tracer.on_retire(_at(30), None, _Entry(0, 9, index=2, fetch=20))
+    tracer.on_squash(_at(25), None, [_Entry(0, 4, index=2, fetch=10),
+                                     _Entry(0, 5, index=3, fetch=10)],
+                     "mispredict", None)
+    tracer.on_retire(_at(12), None, _Entry(1, 1, index=2, fetch=2))
+    assert [e.args["seq"] for e in tracer.instructions(0)] == [4, 5, 9]
+    assert [e.args["seq"] for e in tracer.instructions(0, index=2)] \
+        == [4, 9]
+    assert [e.tid for e in tracer.instructions(1)] == [1]
+
+
+def test_entries_in_flight_at_a_snapshot_are_traced_after_restore():
+    """A restored machine's in-flight entries carry their fetch cycles,
+    so every instruction that retires or squashes after the restore
+    gets its slice."""
+    from repro.cpu.machine import Machine
+    from repro.isa.program import ProgramBuilder
+    from repro.snapshot import MachineSnapshot
+
+    program = (ProgramBuilder().li("r1", 0).li("r2", 30)
+               .fli("f1", 2.0).fli("f2", 3.0)
+               .label("loop").fdiv("f2", "f2", "f1").nop()
+               .addi("r1", "r1", 1).bne("r1", "r2", "loop")
+               .halt().build())
+    machine = Machine()
+    tracer = EventTracer()
+    machine.attach_tracer(tracer)
+    machine.contexts[0].load_program(program)
+    machine.run(150)
+    assert len(machine.contexts[0].rob.entries) == 96
+    snapshot = MachineSnapshot.take(machine)
+    machine.run(100_000)
+    snapshot.restore(machine)
+    tracer.clear()
+    stats = machine.contexts[0].stats
+    before = stats.retired + stats.squashed
+    machine.run(100_000)
+    assert machine.contexts[0].finished()
+    ended = stats.retired + stats.squashed - before
+    assert ended > 96
+    assert tracer.total_emitted == ended
 
 
 def test_trace_event_repr_is_informative():

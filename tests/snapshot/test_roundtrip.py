@@ -2,14 +2,12 @@
 environment (machine + kernel + SGX + MicroScope module), the
 warm-start cache, and snapshot error handling."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.cpu.machine import Machine
 from repro.isa.program import ProgramBuilder
-from repro.reporting import machine_report
+from repro.reporting import metrics_payload
 from repro.snapshot import (
     MachineSnapshot,
     SnapshotError,
@@ -21,8 +19,7 @@ from repro.victims.control_flow import setup_control_flow_victim
 
 
 def _platform_report(rep: Replayer) -> dict:
-    return dataclasses.asdict(
-        machine_report(rep.machine, rep.kernel, rep.module))
+    return metrics_payload(rep.machine)
 
 
 def test_replayer_checkpoint_rewind_full_platform():
@@ -35,7 +32,7 @@ def test_replayer_checkpoint_rewind_full_platform():
     rep.checkpoint()
     rep.run_until_victim_done(context_id=0)
     first = _platform_report(rep)
-    assert first["contexts"][0]["retired"] > 0   # the run did real work
+    assert first["metrics"]["cpu.ctx0.retired"] > 0   # the run did real work
     rep.rewind()
     rep.run_until_victim_done(context_id=0)
     assert _platform_report(rep) == first
@@ -141,8 +138,7 @@ def test_snapshot_between_steps_after_a_multi_port_issue():
     assert resumed.cycle == straight.cycle
     assert (resumed.core.ports.contention_report()
             == straight.core.ports.contention_report())
-    assert (dataclasses.asdict(machine_report(resumed))
-            == dataclasses.asdict(machine_report(straight)))
+    assert metrics_payload(resumed) == metrics_payload(straight)
 
 
 def test_version_mismatch_raises():

@@ -2,13 +2,11 @@
 
 Hypothesis generates random terminating programs and random checkpoint
 points; a machine that is snapshotted mid-run, disturbed, and restored
-must finish with a :func:`repro.reporting.machine_report` (and final
+must finish with a :func:`repro.reporting.metrics_payload` (and final
 architectural state) byte-identical to an uninterrupted run.  This is
 the correctness contract the warm-start experiment drivers rely on:
 a restore is indistinguishable from never having deviated.
 """
-
-import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 from repro.cpu.machine import Machine
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
-from repro.reporting import machine_report
+from repro.reporting import metrics_payload
 from repro.snapshot import MachineSnapshot
 
 #: Bare-metal runs identity-map VAs, so data lives in low DRAM.
@@ -80,7 +78,7 @@ def _state_of(machine: Machine):
             dict(context.int_regs),
             dict(context.fp_regs),
             memory,
-            dataclasses.asdict(machine_report(machine)))
+            metrics_payload(machine))
 
 
 @given(_random_program(), st.integers(min_value=0, max_value=400))

@@ -1,16 +1,21 @@
-"""Machine statistics reporting."""
+"""Machine counter reporting: ``metrics_payload`` and its text report."""
 
 from repro.core.recipes import replay_n_times
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.isa.program import ProgramBuilder
-from repro.reporting import machine_report
+from repro.reporting import metrics_payload, render_metrics
 
 
 def test_report_on_idle_machine(machine):
-    report = machine_report(machine)
-    assert report.cycles == 0
-    assert all(c.ipc == 0 for c in report.contexts)
-    assert "machine report" in report.render()
+    payload = metrics_payload(machine)
+    metrics = payload["metrics"]
+    assert payload["cycle"] == 0
+    assert all(metrics[f"cpu.ctx{c.context_id}.retired"] == 0
+               for c in machine.contexts)
+    text = render_metrics(payload)
+    assert "machine report @ cycle 0" in text
+    assert "ctx0: IPC 0.00" in text
+    assert "kernel page faults" not in text
 
 
 def test_report_counts_basic_run(system):
@@ -24,15 +29,16 @@ def test_report_counts_basic_run(system):
                .halt().build())
     kernel.launch(process, program)
     machine.run(100_000)
-    report = machine_report(machine, kernel=kernel)
-    ctx0 = report.contexts[0]
-    assert ctx0.retired == 4
-    assert 0 < ctx0.ipc <= 1
-    assert report.walks == 1                 # one TLB miss
-    assert report.tlb_hit_rate > 0           # second load hit
-    assert report.kernel_page_faults == 0
-    text = report.render()
+    payload = metrics_payload(machine)
+    metrics = payload["metrics"]
+    assert metrics["cpu.ctx0.retired"] == 4
+    assert 0 < metrics["cpu.ctx0.retired"] / payload["cycle"] <= 1
+    assert metrics["vm.walker.walks"] == 1         # one TLB miss
+    assert metrics["vm.tlb.l1d.hits"] > 0          # second load hit
+    assert metrics["kernel.page_faults"] == 0
+    text = render_metrics(payload)
     assert "IPC" in text and "TLB hit rate" in text
+    assert "kernel page faults: 0" in text
 
 
 def test_report_shows_attack_signature():
@@ -47,14 +53,13 @@ def test_report_shows_attack_signature():
     rep.launch_victim(process, program)
     rep.arm(recipe)
     rep.run_until_victim_done()
-    report = machine_report(rep.machine, kernel=rep.kernel,
-                            module=rep.module)
-    ctx0 = report.contexts[0]
-    assert ctx0.faults == 8
-    assert ctx0.replays >= 8
-    assert report.microscope_replays == 8
-    assert report.walk_faults == 8
-    assert "microscope handle faults: 8" in report.render()
+    payload = metrics_payload(rep.machine)
+    metrics = payload["metrics"]
+    assert metrics["cpu.ctx0.faults"] == 8
+    assert metrics["cpu.ctx0.replays"] >= 8
+    assert metrics["microscope.handle_faults"] == 8
+    assert metrics["vm.walker.faults"] == 8
+    assert "microscope handle faults: 8" in render_metrics(payload)
 
 
 def test_cache_hit_rates_present(system):
@@ -69,12 +74,15 @@ def test_cache_hit_rates_present(system):
                .halt().build())
     kernel.launch(process, program)
     machine.run(100_000)
-    report = machine_report(machine)
-    l1 = next(c for c in report.caches if c.name == "L1D")
+    payload = metrics_payload(machine)
+    metrics = payload["metrics"]
+    hits, misses = metrics["mem.l1d.hits"], metrics["mem.l1d.misses"]
     # The page walk's PTE fetches count as L1 misses too, so the rate
     # sits below the naive 2/3.
-    assert l1.hit_rate > 0.2
-    assert l1.hits >= 2
+    assert hits / (hits + misses) > 0.2
+    assert hits >= 2
+    assert (f"L1D: hit rate {hits / (hits + misses):.1%} "
+            f"({hits}/{hits + misses})") in render_metrics(payload)
 
 
 def test_cli_parser():

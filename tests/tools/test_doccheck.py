@@ -82,9 +82,26 @@ def test_check_paths_passes_clean_file(tmp_path):
     assert doccheck.check_paths([doc]) == []
 
 
+def test_unparsable_block_is_reported_and_later_blocks_still_run(
+        tmp_path):
+    """A block that does not parse is one ``file:line failed`` entry,
+    not a crash, and the blocks after it still run."""
+    marker = tmp_path / "ran.txt"
+    doc = tmp_path / "doc.md"
+    doc.write_text("```python\n...run the attack...\n```\n\n"
+                   "```python\n"
+                   f"open({str(marker)!r}, 'w').write('ok')\n"
+                   "```\n")
+    failures = doccheck.check_paths([doc])
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{doc}:2 failed:")
+    assert "SyntaxError" in failures[0]
+    assert marker.read_text() == "ok"
+
+
 def test_default_docs_contain_runnable_blocks():
-    """README and docs/API.md (what CI executes) must keep at least
-    one runnable Python block each — extraction only, no execution."""
+    """Every default doc (what CI executes) must keep at least one
+    runnable Python block — extraction only, no execution."""
     root = doccheck._ROOT
     for name in doccheck.DEFAULT_DOCS:
         blocks = doccheck.extract_file(Path(root / name))
