@@ -18,16 +18,16 @@ Finally, a tracing overhead check: the replay-attack workload runs
 once with no tracer (the configuration the regression gate prices)
 and once with an ``EventTracer`` attached.  Both runs must produce a
 bit-identical metrics payload — tracing observes, it never perturbs —
-and the measured overhead is written to
-``benchmarks/results/tracing_overhead.json`` so its trajectory is
-visible across PRs.  Only the off-vs-baseline comparison gates;
-tracing-on cost is reported, not gated.
+and the measured overhead is printed.  Only the off-vs-baseline
+comparison gates; tracing-on cost is reported, not gated.
 
 A memoization check covers the ``repro.memo`` trial store: an
 evaluation matrix served from a warm :class:`~repro.memo.TrialStore`
 must be bit-identical to its cold run *and* at least 5x faster; the
-measured numbers are written to
-``benchmarks/results/memoization_throughput.json``.
+measured numbers are printed.
+
+The script writes nothing: every measurement goes to stdout, one JSON
+line per check, which CI keeps as an artifact.
 
 Usage::
 
@@ -40,6 +40,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Dict
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -60,6 +61,11 @@ def measure() -> dict:
         cycles = result[0] if isinstance(result, tuple) else result
         rates[key] = cycles / host
     return rates
+
+
+def report(check: str, payload: Dict[str, Any]) -> None:
+    """Print one check's measurements as a single JSON line."""
+    print(f"{check}: " + json.dumps(payload, sort_keys=True))
 
 
 def snapshot_roundtrip_smoke() -> bool:
@@ -110,8 +116,8 @@ def tracing_overhead_check() -> bool:
 
     Runs the replay-attack workload tracing-off and tracing-on,
     requires bit-identical metrics payloads (and a non-empty trace),
-    and persists both rates plus the slowdown factor as a JSON
-    artifact.  Returns True on success.
+    and reports both rates plus the slowdown factor.  Returns True on
+    success.
     """
     from repro.observability import EventTracer
 
@@ -144,9 +150,7 @@ def tracing_overhead_check() -> bool:
         "events_dropped": tracer.dropped,
         "bit_identical": ok,
     }
-    out = Path(__file__).parent / "results" / "tracing_overhead.json"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report("tracing overhead", payload)
     if ok:
         print(f"tracing overhead: OK ({slowdown:.2f}x slowdown with "
               f"{tracer.total_emitted} events; results bit-identical)")
@@ -159,9 +163,7 @@ def memoization_check(min_store_speedup: float = 5.0) -> bool:
     A small evaluation matrix runs cold into a fresh ``TrialStore``
     and then warm; the sorted-JSON serialization must be
     byte-identical and the warm run at least *min_store_speedup*
-    faster.  Measurements land in
-    ``benchmarks/results/memoization_throughput.json``.  Returns True
-    on success.
+    faster, and the timings are reported.  Returns True on success.
     """
     import tempfile
     import time
@@ -203,19 +205,14 @@ def memoization_check(min_store_speedup: float = 5.0) -> bool:
               f">={min_store_speedup:.1f}x)")
         ok = False
 
-    payload = {
-        "trial_store": {
-            "workload": "1x2 evaluation matrix, port-contention",
-            "cold_seconds": store_cold_s,
-            "warm_seconds": store_warm_s,
-            "speedup": store_speedup,
-            "min_speedup": min_store_speedup,
-            "bit_identical": store_identical,
-        },
-    }
-    out = Path(__file__).parent / "results" / "memoization_throughput.json"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report("memoization", {
+        "workload": "1x2 evaluation matrix, port-contention",
+        "cold_seconds": store_cold_s,
+        "warm_seconds": store_warm_s,
+        "speedup": store_speedup,
+        "min_speedup": min_store_speedup,
+        "bit_identical": store_identical,
+    })
     if ok:
         print(f"memoization: OK (warm store {store_speedup:.1f}x; "
               f"bit-identical)")

@@ -103,7 +103,7 @@ from repro.oracle import (
 )
 from repro.service import JobSpec, ServiceClient, ServiceError
 from repro.sgx.enclave import EnclaveConfig
-from repro.snapshot import MachineSnapshot, state_digest, warm_start
+from repro.snapshot import MachineSnapshot, warm_start
 
 __version__ = "2.0.0"
 
@@ -160,7 +160,6 @@ __all__ = [
     "resolve_store",
     "run_figure10",
     "run_resilient_sweep",
-    "state_digest",
     "to_dict",
     "trial_key",
     "warm_start",

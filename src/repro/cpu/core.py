@@ -13,11 +13,10 @@ Per cycle the core performs, in order:
    then the port search.  The scan stops at the oldest in-flight fence;
    latency is computed only once a port is granted; only ports that
    issued are reset next cycle.  Once an op class finds every port held
-   in a cycle, later entries of that class are only counted, without
-   searching again, and their ``contended`` counts are added once after
-   the scan; a scan that issues nothing leaves the ready queue as it
-   is.  Loads translate through TLB → page walk here, which is where
-   the MicroScope speculation window opens.
+   in a cycle, later entries of that class skip the port search; a
+   scan that issues nothing leaves the ready queue as it is.  Loads
+   translate through TLB → page walk here, which is where the
+   MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
    flow into the ROB, one pass over each context's fetch group.
 
@@ -25,10 +24,11 @@ Per cycle the core performs, in order:
 (:meth:`Core.next_work`, as ``Machine.run`` does) skips cycles in
 which no stage can act (:meth:`Core.fast_forward`, handed the probe's
 answer) and runs cycles in which only fetch can act as
-:meth:`Core.front_end_cycle`, both bit-exact with ``step()``.  The
-probe asks once per op class whether its ports hold it back, and a
-front-end-only cycle judges only the entries its own fetch added, so
-a run of such cycles costs one probe, not one per cycle.
+:meth:`Core.front_end_cycle`, both bit-exact with ``step()``: a
+skipped cycle changes nothing but the clock.  The probe asks once per
+op class whether its ports hold it back, and a front-end-only cycle
+judges only the entries its own fetch added, so a run of such cycles
+costs one probe, not one per cycle.
 
 Everything MicroScope needs emerges from these rules: instructions
 younger than a page-faulting load execute in its shadow and leave
@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.config import OP_CLASSES, CoreConfig
@@ -49,7 +49,7 @@ from repro.cpu.context import ContextState, HardwareContext, TransactionState
 from repro.cpu.decode import (FLOW_BRANCH, FLOW_HALT, FLOW_JUMP, FLOW_NEXT,
                               LATENCY_KEYS)
 from repro.cpu.observer import CORE_STAGES, bind_stages
-from repro.cpu.ports import Port, PortSet
+from repro.cpu.ports import PortSet
 from repro.cpu.rob import EntryState, ROBEntry, clone_entry
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
 from repro.isa.instructions import Instruction, Opcode
@@ -162,8 +162,7 @@ class Core:
     # quiescence fast-forward
     # ------------------------------------------------------------------
 
-    def next_work(self, held: Optional[List[Sequence[Port]]]
-                  ) -> Tuple[Optional[int], Optional[float]]:
+    def next_work(self) -> Tuple[Optional[int], Optional[float]]:
         """``(cycle, front_end_bound)``: the next cycle at which any
         pipeline stage can act, from one pass over the contexts.
 
@@ -179,26 +178,21 @@ class Core:
         incomplete, or of an op class whose every port a non-pipelined
         op holds until some cycle that then bounds T (:meth:`_hold`,
         asked once per class: no port changes during the probe).  Such
-        a step changes nothing but the ``contended`` counts of those
-        ports, which :meth:`fast_forward` credits in bulk.  A ready
-        load, or an entry dispatch would hand to a ``gate`` observer,
-        makes the probe step.
+        a step changes nothing but the clock.  A ready load, or an
+        entry dispatch would hand to a ``gate`` observer, makes the
+        probe step.
 
         *front_end_bound* is ``None`` unless *cycle* is the current one
         and only fetch can act in it: :meth:`front_end_cycle` then does
         exactly what ``step()`` would.  It is the T worked out as above
         (``math.inf`` when nothing bounds it): until T, only what fetch
         adds can change the answer, which is how ``front_end_cycle``
-        tells whether the next cycle is front-end-only too.
-        When *held* is a list, it also receives, per port-held ready
-        entry, the ports dispatch would count as contended each cycle
-        until *cycle*; it is complete whenever the answer is a jump or
-        front-end-only."""
+        tells whether the next cycle is front-end-only too."""
         cycle = self.cycle
         busy = False
         fetch_now = False
         target = math.inf
-        verdicts: Dict[str, Tuple[float, Sequence[Port]]] = {}
+        verdicts: Dict[str, float] = {}
         for context in self.contexts:
             state = context.state
             if state is ContextState.RUNNING:
@@ -219,7 +213,7 @@ class Core:
                 busy = True
                 if context.ready:
                     until = self._held_until(context, context.sorted_ready(),
-                                             verdicts, held)
+                                             verdicts)
                     if until is None:
                         return cycle, None  # dispatch may issue
                     if until < target:
@@ -258,25 +252,21 @@ class Core:
             return cycle, None
         return target, None
 
-    def front_end_cycle(self, held: List[Sequence[Port]],
-                        bound: float) -> Optional[float]:
+    def front_end_cycle(self, bound: float) -> Optional[float]:
         """Advance one cycle in which fetch is the only stage that can
         act, exactly as ``step()`` would, and say whether the next
         cycle is one too.
 
-        *bound* is the *front_end_bound* of ``next_work(held)``, or
-        what the previous call returned.  Completion, abort and retire
-        have nothing to do; dispatch would issue nothing and only count
-        one ``contended`` cycle on each of the *held* ports, which is
-        credited here; then fetch runs as in ``step()``.  (If a context
-        has raised an interrupt or abort since, as an ``until``
-        callback may, retire acts after all: the cycle runs as
-        ``step()`` and ``None`` is returned.)
+        *bound* is the *front_end_bound* of :meth:`next_work`, or what
+        the previous call returned.  Completion, abort, retire and
+        dispatch have nothing to do, so only fetch runs, as in
+        ``step()``.  (If a context has raised an interrupt or abort
+        since, as an ``until`` callback may, retire acts after all:
+        the cycle runs as ``step()`` and ``None`` is returned.)
 
         Before *bound* nothing but fetch changes what the core can do,
         so only the ready entries this fetch added are judged, by the
-        probe's own scan (:meth:`_held_until`): the ports of those its
-        op class holds back join *held*, and the cycle they are
+        probe's own scan (:meth:`_held_until`), and the cycle they are
         released may lower the bound.  Returns the bound while the next
         cycle is front-end-only too, and ``None`` (probe again) when an
         added entry may issue, the bound is reached, or no context can
@@ -293,20 +283,16 @@ class Core:
                 return None
             before.append(len(context.ready))
         self.ports.new_cycle()
-        for ports in held:
-            for port in ports:
-                port.stats.contended += 1
         self._fetch()
         cycle = self.cycle = self.cycle + 1
         if cycle >= bound:
             return None
-        verdicts: Dict[str, Tuple[float, Sequence[Port]]] = {}
+        verdicts: Dict[str, float] = {}
         fetchable = False
         for context, size in zip(contexts, before):
             ready = context.ready
             if len(ready) > size:
-                until = self._held_until(context, ready[size:], verdicts,
-                                         held)
+                until = self._held_until(context, ready[size:], verdicts)
                 if until is None:
                     return None
                 if until < bound:
@@ -320,9 +306,7 @@ class Core:
 
     def _held_until(self, context: HardwareContext,
                     entries: Sequence[ROBEntry],
-                    verdicts: Dict[str, Tuple[float, Sequence[Port]]],
-                    held: Optional[List[Sequence[Port]]]
-                    ) -> Optional[float]:
+                    verdicts: Dict[str, float]) -> Optional[float]:
         """Judge *entries*, ready entries of *context* in program order,
         as :meth:`_dispatch` would at the current cycle: ``None`` when
         one may issue now, else the earliest cycle one might
@@ -333,8 +317,7 @@ class Core:
         scan stops there, as dispatch's does); the fence is held while
         an older entry is incomplete; any other entry is judged by
         :meth:`_hold`, once per op class: *verdicts* keeps the answers,
-        as no port changes while the core is judging.  Each port-held
-        entry's ports are appended to *held* (when it is a list)."""
+        as no port changes while the core is judging."""
         fence_seq = context.oldest_fence_seq()
         if fence_seq is None:
             fence_seq = math.inf
@@ -350,62 +333,51 @@ class Core:
                     return None
                 continue
             op_cls = entry.op_cls
-            hold = verdicts.get(op_cls)
-            if hold is None:
-                hold = self._hold(op_cls)
-                if hold is None:
+            if op_cls not in verdicts:
+                release = self._hold(op_cls)
+                if release is None:
                     return None
-                verdicts[op_cls] = hold
-                if hold[0] < until:
-                    until = hold[0]
-            if held is not None:
-                held.append(hold[1])
+                verdicts[op_cls] = release
+                if release < until:
+                    until = release
         return until
 
-    def _hold(self, op_cls: str) -> Optional[Tuple[float, Sequence[Port]]]:
+    def _hold(self, op_cls: str) -> Optional[float]:
         """Why a ready entry of *op_cls* that passed the fence rule
         cannot issue at the current cycle, as the rules of
         :meth:`_dispatch` decide.
 
         Returns ``None`` when it may issue now, or when that cannot be
         ruled out cheaply: a load, or any entry while a gate (whose
-        calls are observable) is attached.  Otherwise returns
-        ``(until, ports)``: every port of the class is held by a
-        non-pipelined op until at least cycle *until*, and each cycle
-        the entry waits, dispatch counts one ``contended`` cycle on
-        each of *ports*."""
+        calls are observable) is attached.  Otherwise returns the
+        release cycle: every port of the class is held by a
+        non-pipelined op until at least then."""
         if op_cls == "load" or self._gate:
             return None
         now = self.cycle
-        ports = self.ports._by_class[op_cls]
         until = math.inf
-        for port in ports:
+        for port in self.ports._by_class[op_cls]:
             busy_until = port.busy_until
             if busy_until <= now:
                 return None
             if busy_until < until:
                 until = busy_until
-        return until, ports
+        return until
 
     def fast_forward(self, limit: Optional[int] = None,
-                     target: Optional[int] = None,
-                     held: Optional[List[Sequence[Port]]] = None) -> int:
+                     target: Optional[int] = None) -> int:
         """Jump the clock to the next cycle where work exists (clamped
         to *limit*).  Returns the number of cycles skipped.  The
         skipped cycles are exactly the ``step()`` calls naive stepping
-        would have performed with no effect beyond port accounting:
-        for a jump of k cycles, every port of each port-held ready
-        entry's class (:meth:`_hold`) gains k ``contended`` cycles, the
-        count :meth:`PortSet.find` would have made one cycle at a time.
-        All observable state — cycle counts, stats, port counters,
-        architectural state — is bit-identical.
+        would have performed with no effect at all, so the jump
+        changes nothing but ``cycle``: every counter and all
+        architectural state is bit-identical.
 
-        *target* and *held* are the answer of a ``next_work(held)``
-        just made at this cycle (``Machine.run`` passes its own probe);
-        without them the probe runs here."""
-        if target is None or held is None:
-            held = []
-            target = self.next_work(held)[0]
+        *target* is the answer of a :meth:`next_work` just made at this
+        cycle (``Machine.run`` passes its own probe); without it the
+        probe runs here."""
+        if target is None:
+            target = self.next_work()[0]
             if target is None:
                 return 0
         if limit is not None and target > limit:
@@ -413,9 +385,6 @@ class Core:
         skipped = target - self.cycle
         if skipped <= 0:
             return 0
-        for ports in held:
-            for port in ports:
-                port.stats.contended += skipped
         self.cycle = target
         return skipped
 
@@ -718,13 +687,10 @@ class Core:
         contexts = self.contexts
         rotations = self._rotations
         gates = self._gate
-        # Op classes whose port search failed this cycle: how many later
-        # entries of the class (either context) passed the fence rule
-        # and the gates, and the ports that search counted as
-        # contended.  Nothing on those ports can free up or issue later
-        # this cycle, so each such entry would count the same ports
-        # again; they are credited once per class after the scan.
-        exhausted: Dict[str, list] = {}
+        # Op classes whose port search failed this cycle: nothing on
+        # their ports can free up or issue later this cycle, so later
+        # entries of the class (either context) skip the search.
+        exhausted: Set[str] = set()
         for context_id in rotations[self.cycle % len(rotations)]:
             if budget <= 0:
                 break
@@ -762,9 +728,7 @@ class Core:
                         still_ready.append(entry)
                     continue
                 op_cls = entry.op_cls
-                record = exhausted.get(op_cls)
-                if record is not None:
-                    record[0] += 1
+                if op_cls in exhausted:
                     if still_ready is not None:
                         still_ready.append(entry)
                     continue
@@ -777,21 +741,9 @@ class Core:
                     still_ready.append(entry)
                 if op_cls != "load":
                     # A non-load fails only in the port search.
-                    exhausted[op_cls] = [0, self._contended_ports(op_cls)]
+                    exhausted.add(op_cls)
             if still_ready is not None:
                 context.ready = still_ready
-        for repeats, ports in exhausted.values():
-            if repeats:
-                for port in ports:
-                    port.stats.contended += repeats
-
-    def _contended_ports(self, op_cls: str) -> List[Port]:
-        """The ports a port search for *op_cls* that just failed counted
-        as contended: those a non-pipelined op holds and that issued
-        nothing this cycle (:meth:`PortSet.find`)."""
-        now = self.cycle
-        return [port for port in self.ports._by_class[op_cls]
-                if not port._issued_this_cycle and now < port.busy_until]
 
     def _try_execute(self, context: HardwareContext,
                      entry: ROBEntry) -> bool:

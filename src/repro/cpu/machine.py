@@ -164,9 +164,9 @@ class Machine:
                    self.metrics.capture())
         if self.defense is not None:
             # Appended only when a defense is installed, so default
-            # platforms keep their historical payload shape (and the
-            # state digests derived from it).  The scheme travels with
-            # the state so a restore can refuse a different defense.
+            # platforms keep their historical payload shape.  The
+            # scheme travels with the state so a restore can refuse a
+            # different defense.
             payload = payload + ((self.defense.scheme,
                                   self.defense.capture()),)
         return payload
@@ -231,13 +231,11 @@ class Machine:
         *until* is evaluated once per cycle run, not per skipped cycle,
         so it must depend on simulation state, not on raw cycle
         numbers: use :meth:`step` or :meth:`run_until_cycle` to stop at
-        an exact cycle.  The only state that changes during a jump is
-        port ``contended`` counters, which advance by the jump length
-        at once, so *until* must not read them either.  It may raise
-        an interrupt or a transaction abort (``pending_interrupt``,
-        ``txn_abort_pending``), which the next cycle takes; any other
-        change it makes to the machine may go unseen until the next
-        probe.
+        an exact cycle.  A jump changes nothing but ``core.cycle``.
+        *until* may raise an interrupt or a transaction abort
+        (``pending_interrupt``, ``txn_abort_pending``), which the next
+        cycle takes; any other change it makes to the machine may go
+        unseen until the next probe.
         """
         core = self.core
         start = core.cycle
@@ -247,18 +245,17 @@ class Machine:
             if until is not None and until(self):
                 break
             if bound is None:
-                held = []
-                target, bound = core.next_work(held)
+                target, bound = core.next_work()
                 if target is None:
                     break
                 if bound is None:
                     if target > core.cycle:
-                        core.fast_forward(limit, target, held)
+                        core.fast_forward(limit, target)
                         if core.cycle >= limit:
                             break
                     core.step()
                     continue
-            bound = core.front_end_cycle(held, bound)
+            bound = core.front_end_cycle(bound)
         return core.cycle - start
 
     def run_until_cycle(self, cycle: int,

@@ -10,7 +10,7 @@ reliable once MicroScope removes the alignment noise.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.cpu.config import PortConfig
 from repro.observability.stats import PortStats
@@ -75,27 +75,11 @@ class PortSet:
 
     def find(self, now: int, op_cls: str) -> Optional[Port]:
         """The first port that can take *op_cls* at cycle *now*, or
-        ``None``.  Every candidate skipped because a non-pipelined op
-        still holds it counts one ``contended`` cycle, whether or not a
-        later port is free.
-
-        The core reproduces these counts without calling ``find``
-        where the answer is known: after a failed search, dispatch
-        counts the later entries of *op_cls* in that cycle and adds
-        that many to the same ports once, after its scan, and
-        ``Core.fast_forward`` adds one per skipped cycle (as
-        ``Core.front_end_cycle`` does for its one cycle) for each ready
-        entry whose class has every port held.  Deferring the dispatch
-        credit is exact because nothing reads ``contended`` during a
-        cycle: only ``contention_report`` and the metrics registry
-        read it, between runs."""
+        ``None``: one that issued nothing this cycle and that no
+        non-pipelined op holds."""
         for port in self._by_class.get(op_cls, ()):
-            if port._issued_this_cycle:
-                continue
-            if now < port.busy_until:
-                port.stats.contended += 1
-                continue
-            return port
+            if not port._issued_this_cycle and now >= port.busy_until:
+                return port
         return None
 
     def issue(self, port: Port, now: int, op_cls: str, latency: int):
@@ -123,11 +107,6 @@ class PortSet:
             if port.name == name:
                 return port
         raise KeyError(f"no port named {name!r}")
-
-    def contention_report(self) -> Dict[str, Tuple[int, int]]:
-        """``{port: (issued, contended_cycles)}`` for diagnostics."""
-        return {p.name: (p.stats.issued, p.stats.contended)
-                for p in self.ports}
 
     # --- snapshot support -------------------------------------------------
 

@@ -127,7 +127,7 @@ class WalkerStats(StatGroup):
 class PortStats(StatGroup):
     """Per-execution-port counters."""
 
-    FIELDS = ("issued", "contended")
+    FIELDS = ("issued",)
     __slots__ = FIELDS
 
 

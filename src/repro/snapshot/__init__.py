@@ -6,7 +6,6 @@ by the sweep harness.
 """
 
 from repro.snapshot.cache import cache_size, clear_cache, warm_start
-from repro.snapshot.digest import state_digest
 from repro.snapshot.machine import (
     SNAPSHOT_VERSION,
     MachineSnapshot,
@@ -19,6 +18,5 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "cache_size",
     "clear_cache",
-    "state_digest",
     "warm_start",
 ]

@@ -32,7 +32,8 @@ from typing import Optional
 #: (walker latency histogram etc.) as a trailing element.
 #: v3: a defended machine's trailing defense element is
 #: ``(scheme, state)``, so a restore can reject a different defense.
-SNAPSHOT_VERSION = 3
+#: v4: each port's stats capture holds ``issued`` only.
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(Exception):

@@ -19,9 +19,19 @@ breaks one even when the architectural state still matches:
   once the program finishes, every decoded entry has left the ROB
   exactly one way;
 * the program run again with naive ``Machine.step()``, one cycle at a
-  time, ends on the same cycle with the same context stats, port
-  ``issued``/``contended`` counts and ``metrics.dump()``: the
-  scheduler's skipped and front-end-only cycles must be exact.
+  time, ends on the same cycle with the same context stats and
+  ``metrics.dump()``: the scheduler's skipped and front-end-only
+  cycles must be exact.
+
+Each case then runs again on every defended platform of the
+evaluation matrix (each ``DefenseSpec.machine``; LEASH with a 64-cycle
+window, so its throttle engages on programs this short).  A defense
+must never change results, so each run must match the golden model's
+architectural state, and the scheduler must match naive stepping on
+the cycle, context stats, ``metrics.dump()`` and the mechanism's
+``capture()``: the gate observers many mechanisms attach are where
+the scheduler's skip rules are subtlest.  Such a mismatch is prefixed
+with the defense's name.
 
 The sweep runs through :func:`repro.harness.run_resilient_sweep`, so
 it journals every completed case (``journal.jsonl``) and produces the
@@ -49,7 +59,7 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Default number of cases the nightly sweep runs.
 DEFAULT_CASES = 150
@@ -67,6 +77,10 @@ DATA_BASE = 0x0010_0000
 
 #: Cycle budget of each run of a case.
 MAX_CYCLES = 3_000_000
+
+#: LEASH knobs of the defended leg: a window short enough, and a
+#: throttle steep enough, that it engages on programs this short.
+LEASH_PARAMS = {"window_cycles": 64, "throttle_factor": 8}
 
 _DATA_REGS = [f"r{i}" for i in range(2, 12)]
 _FP_REGS = [f"f{i}" for i in range(0, 8)]
@@ -142,67 +156,62 @@ def _fp_equal(x: Any, y: Any) -> bool:
     return x == y
 
 
+def defended_configs() -> Dict[str, Any]:
+    """``{defense name: MachineConfig}`` for every defended platform of
+    the evaluation matrix, in matrix order, LEASH at
+    :data:`LEASH_PARAMS`."""
+    from repro.evaluation.defenses import DEFENSES, leash_machine
+    return {name: (leash_machine(**LEASH_PARAMS) if name == "leash"
+                   else spec.machine)
+            for name, spec in DEFENSES.items()
+            if spec.machine is not None}
+
+
 def _scheduler_view(machine) -> Dict[str, Any]:
     """What a scheduler shortcut must leave exactly as naive stepping
     does, by field."""
+    defense = machine.defense
     return {
         "cycle": machine.cycle,
         "context stats": [ctx.stats.as_dict()
                           for ctx in machine.contexts],
-        "ports": machine.core.ports.contention_report(),
         "metrics": machine.metrics.dump(),
+        "defense": defense.capture() if defense is not None else None,
     }
 
 
-def _step_naively(program, max_cycles: int):
-    """*program* on a fresh machine, one ``Machine.step()`` per cycle
+def _run_on(config, program, naive: bool = False):
+    """*program* on a fresh machine built from *config*, run by
+    ``Machine.run``, or with *naive* one ``Machine.step()`` per cycle
     while the core is busy."""
     from repro.cpu.machine import Machine
-    machine = Machine()
+    machine = Machine(config)
     machine.contexts[0].load_program(program)
-    core = machine.core
-    while machine.cycle < max_cycles and core.busy():
-        machine.step()
+    if naive:
+        core = machine.core
+        while machine.cycle < MAX_CYCLES and core.busy():
+            machine.step()
+    else:
+        machine.run(MAX_CYCLES)
     return machine
 
 
-def run_case(params: Any, seed: int) -> Dict[str, Any]:
-    """One differential case: both engines, compared field by field.
+def _scheduled(config, program) -> Tuple[Any, List[str]]:
+    """The machine ``Machine.run`` leaves *program* on under *config*,
+    and each :func:`_scheduler_view` field in which it differs from
+    naive stepping."""
+    machine = _run_on(config, program)
+    naive = _scheduler_view(_run_on(config, program, naive=True))
+    return machine, [f"{field} mismatch against naive stepping"
+                     for field, value in _scheduler_view(machine).items()
+                     if value != naive[field]]
 
-    The harness trial function — *seed* drives the program generator,
-    so the journal's seed-lineage checks also pin the program.  With
-    ``params["oracle"]`` set the core runs under an active (but
-    unseeded) :class:`~repro.oracle.TaintOracle`: no secrets are ever
-    registered, so any leakage event — or any architectural deviation
-    from the golden model — is an oracle bug.
-    """
-    import contextlib
 
-    from repro.cpu.machine import Machine
-    from repro.isa.interpreter import run_program as interpret
-    program = generate_program(seed)
-    reference = interpret(program)
-    oracle = None
-    scope = contextlib.nullcontext()
-    if params.get("oracle"):
-        from repro.oracle import TaintOracle, activate
-        oracle = TaintOracle()
-        scope = activate(oracle)
-    with scope:
-        machine = Machine()
-        context = machine.contexts[0]
-        context.load_program(program)
-        machine.run(MAX_CYCLES)
-        naive = _step_naively(program, MAX_CYCLES)
-    mismatches: List[str] = []
-    naive_view = _scheduler_view(naive)
-    for field, value in _scheduler_view(machine).items():
-        if value != naive_view[field]:
-            mismatches.append(f"{field} mismatch against naive stepping")
-    if oracle is not None and oracle.summary.total:
-        mismatches.append(
-            f"oracle raised {oracle.summary.total} events with no "
-            f"secrets registered")
+def _golden_mismatches(machine, reference) -> List[str]:
+    """Where the machine's architectural state after the run differs
+    from the golden model's."""
+    context = machine.contexts[0]
+    mismatches = []
     if not context.finished():
         mismatches.append("core did not finish the program")
     for reg, value in reference.int_regs.items():
@@ -215,8 +224,43 @@ def run_case(params: Any, seed: int) -> Dict[str, Any]:
         core = machine.phys.read(addr)
         if not _fp_equal(core or 0, value or 0):
             mismatches.append(f"mem {addr:#x}")
-    port_issues = sum(issued for issued, _contended
-                      in machine.core.ports.contention_report().values())
+    return mismatches
+
+
+def run_case(params: Any, seed: int) -> Dict[str, Any]:
+    """One differential case: both engines, compared field by field,
+    undefended and then on each of :func:`defended_configs`.
+
+    The harness trial function — *seed* drives the program generator,
+    so the journal's seed-lineage checks also pin the program.  With
+    ``params["oracle"]`` set the core runs under an active (but
+    unseeded) :class:`~repro.oracle.TaintOracle`: no secrets are ever
+    registered, so any leakage event — or any architectural deviation
+    from the golden model — is an oracle bug.
+    """
+    import contextlib
+
+    from repro.isa.interpreter import run_program as interpret
+    program = generate_program(seed)
+    reference = interpret(program)
+    oracle = None
+    scope = contextlib.nullcontext()
+    if params.get("oracle"):
+        from repro.oracle import TaintOracle, activate
+        oracle = TaintOracle()
+        scope = activate(oracle)
+    with scope:
+        machine, mismatches = _scheduled(None, program)
+        defended = [(name, _scheduled(config, program))
+                    for name, config in defended_configs().items()]
+    context = machine.contexts[0]
+    if oracle is not None and oracle.summary.total:
+        mismatches.append(
+            f"oracle raised {oracle.summary.total} events with no "
+            f"secrets registered")
+    mismatches += _golden_mismatches(machine, reference)
+    port_issues = sum(port.stats.issued
+                      for port in machine.core.ports.ports)
     context_issues = sum(ctx.stats.issued for ctx in machine.contexts)
     if port_issues != context_issues:
         mismatches.append(f"port issues {port_issues} != context "
@@ -230,6 +274,9 @@ def run_case(params: Any, seed: int) -> Dict[str, Any]:
             mismatches.append(
                 f"ctx{ctx.context_id} fetched {stats.fetched} != "
                 f"retired {stats.retired} + squashed {stats.squashed}")
+    for name, (run, found) in defended:
+        mismatches += [f"{name}: {mismatch}" for mismatch
+                       in found + _golden_mismatches(run, reference)]
     return {
         "case": params["case"],
         "instructions": len(program.instructions),

@@ -39,10 +39,7 @@ class ReferencePortSet(PortSet):
 
     def try_issue(self, now, op_cls, latency):
         for port in self._by_class.get(op_cls, ()):
-            if port._issued_this_cycle:
-                continue
-            if now < port.busy_until:
-                port.stats.contended += 1
+            if port._issued_this_cycle or now < port.busy_until:
                 continue
             port.issue(now, op_cls, latency)
             return port
@@ -274,7 +271,7 @@ def run(programs, *, reference, config=None, gated=False,
         "events": recorder.events,
         "queues": queues,
         "gate_calls": gate_calls,
-        "ports": [(p.name, p.stats.issued, p.stats.contended)
+        "ports": [(p.name, p.stats.issued)
                   for p in machine.core.ports.ports],
         "contexts": [ctx.stats.as_dict() for ctx in machine.contexts],
         "metrics": machine.metrics.dump(),
@@ -398,11 +395,20 @@ def test_fence_queues_on_both_contexts():
     assert_equivalent([fence_program(4), fence_program(5, behind=12)])
 
 
-def test_smt_divider_contention_pair():
-    result = assert_equivalent([divider_program(40, 9.0, 3.0),
-                                divider_program(40, 9.0, 3.0)])
-    divider = [p for p in result["ports"] if p[0] == "p0"][0]
-    assert divider[2] > 0   # the contexts really fought over it
+def test_smt_divider_contention_pair(monkeypatch):
+    denied = []
+    reference_issue = ReferencePortSet.try_issue
+
+    def counting_issue(self, now, op_cls, latency):
+        port = reference_issue(self, now, op_cls, latency)
+        if port is None and op_cls == "div":
+            denied.append(now)
+        return port
+
+    monkeypatch.setattr(ReferencePortSet, "try_issue", counting_issue)
+    assert_equivalent([divider_program(40, 9.0, 3.0),
+                       divider_program(40, 9.0, 3.0)])
+    assert denied   # the contexts really fought over the divider
 
 
 def test_smt_divider_with_subnormal_operands():
@@ -414,9 +420,9 @@ def test_smt_divider_with_subnormal_operands():
 def test_smt_divide_queues_on_the_shared_divider(monkeypatch, gated):
     """Several divides per context wait on the divider in the same
     cycles.  Production searches the ports once per class and cycle
-    and counts the later divides that pass the gates from that record;
+    and skips the search for the later divides that pass the gates;
     the reference searches for every one."""
-    searches = {"production": 0, "reference": 0}
+    searches = {"production": 0, "reference": 0, "denied": 0}
     find, reference_issue = PortSet.find, ReferencePortSet.try_issue
 
     def counting_find(self, now, op_cls):
@@ -424,16 +430,17 @@ def test_smt_divide_queues_on_the_shared_divider(monkeypatch, gated):
         return find(self, now, op_cls)
 
     def counting_issue(self, now, op_cls, latency):
+        port = reference_issue(self, now, op_cls, latency)
         searches["reference"] += op_cls == "div"
-        return reference_issue(self, now, op_cls, latency)
+        searches["denied"] += op_cls == "div" and port is None
+        return port
 
     monkeypatch.setattr(PortSet, "find", counting_find)
     monkeypatch.setattr(ReferencePortSet, "try_issue", counting_issue)
     result = assert_equivalent([divide_queue_program(12),
                                 divide_queue_program(10, divides=3)],
                                gated=gated)
-    divider = [p for p in result["ports"] if p[0] == "p0"][0]
-    assert divider[2] > 0
+    assert searches["denied"] > 0
     if gated:
         assert result["gate_calls"]
     assert searches["production"] < searches["reference"]

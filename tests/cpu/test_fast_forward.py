@@ -21,7 +21,9 @@ workload shapes:
   LEASH), whose counters and state must match, and under a
   cycle-dependent gate, whose ``(cycle, context, seq)`` call log must;
 * unit cases for the quiescence probe (``Core.next_work``), its
-  held-entry rules (divider, fence, gate, load) and the jump clamp;
+  held-entry rules (divider, fence, gate, load), the jump clamp, and
+  jumps over divider-held and fence-held cycles, which must change
+  nothing in the machine's capture but the core's cycle;
 * a Fig. 7-shaped monitor beside a divider hog, whose ROB fills behind
   an in-flight fence while its divides wait on the divider: the
   cycles in which only fetch can act run as front-end-only cycles
@@ -31,13 +33,12 @@ workload shapes:
   ``until`` callback raises an interrupt, and a run under a gate.
   These also compare the event tracer's instruction slices.
 
-Beside cycles and state, each leg compares every port's ``issued`` and
-``contended`` counts: a jump over cycles in which a ready entry waits
-for a held port credits the ``contended`` cycles naive stepping would
-have counted one by one.
+Beside cycles and state, each leg compares every counter of the
+metrics registry, the ports' ``issued`` counts included.
 """
 
 import heapq
+import pickle
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -88,13 +89,11 @@ def _naive_run(machine, max_cycles=1_000_000, until=None):
 
 def _snapshot(machine: Machine):
     """Architectural state, the cycle count and every counter
-    (``metrics_payload``), every port's ``(issued, contended)`` counts
-    (a jump credits ``contended`` in bulk) and the defense's state."""
+    (``metrics_payload``) and the defense's state."""
     regs = [(dict(ctx.int_regs), dict(ctx.fp_regs))
             for ctx in machine.contexts]
     defense = machine.defense
     return (regs, metrics_payload(machine),
-            machine.core.ports.contention_report(),
             defense.capture() if defense is not None else None)
 
 
@@ -274,7 +273,7 @@ def test_fast_forward_matches_naive_under_a_defense_gate(config, counter):
     assert len(result.samples) == 40
     assert all(defense is not None for *_, defense in snapshots)
     assert sum(payload["metrics"].get(counter, 0)
-               for _, payload, _, _ in snapshots) > 0
+               for _, payload, _ in snapshots) > 0
 
 
 def test_fast_forward_matches_naive_under_a_cycle_dependent_gate():
@@ -321,7 +320,7 @@ def test_fast_forward_idle_after_halt():
     is busy: the probe says stop and ``run`` exits on its own."""
     for machine in (Machine(), _halted_machine()):
         assert not machine.core.busy()
-        assert machine.core.next_work(None)[0] is None
+        assert machine.core.next_work()[0] is None
         assert machine.run(1_000) == 0
 
 
@@ -333,7 +332,7 @@ def test_probe_stops_when_finished_contexts_leave_an_event_due():
     due = object()  # never touched unless a step processes it
     heapq.heappush(core._events, (core.cycle, -1, due))
     assert not core.busy()
-    assert core.next_work(None)[0] is None
+    assert core.next_work()[0] is None
     assert machine.run(1_000) == 0
     assert core._events[0][2] is due
 
@@ -343,7 +342,7 @@ def test_probe_steps_when_work_can_act_now():
     machine = Machine()
     program = (ProgramBuilder("p").li("r2", 1).halt().build())
     machine.contexts[0].load_program(program)
-    assert machine.core.next_work(None)[0] == machine.cycle
+    assert machine.core.next_work()[0] == machine.cycle
     assert machine.core.fast_forward() == 0
 
 
@@ -353,16 +352,16 @@ def test_probe_steps_when_nothing_is_known_to_wake_the_core():
     machine = Machine()
     machine.contexts[0].state = ContextState.RUNNING
     assert machine.core.busy()
-    assert machine.core.next_work(None)[0] == machine.cycle
+    assert machine.core.next_work()[0] == machine.cycle
 
 
 def test_probe_jumps_to_the_earliest_deadline():
     machine = _halted_machine()
     core = machine.core
     _block_context(machine, 500)
-    assert core.next_work(None)[0] == core.cycle + 500
+    assert core.next_work()[0] == core.cycle + 500
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
-    assert core.next_work(None)[0] == core.cycle + 200
+    assert core.next_work()[0] == core.cycle + 200
 
 
 def test_fast_forward_clamps_to_limit():
@@ -414,18 +413,14 @@ def _divider_held_machine(gate=None) -> Machine:
 
 
 def test_probe_skips_a_divide_held_by_the_divider():
-    """The held divide cannot issue before the divider frees up, and
-    the jump credits the ``contended`` cycles dispatch would have
-    counted on it, one per skipped cycle."""
+    """The held divide cannot issue before the divider frees up, so
+    the probe jumps, no further than the divider's release."""
     machine = _divider_held_machine()
     core = machine.core
-    divider = core.ports.port_named("p0")
-    target = core.next_work(None)[0]
-    assert core.cycle < target <= divider.busy_until
-    contended = divider.stats.contended
-    skipped = core.fast_forward()
+    target = core.next_work()[0]
+    assert core.cycle < target <= core.ports.port_named("p0").busy_until
+    core.fast_forward()
     assert core.cycle == target
-    assert divider.stats.contended == contended + skipped
 
 
 def test_probe_steps_on_a_held_divide_when_a_gate_is_attached():
@@ -435,18 +430,16 @@ def test_probe_steps_on_a_held_divide_when_a_gate_is_attached():
     machine = _divider_held_machine(gate=lambda core, context, e: True)
     core = machine.core
     assert core.cycle < core.ports.port_named("p0").busy_until
-    assert core.next_work(None)[0] == core.cycle
+    assert core.next_work()[0] == core.cycle
 
 
-def test_probe_skips_fence_held_entries_when_a_gate_is_attached():
-    """Dispatch consults no gate for a fence while an older entry is
-    incomplete, nor for anything behind it, so the probe skips those
-    cycles with a gate attached too: naive stepping through them makes
-    no gate call."""
-    calls = []
+def _fence_held_machine(gate=None) -> Machine:
+    """A divide, then a fence and an ``addi`` behind it, stepped until
+    both wait in the ready queue while the divide executes, with
+    nothing left to fetch or retire and no event due."""
     machine = Machine()
-    machine.attach(SimpleNamespace(
-        gate=lambda core, context, entry: calls.append(entry.seq) or True))
+    if gate is not None:
+        machine.attach(SimpleNamespace(gate=gate))
     program = (ProgramBuilder("fenced").li("r2", 96).li("r3", 4)
                .div("r4", "r2", "r3").fence().addi("r5", "r2", 1)
                .halt().build())
@@ -459,15 +452,46 @@ def test_probe_skips_fence_held_entries_when_a_gate_is_attached():
                 and context.ready[0].seq == context.oldest_fence_seq()
                 and not context.rob.head.completed
                 and core._events[0][0] > core.cycle):
-            break
-    else:
-        raise AssertionError("the fence never waited on the divide")
-    target, front_end_only = core.next_work(None)
+            return machine
+    raise AssertionError("the fence never waited on the divide")
+
+
+def test_probe_skips_fence_held_entries_when_a_gate_is_attached():
+    """Dispatch consults no gate for a fence while an older entry is
+    incomplete, nor for anything behind it, so the probe skips those
+    cycles with a gate attached too: naive stepping through them makes
+    no gate call."""
+    calls = []
+    machine = _fence_held_machine(
+        gate=lambda core, context, entry: calls.append(entry.seq) or True)
+    core = machine.core
+    target, front_end_only = core.next_work()
     assert target > core.cycle and not front_end_only
     calls.clear()
     while core.cycle < target:
         core.step()
     assert calls == []
+
+
+def _capture_but_the_cycle(machine: Machine):
+    """The core's cycle and the pickled rest of ``machine.capture()``."""
+    state = machine.capture()
+    core = state[5]
+    return core[0], pickle.dumps(state[:5] + (core[1:],) + state[6:])
+
+
+@pytest.mark.parametrize("build", [_divider_held_machine,
+                                   _fence_held_machine],
+                         ids=["divider-held", "fence-held"])
+def test_a_jump_changes_nothing_but_the_cycle(build):
+    """Every skipped cycle is a step that changes nothing: a jump over
+    them leaves every counter, every port and all architectural and
+    microarchitectural state as it was, and moves only the clock."""
+    machine = build()
+    cycle, before = _capture_but_the_cycle(machine)
+    skipped = machine.core.fast_forward()
+    assert skipped > 0
+    assert _capture_but_the_cycle(machine) == (cycle + skipped, before)
 
 
 def test_probe_steps_on_a_fence_whose_older_entries_completed():
@@ -485,7 +509,7 @@ def test_probe_steps_on_a_fence_whose_older_entries_completed():
     assert fence.state is EntryState.READY and fence in context.ready
     assert context.rob.all_older_completed(fence.seq)
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
-    assert core.next_work(None)[0] == core.cycle
+    assert core.next_work()[0] == core.cycle
 
 
 def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
@@ -501,7 +525,7 @@ def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
     for name in ("p2", "p3"):
         core.ports.port_named(name).busy_until = core.cycle + 100
     heapq.heappush(core._events, (core.cycle + 200, -1, object()))
-    assert core.next_work(None)[0] == core.cycle
+    assert core.next_work()[0] == core.cycle
 
 
 # --- front-end-only cycles --------------------------------------------------
@@ -539,7 +563,6 @@ def _fig7_state(machine: Machine):
     core = machine.core
     return (machine.cycle,
             [ctx.stats.as_dict() for ctx in machine.contexts],
-            core.ports.contention_report(),
             core.predictor.stats.as_dict(),
             machine.metrics.dump())
 
@@ -564,16 +587,16 @@ def _scheduler_log():
     probe, front_end, jump = (Core.next_work, Core.front_end_cycle,
                               Core.fast_forward)
 
-    def counted_probe(core, held):
+    def counted_probe(core):
         log.probes += 1
-        return probe(core, held)
+        return probe(core)
 
-    def logged_front_end(core, held, bound):
+    def logged_front_end(core, bound):
         cycle = core.cycle
         raised = any(context.pending_interrupt is not None
                      or context.txn_abort_pending
                      for context in core.contexts)
-        result = front_end(core, held, bound)
+        result = front_end(core, bound)
         if result is not None:
             outcome = "run"
         elif raised:
@@ -782,8 +805,8 @@ def _fig7_run(run, *observers):
 
 
 def test_front_end_cycles_match_naive_on_a_fig7_monitor():
-    """Cycle, per-context stats, port ``issued``/``contended``,
-    predictor stats and the metrics registry all match naive stepping,
+    """Cycle, per-context stats, predictor stats and the metrics
+    registry (port ``issued`` counts included) all match naive stepping,
     ``Machine.run`` steps the core in fewer than half the cycles, and
     it probes once per step, jump or run of front-end-only cycles."""
     fast, fast_steps, fast_probes, _ = _fig7_run(Machine.run)

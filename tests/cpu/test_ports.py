@@ -61,21 +61,7 @@ def test_divider_blocks_alu_on_port0_only():
     assert ports.try_issue(1, "alu", 1).name != "p0"
 
 
-def test_contention_stat_counts():
-    ports = make_ports()
-    ports.try_issue(0, "div", 24)
-    ports.new_cycle()
-    ports.try_issue(1, "div", 24)
-    assert ports.port_named("p0").stats.contended >= 1
-
-
 def test_unknown_class_returns_none():
     ports = make_ports()
     assert ports.try_issue(0, "warp", 1) is None
 
-
-def test_contention_report_shape():
-    ports = make_ports()
-    ports.try_issue(0, "mul", 3)
-    report = ports.contention_report()
-    assert report["p1"][0] == 1

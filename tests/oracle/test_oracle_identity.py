@@ -5,8 +5,10 @@ hook when no oracle is active), and an *active* oracle only reads
 core state — so executions must be bit-identical across all three
 modes: no activation, activation with no secrets, and no hub use at
 all.  Hypothesis drives random programs through a fresh machine per
-mode and compares the full snapshot digest plus the metrics dump.
+mode and compares the pickled machine capture plus the metrics dump.
 """
+
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from repro.cpu.machine import Machine
 from repro.isa import instructions as ins
 from repro.isa.program import ProgramBuilder
 from repro.oracle import TaintOracle, activate
-from repro.snapshot import MachineSnapshot, state_digest
 
 DATA_BASE = 0x0010_0000
 _DATA_REGS = [f"r{i}" for i in range(2, 10)]
@@ -63,7 +64,8 @@ def _random_program(draw):
 
 
 def _fingerprint(program, oracle):
-    """Digest + metrics of one fresh-machine run (under *oracle*)."""
+    """Pickled capture + metrics of one fresh-machine run (under
+    *oracle*)."""
     scope = activate(oracle) if oracle is not None else None
     if scope is not None:
         scope.__enter__()
@@ -75,8 +77,7 @@ def _fingerprint(program, oracle):
         if scope is not None:
             scope.__exit__(None, None, None)
     assert machine.contexts[0].finished()
-    return (state_digest(MachineSnapshot.take(machine)),
-            machine.metrics.dump())
+    return pickle.dumps(machine.capture()), machine.metrics.dump()
 
 
 @given(_random_program())

@@ -5,10 +5,12 @@ import json
 from repro.cpu.context import HardwareContext
 from repro.cpu.core import Core
 from repro.cpu.ports import Port
+from repro.evaluation.defenses import DEFENSES
 from repro.harness import derive_seed
 from repro.isa import interpreter
 from repro.tools.diffsweep import (
     LABEL,
+    defended_configs,
     generate_program,
     main,
     run_case,
@@ -90,24 +92,42 @@ def test_run_case_checks_fetched_against_retired_plus_squashed(
     assert mismatch.startswith("ctx0 fetched ")
 
 
+def test_defended_leg_covers_every_defended_matrix_column():
+    configs = defended_configs()
+    assert list(configs) == [name for name, spec in DEFENSES.items()
+                             if spec.machine is not None]
+    assert len(configs) == 7
+    leash = configs["leash"].defense
+    assert leash.scheme == "leash"
+    assert leash.params == {"window_cycles": 64, "throttle_factor": 8}
+
+
 def test_run_case_checks_the_scheduler_against_naive_stepping(
         monkeypatch):
-    """A jump that forgets the ``contended`` cycles its held entries
-    wait leaves the architectural state and every other count intact;
-    only the naive-stepping leg notices, in the port counts and the
-    metrics registry that holds them."""
-    jump = Core.fast_forward
+    """A probe that skips cycles in which dispatch would hand a
+    port-held entry to the gates (the gate rule dropped from
+    ``Core._hold``) leaves the architectural state, the cycle and the
+    context stats intact, and an undefended machine attaches no gate.
+    Only the defended leg notices, by name: in each gating
+    mechanism's counters and in LEASH's detector state."""
+    hold = Core._hold
 
-    def uncredited(self, limit=None, target=None, held=None):
-        return jump(self, limit, target,
-                    None if held is None else [])
+    def ungated(self, op_cls):
+        gates, self._gate = self._gate, ()
+        try:
+            return hold(self, op_cls)
+        finally:
+            self._gate = gates
 
-    monkeypatch.setattr(Core, "fast_forward", uncredited)
-    payload = run_case({"case": 1}, derive_seed(2019, 1, LABEL))
+    monkeypatch.setattr(Core, "_hold", ungated)
+    payload = run_case({"case": 5}, derive_seed(2019, 5, LABEL))
     assert not payload["match"]
     assert payload["mismatches"] == [
-        "ports mismatch against naive stepping",
-        "metrics mismatch against naive stepping"]
+        "jv-counter: metrics mismatch against naive stepping",
+        "jv-epoch: metrics mismatch against naive stepping",
+        "jv-cor: metrics mismatch against naive stepping",
+        "delay-on-squash: metrics mismatch against naive stepping",
+        "leash: defense mismatch against naive stepping"]
 
 
 def test_run_sweep_writes_artifacts_and_resumes(tmp_path):
