@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.isa import registers
@@ -22,9 +21,6 @@ from repro.observability.stats import ContextStats
 
 __all__ = ["ContextState", "ContextStats", "HardwareContext",
            "TransactionState"]
-
-_by_seq = attrgetter("seq")
-
 
 class ContextState(enum.Enum):
     IDLE = "idle"          # no program loaded
@@ -58,11 +54,10 @@ class HardwareContext:
         self.rob = ReorderBuffer(rob_size)
         #: Youngest in-flight producer per register.
         self.rename: Dict[str, ROBEntry] = {}
-        #: Entries with operands ready, waiting for a port.  Kept in
-        #: program (seq) order via :meth:`wake`; ``_ready_dirty`` marks
-        #: an out-of-order wakeup so dispatch re-sorts only when needed.
+        #: Entries with operands ready, waiting for a port, always in
+        #: program (seq) order: :meth:`wake` places each one, and
+        #: dispatch and squashes only remove entries.
         self.ready: List[ROBEntry] = []
-        self._ready_dirty = False
         #: Executed-but-not-retired loads indexed by virtual address,
         #: for O(1) memory-order-violation checks at store resolution.
         self.inflight_loads: Dict[int, List[ROBEntry]] = {}
@@ -77,8 +72,8 @@ class HardwareContext:
         self.fetch_stall_until = 0
         #: Context blocked (kernel trap) until this cycle.
         self.blocked_until = 0
-        #: Sequence numbers of in-flight FENCEs (and fenced RDRANDs):
-        #: younger entries may not begin execution.
+        #: Sequence numbers of in-flight FENCEs (and fenced RDRANDs),
+        #: ascending: younger entries may not begin execution.
         self.fence_seqs: List[int] = []
         #: Dynamic-instance replay detection: indices squashed at least
         #: once since their last retirement.
@@ -107,7 +102,6 @@ class HardwareContext:
         self.blocked_until = 0
         self.rename.clear()
         self.ready.clear()
-        self._ready_dirty = False
         self.inflight_loads.clear()
         self.fence_seqs.clear()
         self.serialize_next_fetch = False
@@ -135,7 +129,7 @@ class HardwareContext:
             return True
         if self.state is ContextState.IDLE:
             return True
-        if (self.state is ContextState.RUNNING and self.rob.empty
+        if (self.state is ContextState.RUNNING and not self.rob.entries
                 and self.program is not None
                 and self.fetch_index >= len(self.decoded)):
             return True
@@ -164,20 +158,24 @@ class HardwareContext:
     # --- scheduling support --------------------------------------------------
 
     def wake(self, entry: ROBEntry):
-        """Add *entry* to the ready queue, tracking ordering: fetch-time
-        wakeups arrive in seq order, completion-time wakeups may not."""
+        """Add *entry* to the ready queue in its program (seq) place.
+        Fetch-time wakeups are younger than every queued entry and
+        append; a completion-time wakeup may be older than the tail and
+        is placed by binary search."""
         ready = self.ready
-        if ready and ready[-1].seq > entry.seq:
-            self._ready_dirty = True
-        ready.append(entry)
-
-    def sorted_ready(self) -> List[ROBEntry]:
-        """The ready queue in program (seq) order, re-sorting only when
-        an out-of-order wakeup dirtied it."""
-        if self._ready_dirty:
-            self.ready.sort(key=_by_seq)
-            self._ready_dirty = False
-        return self.ready
+        seq = entry.seq
+        if not ready or ready[-1].seq < seq:
+            ready.append(entry)
+            return
+        # By hand: ``bisect`` takes no ``key`` before Python 3.10.
+        low, high = 0, len(ready) - 1
+        while low < high:
+            middle = (low + high) // 2
+            if ready[middle].seq < seq:
+                low = middle + 1
+            else:
+                high = middle
+        ready.insert(low, entry)
 
     def index_inflight_load(self, entry: ROBEntry):
         """Record an issued load for memory-order checks (keyed by VA)."""
@@ -217,16 +215,24 @@ class HardwareContext:
             return
         self.stats.squashed += len(entries)
         self.stats.squash_events += 1
-        squashed_seqs = {e.seq for e in entries}
-        self.fence_seqs = [s for s in self.fence_seqs
-                           if s not in squashed_seqs]
+        # A squash takes the ROB's youngest entries, oldest first, so
+        # the fences it takes are the youngest ones.
+        oldest = entries[0].seq
+        fence_seqs = self.fence_seqs
+        while fence_seqs and fence_seqs[-1] >= oldest:
+            fence_seqs.pop()
         for entry in entries:
             self.replay_candidates.add(entry.index)
             if entry.op_cls == "load" and entry.addr is not None:
                 self.unindex_load(entry)
 
     def oldest_fence_seq(self) -> Optional[int]:
-        return min(self.fence_seqs) if self.fence_seqs else None
+        """The oldest in-flight fence's seq, or None.  ``fence_seqs``
+        stays sorted without a sort: fences join at decode in seq
+        order, leave oldest first at retire and youngest first at a
+        squash."""
+        fence_seqs = self.fence_seqs
+        return fence_seqs[0] if fence_seqs else None
 
     # --- snapshot support ----------------------------------------------------
 
@@ -250,7 +256,6 @@ class HardwareContext:
             self.rob.capture(memo),
             {reg: clone_entry(e, memo) for reg, e in self.rename.items()},
             [clone_entry(e, memo) for e in self.ready],
-            self._ready_dirty,
             {addr: [clone_entry(e, memo) for e in bucket]
              for addr, bucket in self.inflight_loads.items()},
             self.state, self.program, self.process,
@@ -264,7 +269,7 @@ class HardwareContext:
         )
 
     def restore(self, state: tuple, memo: dict):
-        (int_regs, fp_regs, rob, rename, ready, ready_dirty, inflight,
+        (int_regs, fp_regs, rob, rename, ready, inflight,
          ctx_state, program, process, fetch_index, fetch_stall_until,
          blocked_until, fence_seqs, replay_candidates, txn,
          txn_abort_pending, last_txn_abort_reason, pending_interrupt,
@@ -275,7 +280,6 @@ class HardwareContext:
         self.rename = {reg: clone_entry(e, memo)
                        for reg, e in rename.items()}
         self.ready = [clone_entry(e, memo) for e in ready]
-        self._ready_dirty = ready_dirty
         self.inflight_loads = {
             addr: [clone_entry(e, memo) for e in bucket]
             for addr, bucket in inflight.items()}

@@ -10,7 +10,9 @@ Per cycle the core performs, in order:
    page-fault trap (or a transaction abort when inside TSX).
 4. **Dispatch** — issue ready instructions to execution ports, SMT
    round-robin, oldest first: the fence rule, then ``gate`` observers,
-   then the port search.  The scan stops at the oldest in-flight fence;
+   then the port search.  Ready queues and fence lists are kept in
+   program order, so neither is sorted or searched.  The scan stops at
+   the oldest in-flight fence;
    latency is computed only once a port is granted; only ports that
    issued are reset next cycle.  Once an op class finds every port held
    in a cycle, later entries of that class skip the port search; a
@@ -164,7 +166,10 @@ class Core:
 
     def next_work(self) -> Tuple[Optional[int], Optional[float]]:
         """``(cycle, front_end_bound)``: the next cycle at which any
-        pipeline stage can act, from one pass over the contexts.
+        pipeline stage can act.  The event heap's head is read first: a
+        completion already due makes the answer the current cycle (or
+        ``None``, below) with no ready queue judged.  Otherwise one pass
+        over the contexts decides.
 
         *cycle* is ``None`` when no context is busy (:meth:`busy` is
         False), whatever the event heap still holds.  It is the current
@@ -189,6 +194,10 @@ class Core:
         adds can change the answer, which is how ``front_end_cycle``
         tells whether the next cycle is front-end-only too."""
         cycle = self.cycle
+        events = self._events
+        if events and events[0][0] <= cycle:
+            # A completion is due: step, unless no context is busy.
+            return (cycle, None) if self.busy() else (None, None)
         busy = False
         fetch_now = False
         target = math.inf
@@ -212,7 +221,7 @@ class Core:
                     continue
                 busy = True
                 if context.ready:
-                    until = self._held_until(context, context.sorted_ready(),
+                    until = self._held_until(context, context.ready,
                                              verdicts)
                     if until is None:
                         return cycle, None  # dispatch may issue
@@ -221,7 +230,7 @@ class Core:
                 if (context.pending_interrupt is not None
                         or context.txn_abort_pending):
                     return cycle, None
-                if entries and entries[0].completed:
+                if entries and entries[0].state is EntryState.COMPLETED:
                     return cycle, None  # retire (or fault/trap) acts
                 if (context.fetch_index < length
                         and len(entries) < context.rob.capacity):
@@ -242,8 +251,8 @@ class Core:
             # IDLE/HALTED contexts are finished and never act again.
         if not busy:
             return None, None
-        if self._events and self._events[0][0] < target:
-            target = self._events[0][0]
+        if events and events[0][0] < target:
+            target = events[0][0]
         if target <= cycle:
             return cycle, None
         if fetch_now:
@@ -460,12 +469,12 @@ class Core:
             entry.complete_cycle = self.cycle
             if entry.mispredicted:
                 self._handle_mispredict(entry)
-            if entry.faulted and entry.op_cls == "load" \
-                    and self._on_pte_race:
+            if (entry.fault is not None and entry.op_cls == "load"
+                    and self._on_pte_race):
                 self._try_pte_race(entry)
             for observer in self._on_complete:
                 observer(self, self.contexts[entry.context_id], entry)
-            if entry.faulted:
+            if entry.fault is not None:
                 continue  # no value; dependents stay asleep until squash
             for dependent, slot in entry.dependents:
                 if dependent.squashed:
@@ -520,8 +529,11 @@ class Core:
 
     def _process_txn_aborts(self):
         for context in self.contexts:
-            if context.txn_abort_pending and context.in_transaction:
-                self._abort_transaction(context, context.txn_abort_pending)
+            reason = context.txn_abort_pending
+            if reason is None:
+                continue
+            if context.txn is not None:
+                self._abort_transaction(context, reason)
             context.txn_abort_pending = None
 
     def _abort_transaction(self, context: HardwareContext, reason: str):
@@ -557,14 +569,20 @@ class Core:
             if context.pending_interrupt is not None:
                 self._take_interrupt(context)
                 continue
+            rob = context.rob
             for _ in range(self.config.retire_width):
-                head = context.rob.head
-                if head is None or not head.completed:
+                # Re-read each time: a retiring TABORT squashes, which
+                # replaces the ROB's deque.
+                entries = rob.entries
+                if not entries:
                     break
-                if head.faulted:
+                head = entries[0]
+                if head.state is not EntryState.COMPLETED:
+                    break
+                if head.fault is not None:
                     self._fault_at_head(context, head)
                     break
-                context.rob.pop_head()
+                rob.pop_head()
                 self._apply_retire(context, head)
                 if context.state is not ContextState.RUNNING:
                     break
@@ -589,8 +607,11 @@ class Core:
             # Abort immediately: a same-cycle TEND must not win.
             if context.in_transaction:
                 self._abort_transaction(context, "explicit-abort")
-        if entry.seq in context.fence_seqs:
-            context.fence_seqs.remove(entry.seq)
+        fence_seqs = context.fence_seqs
+        if fence_seqs and fence_seqs[0] == entry.seq:
+            # Retire is in program order: a retiring fence is the
+            # oldest in flight.
+            del fence_seqs[0]
         if decoded.is_load and entry.addr is not None:
             context.unindex_load(entry)
         context.replay_candidates.discard(entry.index)
@@ -704,11 +725,14 @@ class Core:
             fence_seq = context.oldest_fence_seq()
             if fence_seq is None:
                 fence_seq = math.inf
-            ready = context.sorted_ready()
+            ready = context.ready
             # Built from the first entry that leaves the queue (issued,
             # or squashed by an issue); until then the queue is left as
             # it is.  Only an issue in this scan can squash an entry of
-            # this context, so a scan that issues nothing finds none.
+            # this context, and the squash counts in ``squash_events``:
+            # a scan that leaves the count as it was finds none, so it
+            # keeps the rest of the queue in one slice.
+            squashes = context.stats.squash_events
             still_ready = None
             for position, entry in enumerate(ready):
                 if entry.squashed:
@@ -717,8 +741,10 @@ class Core:
                     continue
                 if budget <= 0 or entry.seq > fence_seq:
                     if still_ready is not None:
-                        still_ready.extend([e for e in ready[position:]
-                                            if not e.squashed])
+                        rest = ready[position:]
+                        if context.stats.squash_events != squashes:
+                            rest = [e for e in rest if not e.squashed]
+                        still_ready += rest
                     break
                 if ((entry.seq == fence_seq and not
                      context.rob.all_older_completed(entry.seq))
@@ -866,7 +892,6 @@ class Core:
         instr = entry.instr
         target = context.decoded[entry.index].target
         if instr.op is Opcode.JMP:
-            entry.actual_taken = True
             entry.value = target
             entry.mispredicted = False
             return
@@ -880,7 +905,6 @@ class Core:
             taken = a < b
         else:  # BGE
             taken = a >= b
-        entry.actual_taken = taken
         correct_next = target if taken else entry.index + 1
         entry.value = correct_next
         entry.mispredicted = (entry.predicted_taken is not None

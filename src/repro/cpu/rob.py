@@ -34,7 +34,7 @@ class ROBEntry:
     __slots__ = (
         "seq", "context_id", "index", "instr", "op_cls", "state",
         "pending", "operands", "value", "addr", "paddr", "fault",
-        "dependents", "predicted_taken", "actual_taken", "mispredicted",
+        "dependents", "predicted_taken", "mispredicted",
         "store_value", "addr_resolved", "squashed", "fetch_cycle",
         "issue_cycle", "complete_cycle", "port_name", "walk_latency",
         "is_replay",
@@ -62,7 +62,6 @@ class ROBEntry:
         #: Entries waiting on this one: list of (entry, slot).
         self.dependents: List[tuple] = []
         self.predicted_taken: Optional[bool] = None
-        self.actual_taken: Optional[bool] = None
         self.mispredicted = False
         #: Value to be stored (for stores), resolved at execute.
         self.store_value: Optional[object] = None

@@ -33,7 +33,9 @@ from typing import Optional
 #: v3: a defended machine's trailing defense element is
 #: ``(scheme, state)``, so a restore can reject a different defense.
 #: v4: each port's stats capture holds ``issued`` only.
-SNAPSHOT_VERSION = 4
+#: v5: a context capture drops the ready queue's dirty flag (the queue
+#: is always in seq order) and ROB entries lose ``actual_taken``.
+SNAPSHOT_VERSION = 5
 
 
 class SnapshotError(Exception):

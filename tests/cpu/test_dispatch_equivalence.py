@@ -4,8 +4,11 @@
 fence, computes an instruction's latency only once a port is free, and
 ``PortSet.new_cycle`` resets only the ports that issued.  Decode reads
 each instruction's facts from the context's per-program decode table.
-None of that may change a simulated event.  :class:`ReferenceCore`
-below keeps the plain rules instead: every ready entry goes through the
+The ready queue and the fence list are kept in seq order, so dispatch
+neither sorts the one nor searches the other.  None of that may change
+a simulated event.  :class:`ReferenceCore` below keeps the plain rules
+instead: it sorts the ready queue itself at every scan, takes the
+oldest fence as the list's minimum, every ready entry goes through the
 fence check one by one, latency is computed before the port search,
 every port is reset every cycle, the SMT round-robin order is rebuilt
 each cycle, and decode and latency lookup work from the ``Instruction``
@@ -19,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cpu.config import op_class
-from repro.cpu.context import ContextState
+from repro.cpu.context import ContextState, HardwareContext
 from repro.cpu.core import Core, _is_subnormal
 from repro.cpu.machine import Machine
 from repro.cpu.ports import PortSet
@@ -66,7 +69,7 @@ class ReferenceCore(Core):
             if not context.ready:
                 continue
             still_ready = []
-            for entry in context.sorted_ready():
+            for entry in sorted(context.ready, key=lambda e: e.seq):
                 if entry.squashed:
                     continue
                 if budget <= 0 or not self._reference_try_execute(
@@ -77,7 +80,7 @@ class ReferenceCore(Core):
             context.ready = still_ready
 
     def _reference_try_execute(self, context, entry):
-        fence_seq = context.oldest_fence_seq()
+        fence_seq = min(context.fence_seqs, default=None)
         if fence_seq is not None:
             if entry.seq > fence_seq:
                 return False
@@ -488,6 +491,59 @@ def test_diffsweep_program_pair(seed):
 @pytest.mark.parametrize("seed", range(14, 18))
 def test_diffsweep_program_fence_on_flush(seed):
     assert_equivalent([generate_program(seed)], config=fences_machine())
+
+
+def _naive_step_checking_order(machine, monkeypatch, max_cycles=400_000):
+    """Naive stepping that asserts, after every cycle, the order the
+    scheduler keeps without sorting: each context's fence list and
+    ready queue ascend by seq.  Returns the most fences in flight on
+    one context at once and the number of wakes placed ahead of a
+    queue's tail."""
+    placed = []
+    wake = HardwareContext.wake
+
+    def noting(context, entry):
+        if context.ready and context.ready[-1].seq > entry.seq:
+            placed.append(entry.seq)
+        wake(context, entry)
+
+    monkeypatch.setattr(HardwareContext, "wake", noting)
+    core = machine.core
+    most_fences = 0
+    while core.busy() and machine.cycle < max_cycles:
+        core.step()
+        for context in machine.contexts:
+            fences = context.fence_seqs
+            assert all(a < b for a, b in zip(fences, fences[1:]))
+            seqs = [entry.seq for entry in context.ready]
+            assert all(a < b for a, b in zip(seqs, seqs[1:]))
+            most_fences = max(most_fences, len(fences))
+    assert not core.busy()
+    return most_fences, len(placed)
+
+
+@pytest.mark.parametrize("seed", range(3, 6))
+def test_kept_order_under_fence_on_flush(monkeypatch, seed):
+    """Squashes add fences on the generated program's context; the
+    fence program keeps several in flight on its sibling."""
+    machine = Machine(fences_machine())
+    for context, program in zip(machine.contexts,
+                                (generate_program(seed), fence_program(3))):
+        context.load_program(program)
+    most_fences, placed = _naive_step_checking_order(machine, monkeypatch)
+    assert machine.contexts[0].stats.squash_events
+    assert most_fences > 1 and placed
+
+
+@pytest.mark.parametrize("seed", range(6, 9))
+def test_kept_order_on_an_smt_pair(monkeypatch, seed):
+    machine = Machine()
+    for context, program in zip(machine.contexts,
+                                (generate_program(seed),
+                                 generate_program(seed + 100))):
+        context.load_program(program)
+    _, placed = _naive_step_checking_order(machine, monkeypatch)
+    assert placed
 
 
 def test_reference_scans_past_the_fence():

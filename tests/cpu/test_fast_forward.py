@@ -538,6 +538,10 @@ FIG7_STEPS = 335
 #: run of front-end-only cycles.  Probing before every front-end-only
 #: cycle and again inside each jump, the same run makes 700.
 FIG7_PROBES = 362
+#: ``Core._held_until`` scans on the same run, by the probe and by
+#: front-end-only cycles.  A probe that judges the ready queues before
+#: seeing a completion already due makes 660.
+FIG7_HELD_SCANS = 439
 
 
 def _fig7_machine(*observers) -> Machine:
@@ -576,20 +580,25 @@ def _can_fetch(context, cycle) -> bool:
 
 @contextmanager
 def _scheduler_log():
-    """Count ``Core.next_work`` probes, record the cycle of each
-    ``Core.fast_forward`` jump, and log each ``Core.front_end_cycle``
-    call as ``(cycle, outcome)``: ``"run"`` when the next cycle is
-    front-end-only too, otherwise why the run ended: ``"interrupt"``
-    (raised before the call, which then stepped), ``"bound"``,
-    ``"fetch"`` (no context can fetch next cycle) or ``"entry"`` (an
-    entry that fetch added may issue)."""
-    log = SimpleNamespace(probes=0, jumps=[], cycles=[])
-    probe, front_end, jump = (Core.next_work, Core.front_end_cycle,
-                              Core.fast_forward)
+    """Count ``Core.next_work`` probes and ``Core._held_until`` scans,
+    record the cycle of each ``Core.fast_forward`` jump, and log each
+    ``Core.front_end_cycle`` call as ``(cycle, outcome)``: ``"run"``
+    when the next cycle is front-end-only too, otherwise why the run
+    ended: ``"interrupt"`` (raised before the call, which then
+    stepped), ``"bound"``, ``"fetch"`` (no context can fetch next
+    cycle) or ``"entry"`` (an entry that fetch added may issue)."""
+    log = SimpleNamespace(probes=0, held_scans=0, jumps=[], cycles=[])
+    probe, front_end, jump, held_until = (
+        Core.next_work, Core.front_end_cycle, Core.fast_forward,
+        Core._held_until)
 
     def counted_probe(core):
         log.probes += 1
         return probe(core)
+
+    def counted_scan(core, *args):
+        log.held_scans += 1
+        return held_until(core, *args)
 
     def logged_front_end(core, bound):
         cycle = core.cycle
@@ -618,11 +627,12 @@ def _scheduler_log():
     Core.next_work = counted_probe
     Core.front_end_cycle = logged_front_end
     Core.fast_forward = logged_jump
+    Core._held_until = counted_scan
     try:
         yield log
     finally:
-        Core.next_work, Core.front_end_cycle, Core.fast_forward = (
-            probe, front_end, jump)
+        (Core.next_work, Core.front_end_cycle, Core.fast_forward,
+         Core._held_until) = (probe, front_end, jump, held_until)
 
 
 def _slices(tracer):
@@ -772,9 +782,9 @@ def test_front_end_runs_under_a_gate():
 
 def _fig7_run(run, *observers):
     """The final state of :func:`_fig7_machine` under *run*, the number
-    of ``Core.step`` calls and of ``Core.next_work`` probes it made,
-    and whether the monitor's ROB was ever full behind an in-flight
-    fence while the divider was held."""
+    of ``Core.step`` calls it made, its :func:`_scheduler_log`, and
+    whether the monitor's ROB was ever full behind an in-flight fence
+    while the divider was held."""
     machine = _fig7_machine(*observers)
     monitor = machine.contexts[1]
     divider = machine.core.ports.port_named("p0")
@@ -801,21 +811,23 @@ def _fig7_run(run, *observers):
     finally:
         Core.step = step
     assert all(ctx.finished() for ctx in machine.contexts)
-    return _fig7_state(machine), steps[0], log.probes, bool(seen)
+    return _fig7_state(machine), steps[0], log, bool(seen)
 
 
 def test_front_end_cycles_match_naive_on_a_fig7_monitor():
     """Cycle, per-context stats, predictor stats and the metrics
     registry (port ``issued`` counts included) all match naive stepping,
     ``Machine.run`` steps the core in fewer than half the cycles, and
-    it probes once per step, jump or run of front-end-only cycles."""
-    fast, fast_steps, fast_probes, _ = _fig7_run(Machine.run)
+    it probes once per step, jump or run of front-end-only cycles,
+    judging no ready queue in a probe that finds a completion due."""
+    fast, fast_steps, fast_log, _ = _fig7_run(Machine.run)
     naive, naive_steps, _, rob_filled = _fig7_run(_naive_run)
     assert fast == naive
     assert rob_filled
     assert naive_steps == naive[0]
     assert fast_steps == FIG7_STEPS
-    assert fast_probes == FIG7_PROBES
+    assert fast_log.probes == FIG7_PROBES
+    assert fast_log.held_scans == FIG7_HELD_SCANS
 
 
 def test_front_end_cycles_show_decode_observers_the_naive_fetch_cycles():

@@ -130,6 +130,27 @@ def test_run_case_checks_the_scheduler_against_naive_stepping(
         "leash: defense mismatch against naive stepping"]
 
 
+def test_defended_leg_gives_simf_kernel_entries_to_flush(monkeypatch):
+    """The simf run takes one interrupt, a kernel entry, so the leg
+    compares real flushes against naive stepping instead of a counter
+    that stays at zero."""
+    from repro.tools import diffsweep
+    scheduled = diffsweep._scheduled
+    flushes = []
+
+    def noting(config, program, **kwargs):
+        machine, found = scheduled(config, program, **kwargs)
+        flushes.append(machine.metrics.dump().get(
+            "defense.simf.flushes", 0))
+        return machine, found
+
+    monkeypatch.setattr(diffsweep, "_scheduled", noting)
+    for case in range(2):
+        payload = run_case({"case": case}, derive_seed(2019, case, LABEL))
+        assert payload["match"], payload["mismatches"]
+    assert sum(flushes) > 0
+
+
 def test_run_sweep_writes_artifacts_and_resumes(tmp_path):
     out = tmp_path / "nightly"
     summary = run_sweep(4, out_dir=out, workers=1)
