@@ -30,7 +30,10 @@ answer) and runs cycles in which only fetch can act as
 skipped cycle changes nothing but the clock.  The probe asks once per
 op class whether its ports hold it back, and a front-end-only cycle
 judges only the entries its own fetch added, so a run of such cycles
-costs one probe, not one per cycle.
+costs one probe, not one per cycle.  When one context refills its ROB
+behind an in-flight fence, nothing it adds needs judging, and one
+decode pass runs that whole fill.  A jump whose target is the end of
+a fetch stall lands in such a run instead of a step.
 
 Everything MicroScope needs emerges from these rules: instructions
 younger than a page-faulting load execute in its shadow and leave
@@ -43,9 +46,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from repro.cpu.branch import BranchPredictor
+from repro.cpu.branch import WEAK_TAKEN, BranchPredictor
 from repro.cpu.config import OP_CLASSES, CoreConfig
 from repro.cpu.context import ContextState, HardwareContext, TransactionState
 from repro.cpu.decode import (FLOW_BRANCH, FLOW_HALT, FLOW_JUMP, FLOW_NEXT,
@@ -75,6 +79,14 @@ def _to_signed(value: int) -> int:
 
 def _is_subnormal(value: float) -> bool:
     return value != 0.0 and abs(value) < _MIN_NORMAL and math.isfinite(value)
+
+
+def _can_fetch(context: HardwareContext, cycle: int) -> bool:
+    """Whether *context*'s fetch would decode anything at *cycle*."""
+    return (context.state is ContextState.RUNNING
+            and context.fetch_stall_until <= cycle
+            and context.fetch_index < len(context.decoded)
+            and len(context.rob.entries) < context.rob.capacity)
 
 
 def _check_config(config: CoreConfig):
@@ -187,12 +199,17 @@ class Core:
         entry dispatch would hand to a ``gate`` observer, makes the
         probe step.
 
-        *front_end_bound* is ``None`` unless *cycle* is the current one
-        and only fetch can act in it: :meth:`front_end_cycle` then does
-        exactly what ``step()`` would.  It is the T worked out as above
-        (``math.inf`` when nothing bounds it): until T, only what fetch
-        adds can change the answer, which is how ``front_end_cycle``
-        tells whether the next cycle is front-end-only too."""
+        *front_end_bound* is ``None`` unless only fetch can act at
+        *cycle*: :meth:`front_end_cycle` then does exactly what
+        ``step()`` would.  That is so at the current cycle when fetch
+        can act now and every other stage is idle, and at a later cycle
+        when a context's fetch stall ends there, strictly before every
+        other target (the caller jumps there and runs the front end).
+        The bound is the earliest other target, worked out as above
+        (``math.inf`` when nothing bounds it): until then, only what
+        fetch adds can change the answer, which is how
+        ``front_end_cycle`` tells whether the next cycle is
+        front-end-only too."""
         cycle = self.cycle
         events = self._events
         if events and events[0][0] <= cycle:
@@ -201,6 +218,7 @@ class Core:
         busy = False
         fetch_now = False
         target = math.inf
+        fetch_at = math.inf  # the earliest fetch-stall end, kept apart
         verdicts: Dict[str, float] = {}
         for context in self.contexts:
             state = context.state
@@ -239,6 +257,10 @@ class Core:
                         # Fetch can act now; keep checking that every
                         # other stage is idle.
                         fetch_now = True
+                    elif stall < fetch_at:
+                        if fetch_at < target:
+                            target = fetch_at
+                        fetch_at = stall
                     elif stall < target:
                         target = stall
             elif state is ContextState.BLOCKED:
@@ -255,16 +277,25 @@ class Core:
             target = events[0][0]
         if target <= cycle:
             return cycle, None
+        if fetch_at < target:
+            if not fetch_now:
+                # A stalled front end is the first to wake, and only
+                # fetch can act then: jump there and run it.
+                return fetch_at, target
+            target = fetch_at
         if fetch_now:
             return cycle, target
         if target == math.inf:
             return cycle, None
         return target, None
 
-    def front_end_cycle(self, bound: float) -> Optional[float]:
+    def front_end_cycle(self, bound: float, limit: float = math.inf,
+                        until: Optional[Callable[[], bool]] = None
+                        ) -> Union[float, None, bool]:
         """Advance one cycle in which fetch is the only stage that can
-        act, exactly as ``step()`` would, and say whether the next
-        cycle is one too.
+        act, or a run of such cycles where fetch fills a fenced ROB,
+        exactly as ``step()`` would, and say whether the next cycle is
+        front-end-only too.
 
         *bound* is the *front_end_bound* of :meth:`next_work`, or what
         the previous call returned.  Completion, abort, retire and
@@ -280,38 +311,62 @@ class Core:
         cycle is front-end-only too, and ``None`` (probe again) when an
         added entry may issue, the bound is reached, or no context can
         fetch next cycle (so an empty front-end cycle never stands in
-        for a jump)."""
+        for a jump).
+
+        A *fill* needs no judging: when exactly one context can fetch
+        and it has an in-flight fence, everything it decodes is younger
+        than that fence, so nothing it adds can issue or reach a gate
+        before *bound*.  One :meth:`_decode_group` pass then runs the
+        cycles one after another, until the ROB fills, a HALT is
+        decoded, the program ends, or the clock reaches *bound* or
+        *limit* (``Machine.run``'s cycle limit); *until* is called
+        before each cycle after the first, as ``Machine.run`` would.  A
+        fill returns ``None``, after stepping the next cycle if *until*
+        raised an interrupt or abort, or ``False`` when *until* returned
+        True: that cycle is not run and the caller stops."""
+        if self._trap_pending():
+            self.step()
+            return None
         contexts = self.contexts
+        cycle = self.cycle
+        self.ports.new_cycle()
+        fetching = [context for context in contexts
+                    if _can_fetch(context, cycle)]
+        if len(fetching) == 1 and fetching[0].fence_seqs:
+            if self._decode_group(fetching[0], self.config.fetch_width,
+                                  min(bound, limit), until) is None:
+                return False
+            if self._trap_pending():
+                self.step()
+            return None
         # Fetch-time wakes are appended in seq order, so what fetch
         # adds is the tail of each ready queue beyond these lengths.
-        before = []
-        for context in contexts:
-            if (context.pending_interrupt is not None
-                    or context.txn_abort_pending):
-                self.step()
-                return None
-            before.append(len(context.ready))
-        self.ports.new_cycle()
+        before = [len(context.ready) for context in contexts]
         self._fetch()
-        cycle = self.cycle = self.cycle + 1
+        cycle = self.cycle = cycle + 1
         if cycle >= bound:
             return None
         verdicts: Dict[str, float] = {}
-        fetchable = False
         for context, size in zip(contexts, before):
             ready = context.ready
             if len(ready) > size:
-                until = self._held_until(context, ready[size:], verdicts)
-                if until is None:
+                release = self._held_until(context, ready[size:], verdicts)
+                if release is None:
                     return None
-                if until < bound:
-                    bound = until
-            if (not fetchable and context.state is ContextState.RUNNING
-                    and context.fetch_stall_until <= cycle
-                    and context.fetch_index < len(context.decoded)
-                    and len(context.rob.entries) < context.rob.capacity):
-                fetchable = True
-        return bound if fetchable else None
+                if release < bound:
+                    bound = release
+        if any(_can_fetch(context, cycle) for context in contexts):
+            return bound
+        return None
+
+    def _trap_pending(self) -> bool:
+        """True when a context has an interrupt or a transaction abort
+        pending, which the next cycle's retire stage takes."""
+        for context in self.contexts:
+            if (context.pending_interrupt is not None
+                    or context.txn_abort_pending):
+                return True
+        return False
 
     def _held_until(self, context: HardwareContext,
                     entries: Sequence[ROBEntry],
@@ -1061,23 +1116,38 @@ class Core:
                 continue
             budget -= self._decode_group(context, budget)
 
-    def _decode_group(self, context: HardwareContext, budget: int) -> int:
+    def _decode_group(self, context: HardwareContext, budget: int,
+                      end: Optional[float] = None,
+                      until: Optional[Callable[[], bool]] = None
+                      ) -> Optional[int]:
         """Decode this cycle's fetch group of *context* into its ROB in
         one pass: up to *budget* instructions, fewer when the ROB
         fills, the program ends or a HALT is decoded.  Returns how many
         were decoded.
 
+        With *end*, the pass is a fill (:meth:`front_end_cycle`): after
+        each group it advances the clock and goes on with the next
+        cycle's group, each entry getting its own cycle as
+        ``fetch_cycle``, until the ROB fills, a HALT is decoded, the
+        program ends or the clock reaches *end*.  Before each cycle
+        after the first it calls *until*: it returns ``None`` when that
+        returns True, and stops when it raised an interrupt or abort.
+
         Each decode observer sees its entry as one-at-a-time decode
         showed it: ``stats.fetched`` already counts the entry,
         ``fetch_index`` still points at it, and neither the rename map,
-        the ROB, the ready queue nor the fence list names it yet."""
+        the ROB, the ready queue nor the fence list names it yet.  The
+        counters are kept in locals and written back before any
+        observer, *until* or the caller can read them."""
         rob = context.rob
         entries = rob.entries
-        count = min(budget, rob.capacity - len(entries))
         decoded = context.decoded
         length = len(decoded)
         index = context.fetch_index
-        if count <= 0 or index >= length:
+        seq = first = flushed = context._next_seq
+        # No entry leaves the ROB during the pass: it is full at this seq.
+        full = seq + rob.capacity - len(entries)
+        if seq >= full or index >= length:
             return 0
         context_id = context.context_id
         stats = context.stats
@@ -1090,78 +1160,108 @@ class Core:
         wake = context.ready.append
         stores = rob._stores
         observers = self._on_decode
-        predict = self.predictor.predict
+        predictor = self.predictor
+        predictor_stats = predictor.stats
+        table = predictor._table
+        slots = predictor.entries
         rdrand_fenced = self.config.rdrand_fenced
         completed = EntryState.COMPLETED
         ready = EntryState.READY
-        seq = context._next_seq
         cycle = self.cycle
-        done = 0
-        while done < count and index < length:
-            decoded_instr = decoded[index]
-            entry = ROBEntry(seq, context_id, index, decoded_instr.instr,
-                             decoded_instr.op_cls, cycle)
-            seq += 1
-            done += 1
-            if index in replay_candidates:
-                entry.is_replay = True
-                stats.replays += 1
-            stats.fetched += 1
-            # Resolve source operands against the rename map / arch
-            # state.
-            pending = 0
-            operands = entry.operands
-            for slot, src in decoded_instr.sources:
-                producer = rename.get(src)
-                if producer is None:
-                    operands[slot] = (int_regs[src] if src in int_regs
-                                      else fp_regs[src])
-                elif producer.state is completed and producer.fault is None:
-                    operands[slot] = producer.value
-                else:
-                    # In-flight (or faulted: never wakes) producer.
-                    producer.dependents.append((entry, slot))
-                    pending += 1
-            entry.pending = pending
-            if observers:
-                context.fetch_index = index
-                for observer in observers:
-                    observer(self, context, entry)
-            dest = decoded_instr.dest
-            if dest is not None:
-                rename[dest] = entry
-            # Control flow steering.
-            flow = decoded_instr.flow
-            if flow == FLOW_NEXT:
-                index += 1
-            elif flow == FLOW_BRANCH:
-                predicted = predict(index)
-                entry.predicted_taken = predicted
-                index = decoded_instr.target if predicted else index + 1
-            elif flow == FLOW_JUMP:
-                index = decoded_instr.target
-            else:  # FLOW_HALT
-                index += 1
-                # Stop fetching past the HALT; a squash/redirect resets
-                # the stall if the HALT turns out to be on a wrong path.
-                context.fetch_stall_until = float("inf")
-            # Serialisation: fences, fenced RDRAND, and a squash
-            # observer's request (the fences defense) all gate younger
-            # execution until this entry retires.
-            if context.serialize_next_fetch:
-                context.serialize_next_fetch = False
-                context.fence_seqs.append(entry.seq)
-            elif decoded_instr.fence or (decoded_instr.rdrand
-                                         and rdrand_fenced):
-                context.fence_seqs.append(entry.seq)
-            entries.append(entry)
-            if decoded_instr.is_store:
-                stores.append(entry)
-            if pending == 0:
-                entry.state = ready
-                wake(entry)
-            if flow == FLOW_HALT:
-                break
-        context.fetch_index = index
-        context._next_seq = seq
-        return done
+        replays = predictions = 0
+        while True:
+            stop = seq + budget
+            if stop > full:
+                stop = full
+            while seq < stop and index < length:
+                decoded_instr = decoded[index]
+                entry = ROBEntry(seq, context_id, index, decoded_instr.instr,
+                                 decoded_instr.op_cls, cycle)
+                seq += 1
+                if index in replay_candidates:
+                    entry.is_replay = True
+                    replays += 1
+                # Resolve source operands against the rename map / arch
+                # state.
+                pending = 0
+                operands = entry.operands
+                for slot, src in decoded_instr.sources:
+                    producer = rename.get(src)
+                    if producer is None:
+                        operands[slot] = (int_regs[src] if src in int_regs
+                                          else fp_regs[src])
+                    elif (producer.state is completed
+                          and producer.fault is None):
+                        operands[slot] = producer.value
+                    else:
+                        # In-flight (or faulted: never wakes) producer.
+                        producer.dependents.append((entry, slot))
+                        pending += 1
+                entry.pending = pending
+                if observers:
+                    stats.fetched += seq - flushed
+                    stats.replays += replays
+                    predictor_stats.predictions += predictions
+                    flushed = seq
+                    replays = predictions = 0
+                    context.fetch_index = index
+                    for observer in observers:
+                        observer(self, context, entry)
+                dest = decoded_instr.dest
+                if dest is not None:
+                    rename[dest] = entry
+                # Control flow steering.
+                flow = decoded_instr.flow
+                if flow == FLOW_NEXT:
+                    index += 1
+                elif flow == FLOW_BRANCH:
+                    # BranchPredictor.predict, inlined.
+                    predictions += 1
+                    predicted = table[index % slots] >= WEAK_TAKEN
+                    entry.predicted_taken = predicted
+                    index = decoded_instr.target if predicted else index + 1
+                elif flow == FLOW_JUMP:
+                    index = decoded_instr.target
+                else:  # FLOW_HALT
+                    index += 1
+                    # Stop fetching past the HALT; a squash/redirect
+                    # resets the stall if the HALT turns out to be on a
+                    # wrong path.
+                    context.fetch_stall_until = float("inf")
+                # Serialisation: fences, fenced RDRAND, and a squash
+                # observer's request (the fences defense) all gate
+                # younger execution until this entry retires.
+                if context.serialize_next_fetch:
+                    context.serialize_next_fetch = False
+                    context.fence_seqs.append(entry.seq)
+                elif decoded_instr.fence or (decoded_instr.rdrand
+                                             and rdrand_fenced):
+                    context.fence_seqs.append(entry.seq)
+                entries.append(entry)
+                if decoded_instr.is_store:
+                    stores.append(entry)
+                if pending == 0:
+                    entry.state = ready
+                    wake(entry)
+                if flow == FLOW_HALT:
+                    break
+            context.fetch_index = index
+            context._next_seq = seq
+            stats.fetched += seq - flushed
+            stats.replays += replays
+            predictor_stats.predictions += predictions
+            flushed = seq
+            replays = predictions = 0
+            if end is None:
+                return seq - first
+            cycle += 1
+            self.cycle = cycle
+            if (cycle >= end or seq == full or index >= length
+                    or flow == FLOW_HALT):
+                return seq - first
+            if until is not None:
+                if until():
+                    return None
+                if self._trap_pending():
+                    return seq - first
+                table = predictor._table  # a flush replaces the table

@@ -11,6 +11,7 @@ attaches itself as the machine's trap handler.  Observers
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 from repro.cpu.core import Core
@@ -210,29 +211,33 @@ class Machine:
         """Run until *until* returns True, all contexts finish, or the
         cycle budget is exhausted.  Returns cycles executed.
 
-        Each loop iteration runs one cycle or one jump, all bit-exact
-        with stepping the core cycle by cycle.  Unless a run of
-        front-end-only cycles is under way, it first asks the core what
-        can act now (:meth:`Core.next_work`) and does one of three
-        things:
+        Each loop iteration runs one cycle, a jump, or a run of cycles
+        in which only fetch can act, all bit-exact with stepping the
+        core cycle by cycle.  Unless a run of front-end-only cycles is
+        under way, it first asks the core what can act now
+        (:meth:`Core.next_work`) and does one of three things:
 
         * nothing can act: skip the provably-empty cycles in one jump
           (:meth:`Core.fast_forward`, handed this probe's answer so it
           does not probe again), including cycles in which ready
           entries only wait on a fence or on a port a non-pipelined op
-          holds, then step;
-        * only fetch can act: run a front-end-only cycle
-          (:meth:`Core.front_end_cycle`), which skips completion,
-          retire and dispatch.  It says whether the next cycle is one
-          too, judging only what its fetch added, so a run of such
-          cycles needs no further probe;
+          holds, then step, or start a front-end run when a fetch
+          stall ending first is what wakes the core;
+        * only fetch can act: run front-end-only cycles
+          (:meth:`Core.front_end_cycle`), which skip completion,
+          retire and dispatch.  A call runs one cycle, or, while one
+          context fills its ROB behind an in-flight fence, every cycle
+          of that fill in one decode pass.  It says whether the next
+          cycle is front-end-only too, judging only what its fetch
+          added, so a run of such cycles needs no further probe;
         * otherwise: :meth:`Core.step`.
 
-        *until* is evaluated once per cycle run, not per skipped cycle,
-        so it must depend on simulation state, not on raw cycle
-        numbers: use :meth:`step` or :meth:`run_until_cycle` to stop at
-        an exact cycle.  A jump changes nothing but ``core.cycle``.
-        *until* may raise an interrupt or a transaction abort
+        *until* is evaluated once per cycle run (a fill calls it before
+        each of its cycles after the first), not per skipped cycle, so
+        it must depend on simulation state, not on raw cycle numbers:
+        use :meth:`step` or :meth:`run_until_cycle` to stop at an exact
+        cycle.  A jump changes nothing but ``core.cycle``.  *until* may
+        raise an interrupt or a transaction abort
         (``pending_interrupt``, ``txn_abort_pending``), which the next
         cycle takes; any other change it makes to the machine may go
         unseen until the next probe.
@@ -240,6 +245,7 @@ class Machine:
         core = self.core
         start = core.cycle
         limit = start + max_cycles
+        check = None if until is None else partial(until, self)
         bound = None  # of the front-end-only run in progress
         while core.cycle < limit:
             if until is not None and until(self):
@@ -248,14 +254,16 @@ class Machine:
                 target, bound = core.next_work()
                 if target is None:
                     break
+                if target > core.cycle:
+                    core.fast_forward(limit, target)
+                    if core.cycle >= limit:
+                        break
                 if bound is None:
-                    if target > core.cycle:
-                        core.fast_forward(limit, target)
-                        if core.cycle >= limit:
-                            break
                     core.step()
                     continue
-            bound = core.front_end_cycle(bound)
+            bound = core.front_end_cycle(bound, limit, check)
+            if bound is False:
+                break  # until returned True inside a fill
         return core.cycle - start
 
     def run_until_cycle(self, cycle: int,

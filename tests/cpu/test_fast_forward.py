@@ -30,8 +30,14 @@ workload shapes:
   (``Core.front_end_cycle``), with and without a decode observer;
 * front-end-only runs, which go on without a probe, ending each way
   one can: fetch adds an entry that may issue, the ROB fills, an
-  ``until`` callback raises an interrupt, and a run under a gate.
-  These also compare the event tracer's instruction slices.
+  ``until`` callback raises an interrupt, and a run under a gate;
+* fills, where one context refills its ROB behind an in-flight fence
+  in one decode pass, ending at a HALT, at the program end, at
+  ``run_until_cycle``'s limit, where ``until`` returns True, and where
+  a blocked sibling wakes, and fills that start on a jump to a
+  fetch-stall end (answered only when no other target ties it).
+  These also compare the event tracer's instruction slices, so each
+  entry's ``fetch_cycle``.
 
 Beside cycles and state, each leg compares every counter of the
 metrics registry, the ports' ``issued`` counts included.
@@ -532,16 +538,20 @@ def test_probe_steps_on_a_ready_load_even_with_its_ports_held():
 
 #: ``Core.step`` calls ``Machine.run`` makes on :func:`_fig7_machine`'s
 #: run; naive stepping makes one per cycle.  Without front-end-only
-#: cycles the same run makes 559.
-FIG7_STEPS = 335
-#: ``Core.next_work`` probes on the same run: one per step, jump or
-#: run of front-end-only cycles.  Probing before every front-end-only
-#: cycle and again inside each jump, the same run makes 700.
-FIG7_PROBES = 362
+#: cycles the same run makes 559; stepping the cycle each jump to a
+#: fetch-stall end lands on, instead of running the front end there, 335.
+FIG7_STEPS = 324
+#: ``Core.next_work`` probes on the same run: one per step or run of
+#: front-end-only cycles, with or without a jump before it.  Probing
+#: before every front-end-only cycle and again inside each jump, the
+#: same run makes 700; probing again after each step on a fetch-stall
+#: end, 362.
+FIG7_PROBES = 351
 #: ``Core._held_until`` scans on the same run, by the probe and by
-#: front-end-only cycles.  A probe that judges the ready queues before
-#: seeing a completion already due makes 660.
-FIG7_HELD_SCANS = 439
+#: front-end-only cycles; a fill judges nothing.  A probe that judges
+#: the ready queues before seeing a completion already due makes 660;
+#: judging each cycle of a fill and each step on a fetch-stall end, 439.
+FIG7_HELD_SCANS = 230
 
 
 def _fig7_machine(*observers) -> Machine:
@@ -578,16 +588,28 @@ def _can_fetch(context, cycle) -> bool:
             and len(context.rob.entries) < context.rob.capacity)
 
 
+def _traps_taken(core) -> int:
+    return sum(context.stats.interrupts + context.stats.txn_aborts
+               for context in core.contexts)
+
+
 @contextmanager
 def _scheduler_log():
     """Count ``Core.next_work`` probes and ``Core._held_until`` scans,
-    record the cycle of each ``Core.fast_forward`` jump, and log each
-    ``Core.front_end_cycle`` call as ``(cycle, outcome)``: ``"run"``
-    when the next cycle is front-end-only too, otherwise why the run
-    ended: ``"interrupt"`` (raised before the call, which then
-    stepped), ``"bound"``, ``"fetch"`` (no context can fetch next
-    cycle) or ``"entry"`` (an entry that fetch added may issue)."""
-    log = SimpleNamespace(probes=0, held_scans=0, jumps=[], cycles=[])
+    record the cycle each ``Core.fast_forward`` jump starts from
+    (``jumps``) and lands on (``landings``), and log each
+    ``Core.front_end_cycle`` call as ``(start, stop, outcome)``: it
+    advanced the clock from *start* to *stop*, one cycle or a whole
+    fill, and *outcome* is ``"run"`` when the next cycle is
+    front-end-only too, otherwise why the run ended: ``"interrupt"``
+    (raised before the call or by ``until`` inside a fill; the last
+    cycle covered is the step that took it), ``"until"`` (``until``
+    returned True inside a fill), ``"bound"``, ``"limit"``
+    (``Machine.run``'s cycle limit), ``"fetch"`` (no context can fetch
+    next cycle) or ``"entry"`` (an entry that fetch added may
+    issue)."""
+    log = SimpleNamespace(probes=0, held_scans=0, jumps=[], landings=[],
+                          calls=[])
     probe, front_end, jump, held_until = (
         Core.next_work, Core.front_end_cycle, Core.fast_forward,
         Core._held_until)
@@ -600,29 +622,32 @@ def _scheduler_log():
         log.held_scans += 1
         return held_until(core, *args)
 
-    def logged_front_end(core, bound):
-        cycle = core.cycle
-        raised = any(context.pending_interrupt is not None
-                     or context.txn_abort_pending
-                     for context in core.contexts)
-        result = front_end(core, bound)
-        if result is not None:
-            outcome = "run"
-        elif raised:
+    def logged_front_end(core, bound, limit, until):
+        start, traps = core.cycle, _traps_taken(core)
+        result = front_end(core, bound, limit, until)
+        if result is False:
+            outcome = "until"
+        elif _traps_taken(core) > traps:
             outcome = "interrupt"
+        elif result is not None:
+            outcome = "run"
         elif core.cycle >= bound:
             outcome = "bound"
+        elif core.cycle >= limit:
+            outcome = "limit"
         elif not any(_can_fetch(context, core.cycle)
                      for context in core.contexts):
             outcome = "fetch"
         else:
             outcome = "entry"
-        log.cycles.append((cycle, outcome))
+        log.calls.append((start, core.cycle, outcome))
         return result
 
     def logged_jump(core, *args):
         log.jumps.append(core.cycle)
-        return jump(core, *args)
+        skipped = jump(core, *args)
+        log.landings.append(core.cycle)
+        return skipped
 
     Core.next_work = counted_probe
     Core.front_end_cycle = logged_front_end
@@ -644,33 +669,70 @@ def _slices(tracer):
     return events
 
 
-def _traced_legs(build, until=None):
+def _rob_state(machine: Machine):
+    """The cycle, the ``(context, seq, fetch_cycle)`` of every ROB
+    entry, and the context and predictor counters."""
+    return (machine.cycle,
+            [(e.context_id, e.seq, e.fetch_cycle)
+             for ctx in machine.contexts for e in ctx.rob.entries],
+            [ctx.stats.as_dict() for ctx in machine.contexts],
+            machine.core.predictor.stats.as_dict())
+
+
+def _traced_legs(build, until=None, pause=None):
     """``(state, instruction slices, scheduler log)`` of the machine
     *build()* returns, run under ``Machine.run`` and then under
     ``_naive_run`` with an :class:`EventTracer` attached.  *until*,
-    if given, makes each leg's predicate from its machine."""
+    if given, makes each leg's predicate from its machine.  *pause*,
+    if given, first stops the machine partway under the leg's driver
+    (``pause(run, machine)``); the state then is ``(paused, final)``,
+    with :func:`_rob_state` where it stopped."""
     legs = []
     for run in (Machine.run, _naive_run):
         machine = build()
         tracer = EventTracer()
         machine.attach_tracer(tracer)
         with _scheduler_log() as log:
+            if pause is not None:
+                pause(run, machine)
+                paused = _rob_state(machine)
             run(machine, 1_000_000,
                 until=None if until is None else until(machine))
         assert all(ctx.finished() for ctx in machine.contexts)
         events = _slices(tracer)
         assert len(events) == sum(ctx.stats.fetched
                                   for ctx in machine.contexts)
-        legs.append((_fig7_state(machine), events, log))
+        state = _fig7_state(machine)
+        legs.append((state if pause is None else (paused, state), events,
+                     log))
     return legs
 
 
+def _runs(log):
+    """The front-end runs of *log* as ``(first, last, outcome)``: the
+    first and last cycle their calls covered, and how the run ended."""
+    runs, first = [], None
+    for start, stop, outcome in log.calls:
+        if first is None:
+            first = start
+        if outcome != "run":
+            runs.append((first, stop - 1, outcome))
+            first = None
+    return runs
+
+
 def _runs_ending(log, outcome):
-    """Cycles of the front-end-only cycles that ended a run of at
-    least two with *outcome*."""
-    return [cycle for (before, was), (cycle, now)
-            in zip(log.cycles, log.cycles[1:])
-            if was == "run" and now == outcome]
+    """The last cycles of the runs of at least two cycles that ended
+    with *outcome*."""
+    return [last for first, last, ended in _runs(log)
+            if ended == outcome and last > first]
+
+
+def _fills(log):
+    """The ``Core.front_end_cycle`` calls of *log* that covered at
+    least two cycles: fills (with the step that took an interrupt
+    raised inside one)."""
+    return [call for call in log.calls if call[1] - call[0] > 1]
 
 
 def _divide_burst(divides: int) -> Machine:
@@ -719,8 +781,8 @@ def test_front_end_run_ends_when_the_rob_fills():
 def test_front_end_run_takes_an_interrupt_raised_by_until():
     """An ``until`` callback that raises an interrupt on the monitor
     partway through a run (once the hog is done, the monitor's ROB
-    fills four entries a cycle): the next cycle takes it, as naive
-    stepping does, instead of going on fetching."""
+    fills four entries a cycle, in one fill): the next cycle takes it,
+    as naive stepping does, instead of going on fetching."""
 
     def until(machine):
         hog, monitor = machine.contexts
@@ -747,6 +809,9 @@ def test_front_end_run_takes_an_interrupt_raised_by_until():
     assert slices == naive_slices
     assert fast[1][1]["interrupts"] == 1
     assert len(_runs_ending(log, "interrupt")) == 1
+    [(start, stop, _)] = [call for call in _fills(log)
+                          if call[2] == "interrupt"]
+    assert stop - start > 2  # fetch ran two cycles or more, then a step
 
 
 def test_front_end_runs_under_a_gate():
@@ -778,6 +843,166 @@ def test_front_end_runs_under_a_gate():
     assert slices == naive_slices
     assert logs[0] == logs[1] and logs[0]
     assert _runs_ending(log, "fetch")
+
+
+# --- fills: a fenced ROB refilled in one decode pass -----------------------
+
+def _fenced_fill(addis: int, halt: bool = True) -> Machine:
+    """One context: a divide of two registers still zero, a fence
+    behind it and *addis* ``addi``s behind the fence, then a HALT
+    unless *halt* is False.  Once the divide issues (cycle 1) nothing
+    can act for 18 cycles but fetch, which fills the ROB behind the
+    fence four entries a cycle: one ``Core.front_end_cycle`` call
+    decodes it all."""
+    builder = ProgramBuilder("fenced-fill").div("r4", "r2", "r3").fence()
+    for _ in range(addis):
+        builder.addi("r5", "r2", 1)
+    if halt:
+        builder.halt()
+    machine = Machine()
+    machine.contexts[0].load_program(builder.build())
+    return machine
+
+
+def _fill_ending(log, outcome):
+    """The last cycle fetch ran in each fill that ended with
+    *outcome*."""
+    return [stop - 1 for start, stop, ended in _fills(log)
+            if ended == outcome]
+
+
+def _named(slices, name):
+    return [e for e in slices if e["name"].split()[0] == name]
+
+
+def test_fill_ends_at_a_halt():
+    """The fill stops on the cycle that decodes the HALT, and each
+    entry's slice starts at the cycle naive stepping fetched it."""
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
+        lambda: _fenced_fill(40))
+    assert fast == naive
+    assert slices == naive_slices
+    [halt] = _named(slices, "halt")
+    assert halt["ts"] == 10  # the 43rd entry, four a cycle
+    assert _fill_ending(log, "fetch") == [halt["ts"]]
+
+
+def test_fill_ends_at_the_program_end():
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
+        lambda: _fenced_fill(30, halt=False))
+    assert fast == naive
+    assert slices == naive_slices
+    last = _named(slices, "addi")[-1]
+    assert last["args"]["index"] == 31
+    assert _fill_ending(log, "fetch") == [last["ts"]]
+
+
+def test_fill_ends_at_the_cycle_limit():
+    """``run_until_cycle`` stops the clock inside a fill exactly where
+    naive stepping stops, with the same entries in the ROB, fetched at
+    the same cycles, and the same counters; the run then goes on."""
+
+    def pause(run, machine):
+        with _driver(run):
+            assert machine.run_until_cycle(8) == 8
+
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
+        lambda: _fenced_fill(40), pause=pause)
+    assert fast == naive
+    assert slices == naive_slices
+    assert _fill_ending(log, "limit") == [7]
+    assert fast[0][0] == 8 and len(fast[0][1]) > 20
+
+
+def test_fill_ends_when_until_returns_true():
+    """``until`` runs before every cycle of a fill after the first; the
+    cycle it returns True at is not run, as under naive stepping."""
+
+    def pause(run, machine):
+        rob = machine.contexts[0].rob
+        run(machine, 1_000, until=lambda m: len(rob) >= 22)
+
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
+        lambda: _fenced_fill(40), pause=pause)
+    assert fast == naive
+    assert slices == naive_slices
+    assert [ended for *_, ended in _fills(log)][0] == "until"
+    assert len(fast[0][1]) == 24
+
+
+def test_fill_ends_where_a_blocked_sibling_wakes():
+    """A sibling BLOCKED until cycle 8 bounds the fill: the fill stops
+    there, and the sibling fetches in the cycle it wakes, as under
+    naive stepping."""
+
+    def build():
+        machine = _fenced_fill(40)
+        sibling = machine.contexts[1]
+        sibling.load_program(
+            ProgramBuilder("sibling").li("r2", 1).halt().build())
+        sibling.state = ContextState.BLOCKED
+        sibling.blocked_until = 8
+        return machine
+
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(build)
+    assert fast == naive
+    assert slices == naive_slices
+    assert _fill_ending(log, "bound") == [7]
+    assert [e["ts"] for e in slices if e["tid"] == 1] == [8, 8]
+
+
+def _stalled_behind_a_divide(stall_after: int) -> Machine:
+    """:func:`_fenced_fill` stepped until the divide issues, with the
+    fence behind it already fetched, and its fetch then stalled until
+    *stall_after* cycles past the divide's completion (0: the same
+    cycle)."""
+    machine = _fenced_fill(200)
+    core = machine.core
+    core.step()
+    core.step()
+    assert machine.contexts[0].rob.head.state is EntryState.EXECUTING
+    machine.contexts[0].fetch_stall_until = core._events[0][0] + stall_after
+    return machine
+
+
+@pytest.mark.parametrize("stall_after", [-3, 0], ids=["first", "tie"])
+def test_probe_runs_the_front_end_at_a_stall_end_only_when_it_comes_first(
+        stall_after):
+    """A fetch stall that ends strictly before every other target gets
+    ``(T, bound)``: the run jumps to T and fills the ROB behind the
+    fence from there to the divide's completion.  One that ties the
+    completion gets a plain jump, and the core steps there, completing
+    the divide as naive stepping does."""
+    core = _stalled_behind_a_divide(stall_after).core
+    due = core._events[0][0]
+    if stall_after:
+        assert core.next_work() == (due + stall_after, due)
+    else:
+        assert core.next_work() == (due, None)
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
+        lambda: _stalled_behind_a_divide(stall_after))
+    assert fast == naive
+    assert slices == naive_slices
+    if stall_after:
+        [start] = [start for start, stop, ended in _fills(log)
+                   if stop == due and ended == "bound"]
+        assert start == due + stall_after and start in log.landings
+
+
+def test_fill_follows_a_jump_to_a_fetch_stall_end_on_a_fig7_monitor():
+    """After each mispredicted inner-loop exit of a Fig. 7 monitor, the
+    probe answers the end of the refetch stall with its bound, and the
+    run jumps there: the first cycle fetches the fence, and a fill
+    decodes the rest behind it."""
+    (fast, slices, log), (naive, naive_slices, _) = _traced_legs(
+        _fig7_machine)
+    assert fast == naive
+    assert slices == naive_slices
+    calls, fills = log.calls, _fills(log)
+    landed = [later for call, later in zip(calls, calls[1:])
+              if call[0] in log.landings and call[2] == "run"
+              and later[0] == call[1] and later in fills]
+    assert len(landed) >= 10
 
 
 def _fig7_run(run, *observers):
