@@ -29,6 +29,14 @@ class ContextState(enum.Enum):
     HALTED = "halted"      # retired a HALT or ran past program end
 
 
+# The members as module constants, for code that runs every cycle (see
+# repro.cpu.rob on the cost of a read such as ``ContextState.RUNNING``).
+IDLE = ContextState.IDLE
+RUNNING = ContextState.RUNNING
+BLOCKED = ContextState.BLOCKED
+HALTED = ContextState.HALTED
+
+
 @dataclass
 class TransactionState:
     """State of an in-progress TSX transaction (committed TBEGIN)."""
@@ -61,7 +69,7 @@ class HardwareContext:
         #: Executed-but-not-retired loads indexed by virtual address,
         #: for O(1) memory-order-violation checks at store resolution.
         self.inflight_loads: Dict[int, List[ROBEntry]] = {}
-        self.state = ContextState.IDLE
+        self.state = IDLE
         self.program: Optional[Program] = None
         #: ``program``'s decode table (repro.cpu.decode), indexed like
         #: the program.  Derived state: never captured by a snapshot.
@@ -97,7 +105,7 @@ class HardwareContext:
         self.decoded = decode_program(program)
         self.process = process
         self.fetch_index = start_index
-        self.state = ContextState.RUNNING
+        self.state = RUNNING
         self.fetch_stall_until = 0
         self.blocked_until = 0
         self.rename.clear()
@@ -116,20 +124,16 @@ class HardwareContext:
         return seq
 
     @property
-    def running(self) -> bool:
-        return self.state is ContextState.RUNNING
-
-    @property
     def in_transaction(self) -> bool:
         return self.txn is not None
 
     def finished(self) -> bool:
         """True when the context will never retire anything again."""
-        if self.state is ContextState.HALTED:
+        if self.state is HALTED:
             return True
-        if self.state is ContextState.IDLE:
+        if self.state is IDLE:
             return True
-        if (self.state is ContextState.RUNNING and not self.rob.entries
+        if (self.state is RUNNING and not self.rob.entries
                 and self.program is not None
                 and self.fetch_index >= len(self.decoded)):
             return True

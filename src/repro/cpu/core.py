@@ -51,12 +51,14 @@ from typing import (Callable, Dict, List, Optional, Sequence, Set,
 
 from repro.cpu.branch import WEAK_TAKEN, BranchPredictor
 from repro.cpu.config import OP_CLASSES, CoreConfig
-from repro.cpu.context import ContextState, HardwareContext, TransactionState
+from repro.cpu.context import (BLOCKED, HALTED, RUNNING, HardwareContext,
+                               TransactionState)
 from repro.cpu.decode import (FLOW_BRANCH, FLOW_HALT, FLOW_JUMP, FLOW_NEXT,
                               LATENCY_KEYS)
 from repro.cpu.observer import CORE_STAGES, bind_stages
 from repro.cpu.ports import PortSet
-from repro.cpu.rob import EntryState, ROBEntry, clone_entry
+from repro.cpu.rob import (COMPLETED, DISPATCHED, EXECUTING, READY, ROBEntry,
+                           clone_entry)
 from repro.cpu.traps import PanicTrapHandler, TrapHandler
 from repro.isa.instructions import Instruction, Opcode
 from repro.mem.cache import line_of
@@ -71,6 +73,24 @@ MASK64 = (1 << 64) - 1
 #: subnormal and take the slow divider path.
 _MIN_NORMAL = 2.2250738585072014e-308
 
+# The opcodes this module tests, as module constants: before Python
+# 3.12 an ``Opcode.ADD`` read costs as much as ``EntryState.READY``
+# (see repro.cpu.rob), and every stage makes such tests per cycle.
+LI, FLI, MOV, FMOV = Opcode.LI, Opcode.FLI, Opcode.MOV, Opcode.FMOV
+ADD, SUB, AND, OR, XOR, SHL, SHR = (
+    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL,
+    Opcode.SHR)
+ADDI, SUBI, ANDI, ORI, XORI, SHLI, SHRI = (
+    Opcode.ADDI, Opcode.SUBI, Opcode.ANDI, Opcode.ORI, Opcode.XORI,
+    Opcode.SHLI, Opcode.SHRI)
+MUL, DIV, FADD, FSUB, FMUL, FDIV = (
+    Opcode.MUL, Opcode.DIV, Opcode.FADD, Opcode.FSUB, Opcode.FMUL,
+    Opcode.FDIV)
+JMP, BEQ, BNE, BLT = Opcode.JMP, Opcode.BEQ, Opcode.BNE, Opcode.BLT
+RDTSC, RDRAND, FLOAD = Opcode.RDTSC, Opcode.RDRAND, Opcode.FLOAD
+NOP, HALT, FENCE = Opcode.NOP, Opcode.HALT, Opcode.FENCE
+TBEGIN, TEND, TABORT = Opcode.TBEGIN, Opcode.TEND, Opcode.TABORT
+
 
 def _to_signed(value: int) -> int:
     value &= MASK64
@@ -83,7 +103,7 @@ def _is_subnormal(value: float) -> bool:
 
 def _can_fetch(context: HardwareContext, cycle: int) -> bool:
     """Whether *context*'s fetch would decode anything at *cycle*."""
-    return (context.state is ContextState.RUNNING
+    return (context.state is RUNNING
             and context.fetch_stall_until <= cycle
             and context.fetch_index < len(context.decoded)
             and len(context.rob.entries) < context.rob.capacity)
@@ -222,7 +242,7 @@ class Core:
         verdicts: Dict[str, float] = {}
         for context in self.contexts:
             state = context.state
-            if state is ContextState.RUNNING:
+            if state is RUNNING:
                 program = context.program
                 length = len(context.decoded)
                 entries = context.rob.entries
@@ -248,7 +268,7 @@ class Core:
                 if (context.pending_interrupt is not None
                         or context.txn_abort_pending):
                     return cycle, None
-                if entries and entries[0].state is EntryState.COMPLETED:
+                if entries and entries[0].state is COMPLETED:
                     return cycle, None  # retire (or fault/trap) acts
                 if (context.fetch_index < length
                         and len(entries) < context.rob.capacity):
@@ -263,7 +283,7 @@ class Core:
                         fetch_at = stall
                     elif stall < target:
                         target = stall
-            elif state is ContextState.BLOCKED:
+            elif state is BLOCKED:
                 busy = True
                 blocked_until = context.blocked_until
                 if blocked_until <= cycle:
@@ -508,7 +528,7 @@ class Core:
             observer(self, context, squashed, reason, trigger)
 
     def _schedule(self, entry: ROBEntry, latency: int):
-        entry.state = EntryState.EXECUTING
+        entry.state = EXECUTING
         entry.issue_cycle = self.cycle
         self._event_tiebreak += 1
         heapq.heappush(self._events,
@@ -520,7 +540,7 @@ class Core:
             _, _, entry = heapq.heappop(self._events)
             if entry.squashed:
                 continue
-            entry.state = EntryState.COMPLETED
+            entry.state = COMPLETED
             entry.complete_cycle = self.cycle
             if entry.mispredicted:
                 self._handle_mispredict(entry)
@@ -537,8 +557,8 @@ class Core:
                 dependent.operands[slot] = entry.value
                 dependent.pending -= 1
                 if (dependent.pending == 0
-                        and dependent.state is EntryState.DISPATCHED):
-                    dependent.state = EntryState.READY
+                        and dependent.state is DISPATCHED):
+                    dependent.state = READY
                     self.contexts[dependent.context_id].wake(dependent)
             entry.dependents.clear()
 
@@ -614,12 +634,12 @@ class Core:
 
     def _retire(self):
         for context in self.contexts:
-            if context.state is ContextState.BLOCKED:
+            if context.state is BLOCKED:
                 if self.cycle >= context.blocked_until:
-                    context.state = ContextState.RUNNING
+                    context.state = RUNNING
                 else:
                     continue
-            if context.state is not ContextState.RUNNING:
+            if context.state is not RUNNING:
                 continue
             if context.pending_interrupt is not None:
                 self._take_interrupt(context)
@@ -632,14 +652,14 @@ class Core:
                 if not entries:
                     break
                 head = entries[0]
-                if head.state is not EntryState.COMPLETED:
+                if head.state is not COMPLETED:
                     break
                 if head.fault is not None:
                     self._fault_at_head(context, head)
                     break
                 rob.pop_head()
                 self._apply_retire(context, head)
-                if context.state is not ContextState.RUNNING:
+                if context.state is not RUNNING:
                     break
 
     def _apply_retire(self, context: HardwareContext, entry: ROBEntry):
@@ -652,13 +672,13 @@ class Core:
             del context.rename[dest]
         if decoded.is_store:
             self._drain_store(context, entry)
-        elif op is Opcode.HALT:
-            context.state = ContextState.HALTED
-        elif op is Opcode.TBEGIN:
+        elif op is HALT:
+            context.state = HALTED
+        elif op is TBEGIN:
             self._begin_transaction(context, entry)
-        elif op is Opcode.TEND:
+        elif op is TEND:
             self._commit_transaction(context)
-        elif op is Opcode.TABORT:
+        elif op is TABORT:
             # Abort immediately: a same-cycle TEND must not win.
             if context.in_transaction:
                 self._abort_transaction(context, "explicit-abort")
@@ -717,13 +737,13 @@ class Core:
         context.stats.faults += 1
         action = self.trap_handler.handle_page_fault(context, fault)
         if action.halt:
-            context.state = ContextState.HALTED
+            context.state = HALTED
             return
         resume = (action.resume_index if action.resume_index is not None
                   else head.index)
         context.fetch_index = resume
         context.fetch_stall_until = 0
-        context.state = ContextState.BLOCKED
+        context.state = BLOCKED
         context.blocked_until = (
             self.cycle + action.cost + self.config.squash_penalty)
 
@@ -744,13 +764,13 @@ class Core:
         context.rebuild_rename()
         action = self.trap_handler.handle_interrupt(context, reason)
         if action.halt:
-            context.state = ContextState.HALTED
+            context.state = HALTED
             return
         context.fetch_index = (
             action.resume_index if action.resume_index is not None
             else resume)
         context.fetch_stall_until = 0
-        context.state = ContextState.BLOCKED
+        context.state = BLOCKED
         context.blocked_until = (
             self.cycle + action.cost + self.config.squash_penalty)
 
@@ -879,63 +899,62 @@ class Core:
         is_branch = entry.op_cls == "branch"
         a, b = entry.operands
         value = None
-        if op is Opcode.LI or op is Opcode.FLI:
+        if op is LI or op is FLI:
             value = instr.imm
-        elif op in (Opcode.MOV, Opcode.FMOV):
+        elif op in (MOV, FMOV):
             value = a
-        elif op is Opcode.ADD:
+        elif op is ADD:
             value = (a + b) & MASK64
-        elif op is Opcode.SUB:
+        elif op is SUB:
             value = (a - b) & MASK64
-        elif op is Opcode.AND:
+        elif op is AND:
             value = a & b
-        elif op is Opcode.OR:
+        elif op is OR:
             value = a | b
-        elif op is Opcode.XOR:
+        elif op is XOR:
             value = a ^ b
-        elif op is Opcode.SHL:
+        elif op is SHL:
             value = (a << (b & 63)) & MASK64
-        elif op is Opcode.SHR:
+        elif op is SHR:
             value = (a & MASK64) >> (b & 63)
-        elif op is Opcode.ADDI:
+        elif op is ADDI:
             value = (a + instr.imm) & MASK64
-        elif op is Opcode.SUBI:
+        elif op is SUBI:
             value = (a - instr.imm) & MASK64
-        elif op is Opcode.ANDI:
+        elif op is ANDI:
             value = a & instr.imm
-        elif op is Opcode.ORI:
+        elif op is ORI:
             value = a | instr.imm
-        elif op is Opcode.XORI:
+        elif op is XORI:
             value = a ^ instr.imm
-        elif op is Opcode.SHLI:
+        elif op is SHLI:
             value = (a << (instr.imm & 63)) & MASK64
-        elif op is Opcode.SHRI:
+        elif op is SHRI:
             value = (a & MASK64) >> (instr.imm & 63)
-        elif op is Opcode.MUL:
+        elif op is MUL:
             value = (a * b) & MASK64
-        elif op is Opcode.DIV:
+        elif op is DIV:
             value = (a // b) & MASK64 if b else 0
-        elif op is Opcode.FADD:
+        elif op is FADD:
             value = a + b
-        elif op is Opcode.FSUB:
+        elif op is FSUB:
             value = a - b
-        elif op is Opcode.FMUL:
+        elif op is FMUL:
             value = a * b
-        elif op is Opcode.FDIV:
+        elif op is FDIV:
             try:
                 value = a / b
             except ZeroDivisionError:
                 value = math.inf if a > 0 else -math.inf if a < 0 else 0.0
         elif is_branch:
             self._execute_branch(context, entry)
-        elif op is Opcode.RDTSC:
+        elif op is RDTSC:
             value = self.cycle
             if self.config.rdtsc_jitter:
                 value += self._jitter.randint(0, self.config.rdtsc_jitter)
-        elif op is Opcode.RDRAND:
+        elif op is RDRAND:
             value = self._rdrand.getrandbits(64)
-        elif op in (Opcode.NOP, Opcode.HALT, Opcode.FENCE, Opcode.TBEGIN,
-                    Opcode.TEND, Opcode.TABORT):
+        elif op in (NOP, HALT, FENCE, TBEGIN, TEND, TABORT):
             value = None
         else:  # pragma: no cover - every opcode is handled above
             raise NotImplementedError(f"unhandled opcode {op}")
@@ -946,17 +965,17 @@ class Core:
     def _execute_branch(self, context: HardwareContext, entry: ROBEntry):
         instr = entry.instr
         target = context.decoded[entry.index].target
-        if instr.op is Opcode.JMP:
+        if instr.op is JMP:
             entry.value = target
             entry.mispredicted = False
             return
         a = _to_signed(entry.operands[0])
         b = _to_signed(entry.operands[1])
-        if instr.op is Opcode.BEQ:
+        if instr.op is BEQ:
             taken = a == b
-        elif instr.op is Opcode.BNE:
+        elif instr.op is BNE:
             taken = a != b
-        elif instr.op is Opcode.BLT:
+        elif instr.op is BLT:
             taken = a < b
         else:  # BGE
             taken = a >= b
@@ -1048,7 +1067,7 @@ class Core:
 
     @staticmethod
     def _coerce_load_value(instr: Instruction, value):
-        if instr.op is Opcode.FLOAD:
+        if instr.op is FLOAD:
             return float(value)
         if isinstance(value, float):
             return int(value) & MASK64
@@ -1082,8 +1101,7 @@ class Core:
         violating = None
         for candidate in context.inflight_loads.get(store.addr, ()):
             if (candidate.seq > store.seq and not candidate.squashed
-                    and candidate.state in (EntryState.EXECUTING,
-                                            EntryState.COMPLETED)
+                    and candidate.state in (EXECUTING, COMPLETED)
                     and (violating is None
                          or candidate.seq < violating.seq)):
                 violating = candidate
@@ -1110,7 +1128,7 @@ class Core:
             if budget <= 0:
                 break
             context = contexts[context_id]
-            if context.state is not ContextState.RUNNING:
+            if context.state is not RUNNING:
                 continue
             if cycle < context.fetch_stall_until:
                 continue
@@ -1165,8 +1183,6 @@ class Core:
         table = predictor._table
         slots = predictor.entries
         rdrand_fenced = self.config.rdrand_fenced
-        completed = EntryState.COMPLETED
-        ready = EntryState.READY
         cycle = self.cycle
         replays = predictions = 0
         while True:
@@ -1190,7 +1206,7 @@ class Core:
                     if producer is None:
                         operands[slot] = (int_regs[src] if src in int_regs
                                           else fp_regs[src])
-                    elif (producer.state is completed
+                    elif (producer.state is COMPLETED
                           and producer.fault is None):
                         operands[slot] = producer.value
                     else:
@@ -1241,7 +1257,7 @@ class Core:
                 if decoded_instr.is_store:
                     stores.append(entry)
                 if pending == 0:
-                    entry.state = ready
+                    entry.state = READY
                     wake(entry)
                 if flow == FLOW_HALT:
                     break

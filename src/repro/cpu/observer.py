@@ -25,6 +25,10 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Opcode
 
+# Tested on every issued entry, so module constants, not ``Opcode.FDIV``
+# (see repro.cpu.rob on the cost of an Enum member read).
+FDIV, MUL = Opcode.FDIV, Opcode.MUL
+
 #: The stages the core fires.
 CORE_STAGES: Tuple[str, ...] = ("on_decode", "on_issue", "on_complete",
                                 "on_retire", "on_squash", "on_pte_race",
@@ -141,9 +145,9 @@ class UnitIssueCounter(Observer):
         if context.context_id != self.context_id:
             return
         op = entry.instr.op
-        if op is Opcode.FDIV:
+        if op is FDIV:
             self.counts["div"] += 1
-        elif op is Opcode.MUL:
+        elif op is MUL:
             self.counts["mul"] += 1
 
     def reset(self) -> None:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping
 
 from repro.cpu.context import HardwareContext
 from repro.cpu.observer import Observer
-from repro.cpu.rob import EntryState, ROBEntry
+from repro.cpu.rob import COMPLETED, ROBEntry
 
 if TYPE_CHECKING:
     from repro.cpu.config import DefenseHookConfig
@@ -68,7 +68,7 @@ def nonspeculative(context: HardwareContext, entry: ROBEntry) -> bool:
     for older in context.rob.entries:
         if older.seq >= seq:
             return True
-        if older.state is not EntryState.COMPLETED or older.faulted:
+        if older.state is not COMPLETED or older.fault is not None:
             return False
     return True
 
