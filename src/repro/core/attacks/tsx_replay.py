@@ -117,6 +117,3 @@ class TSGXInteraction:
     N, the attacker still gets N-1 replays before termination."""
 
     threshold: int = 10
-
-    def replays_available(self) -> int:
-        return self.threshold - 1

@@ -10,30 +10,15 @@ Per cycle the core performs, in order:
    page-fault trap (or a transaction abort when inside TSX).
 4. **Dispatch** — issue ready instructions to execution ports, SMT
    round-robin, oldest first: the fence rule, then ``gate`` observers,
-   then the port search.  Ready queues and fence lists are kept in
-   program order, so neither is sorted or searched.  The scan stops at
-   the oldest in-flight fence;
-   latency is computed only once a port is granted; only ports that
-   issued are reset next cycle.  Once an op class finds every port held
-   in a cycle, later entries of that class skip the port search; a
-   scan that issues nothing leaves the ready queue as it is.  Loads
-   translate through TLB → page walk here, which is where the
-   MicroScope speculation window opens.
+   then the port search.  Loads translate through TLB → page walk
+   here, which is where the MicroScope speculation window opens.
 5. **Fetch/decode** — pull instructions from the (predicted) control
    flow into the ROB, one pass over each context's fetch group.
 
-``step()`` runs all five.  A caller that probes first
-(:meth:`Core.next_work`, as ``Machine.run`` does) skips cycles in
-which no stage can act (:meth:`Core.fast_forward`, handed the probe's
-answer) and runs cycles in which only fetch can act as
-:meth:`Core.front_end_cycle`, both bit-exact with ``step()``: a
-skipped cycle changes nothing but the clock.  The probe asks once per
-op class whether its ports hold it back, and a front-end-only cycle
-judges only the entries its own fetch added, so a run of such cycles
-costs one probe, not one per cycle.  When one context refills its ROB
-behind an in-flight fence, nothing it adds needs judging, and one
-decode pass runs that whole fill.  A jump whose target is the end of
-a fetch stall lands in such a run instead of a step.
+``step()`` runs all five.  :meth:`Core.next_work`,
+:meth:`Core.fast_forward` and :meth:`Core.front_end_cycle` let a
+caller (``Machine.run``) jump or shorten cycles bit-exactly; their
+contract is in docs/ARCHITECTURE.md, "Scheduler and fast-forward".
 
 Everything MicroScope needs emerges from these rules: instructions
 younger than a page-faulting load execute in its shadow and leave
@@ -197,39 +182,14 @@ class Core:
     # ------------------------------------------------------------------
 
     def next_work(self) -> Tuple[Optional[int], Optional[float]]:
-        """``(cycle, front_end_bound)``: the next cycle at which any
-        pipeline stage can act.  The event heap's head is read first: a
-        completion already due makes the answer the current cycle (or
-        ``None``, below) with no ready queue judged.  Otherwise one pass
-        over the contexts decides.
-
-        *cycle* is ``None`` when no context is busy (:meth:`busy` is
-        False), whatever the event heap still holds.  It is the current
-        cycle when some stage may act now, or when nothing is known to
-        wake the core (naive stepping is then the only safe answer).
-        Otherwise it is a later cycle T: every cycle strictly before T
-        is provably an empty ``step()``, because the only pending work
-        sits in the event heap, behind a known stall/block cycle, or in
-        a ready queue whose entries are all held: younger than the
-        oldest in-flight fence, that fence while an older entry is
-        incomplete, or of an op class whose every port a non-pipelined
-        op holds until some cycle that then bounds T (:meth:`_hold`,
-        asked once per class: no port changes during the probe).  Such
-        a step changes nothing but the clock.  A ready load, or an
-        entry dispatch would hand to a ``gate`` observer, makes the
-        probe step.
-
-        *front_end_bound* is ``None`` unless only fetch can act at
-        *cycle*: :meth:`front_end_cycle` then does exactly what
-        ``step()`` would.  That is so at the current cycle when fetch
-        can act now and every other stage is idle, and at a later cycle
-        when a context's fetch stall ends there, strictly before every
-        other target (the caller jumps there and runs the front end).
-        The bound is the earliest other target, worked out as above
-        (``math.inf`` when nothing bounds it): until then, only what
-        fetch adds can change the answer, which is how
-        ``front_end_cycle`` tells whether the next cycle is
-        front-end-only too."""
+        """``(cycle, front_end_bound)``: what the caller may do next.
+        ``(None, None)``: stop, no context is busy.  ``(now, None)``:
+        ``step()``.  ``(now, T)``: :meth:`front_end_cycle` with bound T.
+        ``(F, T)``, F later: jump to F (:meth:`fast_forward`), then
+        :meth:`front_end_cycle` with bound T.  ``(T, None)``, T later:
+        jump to T, then ``step()``.  A bound is ``math.inf`` when
+        nothing bounds it.  When each answer is given: the table in
+        docs/ARCHITECTURE.md, "Scheduler and fast-forward"."""
         cycle = self.cycle
         events = self._events
         if events and events[0][0] <= cycle:
@@ -312,38 +272,18 @@ class Core:
     def front_end_cycle(self, bound: float, limit: float = math.inf,
                         until: Optional[Callable[[], bool]] = None
                         ) -> Union[float, None, bool]:
-        """Advance one cycle in which fetch is the only stage that can
-        act, or a run of such cycles where fetch fills a fenced ROB,
-        exactly as ``step()`` would, and say whether the next cycle is
-        front-end-only too.
+        """Run one front-end-only cycle, or a fill of them, as
+        ``step()`` would (docs/ARCHITECTURE.md, "Scheduler and
+        fast-forward", rule 2).
 
-        *bound* is the *front_end_bound* of :meth:`next_work`, or what
-        the previous call returned.  Completion, abort, retire and
-        dispatch have nothing to do, so only fetch runs, as in
-        ``step()``.  (If a context has raised an interrupt or abort
-        since, as an ``until`` callback may, retire acts after all:
-        the cycle runs as ``step()`` and ``None`` is returned.)
-
-        Before *bound* nothing but fetch changes what the core can do,
-        so only the ready entries this fetch added are judged, by the
-        probe's own scan (:meth:`_held_until`), and the cycle they are
-        released may lower the bound.  Returns the bound while the next
-        cycle is front-end-only too, and ``None`` (probe again) when an
-        added entry may issue, the bound is reached, or no context can
-        fetch next cycle (so an empty front-end cycle never stands in
-        for a jump).
-
-        A *fill* needs no judging: when exactly one context can fetch
-        and it has an in-flight fence, everything it decodes is younger
-        than that fence, so nothing it adds can issue or reach a gate
-        before *bound*.  One :meth:`_decode_group` pass then runs the
-        cycles one after another, until the ROB fills, a HALT is
-        decoded, the program ends, or the clock reaches *bound* or
-        *limit* (``Machine.run``'s cycle limit); *until* is called
-        before each cycle after the first, as ``Machine.run`` would.  A
-        fill returns ``None``, after stepping the next cycle if *until*
-        raised an interrupt or abort, or ``False`` when *until* returned
-        True: that cycle is not run and the caller stops."""
+        Call it at the cycle of a :meth:`next_work` answer that carried
+        *bound*, or right after a call that returned one.  *limit* caps
+        the clock (``Machine.run``'s cycle budget); *until* is the
+        run's predicate, which a fill calls before each cycle after the
+        first.  Returns the bound to pass next while the next cycle is
+        front-end-only too, ``None`` when the caller must probe again,
+        or ``False`` when *until* returned True: that cycle was not run
+        and the caller stops."""
         if self._trap_pending():
             self.step()
             return None
@@ -392,16 +332,10 @@ class Core:
                     entries: Sequence[ROBEntry],
                     verdicts: Dict[str, float]) -> Optional[float]:
         """Judge *entries*, ready entries of *context* in program order,
-        as :meth:`_dispatch` would at the current cycle: ``None`` when
+        by the held-entry rules of docs/ARCHITECTURE.md: ``None`` when
         one may issue now, else the earliest cycle one might
-        (``math.inf`` when only a completion, which the event heap
-        bounds, can release one).
-
-        An entry younger than the oldest in-flight fence is held (the
-        scan stops there, as dispatch's does); the fence is held while
-        an older entry is incomplete; any other entry is judged by
-        :meth:`_hold`, once per op class: *verdicts* keeps the answers,
-        as no port changes while the core is judging."""
+        (``math.inf``: only a completion can release one).  *verdicts*
+        keeps :meth:`_hold`'s answer per op class for one probe."""
         fence_seq = context.oldest_fence_seq()
         if fence_seq is None:
             fence_seq = math.inf
@@ -427,15 +361,10 @@ class Core:
         return until
 
     def _hold(self, op_cls: str) -> Optional[float]:
-        """Why a ready entry of *op_cls* that passed the fence rule
-        cannot issue at the current cycle, as the rules of
-        :meth:`_dispatch` decide.
-
-        Returns ``None`` when it may issue now, or when that cannot be
-        ruled out cheaply: a load, or any entry while a gate (whose
-        calls are observable) is attached.  Otherwise returns the
-        release cycle: every port of the class is held by a
-        non-pipelined op until at least then."""
+        """The held-entry rules after the fence rule, for a ready
+        entry of *op_cls*: ``None`` when the probe must step (it may
+        issue now, is a load, or may reach a gate), else the cycle the
+        first port of its class frees up."""
         if op_cls == "load" or self._gate:
             return None
         now = self.cycle
@@ -448,23 +377,11 @@ class Core:
                 until = busy_until
         return until
 
-    def fast_forward(self, limit: Optional[int] = None,
-                     target: Optional[int] = None) -> int:
-        """Jump the clock to the next cycle where work exists (clamped
-        to *limit*).  Returns the number of cycles skipped.  The
-        skipped cycles are exactly the ``step()`` calls naive stepping
-        would have performed with no effect at all, so the jump
-        changes nothing but ``cycle``: every counter and all
-        architectural state is bit-identical.
-
-        *target* is the answer of a :meth:`next_work` just made at this
-        cycle (``Machine.run`` passes its own probe); without it the
-        probe runs here."""
-        if target is None:
-            target = self.next_work()[0]
-            if target is None:
-                return 0
-        if limit is not None and target > limit:
+    def fast_forward(self, limit: int, target: int) -> int:
+        """Jump the clock to *target*, the cycle of a :meth:`next_work`
+        answer made at this cycle, clamped to *limit*.  Returns the
+        number of cycles skipped (0 when *target* is not later)."""
+        if target > limit:
             target = limit
         skipped = target - self.cycle
         if skipped <= 0:
@@ -821,10 +738,14 @@ class Core:
                             rest = [e for e in rest if not e.squashed]
                         still_ready += rest
                     break
-                if ((entry.seq == fence_seq and not
-                     context.rob.all_older_completed(entry.seq))
-                        or (gates and not all(gate(self, context, entry)
-                                              for gate in gates))):
+                held = (entry.seq == fence_seq and not
+                        context.rob.all_older_completed(entry.seq))
+                if gates and not held:
+                    for gate in gates:
+                        if not gate(self, context, entry):
+                            held = True
+                            break
+                if held:
                     if still_ready is not None:
                         still_ready.append(entry)
                     continue
@@ -1143,20 +1064,13 @@ class Core:
         fills, the program ends or a HALT is decoded.  Returns how many
         were decoded.
 
-        With *end*, the pass is a fill (:meth:`front_end_cycle`): after
-        each group it advances the clock and goes on with the next
-        cycle's group, each entry getting its own cycle as
-        ``fetch_cycle``, until the ROB fills, a HALT is decoded, the
-        program ends or the clock reaches *end*.  Before each cycle
-        after the first it calls *until*: it returns ``None`` when that
-        returns True, and stops when it raised an interrupt or abort.
-
-        Each decode observer sees its entry as one-at-a-time decode
-        showed it: ``stats.fetched`` already counts the entry,
-        ``fetch_index`` still points at it, and neither the rename map,
-        the ROB, the ready queue nor the fence list names it yet.  The
-        counters are kept in locals and written back before any
-        observer, *until* or the caller can read them."""
+        With *end*, the pass is a fill (:meth:`front_end_cycle`): it
+        goes on cycle after cycle until one of those or the clock
+        reaching *end* stops it.  Before each cycle after the first it
+        calls *until*: it returns ``None`` when that returns True, and
+        stops when it raised an interrupt or abort.  The counters are
+        written back before any observer, *until* or the caller can
+        read them."""
         rob = context.rob
         entries = rob.entries
         decoded = context.decoded

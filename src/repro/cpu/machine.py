@@ -211,36 +211,14 @@ class Machine:
         """Run until *until* returns True, all contexts finish, or the
         cycle budget is exhausted.  Returns cycles executed.
 
-        Each loop iteration runs one cycle, a jump, or a run of cycles
-        in which only fetch can act, all bit-exact with stepping the
-        core cycle by cycle.  Unless a run of front-end-only cycles is
-        under way, it first asks the core what can act now
-        (:meth:`Core.next_work`) and does one of three things:
-
-        * nothing can act: skip the provably-empty cycles in one jump
-          (:meth:`Core.fast_forward`, handed this probe's answer so it
-          does not probe again), including cycles in which ready
-          entries only wait on a fence or on a port a non-pipelined op
-          holds, then step, or start a front-end run when a fetch
-          stall ending first is what wakes the core;
-        * only fetch can act: run front-end-only cycles
-          (:meth:`Core.front_end_cycle`), which skip completion,
-          retire and dispatch.  A call runs one cycle, or, while one
-          context fills its ROB behind an in-flight fence, every cycle
-          of that fill in one decode pass.  It says whether the next
-          cycle is front-end-only too, judging only what its fetch
-          added, so a run of such cycles needs no further probe;
-        * otherwise: :meth:`Core.step`.
-
-        *until* is evaluated once per cycle run (a fill calls it before
-        each of its cycles after the first), not per skipped cycle, so
-        it must depend on simulation state, not on raw cycle numbers:
-        use :meth:`step` or :meth:`run_until_cycle` to stop at an exact
-        cycle.  A jump changes nothing but ``core.cycle``.  *until* may
-        raise an interrupt or a transaction abort
-        (``pending_interrupt``, ``txn_abort_pending``), which the next
-        cycle takes; any other change it makes to the machine may go
-        unseen until the next probe.
+        Cycles in which nothing can act are jumped, and cycles in which
+        only fetch can act skip the back end, both bit-exactly with
+        :meth:`step`.  *until* is not called on a jumped cycle, so it
+        must test state, not the clock (stop on a cycle with
+        :meth:`step` or :meth:`run_until_cycle`), and may change the
+        machine only by raising an interrupt or a transaction abort.
+        The contract: docs/ARCHITECTURE.md, "Scheduler and
+        fast-forward".
         """
         core = self.core
         start = core.cycle

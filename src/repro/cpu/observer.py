@@ -55,11 +55,9 @@ class Observer:
         unrecoverable, as same-register read/write instructions
         overwrite it.
 
-        Decode may run in a front-end-only cycle, which judges only the
-        entries fetch adds to decide whether the next cycle is one too.
-        So a decode observer may record, but must not change what
-        another stage can do (ports, the event heap, context state,
-        other entries); no observer in this package does.
+        A decode observer may record, but must not change what another
+        stage can do (docs/ARCHITECTURE.md, "Scheduler and
+        fast-forward", rule 2); no observer in this package does.
         """
 
     def on_issue(self, core: Any, context: Any, entry: Any) -> None:
@@ -95,10 +93,8 @@ class Observer:
         """May *entry* begin execution now?  False keeps it in the
         ready queue for a later cycle without using a port.  Gates are
         consulted in attach order, before the port search, and the
-        first False stops the check; only for entries dispatch reaches
-        (at or older than the oldest in-flight fence, the fence itself
-        once every older entry has completed), never in skipped or
-        front-end-only cycles."""
+        first False stops the check.  Which entries and cycles reach
+        the gates: docs/ARCHITECTURE.md, "Held ready entries"."""
         return True
 
     def on_fault(self, core: Any, context: Any, fault: Any) -> Any:

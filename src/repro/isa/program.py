@@ -127,11 +127,6 @@ class ProgramBuilder:
     def __len__(self) -> int:
         return len(self._instructions)
 
-    @property
-    def next_index(self) -> int:
-        """Index the next appended instruction will receive."""
-        return len(self._instructions)
-
     def label(self, name: str) -> "ProgramBuilder":
         """Attach *name* to the next instruction."""
         if name in self._labels:

@@ -68,11 +68,6 @@ class MemoryHierarchy:
     def l1(self) -> Cache:
         return self.levels[0]
 
-    @property
-    def dram_accesses(self) -> int:
-        """Legacy accessor; the count now lives in ``stats``."""
-        return self.stats.dram_accesses
-
     def level_named(self, name: str) -> Cache:
         for cache in self.levels:
             if cache.name == name:

@@ -47,10 +47,6 @@ class AESVictim:
     stack_va: int
     rounds: int
 
-    def td_line_va(self, table: int, line: int) -> int:
-        """VA of cache line *line* (0..15) of Td table *table*."""
-        return self.td_vas[table] + 64 * line
-
     def read_plaintext(self, process: Process) -> bytes:
         words = [process.read(self.output_va + 4 * i, 4) for i in range(4)]
         return b"".join(int(w).to_bytes(4, "big") for w in words)

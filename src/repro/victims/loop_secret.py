@@ -34,10 +34,6 @@ class LoopSecretVictim:
     def handle_index(self) -> int:
         return self.program.find_one(REPLAY_HANDLE)
 
-    @property
-    def pivot_index(self) -> int:
-        return self.program.find_one(PIVOT)
-
     def table_line_va(self, line: int) -> int:
         return self.table_va + line * self.stride
 

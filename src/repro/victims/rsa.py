@@ -59,9 +59,6 @@ class ModExpVictim:
     def read_result(self, process: Process) -> int:
         return process.read(self.result_va)
 
-    def mult_line_va(self, iteration: int) -> int:
-        return self.mult_buffer_va + (iteration % MULT_BUFFER_LINES) * 64
-
 
 def setup_modexp_victim(process: Process, base: int, exponent: int,
                         modulus: int) -> ModExpVictim:

@@ -71,14 +71,6 @@ class PageWalker:
         #: metrics dump.  Not part of walker snapshots — the registry
         #: captures its own instruments.
         self._latency_hist = None
-        #: §7.2 race window: supervisor software on another core can
-        #: rewrite the leaf PTE while the walk is in flight ("set/clear
-        #: the present bit before the hardware page walker reaches
-        #: it").  When set, the hook is called with (pcid, va, entry)
-        #: just before the walker consumes the leaf entry and may
-        #: return a replacement entry value (also written back to
-        #: memory, as the OS's store would be).
-        self.leaf_race_hook = None
 
     # --- snapshot support -------------------------------------------------
 
@@ -87,7 +79,8 @@ class PageWalker:
         self._latency_hist = histogram
 
     def capture(self) -> tuple:
-        """Only the counters are mutable state; hooks are identity."""
+        """Only the counters are mutable state; the histogram binding is
+        identity."""
         return self.stats.capture()
 
     def restore(self, state: tuple):
@@ -125,12 +118,6 @@ class PageWalker:
                     self.pwc.insert(pcid, va, level, entry)
             if cached is not None:
                 pwc_hits += 1
-            if (level == addr.NUM_LEVELS - 1
-                    and self.leaf_race_hook is not None):
-                raced = self.leaf_race_hook(pcid, va, entry)
-                if raced is not None and raced != entry:
-                    entry = raced
-                    self.phys.write(entry_paddr, entry, 8)
             steps.append(WalkStep(level, entry_paddr, entry))
             if not entry_present(entry):
                 fault = PageFault(va=va, pcid=pcid, level=level,

@@ -348,8 +348,10 @@ def test_probe_steps_when_work_can_act_now():
     machine = Machine()
     program = (ProgramBuilder("p").li("r2", 1).halt().build())
     machine.contexts[0].load_program(program)
-    assert machine.core.next_work()[0] == machine.cycle
-    assert machine.core.fast_forward() == 0
+    core = machine.core
+    target = core.next_work()[0]
+    assert target == core.cycle
+    assert core.fast_forward(core.cycle + 1_000, target) == 0
 
 
 def test_probe_steps_when_nothing_is_known_to_wake_the_core():
@@ -377,7 +379,8 @@ def test_fast_forward_clamps_to_limit():
     # Block the only context far in the future; the next deadline is
     # beyond the clamp, so fast_forward stops exactly at the clamp.
     _block_context(machine, 1_000_000)
-    skipped = machine.core.fast_forward(limit=finish + 100)
+    core = machine.core
+    skipped = core.fast_forward(finish + 100, core.next_work()[0])
     assert skipped == 100
     assert machine.cycle == finish + 100
 
@@ -425,7 +428,7 @@ def test_probe_skips_a_divide_held_by_the_divider():
     core = machine.core
     target = core.next_work()[0]
     assert core.cycle < target <= core.ports.port_named("p0").busy_until
-    core.fast_forward()
+    core.fast_forward(core.cycle + 1_000, target)
     assert core.cycle == target
 
 
@@ -495,7 +498,8 @@ def test_a_jump_changes_nothing_but_the_cycle(build):
     microarchitectural state as it was, and moves only the clock."""
     machine = build()
     cycle, before = _capture_but_the_cycle(machine)
-    skipped = machine.core.fast_forward()
+    core = machine.core
+    skipped = core.fast_forward(core.cycle + 1_000, core.next_work()[0])
     assert skipped > 0
     assert _capture_but_the_cycle(machine) == (cycle + skipped, before)
 

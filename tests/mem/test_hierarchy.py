@@ -22,7 +22,7 @@ def test_default_config_builds():
 def test_cold_miss_costs_full_path():
     h = tiny_hierarchy()
     assert h.access(0x1000) == 4 + 12 + 200
-    assert h.dram_accesses == 1
+    assert h.stats.dram_accesses == 1
 
 
 def test_hit_after_fill():
@@ -121,7 +121,7 @@ def test_reset_stats():
     h = tiny_hierarchy()
     h.access(0x100)
     h.reset_stats()
-    assert h.dram_accesses == 0
+    assert h.stats.dram_accesses == 0
     assert h.l1.stats.misses == 0
 
 
@@ -137,7 +137,7 @@ def test_reset_stats_keeps_resident_lines():
     assert h.access(0x100) == h.hit_latency(0)
     assert h.l1.stats.hits == 1
     assert h.l1.stats.misses == 0
-    assert h.dram_accesses == 0
+    assert h.stats.dram_accesses == 0
 
 
 def test_level_named_unknown():

@@ -102,16 +102,6 @@ def test_all_groups_declare_slots_matching_fields():
 
 # --- live wiring ----------------------------------------------------------
 
-def test_hierarchy_dram_accesses_property_shim():
-    """`hierarchy.dram_accesses` was a plain counter attribute; it is
-    now backed by the stats group but reads identically."""
-    from repro.cpu.machine import Machine
-    machine = Machine()
-    assert machine.hierarchy.dram_accesses == 0
-    machine.hierarchy.stats.dram_accesses += 7
-    assert machine.hierarchy.dram_accesses == 7
-
-
 def test_context_stats_feed_machine_metrics_dump():
     """Attributes mutated by the pipeline are the same objects the
     registry reads: a short run shows up both ways."""

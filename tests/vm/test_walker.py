@@ -106,33 +106,6 @@ def test_flushed_pte_lines_lengthen_walk(setup):
     assert 300 < partial.latency < 600
 
 
-def test_leaf_race_hook_changes_outcome(setup):
-    """§7.2: the OS flips the present bit just before the walker reads
-    the leaf entry."""
-    phys, frames, _h, _pwc, walker, tables = setup
-    frame = frames.allocate()
-    tables.map(0x10000, frame)
-    tables.set_present(0x10000, False)
-
-    def racer(pcid, va, entry):
-        return entry | 1  # set PRESENT
-
-    walker.leaf_race_hook = racer
-    result = walker.walk(1, tables.root_frame, 0x10000)
-    assert not result.faulted
-    assert result.frame == frame
-    # The racer's write is visible in memory afterwards.
-    assert tables.is_present(0x10000)
-
-
-def test_leaf_race_hook_none_keeps_fault(setup):
-    _phys, frames, _h, _pwc, walker, tables = setup
-    tables.map(0x10000, frames.allocate())
-    tables.set_present(0x10000, False)
-    walker.leaf_race_hook = lambda pcid, va, entry: None
-    assert walker.walk(1, tables.root_frame, 0x10000).faulted
-
-
 def test_stats_accumulate(setup):
     _phys, frames, _h, _pwc, walker, tables = setup
     tables.map(0x10000, frames.allocate())
