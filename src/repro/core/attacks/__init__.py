@@ -45,7 +45,6 @@ from repro.core.attacks.single_secret import (
     SubnormalResult,
 )
 from repro.core.attacks.tsx_replay import (
-    TSGXInteraction,
     TSXReplayAttack,
     TSXReplayResult,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "SecretIdResult",
     "SubnormalDetectionAttack",
     "SubnormalResult",
-    "TSGXInteraction",
     "TSXReplayAttack",
     "TSXReplayResult",
 ]

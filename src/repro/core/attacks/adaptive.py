@@ -129,8 +129,7 @@ class AdaptiveWalkAttack:
             victim_proc, victim.handle_va, name="adaptive-loop",
             attack_function=on_handle, pivot_function=on_pivot,
             walk_tuning=WalkTuning(upper=WalkLocation.PWC,
-                                   leaf=WalkLocation.DRAM),
-            max_replays=10**9)
+                                   leaf=WalkLocation.DRAM))
         module.provide_pivot(recipe, victim.pivot_va)
         rep.launch_victim(victim_proc, victim.program)
         module.prime_lines(victim_proc, probe_addrs)

@@ -245,7 +245,7 @@ class _Stepper:
             process, victim.rk_va, name="aes-stepper",
             attack_function=self._on_handle_fault,
             pivot_function=self._on_pivot_fault,
-            walk_tuning=walk_tuning, max_replays=10**9)
+            walk_tuning=walk_tuning)
         rep.module.provide_pivot(self.recipe, victim.td_vas[0])
         #: rk accesses per middle round = 4; AES-128: 36 sites.
         self.total_rk_sites = 4 * (victim.rounds - 1)

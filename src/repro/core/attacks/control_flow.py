@@ -131,8 +131,7 @@ class ControlFlowCacheAttack:
 
         recipe = module.provide_replay_handle(
             victim_proc, victim.handle_va, name="cf-cache",
-            attack_function=attack_fn, walk_tuning=self.walk_tuning,
-            max_replays=10**9)
+            attack_function=attack_fn, walk_tuning=self.walk_tuning)
         rep.launch_victim(victim_proc, victim.program)
         module.prime_lines(victim_proc, probe_addrs)
         rep.arm(recipe)

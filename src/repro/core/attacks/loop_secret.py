@@ -134,7 +134,7 @@ class LoopSecretAttack:
         recipe = module.provide_replay_handle(
             victim_proc, victim.handle_va, name="loop-secret",
             attack_function=on_handle, pivot_function=on_pivot,
-            walk_tuning=self.walk_tuning, max_replays=10**9)
+            walk_tuning=self.walk_tuning)
         module.provide_pivot(recipe, victim.pivot_va)
         rep.launch_victim(victim_proc, victim.program)
         module.prime_lines(victim_proc, probe_addrs)

@@ -161,8 +161,7 @@ class PortContentionAttack:
             victim_proc, victim.handle_va + 0x20,
             name="fig10-port-contention",
             attack_function=attack_fn,
-            walk_tuning=self.walk_tuning,
-            max_replays=10**9)
+            walk_tuning=self.walk_tuning)
         rep.arm(recipe)
         return rep, recipe, monitor_proc, monitor, monitor_ctx
 

@@ -127,8 +127,7 @@ class RdrandBiasAttack:
 
         recipe = rep.module.provide_replay_handle(
             victim_proc, victim.handle_va, name="rdrand-bias",
-            attack_function=attack_fn, walk_tuning=self.walk_tuning,
-            max_replays=10**9)
+            attack_function=attack_fn, walk_tuning=self.walk_tuning)
         rep.launch_victim(victim_proc, victim.program)
         rep.arm(recipe)
         rep.run_until_victim_done(context_id=0, max_cycles=10_000_000)

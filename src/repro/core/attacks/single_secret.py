@@ -94,8 +94,7 @@ class SubnormalDetectionAttack:
 
         recipe = rep.module.provide_replay_handle(
             victim_proc, victim.count_va, name="subnormal-detect",
-            attack_function=attack_fn, walk_tuning=self.walk_tuning,
-            max_replays=10**9)
+            attack_function=attack_fn, walk_tuning=self.walk_tuning)
         rep.launch_victim(victim_proc, victim.program)
         rep.launch_monitor(monitor_proc, monitor.program, context_id=1)
         rep.arm(recipe)

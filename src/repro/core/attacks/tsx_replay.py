@@ -109,11 +109,3 @@ class TSXReplayAttack:
                 observer.reset()
         value = victim.read_output(victim_proc)
         return value, victim_ctx.stats.txn_aborts
-
-
-@dataclass
-class TSGXInteraction:
-    """Helper for the §8 T-SGX discussion: with an abort threshold of
-    N, the attacker still gets N-1 replays before termination."""
-
-    threshold: int = 10

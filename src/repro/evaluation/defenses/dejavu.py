@@ -102,7 +102,7 @@ def evaluate_dejavu(replays: int, budget_ticks: int = 12_000
 
     recipe = rep.module.provide_replay_handle(
         victim_proc, handle_va, name="dejavu-eval",
-        attack_function=attack_fn, max_replays=10**9)
+        attack_function=attack_fn)
     rep.launch_victim(victim_proc, victim)
     rep.launch_monitor(clock_proc, clock, context_id=1)
     rep.arm(recipe)

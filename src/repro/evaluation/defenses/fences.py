@@ -106,8 +106,7 @@ def count_transmit_issues(replays: int, secret: int,
         victim_proc, victim.handle_va + 0x20, name="fence-eval",
         attack_function=attack_fn,
         walk_tuning=WalkTuning(upper=WalkLocation.PWC,
-                               leaf=WalkLocation.DRAM),
-        max_replays=10**9)
+                               leaf=WalkLocation.DRAM))
     rep.launch_victim(victim_proc, victim.program)
     rep.arm(recipe)
     rep.run_until_victim_done(context_id=0, max_cycles=5_000_000)

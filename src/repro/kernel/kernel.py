@@ -28,7 +28,7 @@ from repro.cpu.context import HardwareContext
 from repro.cpu.machine import Machine
 from repro.cpu.traps import TrapAction, TrapHandler
 from repro.kernel.frames import FrameAllocator
-from repro.kernel.process import Process, ProcessError
+from repro.kernel.process import Process
 from repro.observability.stats import KernelStats
 from repro.observability.tracer import KERNEL_TID
 from repro.vm import address as vaddr
@@ -52,8 +52,6 @@ class KernelConfig:
     #: Uniform jitter added to handler costs (0 disables). Seeded.
     cost_jitter: int = 0
     jitter_seed: int = 1234
-    #: Kill processes on faults outside any VMA (else raise).
-    kill_on_segfault: bool = True
 
 
 class Kernel(TrapHandler):
@@ -150,11 +148,9 @@ class Kernel(TrapHandler):
         vma = process.vma_containing(fault.va)
         if vma is None:
             self.stats.segfaults += 1
-            if self.config.kill_on_segfault:
-                process.terminated = True
-                return TrapAction(cost=self._cost(
-                    self.config.minor_fault_cost), halt=True)
-            raise ProcessError(f"segfault: {fault.describe()}")
+            process.terminated = True
+            return TrapAction(cost=self._cost(
+                self.config.minor_fault_cost), halt=True)
         already_backed = vaddr.vpn(fault.va) in process.page_frames
         process.ensure_mapped(fault.va)
         self.invlpg(process, fault.va)

@@ -3,13 +3,6 @@
 from repro.mem.physical import FRAME_SHIFT, FRAME_SIZE, PhysicalMemory
 from repro.mem.cache import Cache, CacheConfig, CacheStats, LINE_SIZE, line_of
 from repro.mem.hierarchy import DRAM_LEVEL, HierarchyConfig, MemoryHierarchy
-from repro.mem.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
 
 __all__ = [
     "FRAME_SHIFT",
@@ -23,9 +16,4 @@ __all__ = [
     "DRAM_LEVEL",
     "HierarchyConfig",
     "MemoryHierarchy",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "TreePLRUPolicy",
-    "RandomPolicy",
-    "make_policy",
 ]

@@ -2,6 +2,8 @@
 
 Caches model presence, recency and dirtiness of 64-byte lines; data
 itself always lives in :class:`~repro.mem.physical.PhysicalMemory`.
+Replacement is true LRU per set (Intel's L1 is close enough to LRU for
+Prime+Probe purposes).
 A cache's ``on_evict`` slot hears every line that leaves it — the
 core's TSX model uses the L1's to abort transactions whose write set
 loses a line, exactly the abort trigger MicroScope's Section 7.1
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.mem.replacement import ReplacementPolicy, make_policy
 from repro.observability.stats import CacheStats
 
 __all__ = ["Cache", "CacheConfig", "CacheStats", "LINE_SIZE",
@@ -36,17 +37,14 @@ class CacheConfig:
     size_bytes: int
     ways: int
     latency: int
-    line_size: int = LINE_SIZE
-    policy: str = "lru"
-    policy_seed: int = 0
 
     @property
     def num_sets(self) -> int:
-        sets = self.size_bytes // (self.ways * self.line_size)
-        if sets <= 0 or self.size_bytes % (self.ways * self.line_size):
+        sets = self.size_bytes // (self.ways * LINE_SIZE)
+        if sets <= 0 or self.size_bytes % (self.ways * LINE_SIZE):
             raise ValueError(
                 f"{self.name}: size {self.size_bytes} not divisible into "
-                f"{self.ways}-way sets of {self.line_size}B lines")
+                f"{self.ways}-way sets of {LINE_SIZE}B lines")
         return sets
 
 
@@ -54,8 +52,7 @@ class Cache:
     """One level of the cache hierarchy."""
 
     __slots__ = ("config", "name", "latency", "_num_sets", "_ways",
-                 "_line_shift", "_policy", "_tags", "_dirty", "_meta",
-                 "_where", "_occupied", "stats", "on_evict")
+                 "_tags", "_dirty", "_lru", "_where", "stats", "on_evict")
 
     def __init__(self, config: CacheConfig):
         config.num_sets  # validate geometry eagerly
@@ -64,21 +61,16 @@ class Cache:
         self.latency = config.latency
         self._num_sets = config.num_sets
         self._ways = config.ways
-        self._line_shift = config.line_size.bit_length() - 1
-        self._policy: ReplacementPolicy = make_policy(
-            config.policy, config.ways, config.policy_seed)
         # Per set: list of line tags (full line address) per way, or None.
         self._tags: List[List[Optional[int]]] = [
             [None] * self._ways for _ in range(self._num_sets)]
         self._dirty: List[List[bool]] = [
             [False] * self._ways for _ in range(self._num_sets)]
-        self._meta = [self._policy.new_state() for _ in range(self._num_sets)]
+        # Per set: the occupied ways, least recently used first.
+        self._lru: List[List[int]] = [[] for _ in range(self._num_sets)]
         # line address -> (set index, way) for O(1) lookups that never
         # recompute the set index.
         self._where: Dict[int, Tuple[int, int]] = {}
-        # Scratch occupancy buffer reused by every insert() so the hot
-        # fill path allocates nothing.
-        self._occupied: List[bool] = [False] * self._ways
         self.stats = CacheStats()
         #: ``on_evict(line_addr, was_dirty)`` or None, called whenever a
         #: line leaves this cache (eviction or invalidation).
@@ -87,7 +79,7 @@ class Cache:
     # --- geometry helpers ---------------------------------------------
 
     def set_index(self, paddr: int) -> int:
-        return (paddr >> self._line_shift) % self._num_sets
+        return (paddr >> LINE_SHIFT) % self._num_sets
 
     def lines_mapping_to(self, paddr: int, count: int,
                          stride_base: int = 1 << 30) -> List[int]:
@@ -101,8 +93,8 @@ class Cache:
         """
         target_line = line_of(paddr)
         target_set = self.set_index(paddr)
-        span = self._num_sets << self._line_shift
-        addr = stride_base + (target_set << self._line_shift)
+        span = self._num_sets << LINE_SHIFT
+        addr = stride_base + (target_set << LINE_SHIFT)
         lines: List[int] = []
         while len(lines) < count:
             if addr != target_line:
@@ -120,7 +112,9 @@ class Cache:
             self.stats.misses += 1
             return False
         set_idx, way = place
-        self._policy.on_access(self._meta[set_idx], way)
+        order = self._lru[set_idx]
+        order.remove(way)
+        order.append(way)
         if is_write:
             self._dirty[set_idx][way] = True
         self.stats.hits += 1
@@ -144,18 +138,21 @@ class Cache:
         existing = self._where.get(line_addr)
         if existing is not None:
             set_idx, way = existing
-            self._policy.on_access(self._meta[set_idx], way)
+            order = self._lru[set_idx]
+            order.remove(way)
+            order.append(way)
             if dirty:
                 self._dirty[set_idx][way] = True
             return None
-        set_idx = (paddr >> self._line_shift) % self._num_sets
+        set_idx = (paddr >> LINE_SHIFT) % self._num_sets
         tags = self._tags[set_idx]
-        occupied = self._occupied
-        for way in range(self._ways):
-            occupied[way] = tags[way] is not None
-        way = self._policy.choose_victim(self._meta[set_idx], occupied)
-        evicted = tags[way]
-        if evicted is not None:
+        order = self._lru[set_idx]
+        if len(order) < self._ways:
+            way = tags.index(None)
+            evicted = None
+        else:
+            way = order.pop(0)
+            evicted = tags[way]
             was_dirty = self._dirty[set_idx][way]
             del self._where[evicted]
             self.stats.evictions += 1
@@ -164,7 +161,7 @@ class Cache:
         tags[way] = line_addr
         self._dirty[set_idx][way] = dirty
         self._where[line_addr] = (set_idx, way)
-        self._policy.on_fill(self._meta[set_idx], way)
+        order.append(way)
         return evicted
 
     def invalidate(self, paddr: int) -> bool:
@@ -178,8 +175,7 @@ class Cache:
         was_dirty = self._dirty[set_idx][way]
         self._tags[set_idx][way] = None
         self._dirty[set_idx][way] = False
-        if hasattr(self._policy, "on_invalidate"):
-            self._policy.on_invalidate(self._meta[set_idx], way)
+        self._lru[set_idx].remove(way)
         self.stats.invalidations += 1
         if self.on_evict is not None:
             self.on_evict(line_addr, was_dirty)
@@ -204,9 +200,8 @@ class Cache:
         return (
             [list(ways) for ways in self._tags],
             [list(ways) for ways in self._dirty],
-            [self._policy.clone_state(meta) for meta in self._meta],
+            [list(order) for order in self._lru],
             dict(self._where),
-            self._policy.capture_rng(),
             self.stats.capture(),
         )
 
@@ -214,10 +209,9 @@ class Cache:
         """Restore state captured by :meth:`capture`.  The snapshot is
         cloned again, so one capture supports many restores.  The
         ``on_evict`` slot is identity, not state, and is left alone."""
-        tags, dirty, meta, where, rng, stats = state
+        tags, dirty, lru, where, stats = state
         self._tags = [list(ways) for ways in tags]
         self._dirty = [list(ways) for ways in dirty]
-        self._meta = [self._policy.clone_state(m) for m in meta]
+        self._lru = [list(order) for order in lru]
         self._where = dict(where)
-        self._policy.restore_rng(rng)
         self.stats.restore(stats)

@@ -16,7 +16,6 @@ See ``docs/OBSERVABILITY.md`` for the naming scheme and workflows.
 """
 
 from repro.observability.profiler import (
-    PhaseTimer,
     RunProfile,
     collect_machines,
 )
@@ -51,7 +50,6 @@ from repro.observability.tracer import (
 )
 
 __all__ = [
-    "PhaseTimer",
     "RunProfile",
     "collect_machines",
     "DEFAULT_BOUNDS",

@@ -1,19 +1,14 @@
 """Host-time profiling hooks.
 
-Two complementary tools:
-
-* :class:`PhaseTimer` — named-phase wall-clock attribution
-  (``with timer.phase("probe"): ...``), so a benchmark can report
-  where its *host* time went (setup vs simulation vs analysis).
-* :func:`collect_machines` — a context manager that observes every
-  :class:`~repro.cpu.machine.Machine` constructed inside it.  The
-  benchmark harness uses this to emit a metrics JSON per experiment
-  without threading a machine handle through every helper.  Machines
-  built in *worker processes* (the parallel sweep harness) are not
-  visible to the parent's collector; their counters stay
-  worker-local.  The collector is thread-local, like the active
-  oracle in :mod:`repro.oracle.runtime`: a block sees only the
-  machines its own thread builds.
+:func:`collect_machines` is a context manager that observes every
+:class:`~repro.cpu.machine.Machine` constructed inside it.  The
+benchmark harness uses this to emit a metrics JSON per experiment
+without threading a machine handle through every helper.  Machines
+built in *worker processes* (the parallel sweep harness) are not
+visible to the parent's collector; their counters stay worker-local.
+The collector is thread-local, like the active oracle in
+:mod:`repro.oracle.runtime`: a block sees only the machines its own
+thread builds.
 
 ``Machine.profile()`` (see :mod:`repro.cpu.machine`) returns a
 :class:`RunProfile` capturing cycles and host seconds for one region,
@@ -25,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List
 
 #: ``_collector.machines`` is this thread's active machine list, if
 #: any.  Machine.__init__ performs one thread-local read + None check
@@ -89,35 +84,7 @@ class RunProfile:
         }
 
 
-class PhaseTimer:
-    """Accumulates wall-clock time per named phase."""
-
-    __slots__ = ("_phases",)
-
-    def __init__(self) -> None:
-        self._phases: Dict[str, Tuple[int, float]] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            calls, seconds = self._phases.get(name, (0, 0.0))
-            self._phases[name] = (calls + 1, seconds + elapsed)
-
-    def seconds(self, name: str) -> float:
-        return self._phases.get(name, (0, 0.0))[1]
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {name: {"calls": calls, "seconds": seconds}
-                for name, (calls, seconds)
-                in sorted(self._phases.items())}
-
-
 __all__ = [
-    "PhaseTimer",
     "RunProfile",
     "collect_machines",
     "note_machine",

@@ -6,7 +6,7 @@ methods that every stateful subsystem exposes:
 * ``repro.cpu`` — cycle, SMT contexts (registers, ROB, rename map,
   ready queue, in-flight loads, TSX state), ports, branch predictor,
   the event heap and both core RNG streams;
-* ``repro.mem`` — cache tag/dirty/replacement state per level, DRAM
+* ``repro.mem`` — cache tag/dirty/LRU state per level, DRAM
   counters, and physical memory (shared copy-on-write per frame, so
   holding a snapshot costs only the frames that change afterwards);
 * ``repro.vm`` — TLB hierarchy, page-walk cache and walker counters
@@ -35,7 +35,8 @@ from typing import Optional
 #: v4: each port's stats capture holds ``issued`` only.
 #: v5: a context capture drops the ready queue's dirty flag (the queue
 #: is always in seq order) and ROB entries lose ``actual_taken``.
-SNAPSHOT_VERSION = 5
+#: v6: a cache capture drops the replacement RNG slot.
+SNAPSHOT_VERSION = 6
 
 
 class SnapshotError(Exception):

@@ -1,6 +1,6 @@
 """Victim and monitor programs (Figures 4-8 of the paper)."""
 
-from repro.victims.common import PIVOT, REPLAY_HANDLE, TRANSMIT, VictimBinary
+from repro.victims.common import PIVOT, REPLAY_HANDLE, TRANSMIT
 from repro.victims.control_flow import (
     ControlFlowVictim,
     build_control_flow_program,
@@ -13,7 +13,6 @@ from repro.victims.loop_secret import (
 )
 from repro.victims.monitor import (
     PortContentionMonitor,
-    build_busy_alu_monitor,
     build_port_contention_monitor,
     setup_port_contention_monitor,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "PIVOT",
     "REPLAY_HANDLE",
     "TRANSMIT",
-    "VictimBinary",
     "ControlFlowVictim",
     "build_control_flow_program",
     "setup_control_flow_victim",
@@ -53,7 +51,6 @@ __all__ = [
     "build_loop_secret_program",
     "setup_loop_secret_victim",
     "PortContentionMonitor",
-    "build_busy_alu_monitor",
     "build_port_contention_monitor",
     "setup_port_contention_monitor",
     "NUM_SECRETS",

@@ -12,18 +12,6 @@ comments so attack drivers can locate them without magic indices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 REPLAY_HANDLE = "replay-handle"
 TRANSMIT = "transmit"
 PIVOT = "pivot"
-
-
-@dataclass(frozen=True)
-class VictimBinary:
-    """A built victim: the program plus the addresses an OS-level
-    attacker legitimately knows (program layout, *not* secrets)."""
-
-    program: object        # repro.isa.Program
-    handle_va: int         # VA the replay handle accesses
-    handle_index: int      # instruction index of the replay handle

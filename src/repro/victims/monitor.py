@@ -79,34 +79,3 @@ def build_port_contention_monitor(buffer_va: int, measurements: int,
     b.bne("r2", "r3", "outer")
     b.halt()
     return b.build()
-
-
-def build_busy_alu_monitor(buffer_va: int, measurements: int,
-                           ops_per_sample: int = 8) -> Program:
-    """A control monitor that times *multiplications* instead of
-    divisions — used by tests/ablations to show the signal is specific
-    to the contended unit."""
-    b = ProgramBuilder("mul-monitor")
-    b.li("r1", buffer_va)
-    b.li("r2", 0)
-    b.li("r3", measurements)
-    b.li("r5", ops_per_sample)
-    b.li("r9", 12345)
-    b.li("r10", 77)
-    b.label("outer")
-    b.fence()
-    b.rdtsc("r6")
-    b.li("r4", 0)
-    b.label("inner")
-    b.mul("r11", "r9", "r10")
-    b.addi("r4", "r4", 1)
-    b.bne("r4", "r5", "inner")
-    b.fence()
-    b.rdtsc("r7")
-    b.sub("r8", "r7", "r6")
-    b.store("r1", "r8", 0)
-    b.addi("r1", "r1", 8)
-    b.addi("r2", "r2", 1)
-    b.bne("r2", "r3", "outer")
-    b.halt()
-    return b.build()

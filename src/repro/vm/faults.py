@@ -44,9 +44,3 @@ class PageFault:
             "write" if self.is_write else "read")
         return (f"page fault: va={self.va:#x} ({kind}) at {self.level_name}, "
                 f"pcid={self.pcid}")
-
-
-class TranslationError(Exception):
-    """Raised for programming errors in the translation machinery —
-    never for architectural faults, which travel as :class:`PageFault`
-    records through the precise-exception path."""

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from repro.mem.cache import Cache, CacheConfig, line_of
 
 
-def small_cache(ways=2, sets=4, policy="lru"):
+def small_cache(ways=2, sets=4):
     return Cache(CacheConfig("T", size_bytes=ways * sets * 64, ways=ways,
-                             latency=4, policy=policy))
+                             latency=4))
 
 
 def test_line_of():
@@ -54,6 +54,54 @@ def test_lru_order_respected():
     cache.lookup(0x0)          # refresh
     evicted = cache.insert(0x80)
     assert evicted == 0x40
+
+
+@given(st.lists(st.tuples(st.sampled_from(["insert", "insert", "lookup",
+                                           "invalidate"]),
+                          st.integers(min_value=0, max_value=5)),
+                min_size=12, max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_lru_matches_ordered_list_model(ops):
+    """One set of a 4-way cache agrees with an ordered-list LRU model:
+    hit or miss on every lookup, the line each fill evicts (returned
+    and heard by ``on_evict``), and a new line taking the lowest free
+    way, else the victim's way."""
+    cache = small_cache(ways=4, sets=2)
+    heard = []
+    cache.on_evict = lambda line, dirty: heard.append(line)
+    model = []   # resident lines, least recently used first
+    ways = {}    # resident line -> way
+    for op, line_no in ops:
+        line = line_no * 2 * 64          # every line maps to set 0
+        heard.clear()
+        resident = line in model
+        if op == "lookup":
+            assert cache.lookup(line) == resident
+            assert heard == []
+            if resident:
+                model.remove(line)
+                model.append(line)
+        elif op == "insert":
+            victim = None
+            if resident:
+                model.remove(line)
+            elif len(model) == 4:
+                victim = model.pop(0)
+                ways[line] = ways.pop(victim)
+            else:
+                ways[line] = min(set(range(4)) - set(ways.values()))
+            model.append(line)
+            assert cache.insert(line) == victim
+            assert heard == ([] if victim is None else [victim])
+        else:
+            assert cache.invalidate(line) == resident
+            assert heard == ([line] if resident else [])
+            if resident:
+                model.remove(line)
+                del ways[line]
+        assert cache.resident_lines() == sorted(model)
+        for resident_line, way in ways.items():
+            assert cache.locate(resident_line) == (0, way)
 
 
 def test_invalidate():
