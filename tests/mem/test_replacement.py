@@ -1,104 +1,62 @@
-import pytest
+"""LRU replacement as the cache does it: one recency list per set."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.replacement import (
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-    make_policy,
-)
+from repro.mem.cache import Cache, CacheConfig
+
+WAYS = 4
 
 
-def test_factory():
-    assert isinstance(make_policy("lru", 4), LRUPolicy)
-    assert isinstance(make_policy("plru", 4), TreePLRUPolicy)
-    assert isinstance(make_policy("random", 4), RandomPolicy)
-    with pytest.raises(ValueError):
-        make_policy("mru", 4)
+def one_set_cache(ways=WAYS):
+    """A cache whose lines ``n * 64`` all fall in its single set."""
+    return Cache(CacheConfig("T", size_bytes=ways * 64, ways=ways,
+                             latency=4))
 
 
 def test_lru_prefers_free_ways():
-    policy = LRUPolicy(4)
-    state = policy.new_state()
-    policy.on_fill(state, 0)
-    assert policy.choose_victim(state, [True, False, False, False]) == 1
+    cache = one_set_cache()
+    cache.insert(0x0)
+    cache.insert(0x40)
+    cache.invalidate(0x0)            # way 0 is free again
+    assert cache.insert(0x80) is None
+    assert cache.locate(0x80) == (0, 0)
+    assert cache.locate(0x40) == (0, 1)
 
 
 def test_lru_evicts_least_recent():
-    policy = LRUPolicy(4)
-    state = policy.new_state()
-    for way in range(4):
-        policy.on_fill(state, way)
-    policy.on_access(state, 0)  # refresh way 0
-    victim = policy.choose_victim(state, [True] * 4)
-    assert victim == 1
+    cache = one_set_cache()
+    for n in range(WAYS):
+        cache.insert(n * 64)
+    assert cache.lookup(0x0)         # refresh the first fill
+    assert cache.insert(WAYS * 64) == 0x40
+    assert cache.locate(WAYS * 64) == (0, 1)
 
 
 def test_lru_invalidate_removes_from_order():
-    policy = LRUPolicy(4)
-    state = policy.new_state()
-    for way in range(4):
-        policy.on_fill(state, way)
-    policy.on_invalidate(state, 0)
-    assert 0 not in state
-
-
-def test_plru_requires_power_of_two():
-    with pytest.raises(ValueError):
-        TreePLRUPolicy(6)
-
-
-def test_plru_never_evicts_most_recent():
-    policy = TreePLRUPolicy(8)
-    state = policy.new_state()
-    for way in range(8):
-        policy.on_fill(state, way)
-    for way in range(8):
-        policy.on_access(state, way)
-        victim = policy.choose_victim(state, [True] * 8)
-        assert victim != way
-
-
-def test_random_policy_deterministic_with_seed():
-    a = RandomPolicy(4, seed=1)
-    b = RandomPolicy(4, seed=1)
-    occupied = [True] * 4
-    seq_a = [a.choose_victim(None, occupied) for _ in range(20)]
-    seq_b = [b.choose_victim(None, occupied) for _ in range(20)]
-    assert seq_a == seq_b
-
-
-def test_random_policy_prefers_free_way():
-    policy = RandomPolicy(4, seed=0)
-    assert policy.choose_victim(None, [True, True, False, True]) == 2
+    cache = one_set_cache()
+    for n in range(WAYS):
+        cache.insert(n * 64)
+    assert cache.invalidate(0x0)
+    assert not cache.contains(0x0)
+    # The freed way fills first; only then does the next fill evict the
+    # least recent survivor, never the invalidated line a second time.
+    assert cache.insert(WAYS * 64) is None
+    assert cache.insert((WAYS + 1) * 64) == 0x40
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1,
                 max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_lru_matches_reference_model(accesses):
-    """LRU policy agrees with an ordered-list reference."""
-    policy = LRUPolicy(8)
-    state = policy.new_state()
+    """An 8-way set agrees with an ordered-list reference."""
+    cache = one_set_cache(ways=8)
     reference = []  # most recent last
-    for way in accesses:
-        policy.on_access(state, way)
-        if way in reference:
-            reference.remove(way)
-        reference.append(way)
-    occupied = [way in reference for way in range(8)]
+    for n in accesses:
+        line = n * 64
+        if not cache.lookup(line):
+            assert cache.insert(line) is None   # never more than 8 lines
+        if line in reference:
+            reference.remove(line)
+        reference.append(line)
     if len(reference) == 8:
-        assert policy.choose_victim(state, occupied) == reference[0]
-
-
-@given(st.lists(st.integers(min_value=0, max_value=7), min_size=8,
-                max_size=100))
-@settings(max_examples=50, deadline=None)
-def test_plru_victim_always_valid(accesses):
-    policy = TreePLRUPolicy(8)
-    state = policy.new_state()
-    for way in accesses:
-        policy.on_access(state, way)
-    victim = policy.choose_victim(state, [True] * 8)
-    assert 0 <= victim < 8
+        assert cache.insert(8 * 64) == reference[0]
