@@ -36,8 +36,7 @@ def _run_with_replays(replays, secret, threshold):
         return ReplayDecision(ReplayAction.REPLAY)
 
     recipe = rep.module.provide_replay_handle(
-        victim_proc, victim.handle_va + 0x20, attack_function=attack_fn,
-        max_replays=10**9)
+        victim_proc, victim.handle_va + 0x20, attack_function=attack_fn)
     rep.launch_victim(victim_proc, victim.program)
     rep.launch_monitor(monitor_proc, monitor.program, context_id=1)
     rep.arm(recipe)

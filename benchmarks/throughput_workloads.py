@@ -71,8 +71,7 @@ def run_replay_attack(fast_forward: bool, replays: int = 200,
         victim_proc, victim.handle_va + 0x20, name="throughput-replay",
         attack_function=replay_n_times(replays),
         walk_tuning=WalkTuning(upper=WalkLocation.PWC,
-                               leaf=WalkLocation.DRAM),
-        max_replays=10 ** 9)
+                               leaf=WalkLocation.DRAM))
     rep.launch_victim(victim_proc, victim.program)
     rep.arm(recipe)
     if fast_forward:

@@ -355,8 +355,10 @@ class StoreSession:
 
     * a trial whose key (trial-function fingerprint + canonical
       params + attempt-0 seed) has a record that ``verify`` accepts is
-      served "cached" without running (:meth:`serve`); the function
-      is fingerprinted once per session, the params once per trial;
+      served "cached" without running (:meth:`serve`); keys come
+      from one :func:`~repro.memo.keys.trial_keyer`, so the function
+      is fingerprinted, and its part of the key text hashed, once per
+      session, the params once per trial;
     * only attempt-0 successes are persisted (:meth:`persist`): a
       retry ran with an attempt-k seed, and lookups always use the
       attempt-0 seed, so caching a retried result would pair the
@@ -377,20 +379,19 @@ class StoreSession:
         from repro.memo.keys import (
             Unmemoizable,
             fingerprint_callable,
-            fingerprinted_trial_key,
+            trial_keyer,
         )
         self._before = store.counts()
-        # One fingerprint per sweep: every trial runs the same function.
+        # One keyer per session: every trial runs the same function.
         try:
-            fingerprint = fingerprint_callable(trial_fn)
+            key_of = trial_keyer(fingerprint_callable(trial_fn))
         except Unmemoizable:
-            fingerprint = None
+            key_of = None
         for trial in trials:
             key = None
-            if fingerprint is not None:
+            if key_of is not None:
                 try:
-                    key = fingerprinted_trial_key(
-                        fingerprint, trial.params, trial.seed)
+                    key = key_of(trial.params, trial.seed)
                 except Unmemoizable:
                     pass
             if key is None:

@@ -8,12 +8,16 @@ canonicalises to the same bytes.  This module builds those bytes.
 
 :func:`canonical` maps a parameter structure to a JSON-compatible,
 tagged form (stable across processes and dict orderings);
-:func:`digest_of` hashes it.  :func:`fingerprint_callable` reduces a
-callable to its identity (module, qualname, code hash) plus primitive
-closure state — and *refuses* (:class:`Unmemoizable`) callables whose
-behaviour depends on state the key cannot see: bound methods (their
-``self`` is arbitrary mutable state outside any snapshot) and
-closures over non-primitive cells.  Refusal is the safety valve: an
+:func:`digest_of` hashes it.  :func:`trial_keyer` defines the trial
+key layout, ``{"fn", "params", "seed"}`` as one compact JSON text in
+which the params are walked once; it hashes the fingerprint part once
+per keyer, so a sweep pays it once, not per trial.
+:func:`fingerprint_callable` reduces a callable to its identity
+(module, qualname, code hash) plus primitive closure state — and
+*refuses* (:class:`Unmemoizable`) callables whose behaviour depends
+on state the key cannot see: bound methods (their ``self`` is
+arbitrary mutable state outside any snapshot) and closures over
+non-primitive cells.  Refusal is the safety valve: an
 unkeyable computation is simply never cached, so the cache can be
 wrong only by doing extra work, never by returning a stale result.
 """
@@ -27,7 +31,7 @@ import hashlib
 import json
 import types
 import weakref
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.config import to_dict as config_to_dict
 
@@ -240,16 +244,35 @@ def digest_of(value: Any) -> str:
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
 
 
-def fingerprinted_trial_key(fingerprint: Any, params: Any,
-                            seed: int) -> str:
-    """:func:`trial_key` for a function already reduced by
-    :func:`fingerprint_callable` — the one definition of a key's
-    layout, so a sweep fingerprints its trial function once and keys
-    every trial through here.  Raises :class:`Unmemoizable` when the
-    parameters cannot be keyed."""
-    return digest_of({"fn": fingerprint,
-                      "params": canonical(params),
-                      "seed": seed})
+def trial_keyer(fingerprint: Any) -> Callable[[Any, int], str]:
+    """The key function for trials of one fingerprinted trial function:
+    ``key(params, seed)`` is the SHA-256 hex digest of::
+
+        {"fn":<canonical fingerprint>,"params":<canonical params>,
+         "seed":<seed>}
+
+    as one line of the compact, key-sorted JSON of
+    :func:`canonical_json`.  This is
+    the one definition of the key layout; :func:`trial_key` and every
+    sweep's store session key through it.  The fingerprint part of the
+    text is hashed once here, and each key copies that hash state and
+    feeds it the params, walked once by :func:`canonical`, and the
+    seed.  ``key`` raises :class:`Unmemoizable` when the params or the
+    seed cannot be keyed."""
+    prefix = hashlib.sha256(
+        ('{"fn":' + canonical_json(fingerprint) + ',"params":').encode())
+    encode = _KEY_ENCODER.encode
+
+    def key(params: Any, seed: int) -> str:
+        # An int encodes as its repr; only other seeds pay the encoder.
+        seed_text = (repr(seed) if type(seed) is int
+                     else encode(canonical(seed)))
+        state = prefix.copy()
+        state.update((encode(canonical(params)) + ',"seed":'
+                      + seed_text + "}").encode())
+        return state.hexdigest()
+
+    return key
 
 
 def trial_key(trial_fn: Any, params: Any, seed: int) -> str:
@@ -257,11 +280,11 @@ def trial_key(trial_fn: Any, params: Any, seed: int) -> str:
 
     SHA-256 over the trial function's fingerprint, the canonical
     parameters and the derived seed — everything a deterministic
-    trial's outcome is a function of.  Raises :class:`Unmemoizable`
-    when either the function or the parameters cannot be keyed.
+    trial's outcome is a function of (layout: :func:`trial_keyer`).
+    Raises :class:`Unmemoizable` when either the function or the
+    parameters cannot be keyed.
     """
-    return fingerprinted_trial_key(fingerprint_callable(trial_fn),
-                                   params, seed)
+    return trial_keyer(fingerprint_callable(trial_fn))(params, seed)
 
 
 __all__ = [
@@ -270,6 +293,6 @@ __all__ = [
     "canonical_json",
     "digest_of",
     "fingerprint_callable",
-    "fingerprinted_trial_key",
     "trial_key",
+    "trial_keyer",
 ]

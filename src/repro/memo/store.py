@@ -6,17 +6,23 @@ proves.  :class:`TrialStore` therefore addresses every completed trial
 by :func:`repro.memo.keys.trial_key` and persists it on disk, so any
 later sweep — another process, another worker count, another day —
 that reaches the same key loads the result instead of recomputing it.
+A sweep keys its trials through one
+:func:`~repro.memo.keys.trial_keyer` per session, which hashes the
+trial function's fingerprint once and each trial's params in one
+walk.  Records written under an earlier key layout are never
+addressed again: a store from before it recomputes each trial once.
 
 Records are journal-compatible JSON (one object per file, the same
 ``sha256`` + base64-pickle shape as :mod:`repro.harness.journal`
-lines) under ``<root>/<key[:2]>/<key>.json``.  Writes go through a
-unique temporary file and ``os.replace``, so concurrent writers of
-the same key are safe: both computed the same deterministic bytes and
-last-write-wins is a no-op.  Reads degrade, never crash: a corrupted
-record, an undecodable pickle, a record written by a different
-simulator epoch (``snapshot_version``) or a result rejected by the
-caller's ``verify`` hook all count as a miss with the matching
-counter bumped, and the trial simply recomputes.
+lines) under ``<root>/<key[:2]>/<key>.json``, read back as bytes and
+decoded as UTF-8.  Writes go through a unique temporary file and
+``os.replace``, so concurrent writers of the same key are safe: both
+computed the same deterministic bytes and last-write-wins is a no-op.
+Reads degrade, never crash: a corrupted record, an undecodable pickle,
+a record written by a different simulator epoch
+(``snapshot_version``) or a result rejected by the caller's ``verify``
+hook all count as a miss with the matching counter bumped, and the
+trial simply recomputes.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ class TrialStore:
     def __init__(self, root: Any, *, metrics: Any = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._root = str(self.root)
+        self._prefix = str(self.root) + os.sep
         self.metrics = metrics
         self._counts: Dict[str, int] = {name: 0
                                         for name in STORE_COUNTERS}
@@ -92,12 +98,12 @@ class TrialStore:
         (``stale``), fails its integrity digest or unpickle
         (``corrupt``), or is rejected by *verify* (``rejected``).
         """
-        # A str path and a plain open: the same file as path_for(key),
-        # without two pathlib joins per read.
-        path = os.path.join(self._root, key[:2], key + ".json")
+        # The same file as path_for(key), concatenated as a str and
+        # read as bytes: no pathlib joins and no text-mode decoder.
+        path = self._prefix + key[:2] + os.sep + key + ".json"
         try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.loads(fh.read())
+            with open(path, "rb") as fh:
+                record = json.loads(fh.read().decode("utf-8"))
         except FileNotFoundError:
             self._bump("misses")
             return False, None

@@ -224,8 +224,7 @@ def _run_replay_attack(replays: int = 40):
         victim_proc, victim.handle_va + 0x20, name="ff-replay",
         attack_function=replay_n_times(replays),
         walk_tuning=WalkTuning(upper=WalkLocation.PWC,
-                               leaf=WalkLocation.DRAM),
-        max_replays=10 ** 9)
+                               leaf=WalkLocation.DRAM))
     rep.launch_victim(victim_proc, victim.program)
     rep.arm(recipe)
     rep.run_until_victim_done(context_id=0, max_cycles=20_000_000)

@@ -1,7 +1,9 @@
 """Canonical cache keys: determinism, sensitivity, refusal."""
 
+import enum
 import functools
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.recipes import WalkTuning, replay_n_times
 from repro.memo import (
@@ -19,11 +23,7 @@ from repro.memo import (
     fingerprint_callable,
     trial_key,
 )
-from repro.memo.keys import (
-    _code_hash,
-    _code_material,
-    fingerprinted_trial_key,
-)
+from repro.memo.keys import _code_hash, _code_material, trial_keyer
 
 
 def _trial(params, seed):
@@ -184,12 +184,12 @@ def test_matrix_cell_params_are_keyable():
     assert len(key) == 64
 
 
-#: ``trial_key(_cell_trial, ("cf-cache", "none", {}), 1)`` as keyed
-#: before nested code objects were hashed by content.  Bytecode differs
-#: between Python versions, so the value is pinned per version.
+#: ``trial_key(_cell_trial, ("cf-cache", "none", {}), 1)`` in the
+#: single-walk layout of ``trial_keyer``.  Bytecode differs between
+#: Python versions, so the value is pinned per version.
 _PINNED_CELL_KEYS = {
-    (3, 11): "0fae581c1d97001ea71a230b5e6b8fd8"
-             "c4f99e9ca93a4df8eb829715ea6455be",
+    (3, 11): "ff020224066f8536aa0de6f5ca6e4c7a"
+             "e6497adbe86a1709291af0ddb6c8ef10",
 }
 
 _NESTED_CODE_SOURCE = """
@@ -332,13 +332,53 @@ def test_trial_key_layout_is_pinned():
     from repro.evaluation.matrix import DEFAULT_LABEL, DEFAULT_MASTER_SEED
     from repro.harness import derive_seed
     keys = "".join(
-        fingerprinted_trial_key(
-            _FIXED_FINGERPRINT, params,
-            derive_seed(DEFAULT_MASTER_SEED, index, DEFAULT_LABEL))
+        trial_keyer(_FIXED_FINGERPRINT)(
+            params, derive_seed(DEFAULT_MASTER_SEED, index, DEFAULT_LABEL))
         for index, params in enumerate(_grid_params()))
     assert hashlib.sha256(keys.encode()).hexdigest() == (
-        "0e74e514710941ae35dbd8301fbef28e"
-        "3c50531f2722f303790c3fc0c4fa42cc")
+        "14d6820421c04d263ac9503a06842dc7"
+        "5f1297e32cf0e02e146b8b76818f4b89")
+
+
+class _Colour(enum.Enum):
+    RED = 1
+    BLUE = "blue"
+
+
+_hashable_leaves = (st.none() | st.booleans() | st.integers()
+                    | st.floats() | st.text(max_size=8)
+                    | st.binary(max_size=8) | st.sampled_from(_Colour))
+_values = st.recursive(
+    _hashable_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.frozensets(_hashable_leaves, max_size=4)
+        | st.sets(st.integers(), max_size=4)),
+    max_leaves=12)
+_fingerprints = st.dictionaries(st.text(max_size=6), _values, max_size=3)
+
+
+def _reference_key(fingerprint, params, seed):
+    """The key layout written out with ``json.dumps``, one walk of
+    each part."""
+    text = json.dumps({"fn": canonical(fingerprint),
+                       "params": canonical(params), "seed": seed},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fingerprints, _fingerprints, _values, st.integers())
+def test_trial_keyer_is_the_single_walk_layout(fp_a, fp_b, params, seed):
+    key_a, key_b = trial_keyer(fp_a), trial_keyer(fp_b)
+    assert key_a(params, seed) == _reference_key(fp_a, params, seed)
+    assert key_b(params, seed) == _reference_key(fp_b, params, seed)
+    # Each keyer hashes its own fingerprint: no prefix is shared.
+    if canonical_json(fp_a) != canonical_json(fp_b):
+        assert key_a(params, seed) != key_b(params, seed)
 
 
 def test_store_session_keys_equal_trial_key(tmp_path):

@@ -74,6 +74,25 @@ def test_corrupted_records_are_misses_not_crashes(tmp_path):
     assert store.get(KEY) == (True, "result")
 
 
+def test_undecodable_and_truncated_records_are_corrupt_misses(tmp_path):
+    store = TrialStore(tmp_path)
+    store.put(KEY, 7, "result")
+    text = store.path_for(KEY).read_bytes()
+
+    store.path_for(KEY).write_bytes(b'{"kind": "\xff\xfe\x80"}\n')
+    assert store.get(KEY) == (False, None)
+    assert store.counts()["corrupt"] == 1
+    store.put(KEY, 7, "result")
+    assert store.get(KEY) == (True, "result")
+
+    store.path_for(KEY).write_bytes(text[:len(text) // 2])
+    assert store.get(KEY) == (False, None)
+    assert store.counts()["corrupt"] == 2
+    store.put(KEY, 7, "result")
+    assert store.get(KEY) == (True, "result")
+    assert store.counts()["hits"] == 2
+
+
 def test_stale_epochs_are_misses(tmp_path):
     store = TrialStore(tmp_path)
     store.put(KEY, 7, "old-world")
