@@ -7,10 +7,11 @@ This script enforces exactly that, end to end, against real server
 processes:
 
 1. boot ``python -m repro serve`` on a fresh state dir, submit a
-   2×2 matrix job, and SIGKILL the server the moment the first cell
-   lands in the journal (genuinely mid-run).  The server leads its
-   own process group; every member of it (the pool workers included)
-   must be gone within a fixed bound of the kill;
+   2×2 matrix job, and SIGKILL the server once a cell has landed in
+   the journal while a pool worker is running another (genuinely
+   mid-run).  The server leads its own process group; the workers
+   still alive in it after the kill must all be gone within a fixed
+   bound;
 2. restart the server on the same state dir; boot recovery must
    re-enqueue the job and run it to completion;
 3. assert from the journal that every cell was journalled exactly
@@ -23,8 +24,11 @@ processes:
    files to be byte-identical.
 
 The kill is timing-sensitive (the job must not finish before the
-signal lands), so the scenario retries a few times; a job that
-completed pre-kill is a skipped round, not a failure.
+signal lands, and the drain check only tests something when a worker
+outlives the server), so the scenario retries a few times: a round
+whose job completed pre-kill, or whose kill found no live pool
+worker, is a skipped round, not a failure.  Process groups are read
+from ``/proc``, so the script runs on Linux.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import List
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -82,6 +87,25 @@ def start_server(state_dir: Path) -> subprocess.Popen:
         time.sleep(0.05)
     process.kill()
     raise RuntimeError("server never wrote endpoint.json")
+
+
+def group_workers(pgid: int) -> List[int]:
+    """Live processes in group *pgid* other than its leader (the
+    server): the job's pool workers.  Zombies are already dead."""
+    workers = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == pgid:
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp.
+        state, _ppid, pgrp = stat.rsplit(b")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != b"Z":
+            workers.append(int(entry))
+    return workers
 
 
 def wait_group_empty(pgid: int, bound: float = GROUP_DRAIN_BOUND) -> float:
@@ -134,7 +158,8 @@ def run_uninterrupted(spec) -> bytes:
 
 def interrupted_round(spec, state: Path):
     """One kill-and-recover attempt.  Returns the pre-kill journalled
-    cell count, or None when the job won the race and finished."""
+    cell count, or None when the round does not count: the job won
+    the race and finished, or no pool worker outlived the kill."""
     from repro.service import ServiceClient, job_id
     jid = job_id(spec)
     journal = state / "jobs" / jid / "journal.jsonl"
@@ -147,7 +172,7 @@ def interrupted_round(spec, state: Path):
         while time.monotonic() < deadline:
             done = len(journal_indices(journal)) \
                 if journal.exists() else 0
-            if done:
+            if done and group_workers(server.pid):
                 break
             time.sleep(0.002)
     finally:
@@ -155,13 +180,21 @@ def interrupted_round(spec, state: Path):
         # crash-recovery contract must not depend on a tidy exit.
         server.send_signal(signal.SIGKILL)
         server.wait(timeout=10)
+    # The server is dead and forks no more, so a worker in its group
+    # now was alive when the kill landed.
+    orphans = group_workers(server.pid)
     drained = wait_group_empty(server.pid)
     prekill = journal_indices(journal)
     total = len(ATTACKS) * len(DEFENSES)
     if len(prekill) >= total:
-        return None  # finished before the kill landed; retry
-    log(f"killed server with {len(prekill)}/{total} cells journalled; "
-        f"its process group drained in {drained:.2f}s")
+        log("job finished before the kill")
+        return None
+    if not orphans:
+        log("no pool worker was alive when the kill landed")
+        return None
+    log(f"killed server with {len(prekill)}/{total} cells journalled "
+        f"and {len(orphans)} pool worker(s) alive; its process group "
+        f"drained in {drained:.2f}s")
     return len(prekill)
 
 
@@ -183,8 +216,7 @@ def main() -> int:
             state = Path(tmp) / "state"
             prekill = interrupted_round(spec, state)
             if prekill is None:
-                log(f"round {attempt}: job finished before the kill; "
-                    f"retrying")
+                log(f"round {attempt} does not count; retrying")
                 continue
 
             # --- restart on the same state dir ----------------------

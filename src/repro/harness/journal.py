@@ -175,7 +175,7 @@ class SweepJournal:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise JournalError(
                 f"{self.path}: unreadable journal header") from exc
-        if header.get("kind") != "header":
+        if not isinstance(header, dict) or header.get("kind") != "header":
             raise JournalError(f"{self.path}: first line is not a header")
         if header.get("version") != JOURNAL_VERSION:
             raise JournalMismatch(
@@ -212,7 +212,7 @@ class SweepJournal:
             record = json.loads(line)
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if record.get("kind") != "trial":
+        if not isinstance(record, dict) or record.get("kind") != "trial":
             return None
         try:
             index = record["index"]
@@ -229,10 +229,17 @@ class SweepJournal:
                            attempt) != seed:
                 self.discarded += 1
                 return None
-            return index, attempt, pickle.loads(payload)
-        except (KeyError, TypeError, ValueError, pickle.PickleError):
+        except (KeyError, TypeError, ValueError):
             self.discarded += 1
             return None
+        try:
+            result = pickle.loads(payload)
+        except Exception:
+            # A truncated or foreign pickle, or one whose classes are
+            # gone from the code: the trial reruns.
+            self.discarded += 1
+            return None
+        return index, attempt, result
 
 
 __all__ = [

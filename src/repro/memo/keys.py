@@ -8,10 +8,12 @@ canonicalises to the same bytes.  This module builds those bytes.
 
 :func:`canonical` maps a parameter structure to a JSON-compatible,
 tagged form (stable across processes and dict orderings);
-:func:`digest_of` hashes it.  :func:`trial_keyer` defines the trial
-key layout, ``{"fn", "params", "seed"}`` as one compact JSON text in
-which the params are walked once; it hashes the fingerprint part once
-per keyer, so a sweep pays it once, not per trial.
+:func:`canonical_json` writes that form's compact JSON text in the
+same walk, and :func:`digest_of` hashes it.  :func:`trial_keyer`
+defines the trial key layout, ``{"fn", "params", "seed"}`` as one
+compact JSON text in which the params are walked once; it hashes the
+fingerprint part once per keyer, so a sweep pays it once, not per
+trial.
 :func:`fingerprint_callable` reduces a callable to its identity
 (module, qualname, code hash) plus primitive closure state — and
 *refuses* (:class:`Unmemoizable`) callables whose behaviour depends
@@ -229,13 +231,48 @@ def canonical(value: Any) -> Any:
         f"{value!r} into a cache key")
 
 
-#: The one encoder of key text.  ``json.dumps`` with options builds a
-#: fresh encoder per call, which cost more than encoding a trial key.
+#: The encoder of every node :func:`canonical_json` does not write
+#: itself.  ``json.dumps`` with options builds a fresh encoder object
+#: per call, which cost more than encoding a trial key.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def canonical_json(value: Any) -> str:
-    """The canonical structure as deterministic JSON text."""
+    """The canonical structure as deterministic JSON text: compact,
+    key-sorted and ASCII, the text of ``json.dumps(canonical(value),
+    sort_keys=True, separators=(",", ":"))``.
+
+    The exact types :func:`canonical` fast-paths (``str``, ``int``,
+    ``bool``, ``None``, ``list``, ``tuple`` and a dict with only
+    ``str`` keys) are written here in the same walk that
+    canonicalises them; any other node is written as the encoding of
+    its :func:`canonical` form.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list:
+        return "[" + ",".join([canonical_json(v) for v in value]) + "]"
+    if kind is tuple:
+        return ('{"__tuple__":['
+                + ",".join([canonical_json(v) for v in value]) + "]}")
+    if kind is dict:
+        for k in value:
+            if type(k) is not str:
+                return _KEY_ENCODER.encode(_canonical_dict(value))
+        return ('{"__dict__":['
+                + ",".join(["[" + _encode_str(k) + ","
+                            + canonical_json(v) + "]"
+                            for k, v in sorted(value.items())])
+                + "]}")
     return _KEY_ENCODER.encode(canonical(value))
 
 
@@ -256,20 +293,18 @@ def trial_keyer(fingerprint: Any) -> Callable[[Any, int], str]:
     the one definition of the key layout; :func:`trial_key` and every
     sweep's store session key through it.  The fingerprint part of the
     text is hashed once here, and each key copies that hash state and
-    feeds it the params, walked once by :func:`canonical`, and the
-    seed.  ``key`` raises :class:`Unmemoizable` when the params or the
-    seed cannot be keyed."""
+    feeds it the key text of the params, written in one walk by
+    :func:`canonical_json`, and the seed.  ``key`` raises
+    :class:`Unmemoizable` when the params or the seed cannot be
+    keyed.
+    """
     prefix = hashlib.sha256(
         ('{"fn":' + canonical_json(fingerprint) + ',"params":').encode())
-    encode = _KEY_ENCODER.encode
 
     def key(params: Any, seed: int) -> str:
-        # An int encodes as its repr; only other seeds pay the encoder.
-        seed_text = (repr(seed) if type(seed) is int
-                     else encode(canonical(seed)))
         state = prefix.copy()
-        state.update((encode(canonical(params)) + ',"seed":'
-                      + seed_text + "}").encode())
+        state.update((canonical_json(params) + ',"seed":'
+                      + canonical_json(seed) + "}").encode())
         return state.hexdigest()
 
     return key

@@ -12,24 +12,30 @@ trial function's fingerprint once and each trial's params in one
 walk.  Records written under an earlier key layout are never
 addressed again: a store from before it recomputes each trial once.
 
-Records are journal-compatible JSON (one object per file, the same
-``sha256`` + base64-pickle shape as :mod:`repro.harness.journal`
-lines) under ``<root>/<key[:2]>/<key>.json``, read back as bytes and
-decoded as UTF-8.  Writes go through a unique temporary file and
-``os.replace``, so concurrent writers of the same key are safe: both
-computed the same deterministic bytes and last-write-wins is a no-op.
-Reads degrade, never crash: a corrupted record, an undecodable pickle,
-a record written by a different simulator epoch
-(``snapshot_version``) or a result rejected by the caller's ``verify``
+A record is one ASCII header line and the raw pickle of the result::
+
+    trial <STORE_VERSION> <SNAPSHOT_VERSION> <key> <sha256> <seed>
+    <pickle bytes>
+
+under ``<root>/<key[:2]>/<key>.trial``; the SHA-256 covers the pickle
+bytes.  :meth:`TrialStore.get` reads a record in one ``os.read`` and
+splits it at the first newline.  Writes go through a unique temporary
+file and ``os.replace``, so concurrent writers of the same key are
+safe: both computed the same deterministic bytes and last-write-wins
+is a no-op.  Records of an earlier layout (``<key>.json``) sit beside
+the new ones; no path addresses them and ``len()`` does not count
+them.
+
+Reads degrade, never crash: a corrupted record, a pickle that fails
+its digest or does not load, a record written by a different store
+or simulator epoch or a result rejected by the caller's ``verify``
 hook all count as a miss with the matching counter bumped, and the
 trial simply recomputes.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -39,7 +45,14 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.snapshot.machine import SNAPSHOT_VERSION
 
 #: Bump when the record layout changes; old records become misses.
-STORE_VERSION = 1
+STORE_VERSION = 2
+
+#: The record file suffix of this layout.
+_SUFFIX = ".trial"
+
+#: The header's epoch fields as a record holds them.
+_STORE_EPOCH = b"%d" % STORE_VERSION
+_SNAPSHOT_EPOCH = b"%d" % SNAPSHOT_VERSION
 
 #: Environment variable consulted by :func:`resolve_store` when no
 #: explicit cache directory is given.
@@ -81,10 +94,10 @@ class TrialStore:
 
     def path_for(self, key: str) -> Path:
         """Where *key*'s record lives (two-level fan-out)."""
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / (key + _SUFFIX)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return sum(1 for _ in self.root.glob("*/*" + _SUFFIX))
 
     # --- reads ------------------------------------------------------------
 
@@ -93,39 +106,47 @@ class TrialStore:
             ) -> Tuple[bool, Any]:
         """``(True, result)`` on a sound hit, else ``(False, None)``.
 
-        Every failure mode is a miss: the record is unreadable or
-        mis-shaped (``corrupt``), from another store/snapshot epoch
-        (``stale``), fails its integrity digest or unpickle
-        (``corrupt``), or is rejected by *verify* (``rejected``).
+        Every failure mode is a miss: the record is unreadable or its
+        header is malformed or names another key (``corrupt``), it is
+        from another store/snapshot epoch (``stale``), its pickle fails
+        the digest or does not load (``corrupt``), or *verify* rejects
+        the result (``rejected``).
         """
         # The same file as path_for(key), concatenated as a str and
-        # read as bytes: no pathlib joins and no text-mode decoder.
-        path = self._prefix + key[:2] + os.sep + key + ".json"
+        # read in one os.read: no pathlib joins and no file object.
+        path = self._prefix + key[:2] + os.sep + key + _SUFFIX
         try:
-            with open(path, "rb") as fh:
-                record = json.loads(fh.read().decode("utf-8"))
+            fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             self._bump("misses")
             return False, None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        except OSError:
             self._bump("corrupt")
-            return False, None
-        if (not isinstance(record, dict)
-                or record.get("kind") != "trial"
-                or record.get("key") != key):
-            self._bump("corrupt")
-            return False, None
-        if (record.get("version") != STORE_VERSION
-                or record.get("snapshot_version") != SNAPSHOT_VERSION):
-            self._bump("stale")
             return False, None
         try:
-            payload = base64.b64decode(record["result"])
-            if hashlib.sha256(payload).hexdigest() != record["sha256"]:
-                self._bump("corrupt")
-                return False, None
+            data = os.read(fd, os.fstat(fd).st_size)
+        except OSError:
+            self._bump("corrupt")
+            return False, None
+        finally:
+            os.close(fd)
+        header, _, payload = data.partition(b"\n")
+        fields = header.split(b" ")
+        if (len(fields) != 6 or fields[0] != b"trial"
+                or fields[3] != key.encode()):
+            self._bump("corrupt")
+            return False, None
+        if fields[1] != _STORE_EPOCH or fields[2] != _SNAPSHOT_EPOCH:
+            self._bump("stale")
+            return False, None
+        if hashlib.sha256(payload).hexdigest().encode() != fields[4]:
+            self._bump("corrupt")
+            return False, None
+        try:
             result = pickle.loads(payload)
-        except (KeyError, TypeError, ValueError, pickle.PickleError):
+        except Exception:
+            # A truncated or foreign pickle, or one whose classes are
+            # gone from the code: any load failure is a miss.
             self._bump("corrupt")
             return False, None
         if verify is not None and not verify(result):
@@ -140,23 +161,16 @@ class TrialStore:
         """Persist *result* under *key* (atomic, last-write-wins)."""
         payload = pickle.dumps(result,
                                protocol=pickle.HIGHEST_PROTOCOL)
-        record = {
-            "kind": "trial",
-            "key": key,
-            "version": STORE_VERSION,
-            "snapshot_version": SNAPSHOT_VERSION,
-            "seed": seed,
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "result": base64.b64encode(payload).decode("ascii"),
-        }
+        header = "trial %d %d %s %s %d\n" % (
+            STORE_VERSION, SNAPSHOT_VERSION, key,
+            hashlib.sha256(payload).hexdigest(), seed)
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(record, sort_keys=True) + "\n"
         fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                    prefix=f".{key[:8]}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header.encode("ascii") + payload)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

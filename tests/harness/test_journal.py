@@ -1,10 +1,13 @@
 """On-disk sweep checkpointing: integrity, resume, mismatch."""
 
 import json
+import sys
+import types
 
 import pytest
 
 from repro.harness import (
+    JournalError,
     JournalMismatch,
     SweepJournal,
     derive_seed,
@@ -106,6 +109,45 @@ def test_corrupted_payload_is_discarded(tmp_path):
     journal.close()
     # Bad digest stops the scan; trial 1 (after it) is gone too.
     assert completed == {}
+    assert journal.discarded == 1
+
+
+def test_a_non_object_line_stops_the_replay(tmp_path):
+    path = record_trials(tmp_path / "sweep.journal", indices=(0, 1, 2))
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(2, b"5")  # valid JSON, not a record
+    path.write_bytes(b"\n".join(lines))
+    journal = SweepJournal(path)
+    assert sorted(journal.open("sweep", 7, 4)) == [0]
+    journal.close()
+
+
+def test_a_non_object_header_is_unreadable(tmp_path):
+    path = tmp_path / "sweep.journal"
+    path.write_bytes(b"5\n")
+    with pytest.raises(JournalError):
+        SweepJournal(path).open("sweep", 7, 4)
+
+
+@pytest.mark.parametrize("gone", ["class", "module"])
+def test_a_result_whose_class_is_gone_is_discarded(tmp_path, monkeypatch,
+                                                   gone):
+    module = types.ModuleType("_vanishing_journal_results")
+    exec("class Thing:\n    pass\n", module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    path = tmp_path / "sweep.journal"
+    journal = SweepJournal(path)
+    journal.open("sweep", 7, 4)
+    for index, result in enumerate(("kept", module.Thing(), "after")):
+        journal.record(index, 0, derive_seed(7, index, "sweep"), result)
+    journal.close()
+    if gone == "class":
+        del module.Thing
+    else:
+        monkeypatch.delitem(sys.modules, module.__name__)
+    journal = SweepJournal(path)
+    assert journal.open("sweep", 7, 4) == {0: (0, "kept")}
+    journal.close()
     assert journal.discarded == 1
 
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.recipes import WalkTuning, replay_n_times
+from repro.core.recipes import WalkLocation, WalkTuning, replay_n_times
+from repro.mem.cache import CacheConfig
 from repro.memo import (
     Unmemoizable,
     canonical,
@@ -379,6 +380,37 @@ def test_trial_keyer_is_the_single_walk_layout(fp_a, fp_b, params, seed):
     # Each keyer hashes its own fingerprint: no prefix is shared.
     if canonical_json(fp_a) != canonical_json(fp_b):
         assert key_a(params, seed) != key_b(params, seed)
+
+
+#: Dataclass leaves: a generic dataclass of enums and a registered
+#: config dataclass, both written through the encoder fallback.
+_dataclass_leaves = (
+    st.builds(WalkTuning, upper=st.sampled_from(WalkLocation),
+              leaf=st.sampled_from([loc for loc in WalkLocation
+                                    if loc is not WalkLocation.PWC]))
+    | st.builds(CacheConfig, name=st.text(max_size=6),
+                size_bytes=st.integers(0, 1 << 20),
+                ways=st.integers(1, 16), latency=st.integers(0, 300)))
+_key_values = st.recursive(
+    _hashable_leaves | _dataclass_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.frozensets(st.tuples(_hashable_leaves, _hashable_leaves),
+                        max_size=3)
+        | st.sets(st.integers(), max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_values)
+def test_canonical_json_is_the_text_of_json_dumps(value):
+    """The one-pass writer and the encoder fallback it nests agree
+    with encoding the canonical form in one ``json.dumps``."""
+    assert canonical_json(value) == json.dumps(
+        canonical(value), sort_keys=True, separators=(",", ":"))
 
 
 def test_store_session_keys_equal_trial_key(tmp_path):

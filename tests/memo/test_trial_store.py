@@ -5,6 +5,10 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import sys
+import types
+
+import pytest
 
 from repro.memo import TrialStore, resolve_store, trial_key
 from repro.memo.store import CACHE_DIR_ENV, STORE_VERSION
@@ -40,11 +44,19 @@ def test_round_trip_and_miss(tmp_path):
     assert store.metrics.counter("memo.store.hits").value == 1
 
 
+#: The header fields of a record, in order.
+_FIELDS = ("kind", "version", "snapshot_version", "key", "sha256", "seed")
+
+
 def _rewrite(store, key, mutate):
+    """Edit a record's header fields (or its ``result`` bytes)."""
     path = store.path_for(key)
-    record = json.loads(path.read_text())
+    header, _, payload = path.read_bytes().partition(b"\n")
+    record = dict(zip(_FIELDS, header.decode("ascii").split(" ")),
+                  result=payload)
     mutate(record)
-    path.write_text(json.dumps(record) + "\n")
+    path.write_bytes(" ".join(str(record[name]) for name in _FIELDS)
+                     .encode("ascii") + b"\n" + record["result"])
 
 
 def test_corrupted_records_are_misses_not_crashes(tmp_path):
@@ -60,7 +72,7 @@ def test_corrupted_records_are_misses_not_crashes(tmp_path):
 
     store.put(KEY, 7, "result")
     _rewrite(store, KEY, lambda r: r.update(
-        result=base64.b64encode(b"not a pickle").decode(),
+        result=b"not a pickle",
         sha256=hashlib.sha256(b"not a pickle").hexdigest()))
     assert store.get(KEY) == (False, None)
 
@@ -115,17 +127,74 @@ def test_verify_hook_rejects_poisoned_result(tmp_path):
     assert store.counts()["rejected"] == 1
 
 
-def test_record_is_journal_shaped(tmp_path):
+def test_record_is_a_header_line_and_the_raw_pickle(tmp_path):
     store = TrialStore(tmp_path)
     store.put(KEY, 7, [1, 2])
-    record = json.loads(store.path_for(KEY).read_text())
-    assert record["kind"] == "trial"
-    assert record["key"] == KEY and record["seed"] == 7
-    assert record["version"] == STORE_VERSION
-    assert record["snapshot_version"] == SNAPSHOT_VERSION
-    payload = base64.b64decode(record["result"])
-    assert hashlib.sha256(payload).hexdigest() == record["sha256"]
-    assert pickle.loads(payload) == [1, 2]
+    path = store.path_for(KEY)
+    assert path == tmp_path / KEY[:2] / f"{KEY}.trial"
+    header, newline, payload = path.read_bytes().partition(b"\n")
+    assert newline == b"\n"
+    assert header.decode("ascii").split(" ") == [
+        "trial", str(STORE_VERSION), str(SNAPSHOT_VERSION), KEY,
+        hashlib.sha256(payload).hexdigest(), "7"]
+    assert STORE_VERSION == 2
+    assert payload == pickle.dumps([1, 2],
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_a_pickle_holding_newlines_round_trips(tmp_path):
+    store = TrialStore(tmp_path)
+    value = {"text": "a\nb\n", "raw": b"\n\n", "n": 10}
+    store.put(KEY, 7, value)
+    payload = store.path_for(KEY).read_bytes().partition(b"\n")[2]
+    assert payload.count(b"\n") >= 3
+    assert store.get(KEY) == (True, value)
+
+
+def test_a_truncated_header_is_corrupt(tmp_path):
+    store = TrialStore(tmp_path)
+    store.put(KEY, 7, "result")
+    data = store.path_for(KEY).read_bytes()
+    header_end = data.index(b"\n")
+    for cut in (5, header_end // 2, header_end - 1, header_end):
+        store.path_for(KEY).write_bytes(data[:cut])
+        assert store.get(KEY) == (False, None)
+    assert store.counts()["corrupt"] == 4
+    assert store.counts()["misses"] == 0
+
+
+def test_an_old_json_record_is_neither_read_nor_counted(tmp_path):
+    store = TrialStore(tmp_path)
+    payload = pickle.dumps("old-layout")
+    old = tmp_path / KEY[:2] / f"{KEY}.json"
+    old.parent.mkdir()
+    old.write_text(json.dumps({
+        "kind": "trial", "key": KEY, "version": 1,
+        "snapshot_version": SNAPSHOT_VERSION, "seed": 7,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+        "result": base64.b64encode(payload).decode("ascii")}) + "\n")
+    assert len(store) == 0
+    assert store.get(KEY) == (False, None)
+    assert store.counts()["misses"] == 1
+    store.put(KEY, 7, "new-layout")
+    assert len(store) == 1
+    assert store.get(KEY) == (True, "new-layout")
+
+
+@pytest.mark.parametrize("gone", ["class", "module"])
+def test_a_result_whose_class_is_gone_is_a_corrupt_miss(tmp_path,
+                                                        monkeypatch, gone):
+    module = types.ModuleType("_vanishing_store_results")
+    exec("class Thing:\n    pass\n", module.__dict__)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    store = TrialStore(tmp_path)
+    store.put(KEY, 7, module.Thing())
+    if gone == "class":
+        del module.Thing
+    else:
+        monkeypatch.delitem(sys.modules, module.__name__)
+    assert store.get(KEY) == (False, None)
+    assert store.counts()["corrupt"] == 1
 
 
 def _writer(root, key, value, barrier):
