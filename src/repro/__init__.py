@@ -34,6 +34,12 @@ The public surface is promoted to this top level (and snapshotted by
     ).run().result
     print(result.above_threshold, result.verdict)
 
+``import repro`` imports none of the modules behind these names: each
+is imported on its first use (:mod:`repro._lazy`), and so is a
+subpackage read as an attribute (``repro.harness``).  A process thus
+loads only what it runs; a port-contention sweep never loads the job
+service, the oracle's taint tracker or the other attacks.
+
 Configuration lives in :mod:`repro.config`, sweep execution in
 :mod:`repro.harness`, and the facade itself in
 :mod:`repro.experiment`; the deeper module paths all remain public
@@ -43,67 +49,103 @@ evaluation work can also be submitted to the job service
 executing in-process — see ``docs/SERVICE.md``.
 """
 
-from repro.config import (
-    CacheConfig,
-    CoreConfig,
-    DefenseHookConfig,
-    HierarchyConfig,
-    MachineConfig,
-    PWCConfig,
-    TLBConfig,
-    TLBHierarchyConfig,
-    from_dict,
-    to_dict,
-)
-from repro.core.attacks import (
-    AESCacheAttack,
-    AESKeyRecoveryAttack,
-    ModExpExtractionAttack,
-    PortContentionAttack,
-    run_figure10,
-)
-from repro.core.module import MicroScopeConfig
-from repro.core.replayer import AttackEnvironment, Replayer
-from repro.cpu.machine import Machine
-from repro.cpu.observer import Observer
-from repro.evaluation import (
-    AttackSpec,
-    CellMetrics,
-    DefenseSpec,
-    EvaluationMatrix,
-    MatrixCell,
-    MatrixRunner,
-    classify_cell,
-)
-from repro.experiment import Experiment, ExperimentReport
-from repro.harness import (
-    ChaosPlan,
-    FaultPolicy,
-    SweepJournal,
-    SweepReport,
-    default_workers,
-    derive_seed,
-    merge_ordered,
-    run_resilient_sweep,
-)
-from repro.kernel.kernel import KernelConfig
-from repro.memo import (
-    TrialStore,
-    Unmemoizable,
-    resolve_store,
-    trial_key,
-)
-from repro.observability import EventTracer, MetricsRegistry
-from repro.oracle import (
-    LeakageEvent,
-    LeakageSummary,
-    OracleConfig,
-    TaintOracle,
-    oracle_consistency_verify,
-)
-from repro.service import JobSpec, ServiceClient, ServiceError
-from repro.sgx.enclave import EnclaveConfig
-from repro.snapshot import MachineSnapshot, warm_start
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.config import (
+        CacheConfig,
+        CoreConfig,
+        DefenseHookConfig,
+        HierarchyConfig,
+        MachineConfig,
+        PWCConfig,
+        TLBConfig,
+        TLBHierarchyConfig,
+        from_dict,
+        to_dict,
+    )
+    from repro.core.attacks import (
+        AESCacheAttack,
+        AESKeyRecoveryAttack,
+        ModExpExtractionAttack,
+        PortContentionAttack,
+        run_figure10,
+    )
+    from repro.core.module import MicroScopeConfig
+    from repro.core.replayer import AttackEnvironment, Replayer
+    from repro.cpu.machine import Machine
+    from repro.cpu.observer import Observer
+    from repro.evaluation import (
+        AttackSpec,
+        CellMetrics,
+        DefenseSpec,
+        EvaluationMatrix,
+        MatrixCell,
+        MatrixRunner,
+        classify_cell,
+    )
+    from repro.experiment import Experiment, ExperimentReport
+    from repro.harness import (
+        ChaosPlan,
+        FaultPolicy,
+        SweepJournal,
+        SweepReport,
+        default_workers,
+        derive_seed,
+        merge_ordered,
+        run_resilient_sweep,
+    )
+    from repro.kernel.kernel import KernelConfig
+    from repro.memo import (
+        TrialStore,
+        Unmemoizable,
+        resolve_store,
+        trial_key,
+    )
+    from repro.observability import EventTracer, MetricsRegistry
+    from repro.oracle import (
+        LeakageEvent,
+        LeakageSummary,
+        OracleConfig,
+        TaintOracle,
+        oracle_consistency_verify,
+    )
+    from repro.service import JobSpec, ServiceClient, ServiceError
+    from repro.sgx.enclave import EnclaveConfig
+    from repro.snapshot import MachineSnapshot, warm_start
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": (
+        "CacheConfig", "CoreConfig", "DefenseHookConfig", "HierarchyConfig",
+        "MachineConfig", "PWCConfig", "TLBConfig", "TLBHierarchyConfig",
+        "from_dict", "to_dict"),
+    "repro.core.attacks": (
+        "AESCacheAttack", "AESKeyRecoveryAttack", "ModExpExtractionAttack",
+        "PortContentionAttack", "run_figure10"),
+    "repro.core.module": ("MicroScopeConfig",),
+    "repro.core.replayer": ("AttackEnvironment", "Replayer"),
+    "repro.cpu.machine": ("Machine",),
+    "repro.cpu.observer": ("Observer",),
+    "repro.evaluation": (
+        "AttackSpec", "CellMetrics", "DefenseSpec", "EvaluationMatrix",
+        "MatrixCell", "MatrixRunner", "classify_cell"),
+    "repro.experiment": ("Experiment", "ExperimentReport"),
+    "repro.harness": (
+        "ChaosPlan", "FaultPolicy", "SweepJournal", "SweepReport",
+        "default_workers", "derive_seed", "merge_ordered",
+        "run_resilient_sweep"),
+    "repro.kernel.kernel": ("KernelConfig",),
+    "repro.memo": ("TrialStore", "Unmemoizable", "resolve_store", "trial_key"),
+    "repro.observability": ("EventTracer", "MetricsRegistry"),
+    "repro.oracle": (
+        "LeakageEvent", "LeakageSummary", "OracleConfig", "TaintOracle",
+        "oracle_consistency_verify"),
+    "repro.service": ("JobSpec", "ServiceClient", "ServiceError"),
+    "repro.sgx.enclave": ("EnclaveConfig",),
+    "repro.snapshot": ("MachineSnapshot", "warm_start"),
+})
 
 __version__ = "2.0.0"
 

@@ -14,37 +14,59 @@ in :mod:`repro.core.analysis`; replay-handle discovery (§4.1.1) in
 :mod:`repro.core.handles`.
 """
 
-from repro.core.analysis import (
-    ConfidenceTracker,
-    ContentionSummary,
-    IndexObservation,
-    LineObservation,
-    assemble_round_key,
-    classify_hits,
-    count_above,
-    derive_threshold,
-    majority_lines,
-    recover_high_nibbles,
-    recover_round_key,
-    round1_byte_index,
-    summarize,
-)
-from repro.core.handles import (
-    HandleCandidate,
-    count_memory_instructions,
-    find_replay_handles,
-)
-from repro.core.module import MicroScopeConfig, MicroScopeModule, MicroScopeStats
-from repro.core.recipes import (
-    AttackRecipe,
-    ReplayAction,
-    ReplayDecision,
-    ReplayEvent,
-    WalkLocation,
-    WalkTuning,
-    replay_n_times,
-)
-from repro.core.replayer import AttackEnvironment, Replayer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.analysis import (
+        ConfidenceTracker,
+        ContentionSummary,
+        IndexObservation,
+        LineObservation,
+        assemble_round_key,
+        classify_hits,
+        count_above,
+        derive_threshold,
+        majority_lines,
+        recover_high_nibbles,
+        recover_round_key,
+        round1_byte_index,
+        summarize,
+    )
+    from repro.core.handles import (
+        HandleCandidate,
+        count_memory_instructions,
+        find_replay_handles,
+    )
+    from repro.core.module import MicroScopeConfig, MicroScopeModule, MicroScopeStats
+    from repro.core.recipes import (
+        AttackRecipe,
+        ReplayAction,
+        ReplayDecision,
+        ReplayEvent,
+        WalkLocation,
+        WalkTuning,
+        replay_n_times,
+    )
+    from repro.core.replayer import AttackEnvironment, Replayer
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.analysis": (
+        "ConfidenceTracker", "ContentionSummary", "IndexObservation",
+        "LineObservation", "assemble_round_key", "classify_hits",
+        "count_above", "derive_threshold", "majority_lines",
+        "recover_high_nibbles", "recover_round_key", "round1_byte_index",
+        "summarize"),
+    "repro.core.handles": (
+        "HandleCandidate", "count_memory_instructions", "find_replay_handles"),
+    "repro.core.module": (
+        "MicroScopeConfig", "MicroScopeModule", "MicroScopeStats"),
+    "repro.core.recipes": (
+        "AttackRecipe", "ReplayAction", "ReplayDecision", "ReplayEvent",
+        "WalkLocation", "WalkTuning", "replay_n_times"),
+    "repro.core.replayer": ("AttackEnvironment", "Replayer"),
+})
 
 __all__ = [
     "ConfidenceTracker",

@@ -93,9 +93,10 @@ class DefenseHookConfig:
     """A hardware defense mechanism, attached to the machine as an
     observer (:mod:`repro.cpu.observer`).
 
-    ``scheme`` names a mechanism registered in
-    :mod:`repro.evaluation.defenses.mechanisms` (e.g. ``"fences"``,
-    ``"jamais-vu"``, ``"delay-on-squash"``, ``"simf"``, ``"leash"``);
+    ``scheme`` names a mechanism listed in
+    :data:`repro.evaluation.defenses.mechanisms.MECHANISM_MODULES`
+    (``"fences"``, ``"jamais-vu"``, ``"delay-on-squash"``, ``"simf"``,
+    ``"leash"``);
     ``params`` carries its knobs verbatim to the mechanism factory.
     The config lives here (not in the evaluation package) because it
     is part of :class:`~repro.config.MachineConfig` — the machine

@@ -19,33 +19,50 @@ Typical use::
     print(matrix.summary_markdown())
 """
 
-from repro.evaluation.attacks import (
-    ATTACKS,
-    AttackSpec,
-    attack_names,
-    get_attack,
-)
-from repro.evaluation.classify import (
-    CLASSIFICATIONS,
-    EPSILON,
-    CellMetrics,
-    classify_cell,
-)
-from repro.evaluation.defenses import (
-    DEFENSES,
-    DefenseSpec,
-    defense_names,
-    get_defense,
-)
-from repro.evaluation.matrix import (
-    DEFAULT_LABEL,
-    DEFAULT_MASTER_SEED,
-    EvaluationMatrix,
-    MatrixCell,
-    MatrixRunner,
-    build_matrix,
-    matrix_params,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.evaluation.attacks import (
+        ATTACKS,
+        AttackSpec,
+        attack_names,
+        get_attack,
+    )
+    from repro.evaluation.classify import (
+        CLASSIFICATIONS,
+        EPSILON,
+        CellMetrics,
+        classify_cell,
+    )
+    from repro.evaluation.defenses import (
+        DEFENSES,
+        DefenseSpec,
+        defense_names,
+        get_defense,
+    )
+    from repro.evaluation.matrix import (
+        DEFAULT_LABEL,
+        DEFAULT_MASTER_SEED,
+        EvaluationMatrix,
+        MatrixCell,
+        MatrixRunner,
+        build_matrix,
+        matrix_params,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.evaluation.attacks": (
+        "ATTACKS", "AttackSpec", "attack_names", "get_attack"),
+    "repro.evaluation.classify": (
+        "CLASSIFICATIONS", "EPSILON", "CellMetrics", "classify_cell"),
+    "repro.evaluation.defenses": (
+        "DEFENSES", "DefenseSpec", "defense_names", "get_defense"),
+    "repro.evaluation.matrix": (
+        "DEFAULT_LABEL", "DEFAULT_MASTER_SEED", "EvaluationMatrix",
+        "MatrixCell", "MatrixRunner", "build_matrix", "matrix_params"),
+})
 
 __all__ = [
     "ATTACKS",

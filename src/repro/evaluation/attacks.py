@@ -15,14 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
-from repro.baselines.controlled_channel import ControlledChannelAttack
-from repro.core.attacks.control_flow import ControlFlowCacheAttack
-from repro.core.attacks.interrupt_replay import InterruptReplayAttack
-from repro.core.attacks.loop_secret import LoopSecretAttack
-from repro.core.attacks.mispredict_replay import infer_secret_by_priming
-from repro.core.attacks.port_contention import PortContentionAttack
-from repro.core.attacks.single_secret import SecretIdExtractionAttack
-from repro.evaluation.defenses.tsgx import wrap_with_tsgx
 from repro.evaluation.classify import CellMetrics
 from repro.evaluation.defenses import DefenseSpec
 
@@ -36,12 +28,14 @@ def _accuracy(outcomes: Sequence[bool]) -> float:
 def _tsgx_wrapper(program, process):
     """Victim transform for the ``tsgx`` column (module-level so the
     attack object stays picklable)."""
+    from repro.evaluation.defenses.tsgx import wrap_with_tsgx
     return wrap_with_tsgx(program, process)
 
 
 def run_cf_cache(defense: DefenseSpec,
                  overrides: Mapping[str, Any]) -> CellMetrics:
     """Cache-line control-flow attack (§4.2.3, Fig. 4c)."""
+    from repro.core.attacks.control_flow import ControlFlowCacheAttack
     secrets = tuple(overrides.get("secrets", (0, 1)))
     attack = ControlFlowCacheAttack(
         replays=overrides.get("replays", 5),
@@ -61,6 +55,7 @@ def run_cf_cache(defense: DefenseSpec,
 def run_secret_id(defense: DefenseSpec,
                   overrides: Mapping[str, Any]) -> CellMetrics:
     """Secret-id extraction on the Fig. 5 victim (§4.2.1)."""
+    from repro.core.attacks.single_secret import SecretIdExtractionAttack
     secret_ids = tuple(overrides.get("secret_ids", (5, 37)))
     attack = SecretIdExtractionAttack(
         replays=overrides.get("replays", 3),
@@ -82,6 +77,7 @@ def run_secret_id(defense: DefenseSpec,
 def run_loop_secret(defense: DefenseSpec,
                     overrides: Mapping[str, Any]) -> CellMetrics:
     """Loop-secret extraction with window tuning + pivot (§4.2.2)."""
+    from repro.core.attacks.loop_secret import LoopSecretAttack
     secrets = list(overrides.get("secrets", (3, 7, 1, 12)))
     attack = LoopSecretAttack(
         machine=defense.machine,
@@ -101,6 +97,7 @@ def run_interrupt_replay(defense: DefenseSpec,
                          overrides: Mapping[str, Any]) -> CellMetrics:
     """Timer interrupts as replay handles (§7.1) — no page-table
     manipulation, so page-fault-centric defenses miss it."""
+    from repro.core.attacks.interrupt_replay import InterruptReplayAttack
     secrets = tuple(overrides.get("secrets", (0, 1)))
     attack = InterruptReplayAttack(
         replays=overrides.get("replays", 8),
@@ -128,6 +125,7 @@ def run_mispredict(defense: DefenseSpec,
                    overrides: Mapping[str, Any]) -> CellMetrics:
     """Primed-misprediction inference (§4.2.3 / §7.1): intrinsically
     bounded replays, so budgets never bind."""
+    from repro.core.attacks.mispredict_replay import infer_secret_by_priming
     secrets = tuple(overrides.get("secrets", (0, 1)))
     outcomes = [infer_secret_by_priming(s, machine=defense.machine)
                 for s in secrets]
@@ -146,6 +144,7 @@ def run_mispredict(defense: DefenseSpec,
 def run_port_contention(defense: DefenseSpec,
                         overrides: Mapping[str, Any]) -> CellMetrics:
     """The Fig. 10 port-contention attack (§4.3 / §6.1)."""
+    from repro.core.attacks.port_contention import PortContentionAttack
     secrets = tuple(overrides.get("secrets", (0, 1)))
     attack = PortContentionAttack(
         measurements=overrides.get("measurements", 800),
@@ -173,6 +172,7 @@ def run_controlled_channel(defense: DefenseSpec,
     """The Table-1 controlled-channel baseline (Xu et al. [60]) —
     the row where victim-transform defenses actually bite, which is
     the paper's §8 contrast with MicroScope."""
+    from repro.baselines.controlled_channel import ControlledChannelAttack
     secrets = tuple(overrides.get("secrets", (0, 1)))
     attack = ControlledChannelAttack(
         machine=defense.machine,
@@ -235,6 +235,21 @@ ATTACKS: Dict[str, AttackSpec] = {spec.name: spec for spec in (
                "fault sequence", "Table 1, Xu et al. [60]", 0.5,
                run_controlled_channel),
 )}
+
+
+#: The module each row's runner imports its attack from, on its first
+#: call.  A pool sweep imports them in the parent
+#: (:func:`repro.evaluation.matrix.import_cell_modules`), so forked
+#: workers inherit them instead of importing them on every attempt.
+RUNNER_MODULES: Dict[str, str] = {
+    "cf-cache": "repro.core.attacks.control_flow",
+    "secret-id": "repro.core.attacks.single_secret",
+    "loop-secret": "repro.core.attacks.loop_secret",
+    "interrupt-replay": "repro.core.attacks.interrupt_replay",
+    "mispredict": "repro.core.attacks.mispredict_replay",
+    "port-contention": "repro.core.attacks.port_contention",
+    "controlled-channel": "repro.baselines.controlled_channel",
+}
 
 
 def attack_names() -> Tuple[str, ...]:

@@ -16,8 +16,11 @@ context state.  Each one is a :class:`DefenseMechanism`:
   installed.
 
 A mechanism is selected by :class:`~repro.config.DefenseHookConfig`:
-``Machine.__init__`` resolves ``config.defense.scheme`` against the
-:data:`MECHANISMS` registry and installs the result.  Because every
+``Machine.__init__`` resolves ``config.defense.scheme`` through
+:func:`build_mechanism` and installs the result.  The scheme names its
+module in :data:`MECHANISM_MODULES`; the first build of a scheme
+imports that module, whose :func:`register_mechanism` decorator puts
+the factory in :data:`MECHANISMS`.  Because every
 attack runner passes ``machine=defense.machine`` through unchanged,
 a new defense reaches all seven attack rows with zero attack-side
 code.
@@ -25,6 +28,7 @@ code.
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping
 
 from repro.cpu.context import HardwareContext
@@ -73,16 +77,39 @@ def nonspeculative(context: HardwareContext, entry: ROBEntry) -> bool:
     return True
 
 
-#: Scheme name → factory taking the ``DefenseHookConfig.params`` dict.
+#: Scheme name → the module that defines and registers its mechanism.
+#: The table is the list of schemes: :func:`build_mechanism` imports a
+#: scheme's module on its first use, and :func:`register_mechanism`
+#: refuses a scheme that is not listed here.
+MECHANISM_MODULES: Dict[str, str] = {
+    "fences": "repro.evaluation.defenses.fences",
+    "jamais-vu": "repro.evaluation.defenses.jamais_vu",
+    "delay-on-squash": "repro.evaluation.defenses.delay_on_squash",
+    "simf": "repro.evaluation.defenses.simf",
+    "leash": "repro.evaluation.defenses.leash",
+}
+
+#: Scheme name → factory taking the ``DefenseHookConfig.params`` dict,
+#: for each scheme whose module has been imported.
 MECHANISMS: Dict[str, Callable[..., DefenseMechanism]] = {}
 
 
 def register_mechanism(scheme: str
                        ) -> Callable[[Callable[..., DefenseMechanism]],
                                      Callable[..., DefenseMechanism]]:
-    """Class decorator registering a mechanism factory under *scheme*."""
+    """Class decorator registering a mechanism factory under *scheme*,
+    which :data:`MECHANISM_MODULES` must map to the factory's module."""
     def decorate(factory: Callable[..., DefenseMechanism]
                  ) -> Callable[..., DefenseMechanism]:
+        module = MECHANISM_MODULES.get(scheme)
+        if module is None:
+            raise ValueError(
+                f"mechanism {scheme!r} is not in MECHANISM_MODULES")
+        if module != factory.__module__:
+            raise ValueError(
+                f"mechanism {scheme!r} is defined in "
+                f"{factory.__module__}, but MECHANISM_MODULES maps it "
+                f"to {module}")
         if scheme in MECHANISMS:
             raise ValueError(f"mechanism {scheme!r} already registered")
         MECHANISMS[scheme] = factory
@@ -92,14 +119,15 @@ def register_mechanism(scheme: str
 
 def build_mechanism(config: "DefenseHookConfig") -> DefenseMechanism:
     """Instantiate the mechanism *config* names (unattached)."""
-    try:
-        factory = MECHANISMS[config.scheme]
-    except KeyError:
-        raise KeyError(
-            f"unknown defense scheme {config.scheme!r}; registered: "
-            f"{', '.join(sorted(MECHANISMS))}") from None
+    scheme = config.scheme
+    if scheme not in MECHANISMS:
+        if scheme not in MECHANISM_MODULES:
+            raise KeyError(
+                f"unknown defense scheme {scheme!r}; registered: "
+                f"{', '.join(sorted(MECHANISM_MODULES))}")
+        importlib.import_module(MECHANISM_MODULES[scheme])
     params: Mapping[str, Any] = config.params or {}
-    return factory(**dict(params))
+    return MECHANISMS[scheme](**dict(params))
 
 
 def install_defense(machine, config: "DefenseHookConfig"
@@ -108,9 +136,3 @@ def install_defense(machine, config: "DefenseHookConfig"
     mechanism = build_mechanism(config)
     mechanism.attach(machine)
     return mechanism
-
-
-# The scheme modules self-register on import; the package __init__
-# (which Python always runs before any submodule import) imports all
-# of them, so the registry is complete by the time anything can call
-# build_mechanism.

@@ -15,10 +15,12 @@ Classification happens in the parent against the same attack's
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.evaluation.attacks import attack_names, get_attack
+from repro.evaluation.attacks import (RUNNER_MODULES, attack_names,
+                                      get_attack)
 from repro.evaluation.classify import CellMetrics, classify_cell
 from repro.evaluation.defenses import defense_names, get_defense
 from repro.experiment import Experiment
@@ -196,6 +198,21 @@ def matrix_params(attacks: Sequence[str], defenses: Sequence[str],
             for a in attacks for d in defenses]
 
 
+def import_cell_modules(attacks: Sequence[str],
+                        defenses: Sequence[str]) -> None:
+    """Import the attack and mechanism modules the cells of *attacks*
+    x *defenses* run.  The process pool forks one worker per attempt;
+    importing them here, once, lets every worker inherit them."""
+    from repro.evaluation.defenses.mechanisms import MECHANISM_MODULES
+    for name in attacks:
+        importlib.import_module(RUNNER_MODULES[name])
+    for name in defenses:
+        machine = get_defense(name).machine
+        if machine is not None and machine.defense is not None:
+            importlib.import_module(
+                MECHANISM_MODULES[machine.defense.scheme])
+
+
 def build_matrix(attacks: Sequence[str], defenses: Sequence[str],
                  params: Sequence[Tuple[str, str, Any]],
                  results: Sequence[Any], *, master_seed: int,
@@ -323,8 +340,10 @@ class MatrixRunner:
 
     def run(self) -> EvaluationMatrix:
         """Execute every cell and classify against the baselines."""
-        from repro.oracle.tracker import _coerce_config
-        oracle_config = _coerce_config(self.oracle)
+        oracle_config = None
+        if self.oracle is not None and self.oracle is not False:
+            from repro.oracle.tracker import _coerce_config
+            oracle_config = _coerce_config(self.oracle)
         attacks, defenses = self._axes()
         if self.service is not None:
             if oracle_config is not None:
@@ -342,6 +361,8 @@ class MatrixRunner:
             trial = _cell_trial_oracle
         else:
             trial = _cell_trial
+        if (self.workers or 1) > 1:
+            import_cell_modules(attacks, defenses)
         report = Experiment(
             trial=trial, sweep=params,
             master_seed=self.master_seed, label=self.label,

@@ -255,8 +255,10 @@ class Experiment:
 
     def run(self) -> ExperimentReport:
         """Execute and return an :class:`ExperimentReport`."""
-        from repro.oracle.tracker import _coerce_config
-        oracle_config = _coerce_config(self.oracle)
+        oracle_config = None
+        if self.oracle is not None and self.oracle is not False:
+            from repro.oracle.tracker import _coerce_config
+            oracle_config = _coerce_config(self.oracle)
         trial_fn, params = self._trial_spec()
         if oracle_config is not None:
             trial_fn = _OracleTrial(inner=trial_fn,

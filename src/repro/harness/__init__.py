@@ -31,30 +31,47 @@ are also invariant to the failure schedule for trials whose outcome
 is a pure function of their parameters and seed.
 """
 
-from repro.harness.chaos import FAULT_KINDS, ChaosError, ChaosPlan
-from repro.harness.journal import (
-    JournalError,
-    JournalMismatch,
-    SweepJournal,
-)
-from repro.harness.resilience import (
-    SKIPPED,
-    FaultPolicy,
-    ResilientSweepResult,
-    SweepFailure,
-    SweepReport,
-    TrialAttempt,
-    TrialReport,
-    collect_sweep_reports,
-    default_workers,
-    run_resilient_sweep,
-)
-from repro.harness.sweep import (
-    SweepResult,
-    Trial,
-    derive_seed,
-    merge_ordered,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.harness.chaos import FAULT_KINDS, ChaosError, ChaosPlan
+    from repro.harness.journal import (
+        JournalError,
+        JournalMismatch,
+        SweepJournal,
+    )
+    from repro.harness.resilience import (
+        SKIPPED,
+        FaultPolicy,
+        ResilientSweepResult,
+        SweepFailure,
+        SweepReport,
+        TrialAttempt,
+        TrialReport,
+        collect_sweep_reports,
+        default_workers,
+        run_resilient_sweep,
+    )
+    from repro.harness.sweep import (
+        SweepResult,
+        Trial,
+        derive_seed,
+        merge_ordered,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.harness.chaos": ("FAULT_KINDS", "ChaosError", "ChaosPlan"),
+    "repro.harness.journal": (
+        "JournalError", "JournalMismatch", "SweepJournal"),
+    "repro.harness.resilience": (
+        "SKIPPED", "FaultPolicy", "ResilientSweepResult", "SweepFailure",
+        "SweepReport", "TrialAttempt", "TrialReport", "collect_sweep_reports",
+        "default_workers", "run_resilient_sweep"),
+    "repro.harness.sweep": (
+        "SweepResult", "Trial", "derive_seed", "merge_ordered"),
+})
 
 __all__ = [
     "FAULT_KINDS",

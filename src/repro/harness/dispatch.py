@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import multiprocessing
 import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.journal import SweepJournal
@@ -165,7 +163,9 @@ def _run_inline(trial_fn: TrialFn, todo: Sequence[Trial], *,
 
 def _mp_context():
     """Prefer fork (cheap, inherits the imported simulator); fall back
-    to the platform default where fork is unavailable."""
+    to the platform default where fork is unavailable.  Imported here:
+    a sweep that runs in this process never loads multiprocessing."""
+    import multiprocessing
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -367,6 +367,7 @@ class _Supervisor:
             raise
 
     def _loop(self) -> None:
+        from multiprocessing.connection import wait
         while self._pending or self.inflight:
             now = self._now()
             while (self._pending
@@ -382,8 +383,7 @@ class _Supervisor:
                     time.sleep(min(wait_for, 0.25))
                 continue
             timeout = self._wait_budget()
-            ready = _connection_wait(list(self.inflight.keys()),
-                                     timeout)
+            ready = wait(list(self.inflight.keys()), timeout)
             for conn in ready:
                 flight = self.inflight.pop(conn, None)
                 if flight is not None:

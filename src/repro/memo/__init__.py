@@ -21,20 +21,33 @@ machine state (recipe progress, primed lines, walk tuning), so a
 cache keyed on the platform state would never hit.
 """
 
-from repro.memo.keys import (
-    Unmemoizable,
-    canonical,
-    canonical_json,
-    digest_of,
-    fingerprint_callable,
-    trial_key,
-)
-from repro.memo.store import (
-    CACHE_DIR_ENV,
-    STORE_VERSION,
-    TrialStore,
-    resolve_store,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.memo.keys import (
+        Unmemoizable,
+        canonical,
+        canonical_json,
+        digest_of,
+        fingerprint_callable,
+        trial_key,
+    )
+    from repro.memo.store import (
+        CACHE_DIR_ENV,
+        STORE_VERSION,
+        TrialStore,
+        resolve_store,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memo.keys": (
+        "Unmemoizable", "canonical", "canonical_json", "digest_of",
+        "fingerprint_callable", "trial_key"),
+    "repro.memo.store": (
+        "CACHE_DIR_ENV", "STORE_VERSION", "TrialStore", "resolve_store"),
+})
 
 __all__ = [
     "CACHE_DIR_ENV",

@@ -15,39 +15,58 @@ Three layers, each opt-in at a different granularity:
 See ``docs/OBSERVABILITY.md`` for the naming scheme and workflows.
 """
 
-from repro.observability.profiler import (
-    RunProfile,
-    collect_machines,
-)
-from repro.observability.registry import (
-    DEFAULT_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_dumps,
-)
-from repro.observability.stats import (
-    CacheStats,
-    ContextStats,
-    HierarchyStats,
-    KernelStats,
-    MicroScopeStats,
-    PortStats,
-    PredictorStats,
-    PWCStats,
-    StatGroup,
-    TLBStats,
-    WalkerStats,
-)
-from repro.observability.tracer import (
-    HARNESS_TID,
-    KERNEL_TID,
-    MICROSCOPE_TID,
-    EventTracer,
-    TraceEvent,
-    render_pipeline,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.observability.profiler import (
+        RunProfile,
+        collect_machines,
+    )
+    from repro.observability.registry import (
+        DEFAULT_BOUNDS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        merge_dumps,
+    )
+    from repro.observability.stats import (
+        CacheStats,
+        ContextStats,
+        HierarchyStats,
+        KernelStats,
+        MicroScopeStats,
+        PortStats,
+        PredictorStats,
+        PWCStats,
+        StatGroup,
+        TLBStats,
+        WalkerStats,
+    )
+    from repro.observability.tracer import (
+        HARNESS_TID,
+        KERNEL_TID,
+        MICROSCOPE_TID,
+        EventTracer,
+        TraceEvent,
+        render_pipeline,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.observability.profiler": ("RunProfile", "collect_machines"),
+    "repro.observability.registry": (
+        "DEFAULT_BOUNDS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "merge_dumps"),
+    "repro.observability.stats": (
+        "CacheStats", "ContextStats", "HierarchyStats", "KernelStats",
+        "MicroScopeStats", "PortStats", "PredictorStats", "PWCStats",
+        "StatGroup", "TLBStats", "WalkerStats"),
+    "repro.observability.tracer": (
+        "HARNESS_TID", "KERNEL_TID", "MICROSCOPE_TID", "EventTracer",
+        "TraceEvent", "render_pipeline"),
+})
 
 __all__ = [
     "RunProfile",

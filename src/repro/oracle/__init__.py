@@ -24,13 +24,28 @@ or, one level up, ``Experiment(oracle=True)`` /
 cross-validation pass (:mod:`repro.tools.oraclecheck`).
 """
 
-from repro.oracle.events import (EVENT_KINDS, REASONS, LeakageEvent,
-                                 LeakageSummary)
-from repro.oracle.runtime import (activate, current, note_machine,
-                                  note_secret_write)
-from repro.oracle.tracker import (OracleConfig, TaintOracle,
-                                  attach_machine,
-                                  oracle_consistency_verify)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.oracle.events import (EVENT_KINDS, REASONS, LeakageEvent,
+                                     LeakageSummary)
+    from repro.oracle.runtime import (activate, current, note_machine,
+                                      note_secret_write)
+    from repro.oracle.tracker import (OracleConfig, TaintOracle,
+                                      attach_machine,
+                                      oracle_consistency_verify)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.oracle.events": (
+        "EVENT_KINDS", "REASONS", "LeakageEvent", "LeakageSummary"),
+    "repro.oracle.runtime": (
+        "activate", "current", "note_machine", "note_secret_write"),
+    "repro.oracle.tracker": (
+        "OracleConfig", "TaintOracle", "attach_machine",
+        "oracle_consistency_verify"),
+})
 
 __all__ = [
     "EVENT_KINDS",

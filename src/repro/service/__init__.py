@@ -27,15 +27,28 @@ See ``docs/SERVICE.md`` for the protocol and the crash-recovery
 story.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.executor import SERVICE_POLICY, CellExecutor
-from repro.service.jobs import JOB_STATES, JobRecord, JobSpec, job_id
-from repro.service.protocol import ProtocolError
-from repro.service.server import (
-    ENDPOINT_FILE,
-    ExperimentServer,
-    serve,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.executor import SERVICE_POLICY, CellExecutor
+    from repro.service.jobs import JOB_STATES, JobRecord, JobSpec, job_id
+    from repro.service.protocol import ProtocolError
+    from repro.service.server import (
+        ENDPOINT_FILE,
+        ExperimentServer,
+        serve,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.executor": ("SERVICE_POLICY", "CellExecutor"),
+    "repro.service.jobs": ("JOB_STATES", "JobRecord", "JobSpec", "job_id"),
+    "repro.service.protocol": ("ProtocolError",),
+    "repro.service.server": ("ENDPOINT_FILE", "ExperimentServer", "serve"),
+})
 
 __all__ = [
     "ENDPOINT_FILE",

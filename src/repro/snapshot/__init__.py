@@ -5,12 +5,23 @@ See :mod:`repro.snapshot.machine` for the snapshot composition and
 by the sweep harness.
 """
 
-from repro.snapshot.cache import cache_size, clear_cache, warm_start
-from repro.snapshot.machine import (
-    SNAPSHOT_VERSION,
-    MachineSnapshot,
-    SnapshotError,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.snapshot.cache import cache_size, clear_cache, warm_start
+    from repro.snapshot.machine import (
+        SNAPSHOT_VERSION,
+        MachineSnapshot,
+        SnapshotError,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.snapshot.cache": ("cache_size", "clear_cache", "warm_start"),
+    "repro.snapshot.machine": (
+        "SNAPSHOT_VERSION", "MachineSnapshot", "SnapshotError"),
+})
 
 __all__ = [
     "MachineSnapshot",

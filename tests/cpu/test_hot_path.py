@@ -1,4 +1,5 @@
-"""Per-cycle code reads no Enum member through its class.
+"""Per-cycle code reads no Enum member through its class and imports
+nothing.
 
 Before Python 3.12 ``EnumType`` defines ``__getattr__``, so a read such
 as ``EntryState.READY`` takes the slow attribute hook: about 150 ns on
@@ -8,6 +9,11 @@ module constants (``repro.cpu.rob.READY``, ``repro.cpu.context.RUNNING``,
 ``repro.cpu.core.HALT``, ...) instead.  This test walks their bytecode,
 nested code objects included, and fails on any global that resolves
 to an Enum class.
+
+The same functions import nothing: even a cached ``import`` statement
+is a ``sys.modules`` lookup and a name bind per call.  A deferred
+import belongs at per-trial granularity or coarser (``docs/
+ARCHITECTURE.md``, "Import layering").
 """
 
 import builtins
@@ -66,6 +72,14 @@ def enum_globals(function):
     return found
 
 
+def imports(function):
+    """The modules *function* imports, in its nested code too."""
+    return {instruction.argval
+            for code in _code_objects(function.__code__)
+            for instruction in dis.get_instructions(code)
+            if instruction.opname == "IMPORT_NAME"}
+
+
 def test_the_walk_finds_enum_reads_in_nested_code():
     def direct(entry):
         return entry.state is EntryState.READY
@@ -90,3 +104,24 @@ def test_hot_path_reads_no_enum_member_through_its_class(function):
         + ", ".join(f"{cls.__module__}.{cls.__qualname__} (as {name!r})"
                     for name, cls in sorted(found, key=lambda f: f[0]))
         + " per call: read the member from a module constant instead")
+
+
+def test_the_walk_finds_imports_in_nested_code():
+    def nested():
+        def inner():
+            from repro.cpu import rob
+            return rob
+        return inner
+
+    assert imports(nested) == {"repro.cpu"}
+    assert imports(enum_globals) == set()
+
+
+@pytest.mark.parametrize("function", HOT_PATH,
+                         ids=lambda function: function.__qualname__)
+def test_hot_path_imports_nothing(function):
+    found = imports(function)
+    assert not found, (
+        f"{function.__module__}.{function.__qualname__} imports "
+        f"{', '.join(sorted(found))} per call: import at module level "
+        f"or once per trial")

@@ -3,6 +3,12 @@ per-scheme state machines (tracking decay, shadow release ordering,
 throttle hysteresis), snapshot support, and the end-to-end
 suppression claims of their evaluation drivers."""
 
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +32,9 @@ from repro.evaluation.defenses import (
     simf_machine,
 )
 from repro.evaluation.defenses.mechanisms import (
+    MECHANISM_MODULES,
     MECHANISMS,
+    DefenseMechanism,
     build_mechanism,
     nonspeculative,
     register_mechanism,
@@ -79,6 +87,78 @@ def test_unknown_scheme_raises_with_registered_list():
 def test_duplicate_registration_rejected():
     with pytest.raises(ValueError, match="already registered"):
         register_mechanism("jamais-vu")(JamaisVuMechanism)
+
+
+def test_registration_outside_the_table_rejected():
+    class Unlisted(DefenseMechanism):
+        scheme = "unlisted"
+
+    with pytest.raises(ValueError, match="MECHANISM_MODULES"):
+        register_mechanism("unlisted")(Unlisted)
+    # A listed scheme registered from another module is refused too:
+    # build_mechanism would import the listed module and miss it.
+    with pytest.raises(ValueError, match="MECHANISM_MODULES"):
+        register_mechanism("leash")(Unlisted)
+    assert "unlisted" not in MECHANISMS
+
+
+def test_table_and_decorators_agree():
+    for module in MECHANISM_MODULES.values():
+        importlib.import_module(module)
+    assert set(MECHANISMS) == set(MECHANISM_MODULES)
+    for scheme, factory in MECHANISMS.items():
+        assert factory.__module__ == MECHANISM_MODULES[scheme]
+        assert factory.scheme == scheme
+
+
+#: Run in a fresh interpreter, where nothing has imported a mechanism
+#: module: a defended machine must find its mechanism through the
+#: table alone.
+_FRESH_BUILD = """
+import json, sys
+from repro.config import DefenseHookConfig, MachineConfig
+from repro.cpu.machine import Machine
+from repro.evaluation.defenses.mechanisms import build_mechanism
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith("repro.evaluation.defenses.")
+                  and m.rsplit(".", 1)[1] in {MODULES})
+
+before = loaded()
+try:
+    build_mechanism(DefenseHookConfig(scheme="no-such-defense"))
+except KeyError as exc:
+    unknown = str(exc)
+built = {{}}
+for scheme in {SCHEMES}:
+    machine = Machine(MachineConfig(
+        defense=DefenseHookConfig(scheme=scheme)))
+    built[scheme] = [type(machine.defense).__module__,
+                     machine.defense.scheme]
+print(json.dumps({{"before": before, "unknown": unknown,
+                  "built": built, "after": loaded()}}))
+"""
+
+
+def test_fresh_process_builds_every_defended_machine():
+    schemes = ("fences", "simf", "jamais-vu", "delay-on-squash", "leash")
+    modules = ("fences", "simf", "jamais_vu", "delay_on_squash", "leash")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         _FRESH_BUILD.format(MODULES=set(modules), SCHEMES=schemes)],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    result = json.loads(proc.stdout)
+    assert result["before"] == []
+    for scheme in schemes:
+        assert scheme in result["unknown"]
+    assert result["built"] == {
+        scheme: [f"repro.evaluation.defenses.{module}", scheme]
+        for scheme, module in zip(schemes, modules)}
+    assert result["after"] == sorted(
+        f"repro.evaluation.defenses.{module}" for module in modules)
 
 
 def test_machine_installs_and_wires_mechanism():
