@@ -17,8 +17,6 @@ hint the paper's §8 does not pursue (hardware cost), quantified here.
 from repro.core.attacks.port_contention import PortContentionAttack
 from repro.cpu.config import CoreConfig, PortConfig
 from repro.config import MachineConfig
-from repro.core.module import MicroScopeConfig
-from repro.core.replayer import AttackEnvironment, Replayer
 
 from conftest import emit, render_table
 
@@ -35,22 +33,6 @@ def _ports_with_second_divider():
     )
 
 
-class _VariantAttack(PortContentionAttack):
-    """PortContentionAttack on a custom core configuration."""
-
-    def __init__(self, core_config: CoreConfig, **kwargs):
-        super().__init__(**kwargs)
-        self._core_config = core_config
-
-    def _build_environment(self):
-        self._core_config.rdtsc_jitter = self.rdtsc_jitter
-        env = AttackEnvironment.build(
-            machine_config=MachineConfig(core=self._core_config),
-            module_config=MicroScopeConfig(
-                fault_handler_cost=self.fault_handler_cost))
-        return Replayer(env)
-
-
 def test_port_layout_sweep(once):
     measurements = 1500
 
@@ -64,8 +46,9 @@ def test_port_layout_sweep(once):
              CoreConfig(non_pipelined=frozenset())),
         ]
         for label, core_config in variants:
-            attack = _VariantAttack(core_config,
-                                    measurements=measurements)
+            attack = PortContentionAttack(
+                measurements=measurements,
+                machine=MachineConfig(core=core_config))
             threshold = attack.calibrate(samples=600)
             div = attack.run(secret=1, threshold=threshold)
             mul = attack.run(secret=0, threshold=threshold)

@@ -61,13 +61,13 @@ class Cache:
         self.latency = config.latency
         self._num_sets = config.num_sets
         self._ways = config.ways
-        # Per set: list of line tags (full line address) per way, or None.
-        self._tags: List[List[Optional[int]]] = [
-            [None] * self._ways for _ in range(self._num_sets)]
-        self._dirty: List[List[bool]] = [
-            [False] * self._ways for _ in range(self._num_sets)]
-        # Per set: the occupied ways, least recently used first.
-        self._lru: List[List[int]] = [[] for _ in range(self._num_sets)]
+        # Per filled set index: the line tag (full line address) of each
+        # way or None, each way's dirty bit, and the occupied ways least
+        # recently used first.  A set gets its three lists on its first
+        # fill; a set never filled owns nothing.
+        self._tags: Dict[int, List[Optional[int]]] = {}
+        self._dirty: Dict[int, List[bool]] = {}
+        self._lru: Dict[int, List[int]] = {}
         # line address -> (set index, way) for O(1) lookups that never
         # recompute the set index.
         self._where: Dict[int, Tuple[int, int]] = {}
@@ -145,8 +145,13 @@ class Cache:
                 self._dirty[set_idx][way] = True
             return None
         set_idx = (paddr >> LINE_SHIFT) % self._num_sets
-        tags = self._tags[set_idx]
-        order = self._lru[set_idx]
+        order = self._lru.get(set_idx)
+        if order is None:
+            tags = self._tags[set_idx] = [None] * self._ways
+            self._dirty[set_idx] = [False] * self._ways
+            order = self._lru[set_idx] = []
+        else:
+            tags = self._tags[set_idx]
         if len(order) < self._ways:
             way = tags.index(None)
             evicted = None
@@ -196,22 +201,24 @@ class Cache:
     # --- snapshot support -------------------------------------------------
 
     def capture(self) -> tuple:
-        """Clone all mutable tag-store state (see :mod:`repro.snapshot`)."""
+        """Clone the mutable tag-store state of every filled set (see
+        :mod:`repro.snapshot`)."""
         return (
-            [list(ways) for ways in self._tags],
-            [list(ways) for ways in self._dirty],
-            [list(order) for order in self._lru],
+            {s: list(ways) for s, ways in self._tags.items()},
+            {s: list(ways) for s, ways in self._dirty.items()},
+            {s: list(order) for s, order in self._lru.items()},
             dict(self._where),
             self.stats.capture(),
         )
 
     def restore(self, state: tuple):
-        """Restore state captured by :meth:`capture`.  The snapshot is
-        cloned again, so one capture supports many restores.  The
-        ``on_evict`` slot is identity, not state, and is left alone."""
+        """Restore state captured by :meth:`capture`: a set first filled
+        after the capture owns nothing again.  The snapshot is cloned
+        again, so one capture supports many restores.  The ``on_evict``
+        slot is identity, not state, and is left alone."""
         tags, dirty, lru, where, stats = state
-        self._tags = [list(ways) for ways in tags]
-        self._dirty = [list(ways) for ways in dirty]
-        self._lru = [list(order) for order in lru]
+        self._tags = {s: list(ways) for s, ways in tags.items()}
+        self._dirty = {s: list(ways) for s, ways in dirty.items()}
+        self._lru = {s: list(order) for s, order in lru.items()}
         self._where = dict(where)
         self.stats.restore(stats)

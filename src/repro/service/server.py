@@ -33,7 +33,11 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
-from repro.evaluation.matrix import _cell_trial, build_matrix
+from repro.evaluation.matrix import (
+    _cell_trial,
+    build_matrix,
+    import_cell_modules,
+)
 from repro.observability.registry import MetricsRegistry
 from repro.service.executor import CellExecutor
 from repro.service.jobs import JobRecord, JobSpec, job_id
@@ -181,6 +185,11 @@ class ExperimentServer:
                                   "state": "running"})
         t0 = time.perf_counter()
         try:
+            if spec.workers > 1:
+                # Pool workers fork per attempt: import what the cells
+                # run once here, so each worker inherits it.
+                await asyncio.to_thread(import_cell_modules,
+                                        spec.attacks, spec.defenses)
             stopping = self._stopping
             executor = CellExecutor(
                 trial_fn=_cell_trial, params=params,

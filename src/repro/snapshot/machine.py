@@ -36,7 +36,8 @@ from typing import Optional
 #: v5: a context capture drops the ready queue's dirty flag (the queue
 #: is always in seq order) and ROB entries lose ``actual_taken``.
 #: v6: a cache capture drops the replacement RNG slot.
-SNAPSHOT_VERSION = 6
+#: v7: a cache capture holds per-set maps of the filled sets only.
+SNAPSHOT_VERSION = 7
 
 
 class SnapshotError(Exception):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import DRAM_LEVEL, HierarchyConfig, MemoryHierarchy
@@ -153,3 +155,93 @@ def test_writes_mark_l1_dirty_and_writeback_path():
     for line in h.l1.lines_mapping_to(0x4000, 2):
         h.access(line)
     assert h.peek_level(0x4000) == 1
+
+
+# --- the tag store holds only the sets a level has filled ---------------
+
+
+def filled_sets(hierarchy):
+    """Per level, the set indices its captured tag store holds."""
+    sets = []
+    for tags, dirty, lru, _where, _stats in hierarchy.capture()[0]:
+        assert tags.keys() == dirty.keys() == lru.keys()
+        sets.append(set(tags))
+    return sets
+
+
+def test_fresh_hierarchy_holds_no_per_set_state():
+    hierarchy = MemoryHierarchy()
+    for tags, dirty, lru, where, _stats in hierarchy.capture()[0]:
+        assert tags == dirty == lru == where == {}
+
+
+def test_capture_holds_only_the_touched_sets():
+    hierarchy = MemoryHierarchy()
+    lines = [0x10_0000 + n * 0x1040 for n in range(12)]
+    hierarchy.touch(lines)
+    assert filled_sets(hierarchy) == [
+        {cache.set_index(line) for line in lines}
+        for cache in hierarchy.levels]
+
+
+def test_restore_drops_sets_first_filled_after_the_capture():
+    hierarchy = MemoryHierarchy()
+    hierarchy.touch([0x10_0000, 0x10_0040])
+    snapshot = hierarchy.capture()
+    before = filled_sets(hierarchy)
+    late = 0x20_0000 + 17 * 64
+    assert all(cache.set_index(late) not in sets
+               for cache, sets in zip(hierarchy.levels, before))
+    hierarchy.access(late)
+    hierarchy.restore(snapshot)
+    assert filled_sets(hierarchy) == before
+    assert not any(cache.contains(late) for cache in hierarchy.levels)
+    assert hierarchy.capture() == snapshot
+
+
+def _replay(hierarchy, accesses, log):
+    """Run *accesses*; log each one's latency and every level's
+    ``locate()`` answer for its line."""
+    for line, is_write in accesses:
+        latency = hierarchy.access(line, is_write=is_write)
+        log.append((latency,
+                    [cache.locate(line) for cache in hierarchy.levels]))
+
+
+def _logged(hierarchy):
+    log = []
+    for i, cache in enumerate(hierarchy.levels):
+        cache.on_evict = (
+            lambda line, dirty, i=i: log.append(("evict", i, line, dirty)))
+    return log
+
+
+_accesses = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=47).map(lambda n: n * 64),
+              st.booleans()),
+    max_size=60)
+
+
+@given(prefix=_accesses, detour=_accesses, suffix=_accesses)
+@settings(max_examples=60, deadline=None)
+def test_run_after_restore_matches_uninterrupted_run(prefix, detour, suffix):
+    """prefix, capture, detour, restore, suffix gives the same hits,
+    evictions and ``locate()`` answers in the suffix as prefix then
+    suffix without the detour, on every restore of the one capture."""
+    straight = tiny_hierarchy()
+    straight_log = _logged(straight)
+    _replay(straight, prefix, straight_log)
+    del straight_log[:]
+    _replay(straight, suffix, straight_log)
+
+    rewound = tiny_hierarchy()
+    rewound_log = _logged(rewound)
+    _replay(rewound, prefix, rewound_log)
+    snapshot = rewound.capture()
+    _replay(rewound, detour, rewound_log)
+    for _ in range(2):
+        rewound.restore(snapshot)
+        del rewound_log[:]
+        _replay(rewound, suffix, rewound_log)
+        assert rewound_log == straight_log
+        assert rewound.capture() == straight.capture()

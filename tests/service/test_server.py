@@ -92,6 +92,31 @@ def test_pool_job_matches_inline_job_and_local_run(service, tmp_path):
         == local.to_dict()
 
 
+def test_pool_job_imports_cell_modules_before_forking(service,
+                                                     monkeypatch):
+    """A job on the process pool imports its rows' attack and mechanism
+    modules once, in the server, so forked workers inherit them; an
+    inline job has no workers to fork and skips it."""
+    from repro.service import server
+
+    calls = []
+    real = server.import_cell_modules
+
+    def recording(attacks, defenses):
+        calls.append((tuple(attacks), tuple(defenses)))
+        real(attacks, defenses)
+
+    monkeypatch.setattr(server, "import_cell_modules", recording)
+    client, _ = service
+    for workers in (1, 2):
+        # A job id ignores the worker count: the label keeps two jobs.
+        spec = JobSpec(attacks=ATTACKS, defenses=DEFENSES, label=str(workers),
+                       workers=workers)
+        status = client.wait(client.submit(spec)["job"], timeout=120)
+        assert status["state"] == "done", status
+    assert calls == [(ATTACKS, DEFENSES)]
+
+
 def test_result_matches_local_matrix_run(service):
     client, _ = service
     _spec, jid, _ = _submit_and_wait(client)

@@ -4,7 +4,10 @@ warm-start cache, and snapshot error handling."""
 
 import pytest
 
+from repro.config import MachineConfig
+from repro.core.attacks.port_contention import PortContentionAttack
 from repro.core.replayer import AttackEnvironment, Replayer
+from repro.cpu.config import CoreConfig
 from repro.cpu.machine import Machine
 from repro.isa.program import ProgramBuilder
 from repro.reporting import metrics_payload
@@ -86,6 +89,29 @@ def test_warm_start_builds_once_then_restores():
     assert env2.phys.read(0x10_0000) == 0   # rewound on the hit
     clear_cache()
     assert cache_size() == 0
+
+
+def _port_contention_panel(core: CoreConfig):
+    attack = PortContentionAttack(measurements=40,
+                                  machine=MachineConfig(core=core))
+    return attack.run(secret=1, threshold=attack.calibrate(200))
+
+
+def test_warm_starts_are_keyed_by_the_machine_core():
+    """Two port-contention attacks that differ only in ``machine.core``
+    each get their own warm-start snapshot: run back to back in one
+    process, each result equals the same attack's result built cold."""
+    stock, pipelined = CoreConfig(), CoreConfig(non_pipelined=frozenset())
+    clear_cache()
+    warm = [_port_contention_panel(core)
+            for core in (stock, pipelined, stock, pipelined)]
+    cold = []
+    for core in (stock, pipelined):
+        clear_cache()
+        cold.append(_port_contention_panel(core))
+    clear_cache()
+    assert cold[0] != cold[1]
+    assert warm == cold + cold
 
 
 def _smt_pair():
