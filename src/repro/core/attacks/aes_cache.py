@@ -38,7 +38,7 @@ from repro.core.recipes import (
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.crypto.aes import decrypt_block_traced, rounds_for_key
 from repro.crypto.aes_tables import LINES_PER_TABLE
-from repro.snapshot import warm_start
+from repro.snapshot import warm_key, warm_start
 from repro.victims.aes_round import AESVictim, setup_aes_victim
 
 
@@ -143,7 +143,9 @@ class AESCacheAttack:
         # per-ciphertext trials share one snapshot and just rewrite the
         # four input words — the §4.4 warm start.
         env, (victim_proc, victim) = warm_start(
-            ("aes-victim", self.key, self.fault_handler_cost),
+            warm_key(self, "_build_launched_environment",
+                     reads=("key", "ciphertext", "fault_handler_cost"),
+                     rewrites=("ciphertext",)),
             self._build_launched_environment)
         victim.write_ciphertext(victim_proc, self.ciphertext)
         rep = Replayer(env)

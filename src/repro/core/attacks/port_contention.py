@@ -30,7 +30,7 @@ from repro.core.recipes import (
 from repro.core.module import MicroScopeConfig
 from repro.core.replayer import AttackEnvironment, Replayer
 from repro.config import MachineConfig
-from repro.snapshot import warm_start
+from repro.snapshot import warm_key, warm_start
 from repro.victims.control_flow import setup_control_flow_victim
 from repro.victims.monitor import setup_port_contention_monitor
 
@@ -90,10 +90,6 @@ class PortContentionAttack:
                 fault_handler_cost=self.fault_handler_cost))
         return Replayer(env)
 
-    def _machine_key(self) -> tuple:
-        return (self.fault_handler_cost, self.rdtsc_jitter,
-                self.divs_per_sample, repr(self.machine))
-
     def _build_calibration_environment(self, samples: int):
         rep = self._build_environment()
         monitor_proc = rep.create_monitor_process()
@@ -124,7 +120,8 @@ class PortContentionAttack:
         Monitor (no victim replaying) — how the paper picks its
         ~120-cycle line from the mul-side distribution."""
         env, (monitor_proc, monitor) = warm_start(
-            ("fig10-calibrate", samples) + self._machine_key(),
+            warm_key(self, "_build_calibration_environment",
+                     samples=samples),
             lambda: self._build_calibration_environment(samples))
         rep = Replayer(env)
         rep.run_until_victim_done(context_id=1,
@@ -138,8 +135,8 @@ class PortContentionAttack:
         by :meth:`run` and by checkpoint/rewind benchmarks that want
         to snapshot mid-attack."""
         env, (victim_proc, victim, monitor_proc, monitor) = warm_start(
-            ("fig10-attack", self.measurements, self.divisions,
-             self.multiplications) + self._machine_key(),
+            warm_key(self, "_build_attack_environment",
+                     rewrites=("secret",)),
             self._build_attack_environment)
         victim.write_secret(victim_proc, secret)
         rep = Replayer(env)

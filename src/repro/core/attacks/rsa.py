@@ -30,7 +30,7 @@ from repro.core.recipes import (
     WalkTuning,
 )
 from repro.core.replayer import AttackEnvironment, Replayer
-from repro.snapshot import warm_start
+from repro.snapshot import warm_key, warm_start
 from repro.victims.rsa import MULT_BUFFER_LINES, setup_modexp_victim
 
 
@@ -91,7 +91,7 @@ class ModExpExtractionAttack:
         # snapshot point sits *before* victim setup: the platform build
         # is shared across exponents and the cheap per-exponent victim
         # construction is redone after every rewind.
-        env, _ = warm_start(("modexp-platform", self.fault_handler_cost),
+        env, _ = warm_start(warm_key(self, "_build_platform"),
                             self._build_platform)
         rep = Replayer(env)
         victim_proc = rep.create_victim_process("modexp-victim")

@@ -34,8 +34,17 @@ from repro.observability.stats import MicroScopeStats
 from repro.observability.tracer import MICROSCOPE_TID
 from repro.vm import address as vaddr
 from repro.vm.faults import PageFault
+from repro.vm.pagetable import SoftwareWalk
 
 __all__ = ["MicroScopeConfig", "MicroScopeModule", "MicroScopeStats"]
+
+# WalkLocation members as module constants: a read through the Enum
+# class takes its slow attribute hook on every replay.
+_PWC = WalkLocation.PWC
+_L1 = WalkLocation.L1
+_L2 = WalkLocation.L2
+_L3 = WalkLocation.L3
+_DRAM = WalkLocation.DRAM
 
 
 @dataclass
@@ -138,36 +147,38 @@ class MicroScopeModule:
     # Attack operations (§5.2.2)
     # ------------------------------------------------------------------
 
-    def _flush_translation_path(self, process: Process, addr: int) -> int:
+    def _flush_translation_path(self, process: Process, addr: int
+                                ) -> SoftwareWalk:
         """Flush PWC, TLB and the cached page-table entries for *addr*
-        (Fig. 3, attack-setup step).  Returns the cycle cost."""
+        (Fig. 3, attack-setup step).  Returns the software walk that
+        found those entries: flushing changes no page-table entry, so
+        a caller that goes on to place the path reuses it.  The work
+        costs ``len(walk.steps) * flush_cost + invlpg_cost`` cycles."""
         walk = process.page_tables.software_walk(addr)
-        self.machine.pwc.invalidate_va(process.pcid, addr)
-        self.kernel.invlpg(process, addr)
-        for paddr in walk.entry_paddrs():
-            self.machine.hierarchy.flush_line(paddr)
-        return (len(walk.steps) * self.config.flush_cost
-                + self.config.invlpg_cost)
+        self.kernel.invlpg(process, addr)  # TLBs and PWC, as x86 INVLPG
+        self.machine.hierarchy.flush_lines(walk.entry_paddrs())
+        return walk
 
     def apply_walk_tuning(self, process: Process, addr: int,
                           tuning: WalkTuning) -> int:
         """Place the translation path per *tuning* (§4.1.2).  Returns
         the cycle cost of the placement work."""
-        cost = self._flush_translation_path(process, addr)
-        walk = process.page_tables.software_walk(addr)
+        walk = self._flush_translation_path(process, addr)
+        config = self.config
+        cost = len(walk.steps) * config.flush_cost + config.invlpg_cost
+        upper = tuning.upper
         for step in walk.steps[:-1]:
-            if tuning.upper is WalkLocation.PWC:
+            if upper is _PWC:
                 # The OS warms the PWC by touching a sibling address
                 # that shares the upper walk path.
                 self.machine.pwc.insert(process.pcid, addr, step.level,
                                         step.entry)
-            elif tuning.upper is not WalkLocation.DRAM:
-                self._place_line(step.entry_paddr, tuning.upper)
-                cost += self.config.probe_cost
-        leaf_paddr = walk.steps[-1].entry_paddr
-        if tuning.leaf is not WalkLocation.DRAM:
-            self._place_line(leaf_paddr, tuning.leaf)
-            cost += self.config.probe_cost
+            elif upper is not _DRAM:
+                self._place_line(step.entry_paddr, upper)
+                cost += config.probe_cost
+        if tuning.leaf is not _DRAM:
+            self._place_line(walk.steps[-1].entry_paddr, tuning.leaf)
+            cost += config.probe_cost
         return cost
 
     def _place_line(self, paddr: int, where: WalkLocation):
@@ -175,13 +186,13 @@ class MicroScopeModule:
         hierarchy = self.machine.hierarchy
         hierarchy.flush_line(paddr)
         hierarchy.access(paddr)  # now resident in every level
-        if where is WalkLocation.L1:
+        if where is _L1:
             return
         hierarchy.level_named("L1D").invalidate(paddr)
-        if where is WalkLocation.L2:
+        if where is _L2:
             return
         hierarchy.level_named("L2").invalidate(paddr)
-        if where is not WalkLocation.L3:
+        if where is not _L3:
             raise ValueError(f"cannot place a line in {where}")
 
     def expected_walk_latency(self, tuning: WalkTuning) -> int:
@@ -204,11 +215,10 @@ class MicroScopeModule:
         """Evict the given VAs from the whole hierarchy (Prime; §4.1.4
         step 5).  Returns cycle cost."""
         self.stats.primes += 1
-        count = 0
-        for va in addrs:
-            self.machine.hierarchy.flush_line(process.translate_any(va))
-            count += 1
-        return count * self.config.flush_cost
+        translate = process.translate_any
+        paddrs = [translate(va) for va in addrs]
+        self.machine.hierarchy.flush_lines(paddrs)
+        return len(paddrs) * self.config.flush_cost
 
     def probe_lines(self, process: Process, addrs) -> List[int]:
         """Timed reload of the given VAs (Probe); returns latencies.
@@ -219,9 +229,9 @@ class MicroScopeModule:
         that probability (modelling real-hardware interference).
         """
         self.stats.probes += 1
-        latencies = [
-            self.machine.hierarchy.access(process.translate_any(va))
-            for va in addrs]
+        translate = process.translate_any
+        access = self.machine.hierarchy.access
+        latencies = [access(translate(va)) for va in addrs]
         if not self.config.probe_noise:
             return latencies
         hit = self.machine.hierarchy.hit_latency(0)

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.config import MachineConfig, to_dict
+from repro.config import MachineConfig
 from repro.harness.chaos import ChaosPlan
 from repro.harness.resilience import (
     FaultPolicy,
@@ -201,13 +201,6 @@ class Experiment:
 
     # --- platform access --------------------------------------------------
 
-    def _config_key(self) -> str:
-        parts = []
-        for config in (self.machine, self.kernel, self.module):
-            parts.append("None" if config is None
-                         else repr(sorted(to_dict(config).items())))
-        return "|".join(parts)
-
     def environment(self, *, warm: bool = False):
         """Build the wired platform as a
         :class:`~repro.core.replayer.Replayer`.
@@ -219,9 +212,10 @@ class Experiment:
         """
         from repro.core.replayer import AttackEnvironment, Replayer
         if warm:
-            from repro.snapshot import warm_start
+            from repro.snapshot import warm_key, warm_start
             env, _ = warm_start(
-                ("experiment", self._config_key()),
+                warm_key(self, "environment",
+                         reads=("machine", "kernel", "module")),
                 lambda: (AttackEnvironment.build(
                     machine_config=self.machine,
                     kernel_config=self.kernel,

@@ -28,6 +28,10 @@ DATA_BASE = 0x1000_0000
 #: the timing model, but the layout keeps addresses realistic).
 CODE_BASE = 0x0040_0000
 
+_MAX_VADDR = vaddr.MAX_VADDR
+_PAGE_SHIFT = vaddr.PAGE_SHIFT
+_OFFSET_MASK = vaddr.PAGE_SIZE - 1
+
 
 @dataclass
 class VMA:
@@ -141,11 +145,12 @@ class Process:
     def translate_any(self, va: int) -> int:
         """Translate even when the present bit is cleared — the kernel
         knows where the page really is."""
-        page_vpn = vaddr.vpn(va)
-        if page_vpn not in self.page_frames:
+        if not 0 <= va < _MAX_VADDR:
+            vaddr.check_vaddr(va)  # raises ValueError
+        frame = self.page_frames.get(va >> _PAGE_SHIFT)
+        if frame is None:
             raise ProcessError(f"{va:#x} has no backing frame")
-        return (self.page_frames[page_vpn] << vaddr.PAGE_SHIFT) | \
-            vaddr.page_offset(va)
+        return (frame << _PAGE_SHIFT) | (va & _OFFSET_MASK)
 
     def read(self, va: int, width: int = 8):
         """Debug read, bypassing caches (kernel direct-map access)."""

@@ -22,11 +22,13 @@ __all__ = ["Cache", "CacheConfig", "CacheStats", "LINE_SIZE",
 
 LINE_SIZE = 64
 LINE_SHIFT = 6
+#: ``paddr & _LINE_MASK`` clears the offset-within-line bits.
+_LINE_MASK = ~(LINE_SIZE - 1)
 
 
 def line_of(paddr: int) -> int:
     """Line address (paddr with the offset bits cleared)."""
-    return paddr & ~(LINE_SIZE - 1)
+    return paddr & _LINE_MASK
 
 
 @dataclass
@@ -106,15 +108,15 @@ class Cache:
 
     def lookup(self, paddr: int, is_write: bool = False) -> bool:
         """Probe for *paddr*; update recency (and dirtiness on write)."""
-        line_addr = paddr & ~(LINE_SIZE - 1)
-        place = self._where.get(line_addr)
+        place = self._where.get(paddr & _LINE_MASK)
         if place is None:
             self.stats.misses += 1
             return False
         set_idx, way = place
         order = self._lru[set_idx]
-        order.remove(way)
-        order.append(way)
+        if order[-1] != way:
+            order.remove(way)
+            order.append(way)
         if is_write:
             self._dirty[set_idx][way] = True
         self.stats.hits += 1
@@ -134,13 +136,15 @@ class Cache:
     def insert(self, paddr: int, dirty: bool = False) -> Optional[int]:
         """Fill the line of *paddr*; return the evicted line address (and
         report its dirtiness to ``on_evict``) or ``None``."""
-        line_addr = paddr & ~(LINE_SIZE - 1)
-        existing = self._where.get(line_addr)
+        line_addr = paddr & _LINE_MASK
+        where = self._where
+        existing = where.get(line_addr)
         if existing is not None:
             set_idx, way = existing
             order = self._lru[set_idx]
-            order.remove(way)
-            order.append(way)
+            if order[-1] != way:
+                order.remove(way)
+                order.append(way)
             if dirty:
                 self._dirty[set_idx][way] = True
             return None
@@ -148,39 +152,44 @@ class Cache:
         order = self._lru.get(set_idx)
         if order is None:
             tags = self._tags[set_idx] = [None] * self._ways
-            self._dirty[set_idx] = [False] * self._ways
+            dirty_bits = self._dirty[set_idx] = [False] * self._ways
             order = self._lru[set_idx] = []
         else:
             tags = self._tags[set_idx]
+            dirty_bits = self._dirty[set_idx]
         if len(order) < self._ways:
             way = tags.index(None)
             evicted = None
         else:
             way = order.pop(0)
             evicted = tags[way]
-            was_dirty = self._dirty[set_idx][way]
-            del self._where[evicted]
+            del where[evicted]
             self.stats.evictions += 1
             if self.on_evict is not None:
-                self.on_evict(evicted, was_dirty)
+                self.on_evict(evicted, dirty_bits[way])
         tags[way] = line_addr
-        self._dirty[set_idx][way] = dirty
-        self._where[line_addr] = (set_idx, way)
+        dirty_bits[way] = dirty
+        where[line_addr] = (set_idx, way)
         order.append(way)
         return evicted
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line of *paddr* (clflush).  Returns ``True`` if it
         was present."""
-        line_addr = line_of(paddr)
+        line_addr = paddr & _LINE_MASK
         place = self._where.pop(line_addr, None)
         if place is None:
             return False
         set_idx, way = place
-        was_dirty = self._dirty[set_idx][way]
+        dirty_bits = self._dirty[set_idx]
+        was_dirty = dirty_bits[way]
+        dirty_bits[way] = False
         self._tags[set_idx][way] = None
-        self._dirty[set_idx][way] = False
-        self._lru[set_idx].remove(way)
+        order = self._lru[set_idx]
+        if order[-1] == way:
+            order.pop()
+        else:
+            order.remove(way)
         self.stats.invalidations += 1
         if self.on_evict is not None:
             self.on_evict(line_addr, was_dirty)

@@ -78,30 +78,30 @@ class MemoryHierarchy:
 
     def access(self, paddr: int, is_write: bool = False) -> int:
         """Perform a demand access; return total latency in cycles."""
+        levels = self.levels
         latency = 0
-        hit_level = None
-        for i, cache in enumerate(self.levels):
+        hit_level = 0
+        for cache in levels:
             latency += cache.latency
-            if cache.lookup(paddr, is_write=is_write and i == 0):
-                hit_level = i
+            if cache.lookup(paddr, is_write and not hit_level):
                 break
-        if hit_level is None:
+            hit_level += 1
+        else:
             latency += self.dram_latency
             self.stats.dram_accesses += 1
-            hit_level = len(self.levels)
-        # Fill the line into every level above the hit.
-        for i in range(min(hit_level, len(self.levels)) - 1, -1, -1):
-            self._fill(i, paddr, dirty=is_write and i == 0)
+        # Fill the line into every level above the hit, lowest first.
+        # Victim lines move down one level (non-inclusive victim
+        # handling keeps recently-used lines findable by Probe); the
+        # last level's victims leave the hierarchy.
+        level = hit_level - 1
+        while level >= 0:
+            evicted = levels[level].insert(paddr, is_write and not level)
+            if evicted is not None and level + 1 < len(levels):
+                levels[level + 1].insert(evicted)
+            level -= 1
         for observer in self._on_mem_access:
             observer(paddr, is_write, hit_level, latency)
         return latency
-
-    def _fill(self, level: int, paddr: int, dirty: bool = False):
-        evicted = self.levels[level].insert(paddr, dirty=dirty)
-        if evicted is not None and level + 1 < len(self.levels):
-            # Victim lines move down one level (non-inclusive victim
-            # handling keeps recently-used lines findable by Probe).
-            self.levels[level + 1].insert(evicted)
 
     # --- attacker / kernel operations -------------------------------------
 
@@ -111,8 +111,12 @@ class MemoryHierarchy:
             cache.invalidate(paddr)
 
     def flush_lines(self, paddrs: Iterable[int]):
+        """clflush each of *paddrs* in turn, every level of one line
+        before the next line."""
+        invalidates = [cache.invalidate for cache in self.levels]
         for paddr in paddrs:
-            self.flush_line(paddr)
+            for invalidate in invalidates:
+                invalidate(paddr)
 
     def flush_range(self, start: int, size: int):
         """Flush every line overlapping ``[start, start + size)``."""

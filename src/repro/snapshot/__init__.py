@@ -10,7 +10,13 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.snapshot.cache import cache_size, clear_cache, warm_start
+    from repro.snapshot.cache import (
+        WarmKey,
+        cache_size,
+        clear_cache,
+        warm_key,
+        warm_start,
+    )
     from repro.snapshot.machine import (
         SNAPSHOT_VERSION,
         MachineSnapshot,
@@ -18,7 +24,8 @@ if TYPE_CHECKING:
     )
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.snapshot.cache": ("cache_size", "clear_cache", "warm_start"),
+    "repro.snapshot.cache": (
+        "WarmKey", "cache_size", "clear_cache", "warm_key", "warm_start"),
     "repro.snapshot.machine": (
         "SNAPSHOT_VERSION", "MachineSnapshot", "SnapshotError"),
 })
@@ -27,7 +34,9 @@ __all__ = [
     "MachineSnapshot",
     "SnapshotError",
     "SNAPSHOT_VERSION",
+    "WarmKey",
     "cache_size",
     "clear_cache",
+    "warm_key",
     "warm_start",
 ]

@@ -50,7 +50,12 @@ class PageWalkCache:
         """Return the cached raw entry for *va* at *level*, or ``None``."""
         if level not in self.CACHEABLE_LEVELS:
             return None
-        key = self._key(pcid, va, level)
+        return self.lookup_key(self._key(pcid, va, level))
+
+    def lookup_key(self, key: Tuple[int, int, int]) -> Optional[int]:
+        """:meth:`lookup` by the tag of an upper-level entry, ``(pcid,
+        level, addr.prefix(va, level))``: the page walker makes its tags
+        itself, from the shift it also indexes the table with."""
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -63,7 +68,11 @@ class PageWalkCache:
         """Cache the raw *entry* for *va* at *level* (upper levels only)."""
         if level not in self.CACHEABLE_LEVELS:
             return
-        key = self._key(pcid, va, level)
+        self.insert_key(self._key(pcid, va, level), entry)
+
+    def insert_key(self, key: Tuple[int, int, int], entry: int):
+        """:meth:`insert` by the tag of an upper-level entry (see
+        :meth:`lookup_key`)."""
         self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.config.entries:

@@ -72,10 +72,12 @@ class TLB:
 
     def lookup(self, pcid: int, vpn: int) -> Optional[TLBEntry]:
         """Return the matching entry (refreshing recency) or ``None``."""
-        entries = self._set_for(vpn)
-        for i, entry in enumerate(entries):
+        entries = self._sets[vpn % self._num_sets]
+        for entry in entries:
             if entry.vpn == vpn and entry.pcid == pcid:
-                entries.append(entries.pop(i))
+                if entries[-1] is not entry:
+                    entries.remove(entry)
+                    entries.append(entry)
                 self.stats.hits += 1
                 return entry
         self.stats.misses += 1
@@ -172,7 +174,7 @@ class TLBHierarchy:
 
         A hit in L2 is refilled into the appropriate L1, as hardware
         does."""
-        l1 = self._l1(is_instruction)
+        l1 = self.l1i if is_instruction else self.l1d
         entry = l1.lookup(pcid, vpn)
         if entry is not None:
             return entry, l1.latency

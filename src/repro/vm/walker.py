@@ -14,30 +14,37 @@ leaf entry, which is what the Sneaky-Page-Monitoring baseline observes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.physical import PhysicalMemory
+from repro.mem.physical import FRAME_SHIFT, PhysicalMemory
 from repro.vm import address as addr
 from repro.vm.faults import PageFault
 from repro.vm.pagetable import (
+    ENTRY_SIZE,
     PTE_ACCESSED,
     PTE_DIRTY,
-    PageTables,
+    PTE_PRESENT,
     WalkStep,
-    entry_frame,
-    entry_present,
 )
 from repro.vm.pwc import PageWalkCache
 from repro.observability.stats import WalkerStats
 
 __all__ = ["PageWalker", "WalkResult", "WalkerStats"]
 
+#: ``(level, shift)`` per level, root first: ``va >> shift`` is the
+#: walk-path prefix down to that level (``repro.vm.address.prefix``).
+_LEVEL_SHIFTS = tuple(
+    (level, addr.PAGE_SHIFT + (addr.NUM_LEVELS - 1 - level) * addr.INDEX_BITS)
+    for level in range(addr.NUM_LEVELS))
+_LEAF = addr.NUM_LEVELS - 1
+_INDEX_MASK = addr.ENTRIES_PER_TABLE - 1
+_FLAG_MASK = (1 << 12) - 1
 
-@dataclass(frozen=True)
-class WalkResult:
-    """Outcome of one hardware page walk."""
+
+class WalkResult(NamedTuple):
+    """Outcome of one hardware page walk (a named tuple, like
+    :class:`~repro.vm.pagetable.WalkStep`: one is built per TLB miss)."""
 
     va: int
     latency: int                    # cycles spent walking
@@ -93,6 +100,9 @@ class PageWalker:
         """Translate *va* starting from *root_frame* (the CR3 value)."""
         addr.check_vaddr(va)
         self.stats.walks += 1
+        pwc = self.pwc
+        access = self.hierarchy.access
+        read = self.phys.read
         latency = 0
         steps = []
         pwc_hits = 0
@@ -100,37 +110,42 @@ class PageWalker:
         fault: Optional[PageFault] = None
         frame: Optional[int] = None
         flags = 0
-        for level in range(addr.NUM_LEVELS):
+        for level, shift in _LEVEL_SHIFTS:
             latency += self.LEVEL_OVERHEAD
-            cached = self.pwc.lookup(pcid, va, level)
-            if cached is not None:
-                latency += self.pwc.hit_latency
-                entry = cached
-                entry_paddr = PageTables.entry_paddr(
-                    table, addr.level_index(va, level))
+            # The bits above *shift* select the path down to this
+            # level: their low INDEX_BITS index this level's table, and
+            # all of them tag its page-walk-cache entry.
+            prefix = va >> shift
+            entry_paddr = ((table << FRAME_SHIFT)
+                           + (prefix & _INDEX_MASK) * ENTRY_SIZE)
+            if level == _LEAF:
+                latency += access(entry_paddr)
+                entry = read(entry_paddr, 8)
             else:
-                entry_paddr = PageTables.entry_paddr(
-                    table, addr.level_index(va, level))
-                latency += self.hierarchy.access(entry_paddr)
-                entry = self.phys.read(entry_paddr, 8)
-                if entry_present(entry):
-                    # Real PWCs cache only valid paging structures.
-                    self.pwc.insert(pcid, va, level, entry)
-            if cached is not None:
-                pwc_hits += 1
+                key = (pcid, level, prefix)
+                entry = pwc.lookup_key(key)
+                if entry is not None:
+                    latency += pwc.hit_latency
+                    pwc_hits += 1
+                else:
+                    latency += access(entry_paddr)
+                    entry = read(entry_paddr, 8)
+                    if entry & PTE_PRESENT:
+                        # Real PWCs cache only valid paging structures.
+                        pwc.insert_key(key, entry)
             steps.append(WalkStep(level, entry_paddr, entry))
-            if not entry_present(entry):
+            if not entry & PTE_PRESENT:
                 fault = PageFault(va=va, pcid=pcid, level=level,
                                   is_write=is_write,
                                   is_instruction=is_instruction,
                                   pc=pc, context_id=context_id)
                 break
-            if level == addr.NUM_LEVELS - 1:
-                frame = entry_frame(entry)
-                flags = entry & ((1 << 12) - 1)
+            if level == _LEAF:
+                frame = entry >> FRAME_SHIFT
+                flags = entry & _FLAG_MASK
                 self._set_accessed_dirty(entry_paddr, entry, is_write)
             else:
-                table = entry_frame(entry)
+                table = entry >> FRAME_SHIFT
         if fault is not None:
             self.stats.faults += 1
         self.stats.total_latency += latency

@@ -1,7 +1,10 @@
 """The MicroScope kernel module: Table-2 API and the fault trampoline."""
 
+import random
+
 import pytest
 
+from repro.core.module import MicroScopeConfig
 from repro.core.recipes import (
     ReplayAction,
     ReplayDecision,
@@ -9,6 +12,7 @@ from repro.core.recipes import (
     WalkTuning,
     replay_n_times,
 )
+from repro.core.replayer import AttackEnvironment, Replayer
 from repro.isa.program import ProgramBuilder
 
 
@@ -201,3 +205,54 @@ def test_stats_accumulate(armed_setup):
     rep.run_until_victim_done()
     assert rep.module.stats.handle_faults == 3
     assert rep.module.stats.releases == 1
+
+
+def _probe_platform(noise):
+    """A platform, a process with three probed pages, and the log of
+    every memory access its hierarchy's observers hear and every line
+    its levels give up, in order."""
+    rep = Replayer(AttackEnvironment.build(module_config=MicroScopeConfig(
+        probe_noise=noise, probe_noise_seed=7)))
+    process = rep.create_victim_process(enclave=False)
+    hierarchy = rep.machine.hierarchy
+    log = []
+    hierarchy._on_mem_access += (lambda *event: log.append(event),)
+    for cache in hierarchy.levels:
+        cache.on_evict = lambda line, dirty, name=cache.name: log.append(
+            (name, line, dirty))
+    return rep, process, process.alloc(3 * 4096, "probed"), log
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_prime_and_probe_match_per_line_flushes_and_accesses(noise):
+    """``prime_lines``/``probe_lines`` do what a per-line loop of
+    ``flush_line``/``access`` does: the same latencies (misread with
+    the same draws when ``probe_noise`` is on), costs, counters, cache
+    state, and the accesses and evictions the levels report, in
+    order."""
+    batched, batched_process, base, batched_log = _probe_platform(noise)
+    looped, process, looped_base, looped_log = _probe_platform(noise)
+    assert looped_base == base
+    module = batched.module
+    hierarchy = looped.machine.hierarchy
+    hit, miss = hierarchy.hit_latency(0), hierarchy.hit_latency(-1)
+    draws = random.Random(7)
+    lines = [base + n * 64 + (n % 5) * 8 for n in range(0, 160, 3)]
+    again = [base + 320, base + 328, base + 328]   # one line, three VAs
+    rounds = [lines, again + lines[:10], lines[::-1]]
+    for addrs in rounds:
+        latencies = module.probe_lines(batched_process, iter(addrs))
+        expected = []
+        for va in addrs:
+            latency = hierarchy.access(process.translate_any(va))
+            if noise and draws.random() < noise:
+                latency = miss if latency <= (hit + miss) // 2 else hit
+            expected.append(latency)
+        assert latencies == expected
+        cost = module.prime_lines(batched_process, iter(addrs))
+        for va in addrs:
+            hierarchy.flush_line(process.translate_any(va))
+        assert cost == len(addrs) * module.config.flush_cost
+        assert batched.machine.hierarchy.capture() == hierarchy.capture()
+        assert batched_log == looped_log
+    assert module.stats.probes == module.stats.primes == len(rounds)

@@ -1,5 +1,5 @@
-"""Per-cycle code reads no Enum member through its class and imports
-nothing.
+"""Per-cycle code, and the memory path every replay window runs, reads
+no Enum member through its class and imports nothing.
 
 Before Python 3.12 ``EnumType`` defines ``__getattr__``, so a read such
 as ``EntryState.READY`` takes the slow attribute hook: about 150 ns on
@@ -28,7 +28,13 @@ from repro.cpu.core import Core, _can_fetch
 from repro.cpu.machine import Machine
 from repro.cpu.observer import UnitIssueCounter
 from repro.cpu.rob import EntryState, ReorderBuffer, ROBEntry
+from repro.core.module import MicroScopeModule
 from repro.evaluation.defenses.mechanisms import nonspeculative
+from repro.kernel.process import Process
+from repro.mem.cache import Cache
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.vm.tlb import TLB
+from repro.vm.walker import PageWalker
 
 HOT_PATH = [
     *(getattr(Core, name) for name in (
@@ -46,6 +52,21 @@ HOT_PATH = [
     Machine.run,
     nonspeculative,
     UnitIssueCounter.on_issue,
+    # The memory path: demand accesses, page walks, and the module's
+    # Prime, Probe and walk tuning in every replay window.
+    Cache.lookup,
+    Cache.insert,
+    Cache.invalidate,
+    MemoryHierarchy.access,
+    MemoryHierarchy.flush_line,
+    MemoryHierarchy.flush_lines,
+    PageWalker.walk,
+    TLB.lookup,
+    Process.translate_any,
+    MicroScopeModule.prime_lines,
+    MicroScopeModule.probe_lines,
+    MicroScopeModule.apply_walk_tuning,
+    MicroScopeModule._place_line,
 ]
 
 

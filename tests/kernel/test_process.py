@@ -84,6 +84,31 @@ def test_translate_any_survives_present_clear(kernel):
     assert process.read(base) == 42  # translate_any path
 
 
+def test_translate_any_keeps_the_page_offset(kernel):
+    process = kernel.create_process("p")
+    base = process.alloc(2 * 4096, "data")
+    for va in (base, base + 0x123, base + 4096 + 0xFFF):
+        frame = process.page_frames[vaddr.vpn(va)]
+        assert process.translate_any(va) \
+            == (frame << vaddr.PAGE_SHIFT) | vaddr.page_offset(va)
+
+
+@pytest.mark.parametrize("va", [-1, vaddr.MAX_VADDR, vaddr.MAX_VADDR + 64])
+def test_translate_any_rejects_an_out_of_range_va(kernel, va):
+    """The range check is ``check_vaddr``'s, with its error."""
+    process = kernel.create_process("p")
+    with pytest.raises(ValueError, match="virtual address out of range"):
+        process.translate_any(va)
+
+
+def test_translate_any_refuses_a_page_without_a_frame(kernel):
+    process = kernel.create_process("p")
+    lazy = process.alloc(4096, "lazy", populate=False)
+    for va in (lazy, lazy + 8, 0x7000_0000):
+        with pytest.raises(ProcessError, match="has no backing frame"):
+            process.translate_any(va)
+
+
 def test_distinct_pcids(kernel):
     p1 = kernel.create_process("a")
     p2 = kernel.create_process("b")

@@ -245,3 +245,167 @@ def test_run_after_restore_matches_uninterrupted_run(prefix, detour, suffix):
         _replay(rewound, suffix, rewound_log)
         assert rewound_log == straight_log
         assert rewound.capture() == straight.capture()
+
+
+# --- model test: the hierarchy against a plain reference -------------------
+
+
+class _ReferenceLevel:
+    """One level as plain per-set lists of line addresses, least
+    recently used first; a fill takes the lowest free way."""
+
+    def __init__(self, config, evicted):
+        self.name = config.name
+        self.latency = config.latency
+        self.ways = config.ways
+        self.num_sets = config.size_bytes // (config.ways * 64)
+        self.order = {}      # set index -> lines, LRU first
+        self.way_of = {}     # line -> way
+        self.dirty = {}      # line -> dirty bit
+        self.stats = dict.fromkeys(
+            ("hits", "misses", "evictions", "invalidations"), 0)
+        self.evicted = evicted   # (level, line, was_dirty) of every level
+
+    def _set(self, line):
+        return self.order.setdefault((line // 64) % self.num_sets, [])
+
+    def lookup(self, line, is_write):
+        if line not in self.way_of:
+            self.stats["misses"] += 1
+            return False
+        lines = self._set(line)
+        lines.remove(line)
+        lines.append(line)
+        if is_write:
+            self.dirty[line] = True
+        self.stats["hits"] += 1
+        return True
+
+    def insert(self, line, dirty):
+        lines = self._set(line)
+        if line in self.way_of:
+            lines.remove(line)
+            lines.append(line)
+            if dirty:
+                self.dirty[line] = True
+            return None
+        victim = None
+        if len(lines) == self.ways:
+            victim = lines.pop(0)
+            way = self.way_of.pop(victim)
+            self.stats["evictions"] += 1
+            self.evicted.append((self.name, victim, self.dirty.pop(victim)))
+        else:
+            used = {self.way_of[other] for other in lines}
+            way = min(set(range(self.ways)) - used)
+        lines.append(line)
+        self.way_of[line] = way
+        self.dirty[line] = dirty
+        return victim
+
+    def invalidate(self, line):
+        if line not in self.way_of:
+            return
+        self._set(line).remove(line)
+        del self.way_of[line]
+        self.stats["invalidations"] += 1
+        self.evicted.append((self.name, line, self.dirty.pop(line)))
+
+    def locate(self, line):
+        if line not in self.way_of:
+            return None
+        return ((line // 64) % self.num_sets, self.way_of[line])
+
+
+class _ReferenceHierarchy:
+    """Search top-down; fill every level above the hit, lowest first,
+    each victim moving down one level."""
+
+    def __init__(self, config):
+        self.evicted = []
+        self.levels = [_ReferenceLevel(level, self.evicted)
+                       for level in config.levels]
+        self.dram_latency = config.dram_latency
+        self.dram_accesses = 0
+        self.heard = []
+
+    def access(self, paddr, is_write):
+        line = paddr - paddr % 64
+        latency = 0
+        hit_level = len(self.levels)
+        for i, level in enumerate(self.levels):
+            latency += level.latency
+            if level.lookup(line, is_write and i == 0):
+                hit_level = i
+                break
+        else:
+            latency += self.dram_latency
+            self.dram_accesses += 1
+        for i in reversed(range(hit_level)):
+            victim = self.levels[i].insert(line, is_write and i == 0)
+            if victim is not None and i + 1 < len(self.levels):
+                self.levels[i + 1].insert(victim, False)
+        self.heard.append((paddr, is_write, hit_level, latency))
+        return latency
+
+    def flush_line(self, paddr):
+        for level in self.levels:
+            level.invalidate(paddr - paddr % 64)
+
+
+def _model_config():
+    return HierarchyConfig(
+        levels=(
+            CacheConfig("L1D", size_bytes=2 * 2 * 64, ways=2, latency=4),
+            CacheConfig("L2", size_bytes=2 * 4 * 64, ways=4, latency=12),
+            CacheConfig("L3", size_bytes=2 * 4 * 64, ways=4, latency=40),
+        ),
+        dram_latency=200)
+
+
+_paddrs = st.builds(lambda line, offset: line * 64 + offset,
+                    st.integers(min_value=0, max_value=23),
+                    st.integers(min_value=0, max_value=63))
+_operations = st.lists(st.one_of(
+    st.tuples(st.just("access"), _paddrs, st.booleans()),
+    st.tuples(st.just("flush_line"), _paddrs),
+    st.tuples(st.just("flush_lines"), st.lists(_paddrs, max_size=6)),
+), max_size=80)
+
+
+@given(operations=_operations)
+@settings(max_examples=150, deadline=None)
+def test_hierarchy_matches_a_plain_reference(operations):
+    """Latencies, what ``on_mem_access`` observers hear, ``locate()``,
+    every level's counters and the ``on_evict`` calls of all levels, in
+    order, match the reference."""
+    config = _model_config()
+    hierarchy = MemoryHierarchy(config)
+    reference = _ReferenceHierarchy(config)
+    heard = []
+    hierarchy._on_mem_access = (lambda *event: heard.append(event),)
+    evicted = []
+    for cache in hierarchy.levels:
+        cache.on_evict = lambda line, dirty, name=cache.name: \
+            evicted.append((name, line, dirty))
+    for operation in operations:
+        if operation[0] == "access":
+            _, paddr, is_write = operation
+            assert hierarchy.access(paddr, is_write) \
+                == reference.access(paddr, is_write)
+        elif operation[0] == "flush_line":
+            hierarchy.flush_line(operation[1])
+            reference.flush_line(operation[1])
+        else:
+            hierarchy.flush_lines(operation[1])
+            for paddr in operation[1]:
+                reference.flush_line(paddr)
+        for line in range(0, 24 * 64, 64):
+            assert [cache.locate(line) for cache in hierarchy.levels] \
+                == [level.locate(line) for level in reference.levels]
+    assert heard == reference.heard
+    assert evicted == reference.evicted
+    assert hierarchy.stats.dram_accesses == reference.dram_accesses
+    for cache, level in zip(hierarchy.levels, reference.levels):
+        assert cache.stats.capture() == tuple(
+            level.stats[name] for name in cache.stats.FIELDS), cache.name

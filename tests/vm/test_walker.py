@@ -113,3 +113,21 @@ def test_stats_accumulate(setup):
     walker.walk(1, tables.root_frame, 0x10000)
     assert walker.stats.walks == 2
     assert walker.stats.total_latency > 0
+
+
+@pytest.mark.parametrize("va", [0x10000, 0x10ABC, 0x4000_0000,
+                                0x4020_0000, 0x12_3456_7000,
+                                0x7FFF_0000_0000])
+def test_walk_reads_what_the_software_walk_reads(setup, va):
+    """Level by level, the hardware walk reads the entry the software
+    walk reads, and the PWC keeps only present upper-level entries."""
+    _phys, frames, _h, pwc, walker, tables = setup
+    tables.map(0x10000, frames.allocate())
+    tables.map(0x4000_0000, frames.allocate())  # shares the PGD entry
+    expected = tables.software_walk(va).steps
+    result = walker.walk(1, tables.root_frame, va)
+    assert result.steps == expected
+    assert result.faulted == (not expected[-1].present)
+    for step in expected[:3]:
+        assert pwc.lookup(1, va, step.level) \
+            == (step.entry if step.present else None)
